@@ -35,7 +35,6 @@ from .network import (
     validate_assumptions,
 )
 from .transmission import (
-    Certificates,
     MCertificate,
     QMatrix,
     TransmissionSystem,

@@ -38,9 +38,6 @@ class Grid:
         h = self.spacings[arc_id]
         return (np.arange(self.cells[arc_id]) + 0.5) * h
 
-    def total_points(self) -> int:
-        return sum(n + 1 for n in self.cells)
-
 
 def make_grid(
     net: StarNetwork,

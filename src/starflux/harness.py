@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from functools import partial
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -29,13 +29,12 @@ from .configio import load_experiment, load_initial_data, load_network
 from .dataprep import DEFAULT_THETA, build_compatible
 from .errors import ConfigError
 from .hyperbolic import (
-    ArcProfile,
     HyperbolicSolution,
     PiecewiseConstantField,
     l1_distance,
     solve_exact,
 )
-from .network import CouplingMatrix, StarNetwork, build_network
+from .network import CouplingMatrix, StarNetwork
 from .parabolic import ParabolicTrajectory, SolverConfig, solve_parabolic
 from .transmission import TransmissionSystem, compute_gamma
 
@@ -105,29 +104,6 @@ class ConvergenceRow:
     min_value: float
     wall_time: float
 
-    FIELDS = (
-        "epsilon",
-        "h",
-        "dt",
-        "l1_error_final_time",
-        "node_trace_l1_error",
-        "flux_residual_max",
-        "min_value",
-        "wall_time",
-    )
-
-    def as_tuple(self) -> tuple[float, ...]:
-        return (
-            self.epsilon,
-            self.h,
-            self.dt,
-            self.l1_error_final_time,
-            self.node_trace_l1_error,
-            self.flux_residual_max,
-            self.min_value,
-            self.wall_time,
-        )
-
 
 @dataclass(frozen=True)
 class ConvergenceReport:
@@ -142,8 +118,8 @@ class ConvergenceReport:
 
     def csv(self) -> str:
         return _csv(
-            ConvergenceRow.FIELDS,
-            ([_fmt(v) for v in row.as_tuple()] for row in self.rows),
+            [f.name for f in fields(ConvergenceRow)],
+            ([_fmt(v) for v in astuple(row)] for row in self.rows),
         )
 
 
@@ -177,42 +153,13 @@ def node_trace_error(
     return total
 
 
-def _spec_payload(spec: ExperimentSpec) -> tuple:
-    # plain nested tuples so worker processes receive a cheap, exact copy
-    arcs = tuple(
-        (a.length, a.speed, "in" if a.incoming else "out") for a in spec.net.arcs
-    )
-    k_rows = tuple(tuple(float(v) for v in row) for row in spec.K.k)
-    profiles = tuple(
-        (tuple(p.breakpoints.tolist()), tuple(p.values.tolist()))
-        for p in spec.u0.arcs
-    )
-    boundary = tuple(float(b) for b in spec.B)
-    return (arcs, k_rows, profiles, boundary, spec.T, spec.h_rule, spec.theta)
-
-
-def _rebuild_inputs(
-    payload: tuple,
-) -> tuple[StarNetwork, CouplingMatrix, PiecewiseConstantField, np.ndarray, float, float, float]:
-    arcs, k_rows, profiles, boundary, T, h_rule, theta = payload
-    net = build_network(arcs)
-    K = CouplingMatrix.from_array(np.asarray(k_rows), net)
-    u0 = PiecewiseConstantField(
-        tuple(
-            ArcProfile.from_lists(net.arc(i).length, list(b), list(v))
-            for i, (b, v) in enumerate(profiles)
-        )
-    )
-    return net, K, u0, np.asarray(boundary), T, h_rule, theta
-
-
-def _sweep_row(payload: tuple, epsilon: float) -> tuple[str, tuple | str]:
+def _sweep_row(spec: ExperimentSpec, epsilon: float) -> tuple[str, tuple | str]:
     """Run one viscosity level; returns ("ok", row) or ("fail", reason)."""
     try:
         start = time.perf_counter()
-        net, K, u0, B, T, h_rule, theta = _rebuild_inputs(payload)
-        compat = build_compatible(u0, B, net, K, epsilon, theta)
-        cfg = SolverConfig(epsilon=epsilon, T=T, h_rule=h_rule)
+        net, K, u0, B, T = spec.net, spec.K, spec.u0, spec.B, spec.T
+        compat = build_compatible(u0, B, net, K, epsilon, spec.theta)
+        cfg = SolverConfig(epsilon=epsilon, T=T, h_rule=spec.h_rule)
         trajectory = solve_parabolic(net, K, compat.arcs, B, cfg)
         system = compute_gamma(net, K)
         exact = solve_exact(net, system.gamma, u0, B, T)
@@ -245,14 +192,14 @@ def run_convergence(spec: ExperimentSpec, workers: int = 1) -> ConvergenceReport
     descending, failed levels in the failures list with their reasons.
     """
     compute_gamma(spec.net, spec.K)  # fail fast on assumption violations
-    payload = _spec_payload(spec)
     if workers <= 1:
-        outcomes = [_sweep_row(payload, e) for e in spec.epsilons]
+        outcomes = [_sweep_row(spec, e) for e in spec.epsilons]
     else:
+        # the frozen spec is pickled, so each worker gets an exact copy
         with ProcessPoolExecutor(
             max_workers=min(workers, len(spec.epsilons))
         ) as pool:
-            outcomes = list(pool.map(partial(_sweep_row, payload), spec.epsilons))
+            outcomes = list(pool.map(partial(_sweep_row, spec), spec.epsilons))
 
     rows: list[ConvergenceRow] = []
     failures: list[tuple[float, str]] = []

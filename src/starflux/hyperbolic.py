@@ -225,11 +225,6 @@ class HyperbolicSolution:
             profiles.append(ArcProfile.from_lists(L, breaks, vals))
         return PiecewiseConstantField(tuple(profiles))
 
-    def incoming_flux_pieces(self) -> tuple[np.ndarray, np.ndarray]:
-        """(partition breakpoints, per-piece incoming flux matrix)."""
-        speeds = np.array([self.net.arc(j).speed for j in self.net.incoming_ids])
-        return self.partition_breaks, self.incoming_piece_values * speeds
-
 
 def solve_exact(
     net: StarNetwork,

@@ -76,15 +76,6 @@ def _initial_state(
     return new_state(grid, arrays, state.t)
 
 
-def _junction_values(state: DiscreteState, net: StarNetwork) -> np.ndarray:
-    return np.array(
-        [
-            state.values[i][-1] if net.arc(i).incoming else state.values[i][0]
-            for i in range(net.m)
-        ]
-    )
-
-
 def solve_parabolic(
     net: StarNetwork,
     K: CouplingMatrix,
@@ -93,16 +84,15 @@ def solve_parabolic(
     cfg: SolverConfig,
     grid: Grid | None = None,
     record_every: int = 0,
-    consistent_init: bool = True,
 ) -> ParabolicTrajectory:
     """March the viscous problem from u0_eps to time T.
 
     The initial data may be a discrete state or anything samplable per
     arc. Its defect against the discrete node conditions is measured and
-    warned about beyond COMPATIBILITY_WARN_TOL; with consistent_init the
-    junction values are then projected so the algebraic node rows hold
-    from step zero. record_every=k keeps every k-th state (0 keeps only
-    the first and last).
+    warned about beyond COMPATIBILITY_WARN_TOL; the junction values are
+    then projected so the algebraic node rows hold from step zero.
+    record_every=k keeps every k-th state (0 keeps only the first and
+    last).
     """
     if grid is None:
         grid = make_grid(net, epsilon=cfg.epsilon, rule_constant=cfg.h_rule)
@@ -126,13 +116,13 @@ def solve_parabolic(
             f"{defect:.3e}",
             UserWarning,
         )
-    if consistent_init:
-        state = project_node_values(state, op)
+    state = project_node_values(state, op)
 
+    node = op.stencil.node
     diag_rows = [
         (state.t, discrete_l1_norm(state, grid), state.min_value(), flux_residual(state, op))
     ]
-    node_rows = [_junction_values(state, net)]
+    node_rows = [np.concatenate(state.values)[node]]
     recorded = [state]
     for n in range(1, n_steps + 1):
         state = step(state, op)
@@ -144,7 +134,7 @@ def solve_parabolic(
                 flux_residual(state, op),
             )
         )
-        node_rows.append(_junction_values(state, net))
+        node_rows.append(np.concatenate(state.values)[node])
         if record_every and n % record_every == 0 and n < n_steps:
             recorded.append(state)
     recorded.append(state)

@@ -3,10 +3,20 @@
 One backward-Euler step solves a sparse linear system whose rows are:
 upwind transport plus central diffusion at interior points, identities
 at the outer Dirichlet points (so boundary values persist from the
-current state), and the viscous transmission conditions at the junction
-written with one-sided differences. The node rows carry no time
-derivative; they are algebraic constraints enforced at every level, so
-the junction flux balance holds to solver precision after each step.
+current state), and the viscous transmission conditions at the junction.
+
+The node condition is defined once, in JunctionStencil. Let beta_i be +1
+on incoming and -1 on outgoing arcs, u_node_i the junction value of arc
+i and u_inner_i its neighbour one spacing h_i into the arc. Row i reads
+
+    alpha[i] @ u_node = beta_i * F_i,
+    F_i = speed_i * u_node_i - eps * beta_i * (u_node_i - u_inner_i) / h_i,
+
+so F_i is the viscous flux speed*u - eps*u_x at the node, written with a
+one-sided difference. The node rows carry no time derivative; they are
+algebraic constraints enforced at every level. The columns of alpha sum
+to zero, so the junction flux balance sum_i beta_i * F_i = 0 holds to
+solver precision after each step.
 """
 
 from __future__ import annotations
@@ -55,27 +65,98 @@ def default_dt(net: StarNetwork, grid: Grid) -> float:
 
 
 @dataclass(frozen=True)
+class JunctionStencil:
+    """The discrete node condition, one row per arc in arc-id order.
+
+    node and inner are flat indices into the concatenated state: the
+    junction point of each arc and its neighbour. beta is +1 on incoming
+    and -1 on outgoing arcs, eh is epsilon/h. block collects the node
+    rows' coefficients of the junction values, so the rows read
+    block @ u_node = eh * u_inner.
+    """
+
+    node: np.ndarray
+    inner: np.ndarray
+    beta: np.ndarray
+    speed: np.ndarray
+    h: np.ndarray
+    epsilon: float
+    eh: np.ndarray
+    block: np.ndarray
+
+    @classmethod
+    def build(
+        cls,
+        net: StarNetwork,
+        alpha: np.ndarray,
+        grid: Grid,
+        offsets: tuple[int, ...],
+        epsilon: float,
+    ) -> "JunctionStencil":
+        incoming = np.array([arc.incoming for arc in net.arcs])
+        cells = np.asarray(grid.cells)
+        node = np.asarray(offsets) + np.where(incoming, cells, 0)
+        inner = node + np.where(incoming, -1, 1)
+        beta = np.where(incoming, 1.0, -1.0)
+        speed = net.speeds()
+        h = np.asarray(grid.spacings)
+        eh = epsilon / h
+        # alpha[i] @ u_node - beta_i * F_i with the u_node_i terms gathered
+        block = np.array(alpha, dtype=float)
+        np.fill_diagonal(block, (np.diag(alpha) - beta * speed) + eh)
+        block.flags.writeable = False
+        return cls(node, inner, beta, speed, h, epsilon, eh, block)
+
+    def matrix_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, cols, values) of the node rows of the step matrix."""
+        coupled = self.block != 0.0
+        np.fill_diagonal(coupled, True)
+        i, j = np.nonzero(coupled)
+        rows = np.concatenate([self.node[i], self.node])
+        cols = np.concatenate([self.node[j], self.inner])
+        vals = np.concatenate([self.block[i, j], -self.eh])
+        return rows, cols, vals
+
+    def flux(self, flat: np.ndarray) -> np.ndarray:
+        """F_i, the viscous flux at the node along each arc."""
+        u = flat[self.node]
+        du = (u - flat[self.inner]) / self.h
+        return self.speed * u - self.epsilon * self.beta * du
+
+    def residual(self, flat: np.ndarray) -> float:
+        """sum_i beta_i * F_i, summed one arc after another.
+
+        np.sum would add eight or more terms pairwise and so round
+        differently from the sequential sum the diagnostics record.
+        """
+        total = 0.0
+        for term in (self.beta * self.flux(flat)).tolist():
+            total += term
+        return total
+
+    def project(self, flat: np.ndarray) -> np.ndarray:
+        """Junction values solving the node rows with flat's inner values."""
+        return np.linalg.solve(self.block, self.eh * flat[self.inner])
+
+
+@dataclass(frozen=True)
 class StepOperator:
     """Factorized implicit step, reusable across steps.
 
     rhs_scale maps the current state to the right-hand side: 1/dt at
     interior rows, 1 at Dirichlet rows (values persist), 0 at node rows.
-    forcing is added on top each step. node_rows/inner_rows describe the
-    junction stencil for flux diagnostics.
+    forcing is added on top each step. stencil is the junction condition
+    the node rows are built from.
     """
 
     matrix: scipy.sparse.csc_matrix
     lu: scipy.sparse.linalg.SuperLU
     grid: Grid
-    net: StarNetwork
-    epsilon: float
     dt: float
     rhs_scale: np.ndarray
     forcing: np.ndarray
     offsets: tuple[int, ...]
-    node_index: tuple[int, ...]
-    inner_index: tuple[int, ...]
-    node_block: np.ndarray
+    stencil: JunctionStencil
     unstable: bool
 
     @property
@@ -133,15 +214,7 @@ def assemble_step_operator(
         offsets.append(total)
         total += grid.cells[i] + 1
     offsets_t = tuple(offsets)
-
-    node_index = tuple(
-        offsets_t[i] + (grid.cells[i] if net.arc(i).incoming else 0)
-        for i in range(net.m)
-    )
-    inner_index = tuple(
-        offsets_t[i] + (grid.cells[i] - 1 if net.arc(i).incoming else 1)
-        for i in range(net.m)
-    )
+    stencil = JunctionStencil.build(net, alpha, grid, offsets_t, eps)
 
     rows: list[int] = []
     cols: list[int] = []
@@ -178,50 +251,29 @@ def assemble_step_operator(
         put(outer, outer, 1.0)
         rhs_scale[outer] = 1.0
 
-        # transmission row: algebraic, no time derivative
-        r = node_index[i]
-        eh = eps / h
-        if arc.incoming:
-            put(r, r, alpha[i, i] - lam + eh)
-        else:
-            put(r, r, alpha[i, i] + lam + eh)
-        put(r, inner_index[i], -eh)
-        for j in range(net.m):
-            if j != i and alpha[i, j] != 0.0:
-                put(r, node_index[j], alpha[i, j])
-        rhs_scale[r] = 0.0
-
+    # transmission rows: algebraic, no time derivative (rhs_scale 0)
+    node_rows, node_cols, node_vals = stencil.matrix_entries()
     matrix = scipy.sparse.csc_matrix(
-        (vals, (rows, cols)), shape=(total, total)
+        (
+            np.concatenate([vals, node_vals]),
+            (np.concatenate([rows, node_rows]), np.concatenate([cols, node_cols])),
+        ),
+        shape=(total, total),
     )
     try:
         lu = scipy.sparse.linalg.splu(matrix)
     except RuntimeError as exc:
         raise LinearSolveFailure(f"step matrix factorization failed: {exc}") from exc
 
-    # node-value block used to project initial data onto the constraints
-    node_block = np.zeros((net.m, net.m))
-    for i, arc in enumerate(net.arcs):
-        lam = arc.speed
-        eh = eps / grid.spacings[i]
-        node_block[i, i] = alpha[i, i] + eh + (-lam if arc.incoming else lam)
-        for j in range(net.m):
-            if j != i:
-                node_block[i, j] = alpha[i, j]
-
     return StepOperator(
         matrix=matrix,
         lu=lu,
         grid=grid,
-        net=net,
-        epsilon=eps,
         dt=dt,
         rhs_scale=rhs_scale,
         forcing=forcing_vec,
         offsets=offsets_t,
-        node_index=node_index,
-        inner_index=inner_index,
-        node_block=node_block,
+        stencil=stencil,
         unstable=unstable,
     )
 
@@ -241,31 +293,17 @@ def step(state: DiscreteState, op: StepOperator) -> DiscreteState:
 
 
 def flux_residual(state: DiscreteState, op: StepOperator) -> float:
-    """Junction flux imbalance with the scheme's one-sided differences.
+    """Junction flux imbalance sum_i beta_i * F_i of the node stencil.
 
-    Sums speed*u - eps*du at the node over incoming arcs minus the same
-    over outgoing arcs; zero for any state satisfying the node rows.
+    Incoming fluxes minus outgoing ones; zero for any state satisfying
+    the node rows.
     """
-    flat = _flatten(state)
-    total = 0.0
-    for i, arc in enumerate(op.net.arcs):
-        h = op.grid.spacings[i]
-        u_node = flat[op.node_index[i]]
-        u_in = flat[op.inner_index[i]]
-        if arc.incoming:
-            du = (u_node - u_in) / h
-            total += arc.speed * u_node - op.epsilon * du
-        else:
-            du = (u_in - u_node) / h
-            total -= arc.speed * u_node - op.epsilon * du
-    return float(total)
+    return op.stencil.residual(_flatten(state))
 
 
 def compatibility_residual(state: DiscreteState, op: StepOperator) -> float:
     """Largest defect of the discrete node conditions for this state."""
-    flat = _flatten(state)
-    rows = np.asarray(op.node_index)
-    resid = op.matrix[rows, :] @ flat
+    resid = op.matrix[op.stencil.node, :] @ _flatten(state)
     return float(np.max(np.abs(resid)))
 
 
@@ -276,16 +314,9 @@ def project_node_values(state: DiscreteState, op: StepOperator) -> DiscreteState
     frozen; this is the consistent initialization of the algebraic
     constraints and leaves every other value untouched.
     """
-    flat = _flatten(state).copy()
-    rhs = np.array(
-        [
-            op.epsilon / op.grid.spacings[i] * flat[op.inner_index[i]]
-            for i in range(op.net.m)
-        ]
-    )
+    flat = _flatten(state)
     try:
-        node_vals = np.linalg.solve(op.node_block, rhs)
+        flat[op.stencil.node] = op.stencil.project(flat)
     except np.linalg.LinAlgError as exc:
         raise LinearSolveFailure(f"node projection failed: {exc}") from exc
-    flat[list(op.node_index)] = node_vals
     return _split(flat, op.grid, op.offsets, state.t)

@@ -140,6 +140,8 @@ def _lu_invert(sub: np.ndarray) -> tuple[np.ndarray, float]:
 class MCertificate:
     """Checkable evidence that the node matrix is a nonsingular M-matrix.
 
+    irreducible: the off-diagonal pattern couples all unknowns in one
+        block (reported, not required).
     sign_pattern_ok: nonpositive off-diagonal, nonnegative diagonal.
     gershgorin_ok: every row diagonally dominant (equality allowed).
     every_block_strict: each irreducible block has a strictly dominant
@@ -149,6 +151,7 @@ class MCertificate:
     inverse: the computed inverse, kept as the evidence for the claim.
     """
 
+    irreducible: bool
     sign_pattern_ok: bool
     gershgorin_ok: bool
     every_block_strict: bool
@@ -205,6 +208,7 @@ def certify_m_matrix(q: QMatrix | np.ndarray) -> MCertificate:
     inverse_nonneg = min_entry >= -1e-12 * inv_scale
     inverse.flags.writeable = False
     return MCertificate(
+        irreducible=len(comps) == 1,
         sign_pattern_ok=sign_ok,
         gershgorin_ok=gershgorin_ok,
         every_block_strict=every_block_strict,
@@ -213,13 +217,6 @@ def certify_m_matrix(q: QMatrix | np.ndarray) -> MCertificate:
         min_inverse_entry=min_entry,
         inverse=inverse,
     )
-
-
-@dataclass(frozen=True)
-class Certificates:
-    irreducible: bool
-    gershgorin_ok: bool
-    m_matrix_ok: bool
 
 
 @dataclass(frozen=True)
@@ -237,7 +234,7 @@ class TransmissionSystem:
     z: np.ndarray
     gamma: np.ndarray
     det_q: float
-    certificates: Certificates
+    certificates: MCertificate
     condition_indicator: float
 
     @property
@@ -293,11 +290,7 @@ def compute_gamma(net: StarNetwork, K: CouplingMatrix) -> TransmissionSystem:
         z=z,
         gamma=gamma,
         det_q=cert.det,
-        certificates=Certificates(
-            irreducible=check_irreducible(qm),
-            gershgorin_ok=cert.gershgorin_ok,
-            m_matrix_ok=cert.m_matrix_ok,
-        ),
+        certificates=cert,
         condition_indicator=cond,
     )
 

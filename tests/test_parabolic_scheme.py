@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import cross_ones_coupling, random_coupling, random_network, simple_star
 from starflux import (
@@ -67,8 +69,11 @@ def test_step_matrix_frozen_ten_by_ten():
     np.testing.assert_allclose(op.matrix.toarray(), A, atol=1e-13)
     expected_scale = np.array([1.0] + [10.0] * 3 + [0.0, 0.0] + [10.0] * 3 + [1.0])
     np.testing.assert_allclose(op.rhs_scale, expected_scale)
-    assert op.node_index == (4, 5)
-    assert op.inner_index == (3, 6)
+    assert op.stencil.node.tolist() == [4, 5]
+    assert op.stencil.inner.tolist() == [3, 6]
+    assert op.stencil.beta.tolist() == [1.0, -1.0]
+    # the projection block is the node rows restricted to the junction values
+    np.testing.assert_array_equal(op.stencil.block, A[4:6, 4:6])
 
 
 def test_step_keeps_dirichlet_values_and_node_rows():
@@ -187,3 +192,48 @@ def test_solve_parabolic_diagnostics_align_with_norm():
         discrete_l1_norm(state0, traj.grid)
     )
     assert traj.final.t == pytest.approx(0.1)
+
+
+def loop_flux_residual(state, net, grid, eps):
+    """Reference: one-sided junction fluxes arc by arc, summed in arc order."""
+    total = 0.0
+    for i, arc in enumerate(net.arcs):
+        vals, h = state.values[i], grid.spacings[i]
+        if arc.incoming:
+            total += arc.speed * vals[-1] - eps * ((vals[-1] - vals[-2]) / h)
+        else:
+            total -= arc.speed * vals[0] - eps * ((vals[1] - vals[0]) / h)
+    return total
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 8))
+def test_node_conditions_hold_after_projection_and_step(seed, m):
+    """Projected data and one step from it satisfy the junction stencil.
+
+    Both residuals are measured against the rounding scale of a node
+    row: its absolute coefficients times the largest data value.
+    """
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, m_min=m, m_max=m)
+    K = random_coupling(rng, net)
+    eps = float(rng.uniform(0.3, 1.0))
+    lam_max = float(np.max(net.speeds()))
+    grid = make_grid(net, h=eps / (8.0 * max(1.0, lam_max)))
+    op = assemble_step_operator(net, K, SolverConfig(eps, 1.0, 0.01), grid)
+    stencil = op.stencil
+    row_scale = float(np.max(np.sum(np.abs(stencil.block), axis=1) + stencil.eh))
+    top = 2.0
+    tol = 1e-12 * row_scale * top
+
+    state = new_state(
+        grid, [rng.uniform(0.0, top, n + 1) for n in grid.cells], 0.0
+    )
+    assert flux_residual(state, op) == loop_flux_residual(state, net, grid, eps)
+    projected = project_node_values(state, op)
+    assert compatibility_residual(projected, op) <= tol
+    assert abs(flux_residual(projected, op)) <= tol
+
+    stepped = step(projected, op)
+    assert compatibility_residual(stepped, op) <= tol
+    assert abs(flux_residual(stepped, op)) <= tol
