@@ -1,13 +1,16 @@
 """Uniform per-arc grids and grid-sampled states.
 
 Each arc gets its own uniform grid with at least four cells so a
-boundary layer and an interior always coexist. Discrete states carry
-one value per grid point per arc plus the time stamp.
+boundary layer and an interior always coexist. A discrete state keeps
+one value per grid point in a single flat vector, arc after arc, plus
+the time stamp.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -29,6 +32,21 @@ class Grid:
     @property
     def arc_count(self) -> int:
         return len(self.cells)
+
+    @cached_property
+    def offsets(self) -> tuple[int, ...]:
+        """Arc i's points sit at [offsets[i], offsets[i + 1]) of a flat state."""
+        return tuple(accumulate((n + 1 for n in self.cells), initial=0))
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """Composite-trapezoid weights of a flat state, read-only."""
+        w = np.repeat(self.spacings, np.asarray(self.cells) + 1)
+        ends = np.asarray(self.offsets)
+        w[ends[:-1]] *= 0.5
+        w[ends[1:] - 1] *= 0.5
+        w.flags.writeable = False
+        return w
 
     def nodes(self, arc_id: int) -> np.ndarray:
         n = self.cells[arc_id]
@@ -84,42 +102,60 @@ class ArcEvaluable(Protocol):
 
 @dataclass(frozen=True)
 class DiscreteState:
-    """Grid values per arc at one time."""
+    """Grid values of every arc at one time, in one read-only vector.
 
-    values: tuple[np.ndarray, ...]
+    flat holds the arcs one after another; arc i is
+    flat[bounds[i]:bounds[i + 1]], and values hands out those slices as
+    read-only views. Build states with new_state or sample_on_grid.
+    """
+
+    flat: np.ndarray
+    bounds: tuple[int, ...]
     t: float
 
+    @property
+    def values(self) -> tuple[np.ndarray, ...]:
+        b = self.bounds
+        return tuple(self.flat[b[i] : b[i + 1]] for i in range(len(b) - 1))
+
     def min_value(self) -> float:
-        return min(float(np.min(v)) for v in self.values)
+        return float(np.min(self.flat))
 
     def max_abs(self) -> float:
-        return max(float(np.max(np.abs(v))) for v in self.values)
+        return float(np.max(np.abs(self.flat)))
 
     def is_finite(self) -> bool:
-        return all(bool(np.all(np.isfinite(v))) for v in self.values)
+        return bool(np.isfinite(self.flat).all())
 
 
 def new_state(
     grid: Grid, arrays: Sequence[np.ndarray], t: float = 0.0
 ) -> DiscreteState:
-    """Validate array lengths against the grid and freeze them."""
+    """Validate array lengths against the grid and copy them into one state."""
     if len(arrays) != grid.arc_count:
         raise DimensionMismatch(
             f"{len(arrays)} arrays for {grid.arc_count} arcs"
         )
-    frozen = []
     for i, arr in enumerate(arrays):
-        a = np.asarray(arr, dtype=float)
-        if a.shape != (grid.cells[i] + 1,):
+        shape = np.shape(arr)
+        if shape != (grid.cells[i] + 1,):
             raise DimensionMismatch(
-                f"arc {i}: expected {grid.cells[i] + 1} values, got {a.shape}"
+                f"arc {i}: expected {grid.cells[i] + 1} values, got {shape}"
             )
-        if not np.all(np.isfinite(a)):
-            raise DimensionMismatch(f"arc {i}: non-finite state values")
-        a = a.copy()
-        a.flags.writeable = False
-        frozen.append(a)
-    return DiscreteState(values=tuple(frozen), t=float(t))
+    flat = np.concatenate(arrays, dtype=float)
+    finite = np.isfinite(flat)
+    if not finite.all():
+        arc = int(np.searchsorted(grid.offsets, np.argmin(finite), side="right")) - 1
+        raise DimensionMismatch(f"arc {arc}: non-finite state values")
+    return adopt_state(grid, flat, t)
+
+
+def adopt_state(grid: Grid, flat: np.ndarray, t: float) -> DiscreteState:
+    """Freeze a finite vector nobody else holds into a state, without a copy."""
+    if flat.shape != (grid.offsets[-1],):
+        raise DimensionMismatch(f"{flat.size} values for {grid.offsets[-1]} points")
+    flat.flags.writeable = False
+    return DiscreteState(flat, grid.offsets, float(t))
 
 
 def sample_on_grid(
@@ -139,9 +175,5 @@ def sample_on_grid(
 
 def discrete_l1_norm(state: DiscreteState, grid: Grid) -> float:
     """Composite-trapezoid L1 norm of |state| summed over arcs."""
-    total = 0.0
-    for i, vals in enumerate(state.values):
-        h = grid.spacings[i]
-        a = np.abs(vals)
-        total += h * (0.5 * a[0] + np.sum(a[1:-1]) + 0.5 * a[-1])
-    return float(total)
+    # np.sum, not a BLAS dot: OpenBLAS splits long dots across threads
+    return float(np.sum(np.abs(state.flat) * grid.weights))

@@ -170,12 +170,7 @@ def _merged_partition(traces: Sequence[TraceSignal], T: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HyperbolicSolution:
-    """Exact transport solution, evaluable anywhere in space-time.
-
-    partition_breaks is the merged set of trace breakpoints on (0, T);
-    incoming_piece_values[r, j] is the value trace of the j-th incoming
-    arc on partition piece r (pieces are left-continuous in time).
-    """
+    """Exact transport solution, evaluable anywhere in space-time."""
 
     net: StarNetwork
     gamma: np.ndarray
@@ -184,8 +179,6 @@ class HyperbolicSolution:
     T: float
     traces: tuple[TraceSignal, ...]
     node_values: tuple[TraceSignal, ...]
-    partition_breaks: np.ndarray
-    incoming_piece_values: np.ndarray
 
     def evaluate(
         self, arc_id: int, x: np.ndarray | float, t: float
@@ -288,8 +281,6 @@ def solve_exact(
         T=float(T),
         traces=traces,
         node_values=node_values,
-        partition_breaks=breaks,
-        incoming_piece_values=piece_values,
     )
 
 

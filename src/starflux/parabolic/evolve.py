@@ -14,8 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import NoConvergence, NonPositiveParameter
-from ..grids import DiscreteState, Grid, discrete_l1_norm, make_grid, new_state, sample_on_grid
+from ..errors import DimensionMismatch, NoConvergence, NonPositiveParameter
+from ..grids import DiscreteState, Grid, adopt_state, discrete_l1_norm, make_grid, sample_on_grid
 from ..hyperbolic import PiecewiseConstantField
 from ..network import CouplingMatrix, StarNetwork
 from .scheme import (
@@ -59,21 +59,24 @@ class ParabolicTrajectory:
 
 def _initial_state(
     u0_eps: "DiscreteState | PiecewiseConstantField | Sequence",
-    grid: Grid,
+    op: StepOperator,
     net: StarNetwork,
     B: np.ndarray,
 ) -> DiscreteState:
+    grid = op.grid
     if isinstance(u0_eps, DiscreteState):
         state = u0_eps
     elif isinstance(u0_eps, PiecewiseConstantField):
         state = sample_on_grid(u0_eps.arcs, grid)
     else:
         state = sample_on_grid(list(u0_eps), grid)
+    if state.bounds != grid.offsets:
+        raise DimensionMismatch("initial state does not match the grid")
     # inflow Dirichlet values override whatever the data carries there
-    arrays = [v.copy() for v in state.values]
-    for i in net.incoming_ids:
-        arrays[i][0] = B[i]
-    return new_state(grid, arrays, state.t)
+    inflow = list(net.incoming_ids)
+    flat = state.flat.copy()
+    flat[op.outer[inflow]] = B[inflow]
+    return adopt_state(grid, flat, state.t)
 
 
 def solve_parabolic(
@@ -97,8 +100,8 @@ def solve_parabolic(
     if grid is None:
         grid = make_grid(net, epsilon=cfg.epsilon, rule_constant=cfg.h_rule)
     bvals = np.asarray(B, dtype=float)
-    if bvals.shape != (net.m,):
-        raise NonPositiveParameter(f"need {net.m} boundary values")
+    if bvals.shape != (net.m,) or not np.isfinite(bvals).all():
+        raise NonPositiveParameter(f"need {net.m} finite boundary values")
 
     # snap the step so the march lands exactly on the horizon
     dt0 = cfg.dt if cfg.dt is not None else default_dt(net, grid)
@@ -107,7 +110,7 @@ def solve_parabolic(
     op = assemble_step_operator(
         net, K, SolverConfig(cfg.epsilon, cfg.T, dt, cfg.h_rule), grid
     )
-    state = _initial_state(u0_eps, grid, net, bvals)
+    state = _initial_state(u0_eps, op, net, bvals)
 
     defect = compatibility_residual(state, op)
     if defect > COMPATIBILITY_WARN_TOL:
@@ -122,7 +125,7 @@ def solve_parabolic(
     diag_rows = [
         (state.t, discrete_l1_norm(state, grid), state.min_value(), flux_residual(state, op))
     ]
-    node_rows = [np.concatenate(state.values)[node]]
+    node_rows = [state.flat[node]]
     recorded = [state]
     for n in range(1, n_steps + 1):
         state = step(state, op)
@@ -134,7 +137,7 @@ def solve_parabolic(
                 flux_residual(state, op),
             )
         )
-        node_rows.append(np.concatenate(state.values)[node])
+        node_rows.append(state.flat[node])
         if record_every and n % record_every == 0 and n < n_steps:
             recorded.append(state)
     recorded.append(state)
@@ -172,8 +175,8 @@ def march_to_steady(
     if theta <= 0.0:
         raise NonPositiveParameter("theta must be positive")
     bvals = np.asarray(boundary, dtype=float)
-    if bvals.shape != (net.m,):
-        raise NonPositiveParameter(f"need {net.m} boundary values")
+    if bvals.shape != (net.m,) or not np.isfinite(bvals).all():
+        raise NonPositiveParameter(f"need {net.m} finite boundary values")
     dt = 10.0 * theta if dt is None else dt
 
     cfg = SolverConfig(epsilon=epsilon, T=dt, dt=dt)
@@ -181,22 +184,13 @@ def march_to_steady(
         net, K, cfg, grid, reaction=1.0 / theta, forcing=f, forcing_scale=1.0 / theta
     )
 
-    arrays = []
-    for i, arc in enumerate(net.arcs):
-        vals = np.zeros(grid.cells[i] + 1)
-        vals[0 if arc.incoming else -1] = bvals[i]
-        arrays.append(vals)
-    state = new_state(grid, arrays, 0.0)
-    state = project_node_values(state, op)
+    flat = np.zeros(op.size)
+    flat[op.outer] = bvals
+    state = project_node_values(adopt_state(grid, flat, 0.0), op)
 
     for _ in range(max_steps):
         nxt = step(state, op)
-        gap = discrete_l1_norm(
-            DiscreteState(
-                tuple(a - b for a, b in zip(nxt.values, state.values)), nxt.t
-            ),
-            grid,
-        )
+        gap = discrete_l1_norm(adopt_state(grid, nxt.flat - state.flat, nxt.t), grid)
         state = nxt
         if gap / dt <= tol:
             return state

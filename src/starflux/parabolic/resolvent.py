@@ -362,10 +362,10 @@ def l1_error_against_state(
 ) -> float:
     """Composite-midpoint L1 gap between the closed form and a state."""
     total = 0.0
-    for i in range(grid.arc_count):
+    for i, vals in enumerate(state.values):
         mids = grid.midpoints(i)
         exact = np.asarray(sol.evaluate(i, mids), dtype=float)
-        approx = 0.5 * (state.values[i][:-1] + state.values[i][1:])
+        approx = 0.5 * (vals[:-1] + vals[1:])
         total += grid.spacings[i] * float(np.sum(np.abs(exact - approx)))
     return total
 

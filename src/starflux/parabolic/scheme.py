@@ -34,7 +34,7 @@ from ..errors import (
     NonPositiveParameter,
     UnstableConfig,
 )
-from ..grids import DiscreteState, Grid, new_state
+from ..grids import DiscreteState, Grid, adopt_state
 from ..hyperbolic import PiecewiseConstantField
 from ..network import CouplingMatrix, StarNetwork, alpha_from_k, validate_assumptions
 
@@ -68,7 +68,7 @@ def default_dt(net: StarNetwork, grid: Grid) -> float:
 class JunctionStencil:
     """The discrete node condition, one row per arc in arc-id order.
 
-    node and inner are flat indices into the concatenated state: the
+    node and inner are indices into a state's flat vector: the
     junction point of each arc and its neighbour. beta is +1 on incoming
     and -1 on outgoing arcs, eh is epsilon/h. block collects the node
     rows' coefficients of the junction values, so the rows read
@@ -90,12 +90,10 @@ class JunctionStencil:
         net: StarNetwork,
         alpha: np.ndarray,
         grid: Grid,
-        offsets: tuple[int, ...],
         epsilon: float,
     ) -> "JunctionStencil":
         incoming = np.array([arc.incoming for arc in net.arcs])
-        cells = np.asarray(grid.cells)
-        node = np.asarray(offsets) + np.where(incoming, cells, 0)
+        node = np.asarray(grid.offsets[:-1]) + np.where(incoming, grid.cells, 0)
         inner = node + np.where(incoming, -1, 1)
         beta = np.where(incoming, 1.0, -1.0)
         speed = net.speeds()
@@ -145,8 +143,9 @@ class StepOperator:
 
     rhs_scale maps the current state to the right-hand side: 1/dt at
     interior rows, 1 at Dirichlet rows (values persist), 0 at node rows.
-    forcing is added on top each step. stencil is the junction condition
-    the node rows are built from.
+    forcing is added on top each step. outer indexes each arc's outer
+    end, a Dirichlet row. stencil is the junction condition the node
+    rows are built from.
     """
 
     matrix: scipy.sparse.csc_matrix
@@ -155,25 +154,13 @@ class StepOperator:
     dt: float
     rhs_scale: np.ndarray
     forcing: np.ndarray
-    offsets: tuple[int, ...]
+    outer: np.ndarray
     stencil: JunctionStencil
     unstable: bool
 
     @property
     def size(self) -> int:
         return self.rhs_scale.size
-
-
-def _flatten(state: DiscreteState) -> np.ndarray:
-    return np.concatenate(state.values)
-
-
-def _split(flat: np.ndarray, grid: Grid, offsets: tuple[int, ...], t: float) -> DiscreteState:
-    arrays = [
-        flat[offsets[i] : offsets[i] + grid.cells[i] + 1]
-        for i in range(grid.arc_count)
-    ]
-    return new_state(grid, arrays, t)
 
 
 def assemble_step_operator(
@@ -208,55 +195,49 @@ def assemble_step_operator(
             UnstableConfig,
         )
 
-    offsets = []
-    total = 0
-    for i in range(net.m):
-        offsets.append(total)
-        total += grid.cells[i] + 1
-    offsets_t = tuple(offsets)
-    stencil = JunctionStencil.build(net, alpha, grid, offsets_t, eps)
+    offsets = grid.offsets
+    total = offsets[-1]
+    stencil = JunctionStencil.build(net, alpha, grid, eps)
 
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
+    rows: list[np.ndarray] = []
+    cols: list[np.ndarray] = []
+    vals: list[np.ndarray] = []
     rhs_scale = np.zeros(total)
     forcing_vec = np.zeros(total)
-
-    def put(r: int, c: int, v: float) -> None:
-        rows.append(r)
-        cols.append(c)
-        vals.append(v)
 
     for i, arc in enumerate(net.arcs):
         n = grid.cells[i]
         h = grid.spacings[i]
-        lam = arc.speed
-        base = offsets_t[i]
-        adv = lam / h
+        adv = arc.speed / h
         dif = eps / (h * h)
 
-        for k in range(1, n):
-            r = base + k
-            put(r, r, 1.0 / dt + reaction + adv + 2.0 * dif)
-            put(r, r - 1, -(adv + dif))
-            put(r, r + 1, -dif)
-            rhs_scale[r] = 1.0 / dt
-            if forcing is not None:
-                x_k = k * h
-                forcing_vec[r] = forcing_scale * float(
-                    forcing.arcs[i].evaluate(x_k)
-                )
+        k = np.arange(1, n)
+        r = offsets[i] + k
+        rows += [r, r, r]
+        cols += [r, r - 1, r + 1]
+        vals += [
+            np.full(n - 1, 1.0 / dt + reaction + adv + 2.0 * dif),
+            np.full(n - 1, -(adv + dif)),
+            np.full(n - 1, -dif),
+        ]
+        rhs_scale[r] = 1.0 / dt
+        if forcing is not None:
+            forcing_vec[r] = forcing_scale * forcing.arcs[i].evaluate(k * h)
 
-        outer = base + (0 if arc.incoming else n)
-        put(outer, outer, 1.0)
-        rhs_scale[outer] = 1.0
+    # outer ends: identity rows, so the Dirichlet values persist
+    incoming = [arc.incoming for arc in net.arcs]
+    outer = np.asarray(offsets[:-1]) + np.where(incoming, 0, grid.cells)
+    rows.append(outer)
+    cols.append(outer)
+    vals.append(np.ones(net.m))
+    rhs_scale[outer] = 1.0
 
     # transmission rows: algebraic, no time derivative (rhs_scale 0)
     node_rows, node_cols, node_vals = stencil.matrix_entries()
     matrix = scipy.sparse.csc_matrix(
         (
-            np.concatenate([vals, node_vals]),
-            (np.concatenate([rows, node_rows]), np.concatenate([cols, node_cols])),
+            np.concatenate(vals + [node_vals]),
+            (np.concatenate(rows + [node_rows]), np.concatenate(cols + [node_cols])),
         ),
         shape=(total, total),
     )
@@ -272,7 +253,7 @@ def assemble_step_operator(
         dt=dt,
         rhs_scale=rhs_scale,
         forcing=forcing_vec,
-        offsets=offsets_t,
+        outer=outer,
         stencil=stencil,
         unstable=unstable,
     )
@@ -280,16 +261,14 @@ def assemble_step_operator(
 
 def step(state: DiscreteState, op: StepOperator) -> DiscreteState:
     """Advance one implicit step; raises LinearSolveFailure on blowup."""
-    flat = _flatten(state)
-    if flat.size != op.size:
+    if state.flat.size != op.size:
         raise LinearSolveFailure(
-            f"state has {flat.size} values, operator expects {op.size}"
+            f"state has {state.flat.size} values, operator expects {op.size}"
         )
-    rhs = op.rhs_scale * flat + op.forcing
-    out = op.lu.solve(rhs)
-    if not np.all(np.isfinite(out)):
+    out = op.lu.solve(op.rhs_scale * state.flat + op.forcing)
+    if not np.isfinite(out).all():
         raise LinearSolveFailure("implicit solve produced non-finite values")
-    return _split(out, op.grid, op.offsets, state.t + op.dt)
+    return adopt_state(op.grid, out, state.t + op.dt)
 
 
 def flux_residual(state: DiscreteState, op: StepOperator) -> float:
@@ -298,12 +277,12 @@ def flux_residual(state: DiscreteState, op: StepOperator) -> float:
     Incoming fluxes minus outgoing ones; zero for any state satisfying
     the node rows.
     """
-    return op.stencil.residual(_flatten(state))
+    return op.stencil.residual(state.flat)
 
 
 def compatibility_residual(state: DiscreteState, op: StepOperator) -> float:
     """Largest defect of the discrete node conditions for this state."""
-    resid = op.matrix[op.stencil.node, :] @ _flatten(state)
+    resid = op.matrix[op.stencil.node, :] @ state.flat
     return float(np.max(np.abs(resid)))
 
 
@@ -314,9 +293,11 @@ def project_node_values(state: DiscreteState, op: StepOperator) -> DiscreteState
     frozen; this is the consistent initialization of the algebraic
     constraints and leaves every other value untouched.
     """
-    flat = _flatten(state)
+    flat = state.flat.copy()
     try:
         flat[op.stencil.node] = op.stencil.project(flat)
     except np.linalg.LinAlgError as exc:
         raise LinearSolveFailure(f"node projection failed: {exc}") from exc
-    return _split(flat, op.grid, op.offsets, state.t)
+    if not np.isfinite(flat[op.stencil.node]).all():
+        raise LinearSolveFailure("node projection produced non-finite values")
+    return adopt_state(op.grid, flat, state.t)

@@ -53,7 +53,6 @@ def make_spec(net, K, u0, B, epsilons, T=0.5, **kw) -> ExperimentSpec:
 
 def hand_solution(net, node_signal: TraceSignal, T: float) -> HyperbolicSolution:
     """Minimal exact-solution shell carrying a prescribed outgoing trace."""
-    breaks = node_signal.breakpoints
     return HyperbolicSolution(
         net=net,
         gamma=np.array([[1.0]]),
@@ -62,8 +61,6 @@ def hand_solution(net, node_signal: TraceSignal, T: float) -> HyperbolicSolution
         T=T,
         traces=(TraceSignal.from_lists([], [0.0]),),
         node_values=(node_signal,),
-        partition_breaks=breaks,
-        incoming_piece_values=np.zeros((breaks.size + 1, 1)),
     )
 
 

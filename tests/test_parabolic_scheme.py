@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from conftest import cross_ones_coupling, random_coupling, random_network, simpl
 from starflux import (
     ArcProfile,
     CouplingMatrix,
+    LinearSolveFailure,
     PiecewiseConstantField,
     SolverConfig,
     UnstableConfig,
@@ -22,6 +25,7 @@ from starflux import (
     make_grid,
     new_state,
     project_node_values,
+    resolvent_forcing_field,
     sample_on_grid,
     solve_parabolic,
     step,
@@ -94,6 +98,33 @@ def test_step_keeps_dirichlet_values_and_node_rows():
     # node rows are solved exactly, so the junction flux balances
     assert abs(flux_residual(nxt, op)) <= 1e-12
     assert compatibility_residual(nxt, op) <= 1e-12
+
+
+def test_step_rejects_wrong_size_and_non_finite_solves():
+    net, K = small_pair()
+    grid = make_grid(net, h=0.25)
+    op = assemble_step_operator(net, K, SolverConfig(0.8, 1.0, 0.1), grid)
+    finer = make_grid(net, h=0.125)
+    with pytest.raises(LinearSolveFailure, match="operator expects 10"):
+        step(new_state(finer, [np.ones(n + 1) for n in finer.cells]), op)
+
+    ones = new_state(grid, [np.ones(n + 1) for n in grid.cells])
+    blowup = dataclasses.replace(op, forcing=np.full(op.size, np.inf))
+    with pytest.raises(LinearSolveFailure, match="non-finite"):
+        step(ones, blowup)
+
+
+def test_step_output_is_a_read_only_state_of_its_own():
+    net, K = small_pair()
+    grid = make_grid(net, h=0.25)
+    op = assemble_step_operator(net, K, SolverConfig(0.8, 1.0, 0.1), grid)
+    state = project_node_values(
+        new_state(grid, [np.linspace(0.0, 1.0, n + 1) for n in grid.cells]), op
+    )
+    nxt = step(state, op)
+    assert not nxt.flat.flags.writeable
+    assert nxt.bounds == grid.offsets
+    assert not np.shares_memory(nxt.flat, state.flat)
 
 
 def test_flux_residual_of_constant_state():
@@ -237,3 +268,38 @@ def test_node_conditions_hold_after_projection_and_step(seed, m):
     stepped = step(projected, op)
     assert compatibility_residual(stepped, op) <= tol
     assert abs(flux_residual(stepped, op)) <= tol
+
+
+@pytest.mark.filterwarnings("ignore:initial data violates")
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 8))
+def test_march_diagnostics_match_per_arc_formulas(seed, m):
+    """Every diagnostics row, recomputed arc by arc from its state.
+
+    The trapezoid L1 norm used to be summed arc by arc; one weighted sum
+    over the flat state regroups it, so it may differ in the last bits.
+    Everything else is exact.
+    """
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, m_min=m, m_max=m)
+    K = random_coupling(rng, net)
+    eps = float(rng.uniform(0.3, 1.0))
+    u0 = resolvent_forcing_field(net, rng)
+    B = rng.uniform(0.0, 2.0, net.m)
+    cfg = SolverConfig(epsilon=eps, T=0.05)
+    traj = solve_parabolic(net, K, u0, B, cfg, record_every=1)
+    grid = traj.grid
+    assert len(traj.states) == traj.diagnostics.shape[0]
+
+    for k, state in enumerate(traj.states):
+        t, l1, low, flux = traj.diagnostics[k]
+        assert t == state.t
+        assert low == min(float(np.min(v)) for v in state.values)
+        assert flux == loop_flux_residual(state, net, grid, eps)
+        ends = [v[-1] if arc.incoming else v[0] for arc, v in zip(net.arcs, state.values)]
+        assert traj.node_history[k].tolist() == ends
+        per_arc = 0.0
+        for vals, h in zip(state.values, grid.spacings):
+            a = np.abs(vals)
+            per_arc += h * (0.5 * a[0] + np.sum(a[1:-1]) + 0.5 * a[-1])
+        assert abs(l1 - per_arc) <= 4 * np.finfo(float).eps * per_arc
