@@ -17,6 +17,12 @@ one-sided difference. The node rows carry no time derivative; they are
 algebraic constraints enforced at every level. The columns of alpha sum
 to zero, so the junction flux balance sum_i beta_i * F_i = 0 holds to
 solver precision after each step.
+
+Only the m node rows couple the arcs, so a step is solved as a bordered
+tridiagonal system (ArcJunctionLU): one LAPACK tridiagonal solve over
+every arc's interior with the junction values held at zero, an m x m
+Schur system for the junction values, and each arc's precomputed
+response to its junction value added back.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
-import scipy.sparse.linalg
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from ..errors import (
     AssumptionViolated,
@@ -137,6 +143,105 @@ class JunctionStencil:
         return np.linalg.solve(self.block, self.eh * flat[self.inner])
 
 
+#: an arc's response to a unit junction value is dropped where it has
+#: decayed below this: far below the rounding of the junction value it
+#: scales, and adding it back writes no subnormal tails
+RESPONSE_CUTOFF = np.finfo(float).eps ** 2
+
+
+@dataclass(frozen=True)
+class ArcJunctionLU:
+    """Bordered-tridiagonal factorization of a step matrix.
+
+    Cutting the node and outer rows and columns out of the three bands
+    leaves one tridiagonal block per arc interior; dl, d, du, du2, ipiv
+    are their dgttrf factors, with unit rows at the cut points. The
+    outer values are known, so they move to the right-hand side of
+    their neighbour rows (outer_row, outer_coef). response[k] is arc
+    window_arc[k]'s value at point window[k] when its junction value
+    is 1 and everything else is 0. Eliminating the interiors leaves the
+    m x m Schur complement of the stencil's node rows,
+    block - diag(eh * response at inner), kept as its inverse.
+    """
+
+    dl: np.ndarray
+    d: np.ndarray
+    du: np.ndarray
+    du2: np.ndarray
+    ipiv: np.ndarray
+    outer: np.ndarray
+    outer_row: np.ndarray
+    outer_coef: np.ndarray
+    stencil: JunctionStencil
+    schur_inv: np.ndarray
+    window: np.ndarray
+    window_arc: np.ndarray
+    response: np.ndarray
+
+    @classmethod
+    def factor(
+        cls,
+        matrix: scipy.sparse.csc_matrix,
+        stencil: JunctionStencil,
+        outer: np.ndarray,
+    ) -> "ArcJunctionLU":
+        node, inner = stencil.node, stencil.inner
+        # the outer end sits at the far end of the arc from the node
+        outer_row = outer + (node - inner)
+        outer_coef = np.asarray(matrix[outer_row, outer]).ravel()
+        inner_coef = np.asarray(matrix[inner, node]).ravel()
+
+        d = matrix.diagonal(0)
+        du = matrix.diagonal(1)
+        dl = matrix.diagonal(-1)
+        cut = np.concatenate([node, outer])
+        d[cut] = 1.0
+        last = d.size - 1
+        # du[k] = A[k, k+1], dl[k] = A[k+1, k]: clear the cut rows and columns
+        du[cut[cut < last]] = 0.0
+        dl[cut[cut < last]] = 0.0
+        du[cut[cut > 0] - 1] = 0.0
+        dl[cut[cut > 0] - 1] = 0.0
+        dl, d, du, du2, ipiv, info = dgttrf(dl, d, du)
+        if info != 0:
+            raise LinearSolveFailure(f"arc factorization failed: dgttrf info {info}")
+
+        m = node.size
+        arcs = np.arange(m)
+        pull = np.zeros((d.size, m), order="F")
+        pull[inner, arcs] = -inner_coef
+        pull, _ = dgttrs(dl, d, du, du2, ipiv, pull, overwrite_b=True)
+        window, window_arc = np.nonzero(np.abs(pull) >= RESPONSE_CUTOFF)
+        response = pull[window, window_arc]
+
+        try:
+            schur_inv = np.linalg.inv(stencil.block - np.diag(stencil.eh * pull[inner, arcs]))
+        except np.linalg.LinAlgError as exc:
+            raise LinearSolveFailure(f"junction Schur complement is singular: {exc}") from exc
+        return cls(
+            dl, d, du, du2, ipiv, outer, outer_row, outer_coef, stencil,
+            schur_inv, window, window_arc, response,
+        )
+
+    @property
+    def nnz(self) -> int:
+        """Stored factor entries: the bands, the responses and the Schur inverse."""
+        parts = (self.dl, self.d, self.du, self.du2, self.response, self.schur_inv)
+        return int(sum(p.size for p in parts))
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solution of the step matrix against rhs, as a new vector."""
+        x = np.array(rhs, dtype=float)
+        x[self.outer_row] -= self.outer_coef * x[self.outer]
+        x, _ = dgttrs(self.dl, self.d, self.du, self.du2, self.ipiv, x, overwrite_b=True)
+        # the cut node rows left x[node] = rhs[node]
+        node = self.stencil.node
+        u = self.schur_inv @ (x[node] + self.stencil.eh * x[self.stencil.inner])
+        x[node] = u
+        x[self.window] += self.response * u[self.window_arc]
+        return x
+
+
 @dataclass(frozen=True)
 class StepOperator:
     """Factorized implicit step, reusable across steps.
@@ -145,18 +250,18 @@ class StepOperator:
     interior rows, 1 at Dirichlet rows (values persist), 0 at node rows.
     forcing is added on top each step. outer indexes each arc's outer
     end, a Dirichlet row. stencil is the junction condition the node
-    rows are built from.
+    rows are built from. lu solves matrix arc by arc plus an m x m
+    junction system; the outer values pass through it bitwise.
     """
 
     matrix: scipy.sparse.csc_matrix
-    lu: scipy.sparse.linalg.SuperLU
+    lu: ArcJunctionLU
     grid: Grid
     dt: float
     rhs_scale: np.ndarray
     forcing: np.ndarray
     outer: np.ndarray
     stencil: JunctionStencil
-    unstable: bool
 
     @property
     def size(self) -> int:
@@ -187,8 +292,7 @@ def assemble_step_operator(
     eps = cfg.epsilon
     dt = cfg.dt if cfg.dt is not None else default_dt(net, grid)
 
-    unstable = any(h > eps / 2.0 for h in grid.spacings)
-    if unstable:
+    if any(h > eps / 2.0 for h in grid.spacings):
         warnings.warn(
             f"coarsest spacing {max(grid.spacings):.3e} exceeds epsilon/2 = "
             f"{eps / 2.0:.3e}; the viscous layer is unresolved",
@@ -241,21 +345,15 @@ def assemble_step_operator(
         ),
         shape=(total, total),
     )
-    try:
-        lu = scipy.sparse.linalg.splu(matrix)
-    except RuntimeError as exc:
-        raise LinearSolveFailure(f"step matrix factorization failed: {exc}") from exc
-
     return StepOperator(
         matrix=matrix,
-        lu=lu,
+        lu=ArcJunctionLU.factor(matrix, stencil, outer),
         grid=grid,
         dt=dt,
         rhs_scale=rhs_scale,
         forcing=forcing_vec,
         outer=outer,
         stencil=stencil,
-        unstable=unstable,
     )
 
 

@@ -30,6 +30,8 @@ from starflux import (
     solve_parabolic,
     step,
 )
+from starflux.grids import MIN_CELLS
+from starflux.parabolic.scheme import ArcJunctionLU
 
 
 def small_pair():
@@ -303,3 +305,85 @@ def test_march_diagnostics_match_per_arc_formulas(seed, m):
             a = np.abs(vals)
             per_arc += h * (0.5 * a[0] + np.sum(a[1:-1]) + 0.5 * a[-1])
         assert abs(l1 - per_arc) <= 4 * np.finfo(float).eps * per_arc
+
+
+@pytest.mark.filterwarnings("ignore:initial data violates")
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 8))
+def test_outer_values_persist_bitwise(seed, m):
+    """A step copies every outer Dirichlet value, and a march keeps B there."""
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, m_min=m, m_max=m)
+    K = random_coupling(rng, net)
+    eps = float(rng.uniform(0.3, 1.0))
+    lam_max = float(np.max(net.speeds()))
+    grid = make_grid(net, h=eps / (8.0 * max(1.0, lam_max)))
+    op = assemble_step_operator(net, K, SolverConfig(eps, 1.0, 0.01), grid)
+    state = new_state(grid, [rng.uniform(0.0, 2.0, n + 1) for n in grid.cells])
+    assert step(state, op).flat[op.outer].tolist() == state.flat[op.outer].tolist()
+
+    B = rng.uniform(0.0, 2.0, net.m)
+    flat = state.flat.copy()
+    flat[op.outer] = B
+    u0 = new_state(grid, [flat[a:b] for a, b in zip(grid.offsets, grid.offsets[1:])])
+    traj = solve_parabolic(net, K, u0, B, SolverConfig(eps, 0.05), grid=grid)
+    assert traj.diagnostics.shape[0] > 2
+    assert traj.final.flat[traj.operator.outer].tolist() == B.tolist()
+
+
+@pytest.mark.filterwarnings("ignore::starflux.UnstableConfig")
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(2, 8),
+    coarse=st.booleans(),
+    steady=st.booleans(),
+)
+def test_arc_junction_lu_matches_dense_solve(seed, m, coarse, steady):
+    """op.lu.solve against a dense solve of op.matrix.
+
+    coarse puts MIN_CELLS cells on every arc; steady builds the
+    reaction-plus-forcing operator march_to_steady uses. Random step
+    sizes make the arcs' junction responses fall below the cutoff in
+    some draws and span whole arcs in others.
+    """
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, m_min=m, m_max=m)
+    K = random_coupling(rng, net)
+    eps = float(rng.uniform(0.3, 1.0))
+    grid = make_grid(net, h=10.0 if coarse else float(rng.uniform(0.02, 0.1)))
+    if coarse:
+        assert set(grid.cells) == {MIN_CELLS}
+    dt = float(10.0 ** rng.uniform(-4.5, -1.0))
+    if steady:
+        theta = float(rng.uniform(0.1, 2.0))
+        op = assemble_step_operator(
+            net, K, SolverConfig(eps, dt, dt), grid, reaction=1.0 / theta,
+            forcing=resolvent_forcing_field(net, rng), forcing_scale=1.0 / theta,
+        )
+    else:
+        op = assemble_step_operator(net, K, SolverConfig(eps, 1.0, dt), grid)
+    # the cut boundary rows leave nothing for dgttrf to pivot
+    assert op.lu.ipiv.tolist() == list(range(1, op.size + 1))
+
+    rhs = rng.normal(size=op.size)
+    before = rhs.copy()
+    expected = np.linalg.solve(op.matrix.toarray(), rhs)
+    got = op.lu.solve(rhs)
+    assert rhs.tolist() == before.tolist()
+    np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-10 * np.max(np.abs(expected)))
+
+
+def test_arc_junction_lu_rejects_singular_systems():
+    net, K = small_pair()
+    grid = make_grid(net, h=0.25)
+    op = assemble_step_operator(net, K, SolverConfig(0.8, 1.0, 0.1), grid)
+    # an interior column of zeros leaves dgttrf an exactly zero pivot
+    broken = op.matrix.tolil()
+    broken[:, 2] = 0.0
+    with pytest.raises(LinearSolveFailure, match="dgttrf info 3"):
+        ArcJunctionLU.factor(broken.tocsc(), op.stencil, op.outer)
+    # node rows that only read their inner neighbours: S = 0
+    mute = dataclasses.replace(op.stencil, block=np.zeros((2, 2)), eh=np.zeros(2))
+    with pytest.raises(LinearSolveFailure, match="Schur complement is singular"):
+        ArcJunctionLU.factor(op.matrix, mute, op.outer)
