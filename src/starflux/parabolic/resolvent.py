@@ -42,11 +42,13 @@ class ResolventProblem:
     def build(
         cls, theta: float, f: PiecewiseConstantField, boundary: Sequence[float]
     ) -> "ResolventProblem":
-        if theta <= 0.0:
-            raise NonPositiveParameter("theta must be positive")
+        if not (np.isfinite(theta) and theta > 0.0):
+            raise NonPositiveParameter("theta must be finite and positive")
         b = np.asarray(boundary, dtype=float)
         if b.ndim != 1:
             raise DimensionMismatch("boundary must be a flat vector")
+        if not np.isfinite(b).all():
+            raise NonPositiveParameter(f"need {b.size} finite boundary values")
         b = b.copy()
         b.flags.writeable = False
         return cls(theta=theta, f=f, boundary=b)
@@ -71,65 +73,79 @@ class _ArcSolution:
     c: float
     d: float
 
+    @property
+    def node_x(self) -> float:
+        """Coordinate of the junction end: L on incoming arcs, 0 outgoing."""
+        return self.length if self.incoming else 0.0
+
     def _convolutions(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """One-sided mode integrals I1 (left, decaying) and I2 (right).
 
         I1(x) integrates exp(a1*(x-s)) g(s) over [0, x] and I2(x)
         integrates exp(a2*(x-s)) g(s) over [x, L]; every exponent is
         nonpositive, so both are bounded by |g| over the mode scale.
+        Each piece is one row of a (pieces, points) array; the rows are
+        summed as a running total from zero, in piece order.
         """
         a1, a2 = self.a1, self.a2
-        i1 = np.zeros_like(x)
-        i2 = np.zeros_like(x)
-        for r in range(self.g.size):
-            lo, hi = self.edges[r], self.edges[r + 1]
-            # left part of the piece, [lo, min(hi, x)]
-            hi_l = np.minimum(hi, x)
-            w = hi_l - lo
-            mask = w > 0.0
-            w = np.where(mask, w, 0.0)
-            anchor = np.where(mask, hi_l, x)
-            i1 += np.where(
-                mask,
-                self.g[r] * np.exp(a1 * (x - anchor)) * np.expm1(a1 * w) / a1,
-                0.0,
-            )
-            # right part of the piece, [max(lo, x), hi]
-            lo_r = np.maximum(lo, x)
-            w = hi - lo_r
-            mask = w > 0.0
-            w = np.where(mask, w, 0.0)
-            anchor = np.where(mask, lo_r, x)
-            i2 += np.where(
-                mask,
-                -self.g[r] * np.exp(a2 * (x - anchor)) * np.expm1(-a2 * w) / a2,
-                0.0,
-            )
-        return i1, i2
+        lo = self.edges[:-1, np.newaxis]
+        hi = self.edges[1:, np.newaxis]
+        g = self.g[:, np.newaxis]
+        # left part of each piece, [lo, min(hi, x)]
+        hi_l = np.minimum(hi, x)
+        w = hi_l - lo
+        mask = w > 0.0
+        w = np.where(mask, w, 0.0)
+        anchor = np.where(mask, hi_l, x)
+        t1 = np.where(
+            mask, g * np.exp(a1 * (x - anchor)) * np.expm1(a1 * w) / a1, 0.0
+        )
+        # right part of each piece, [max(lo, x), hi]
+        lo_r = np.maximum(lo, x)
+        w = hi - lo_r
+        mask = w > 0.0
+        w = np.where(mask, w, 0.0)
+        anchor = np.where(mask, lo_r, x)
+        t2 = np.where(
+            mask, -g * np.exp(a2 * (x - anchor)) * np.expm1(-a2 * w) / a2, 0.0
+        )
+        return sum(t1, np.zeros_like(x)), sum(t2, np.zeros_like(x))
 
-    def p_eval(self, x: np.ndarray, order: int) -> np.ndarray:
-        """Bounded particular part (or derivative) of the arc equation."""
+    def particular(self, x: np.ndarray) -> np.ndarray:
+        """Rows p, p', p'' of the bounded particular part at the points x."""
         a1, a2 = self.a1, self.a2
         i1, i2 = self._convolutions(x)
         gap = a2 - a1
-        if order == 0:
-            return -(i1 + i2) / gap
-        if order == 1:
-            return -(a1 * i1 + a2 * i2) / gap
         idx = np.searchsorted(self.edges[1:-1], x, side="left")
-        return self.g[idx] - (a1 * a1 * i1 + a2 * a2 * i2) / gap
+        return np.stack(
+            [
+                -(i1 + i2) / gap,
+                -(a1 * i1 + a2 * i2) / gap,
+                self.g[idx] - (a1 * a1 * i1 + a2 * a2 * i2) / gap,
+            ]
+        )
+
+    def derivatives(self, x: np.ndarray) -> np.ndarray:
+        """Rows v, v', v'' at the 1-d points x, from one pass over f."""
+        a1, a2, L = self.a1, self.a2, self.length
+        p = self.particular(x)
+        mode1 = np.exp(a1 * x)
+        mode2 = np.exp(a2 * (x - L))
+        live = mode2 > 0.0
+        # an underflowed mode contributes nothing even when the a2^k
+        # prefactor has overflowed, so keep 0*inf out of the product
+        return np.stack(
+            [
+                self.c * a1**k * mode1
+                + np.where(live, self.d * a2**k * mode2, 0.0)
+                + p[k]
+                for k in range(3)
+            ]
+        )
 
     def evaluate(self, x: np.ndarray | float, order: int = 0) -> np.ndarray | float:
         xs = np.asarray(x, dtype=float)
-        a1, a2, L = self.a1, self.a2, self.length
-        mode1 = np.exp(a1 * xs)
-        mode2 = np.exp(a2 * (xs - L))
-        # an underflowed mode contributes nothing even when the a2^order
-        # prefactor has overflowed, so keep 0*inf out of the product
-        hom = self.c * a1**order * mode1 + np.where(
-            mode2 > 0.0, self.d * a2**order * mode2, 0.0
-        )
-        out = hom + self.p_eval(xs, order)
+        out = self.derivatives(xs.ravel())[order].reshape(xs.shape)
         if np.isscalar(x):
             return float(out)
         return out
@@ -168,43 +184,45 @@ class ResolventSolution:
     ) -> np.ndarray | float:
         return self.arcs[arc_id].evaluate(x, order)
 
+    def _flux(self, arc: _ArcSolution, v: float, dv: float) -> float:
+        return float(arc.speed * v - self.epsilon * dv)
+
     def node_flux(self, arc_id: int) -> float:
         """speed*v - eps*v' at this arc's junction end."""
         arc = self.arcs[arc_id]
-        xn = arc.length if arc.incoming else 0.0
-        v = arc.evaluate(xn)
-        dv = arc.evaluate(xn, order=1)
-        return float(arc.speed * v - self.epsilon * dv)
+        v, dv, _ = arc.derivatives(np.array([arc.node_x]))[:, 0]
+        return self._flux(arc, v, dv)
 
     def residual_report(self, samples_per_arc: int = 400) -> ResidualReport:
-        alpha = self.alpha
+        """Worst defects of the equation, the outer ends and the junction.
+
+        Each arc is evaluated once, at its samples plus its node and
+        outer ends, and every check reads that one (v, v', v'') result.
+        """
+        n = samples_per_arc
+        m = len(self.arcs)
+        node_v, node_dv, outer_v = np.empty(m), np.empty(m), np.empty(m)
         ode_max = 0.0
         for i, arc in enumerate(self.arcs):
-            xs = (np.arange(samples_per_arc) + 0.5) * (
-                arc.length / samples_per_arc
-            )
-            v = arc.evaluate(xs)
-            dv = arc.evaluate(xs, order=1)
-            ddv = arc.evaluate(xs, order=2)
+            xs = (np.arange(n) + 0.5) * (arc.length / n)
+            outer = 0.0 if arc.incoming else arc.length
+            v, dv, ddv = arc.derivatives(np.append(xs, [arc.node_x, outer]))
             fvals = self.problem.f.arcs[i].evaluate(xs)
-            resid = v - self.theta * (self.epsilon * ddv - arc.speed * dv) - fvals
+            resid = (
+                v[:n] - self.theta * (self.epsilon * ddv[:n] - arc.speed * dv[:n])
+                - fvals
+            )
             ode_max = max(ode_max, float(np.max(np.abs(resid))))
+            node_v[i], node_dv[i], outer_v[i] = v[n], dv[n], v[n + 1]
 
         dir_max = 0.0
         node_max = 0.0
-        node_vals = np.array(
-            [
-                a.evaluate(a.length if a.incoming else 0.0)
-                for a in self.arcs
-            ]
-        )
         for i, arc in enumerate(self.arcs):
-            outer = 0.0 if arc.incoming else arc.length
-            dir_max = max(
-                dir_max, abs(float(arc.evaluate(outer)) - self.problem.boundary[i])
-            )
+            dir_max = max(dir_max, abs(outer_v[i] - self.problem.boundary[i]))
             beta = 1.0 if arc.incoming else -1.0
-            defect = beta * self.node_flux(i) - float(alpha[i] @ node_vals)
+            defect = beta * self._flux(arc, node_v[i], node_dv[i]) - float(
+                self.alpha[i] @ node_v
+            )
             node_max = max(node_max, abs(defect))
 
         scale = max(
@@ -236,8 +254,8 @@ def solve_resolvent(
     solvable down to vanishing viscosity, where it degenerates to the
     transport transmission system.
     """
-    if epsilon <= 0.0:
-        raise NonPositiveParameter("epsilon must be positive")
+    if not (np.isfinite(epsilon) and epsilon > 0.0):
+        raise NonPositiveParameter("epsilon must be finite and positive")
     theta = prob.theta
     alpha = alpha_from_k(K).alpha
     m = net.m
@@ -290,9 +308,9 @@ def solve_resolvent(
             c=0.0,
             d=0.0,
         )
-        ends = np.array([0.0, arc.length])
-        p0[i], pL[i] = probe.p_eval(ends, 0)
-        dp0[i], dpL[i] = probe.p_eval(ends, 1)
+        (p0[i], pL[i]), (dp0[i], dpL[i]), _ = probe.particular(
+            np.array([0.0, arc.length])
+        )
 
     b = prob.boundary
     lam = net.speeds()

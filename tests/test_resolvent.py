@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import cross_ones_coupling, random_coupling, random_network, simple_star
 from starflux import (
     CouplingMatrix,
+    DimensionMismatch,
+    NonPositiveParameter,
     PiecewiseConstantField,
     ResolventProblem,
     l1_error_against_state,
@@ -16,6 +20,7 @@ from starflux import (
     resolvent_forcing_field,
     solve_resolvent,
 )
+from starflux.parabolic.resolvent import _ArcSolution
 
 
 def pair_problem(theta=0.8, boundary=(0.7, 0.3), seed=11):
@@ -86,6 +91,29 @@ def test_signed_node_fluxes_cancel():
     assert abs(signed) <= 1e-12
 
 
+def test_each_arc_is_evaluated_in_one_pass(monkeypatch):
+    """solve_resolvent and residual_report run one forcing pass per arc."""
+    net = simple_star([1.0, 3.0], [2.0, 0.5])
+    prob = ResolventProblem.build(
+        1.2,
+        resolvent_forcing_field(net, np.random.default_rng(5)),
+        [0.4, -0.2, 0.9, 0.1],
+    )
+    sizes = []
+    convolutions = _ArcSolution._convolutions
+
+    def counted(arc, x):
+        sizes.append(x.size)
+        return convolutions(arc, x)
+
+    monkeypatch.setattr(_ArcSolution, "_convolutions", counted)
+    sol = solve_resolvent(net, cross_ones_coupling(net), 0.3, prob)
+    assert sizes == [2] * net.m
+    sizes.clear()
+    sol.residual_report(samples_per_arc=50)
+    assert sizes == [52] * net.m
+
+
 def test_stiff_viscosity_stays_accurate():
     """Tiny viscosity: the bounded representation keeps full precision.
 
@@ -135,10 +163,107 @@ def test_march_fixed_point_is_step_size_independent():
 
 def test_resolvent_validation():
     net, K, prob = pair_problem()
-    with pytest.raises(Exception):
-        solve_resolvent(net, K, -0.5, prob)
-    bad = ResolventProblem.build(
-        0.8, PiecewiseConstantField.constant(net, [0.0, 0.0]), [0.0, 0.0, 0.0]
-    )
-    with pytest.raises(Exception):
+    zero = PiecewiseConstantField.constant(net, [0.0, 0.0])
+    for eps in (-0.5, 0.0, np.nan, np.inf):
+        with pytest.raises(NonPositiveParameter, match="epsilon"):
+            solve_resolvent(net, K, eps, prob)
+    for theta in (-0.8, 0.0, np.nan, np.inf):
+        with pytest.raises(NonPositiveParameter, match="theta"):
+            ResolventProblem.build(theta, zero, [0.0, 0.0])
+    for value in (np.nan, np.inf, -np.inf):
+        with pytest.raises(NonPositiveParameter, match="need 2 finite boundary"):
+            ResolventProblem.build(0.8, zero, [0.0, value])
+    bad = ResolventProblem.build(0.8, zero, [0.0, 0.0, 0.0])
+    with pytest.raises(DimensionMismatch):
         solve_resolvent(net, K, 0.5, bad)
+
+
+def random_solution(seed, m):
+    """Resolvent of a random m-arc star, viscosity down to 1e-3."""
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, m_min=m, m_max=m)
+    K = random_coupling(rng, net)
+    prob = ResolventProblem.build(
+        float(rng.uniform(0.2, 3.0)),
+        resolvent_forcing_field(net, rng, pieces=int(rng.integers(1, 6))),
+        rng.uniform(-1.0, 1.0, m),
+    )
+    return solve_resolvent(net, K, float(10.0 ** rng.uniform(-3.0, 0.0)), prob)
+
+
+def arc_points(arc, samples=24):
+    """Midpoint samples, points inside both end layers, node and outer end."""
+    xs = (np.arange(samples) + 0.5) * (arc.length / samples)
+    layer = np.array([0.5, 1.0, 2.0, 4.0]) / max(arc.a2, -arc.a1)
+    outer = 0.0 if arc.incoming else arc.length
+    return np.concatenate(
+        [xs, layer, arc.length - layer, [arc.node_x, outer]]
+    ).clip(0.0, arc.length)
+
+
+def loop_convolutions(arc, x):
+    """Per-piece reference for _ArcSolution._convolutions."""
+    a1, a2 = arc.a1, arc.a2
+    i1 = np.zeros_like(x)
+    i2 = np.zeros_like(x)
+    for r in range(arc.g.size):
+        lo, hi = arc.edges[r], arc.edges[r + 1]
+        hi_l = np.minimum(hi, x)
+        w = hi_l - lo
+        mask = w > 0.0
+        w = np.where(mask, w, 0.0)
+        anchor = np.where(mask, hi_l, x)
+        i1 += np.where(
+            mask, arc.g[r] * np.exp(a1 * (x - anchor)) * np.expm1(a1 * w) / a1, 0.0
+        )
+        lo_r = np.maximum(lo, x)
+        w = hi - lo_r
+        mask = w > 0.0
+        w = np.where(mask, w, 0.0)
+        anchor = np.where(mask, lo_r, x)
+        i2 += np.where(
+            mask, -arc.g[r] * np.exp(a2 * (x - anchor)) * np.expm1(-a2 * w) / a2, 0.0
+        )
+    return i1, i2
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 8))
+def test_one_pass_matches_scalar_and_per_piece_evaluation(seed, m):
+    """The shared (v, v', v'') pass, bitwise against its per-point pieces.
+
+    Every row equals the scalar ``evaluate`` at each point, and the
+    piece-vectorised convolutions equal the per-piece loop.
+    """
+    sol = random_solution(seed, m)
+    assert sol.residual_report().worst_scaled <= 1e-9
+    for i, arc in enumerate(sol.arcs):
+        xs = arc_points(arc)
+        rows = arc.derivatives(xs)
+        for order in range(3):
+            scalar = np.array([sol.evaluate(i, float(x), order) for x in xs])
+            assert rows[order].tobytes() == scalar.tobytes()
+            assert sol.evaluate(i, xs, order).tobytes() == rows[order].tobytes()
+        for got, want in zip(arc._convolutions(xs), loop_convolutions(arc, xs)):
+            assert got.tobytes() == want.tobytes()
+        v, dv, _ = rows[:, -2]
+        assert sol.node_flux(i) == float(arc.speed * v - sol.epsilon * dv)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 8))
+def test_derivative_rows_match_centred_differences(seed, m):
+    """v' and v'' agree with centred differences of v away from f's jumps."""
+    sol = random_solution(seed, m)
+    for arc in sol.arcs:
+        h = 1e-3 / max(arc.a2, -arc.a1)
+        xs = arc_points(arc)[:-2].clip(2.0 * h, arc.length - 2.0 * h)
+        near_jump = np.abs(xs[:, None] - arc.edges[None, 1:-1]) <= 2.0 * h
+        xs = xs[~near_jump.any(axis=1)]
+        v, dv, ddv = arc.derivatives(xs)
+        left, right = arc.derivatives(xs - h)[0], arc.derivatives(xs + h)[0]
+        top = float(np.max(np.abs(v)))
+        fd1 = (right - left) / (2.0 * h)
+        fd2 = (right - 2.0 * v + left) / (h * h)
+        assert np.max(np.abs(fd1 - dv)) <= 1e-5 * np.max(np.abs(dv)) + 1e-12 * top / h
+        assert np.max(np.abs(fd2 - ddv)) <= 1e-5 * np.max(np.abs(ddv)) + 1e-11 * top / h**2
