@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 
-from .errors import DimensionMismatch, NonPositiveParameter, WidthOverflow
+from .errors import DimensionMismatch, WidthOverflow, finite_above, finite_values
 from .hyperbolic import ArcProfile, PiecewiseConstantField
 from .network import CouplingMatrix, StarNetwork, alpha_from_k
 
@@ -214,6 +214,11 @@ def _free_zone(arc, epsilon_n: float, delta_n: float) -> tuple[float, float]:
     return delta_n, arc.length
 
 
+def _check_level(epsilon_n: float, theta: float) -> None:
+    finite_above(epsilon_n, "epsilon_n")
+    finite_above(theta, "theta", 1.0)
+
+
 def smooth_bv(
     v: PiecewiseConstantField,
     net: StarNetwork,
@@ -229,10 +234,7 @@ def smooth_bv(
     Raises WidthOverflow when a jump sits inside a reserved zone or no
     room is left for a transition.
     """
-    if epsilon_n <= 0.0:
-        raise NonPositiveParameter("epsilon_n must be positive")
-    if theta <= 1.0:
-        raise NonPositiveParameter("theta must exceed 1")
+    _check_level(epsilon_n, theta)
     if len(v.arcs) != net.m:
         raise DimensionMismatch(f"{len(v.arcs)} profiles for {net.m} arcs")
     delta_n = epsilon_n**theta
@@ -312,8 +314,7 @@ def fit_node_polynomial(
     balance, so the assembled data satisfies the viscous node condition
     exactly.
     """
-    if theta <= 1.0:
-        raise NonPositiveParameter("theta must exceed 1")
+    _check_level(epsilon_n, theta)
     alpha = alpha_from_k(K).alpha
     delta_n = epsilon_n**theta
     arc = net.arc(arc_id)
@@ -415,9 +416,8 @@ def build_compatible(
     norm diagnostics. Raises WidthOverflow when the reserved intervals
     do not fit on an arc at this epsilon_n.
     """
-    bvals = np.asarray(B, dtype=float)
-    if bvals.shape != (net.m,):
-        raise DimensionMismatch(f"need {net.m} boundary values")
+    _check_level(epsilon_n, theta)
+    bvals = finite_values(B, net.m)
     alpha = alpha_from_k(K).alpha
     delta_n = epsilon_n**theta
 

@@ -22,6 +22,7 @@ from .errors import (
     InfeasibleTheta,
     InvalidGamma,
     NoConvergence,
+    finite_above,
 )
 from .network import CouplingMatrix, StarNetwork
 
@@ -47,7 +48,7 @@ class ProportionalTarget:
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 1 or w.size < 2:
             raise DimensionMismatch("need at least two outgoing weights")
-        if np.any(w <= 0.0) or np.any(w >= 1.0):
+        if not np.all((w > 0.0) & (w < 1.0)):  # NaN fails too
             raise InvalidGamma("target weights must lie strictly inside (0, 1)")
         if abs(float(w.sum()) - 1.0) > TARGET_SUM_TOL:
             raise InvalidGamma(
@@ -70,7 +71,7 @@ class TwoOutTarget:
         f = np.asarray(self.fractions, dtype=float)
         if f.ndim != 1 or f.size < 1:
             raise DimensionMismatch("need one fraction per incoming arc")
-        if np.any(f <= 0.0) or np.any(f >= 1.0):
+        if not np.all((f > 0.0) & (f < 1.0)):  # NaN fails too
             raise InvalidGamma("fractions must lie strictly inside (0, 1)")
 
 
@@ -136,8 +137,7 @@ def design_two_outgoing(
     lam1 = net.arc(h1).speed
     lam2 = net.arc(h2).speed
 
-    if k_init <= 0.0 or not np.isfinite(k_init):
-        raise NoConvergence("initial trial coupling must be positive")
+    finite_above(k_init, "k_init", error=NoConvergence)
 
     # row j: k*(lam1 - g_j*(lam1+lam2))*sum(X) + lam1*lam2*X_j = lam1*lam2*g_j
     c = lam1 - g * (lam1 + lam2)

@@ -1,10 +1,17 @@
-"""Exception taxonomy shared across the package.
+"""Exception taxonomy shared across the package, and the range rule.
 
 Validation errors (bad user input) and numerical failures are kept in
 separate branches so callers can map them to distinct exit codes.
+``finite_above`` and ``finite_values`` are the one definition of a valid
+run parameter and a valid boundary vector: every parameter check in the
+package calls them, so NaN and infinity are rejected everywhere alike.
 """
 
 from __future__ import annotations
+
+import math
+
+import numpy as np
 
 
 class StarfluxError(Exception):
@@ -65,3 +72,39 @@ class LinearSolveFailure(NumericalError):
 
 class UnstableConfig(UserWarning):
     """Grid too coarse for the requested viscosity; results may smear."""
+
+
+def finite_above(
+    value: float,
+    name: str,
+    bound: float = 0.0,
+    *,
+    inclusive: bool = False,
+    error: type[Exception] = NonPositiveParameter,
+) -> float:
+    """Return ``value`` as a float if finite and above ``bound``.
+
+    ``inclusive`` also admits the bound; otherwise raise ``error`` with a
+    message that starts with the parameter name.
+    """
+    x = float(value)
+    if math.isfinite(x) and (x >= bound if inclusive else x > bound):
+        return x
+    rule = f"at least {bound:g}" if inclusive else (
+        "positive" if bound == 0.0 else f"exceed {bound:g}"
+    )
+    raise error(f"{name}: must be finite and {rule}, got {x!r}")
+
+
+def finite_values(values, m: int, name: str = "boundary") -> np.ndarray:
+    """Return ``values`` as a float vector of ``m`` finite entries.
+
+    A wrong shape raises DimensionMismatch, a non-finite entry
+    NonPositiveParameter.
+    """
+    arr = np.asarray(values, dtype=float)
+    if arr.shape != (m,):
+        raise DimensionMismatch(f"need {m} {name} values, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise NonPositiveParameter(f"need {m} finite {name} values")
+    return arr

@@ -15,7 +15,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonPositiveParameter
+from .errors import DimensionMismatch, finite_above
 from .network import StarNetwork
 
 #: smallest admissible number of cells per arc
@@ -75,14 +75,10 @@ def make_grid(
     if (h is None) == (epsilon is None):
         raise DimensionMismatch("give exactly one of h and epsilon")
     if epsilon is not None:
-        if epsilon <= 0.0:
-            raise NonPositiveParameter("epsilon must be positive")
-        if rule_constant < 4.0:
-            raise NonPositiveParameter("grid rule constant must be >= 4")
-        h = epsilon / rule_constant
-    assert h is not None
-    if h <= 0.0 or not np.isfinite(h):
-        raise NonPositiveParameter("grid spacing must be positive")
+        h = finite_above(epsilon, "epsilon") / finite_above(
+            rule_constant, "rule_constant", 4.0, inclusive=True
+        )
+    h = finite_above(h, "h")
 
     cells = []
     spacings = []

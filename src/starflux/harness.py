@@ -27,7 +27,7 @@ import numpy as np
 
 from .configio import load_experiment, load_initial_data, load_network
 from .dataprep import DEFAULT_THETA, build_compatible
-from .errors import ConfigError
+from .errors import ConfigError, finite_above, finite_values
 from .hyperbolic import (
     HyperbolicSolution,
     PiecewiseConstantField,
@@ -49,9 +49,19 @@ def _csv(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _rows_csv(row_type: type, rows: Iterable) -> str:
+    """Dataclass rows under their field names; ints via str, floats via _fmt."""
+    cells = ([str(v) if isinstance(v, int) else _fmt(v) for v in astuple(r)] for r in rows)
+    return _csv([f.name for f in fields(row_type)], cells)
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Resolved viscosity-sweep plan: inputs in memory, levels validated."""
+    """Resolved viscosity-sweep plan: inputs in memory, levels validated.
+
+    The one owner of the plan's ranges, so a bad plan fails here once
+    instead of at every level.
+    """
 
     net: StarNetwork
     K: CouplingMatrix
@@ -65,12 +75,14 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if not self.epsilons:
             raise ConfigError("epsilons: need at least one viscosity level")
-        if any(e <= 0.0 for e in self.epsilons):
-            raise ConfigError("epsilons: all entries must be positive")
+        for i, eps in enumerate(self.epsilons):
+            finite_above(eps, f"epsilons[{i}]", error=ConfigError)
         if any(b >= a for a, b in zip(self.epsilons, self.epsilons[1:])):
             raise ConfigError("epsilons: must be strictly decreasing")
-        if self.T <= 0.0:
-            raise ConfigError("T: must be positive")
+        finite_above(self.T, "T", error=ConfigError)
+        finite_above(self.h_rule, "h_rule", 4.0, inclusive=True, error=ConfigError)
+        finite_above(self.theta, "theta", 1.0, error=ConfigError)
+        finite_values(self.B, self.net.m)
 
 
 def load_experiment_spec(path: str | Path) -> ExperimentSpec:
@@ -117,10 +129,7 @@ class ConvergenceReport:
     failures: tuple[tuple[float, str], ...]
 
     def csv(self) -> str:
-        return _csv(
-            [f.name for f in fields(ConvergenceRow)],
-            ([_fmt(v) for v in astuple(row)] for row in self.rows),
-        )
+        return _rows_csv(ConvergenceRow, self.rows)
 
 
 def node_trace_error(
@@ -153,62 +162,65 @@ def node_trace_error(
     return total
 
 
-def _sweep_row(spec: ExperimentSpec, epsilon: float) -> tuple[str, tuple | str]:
-    """Run one viscosity level; returns ("ok", row) or ("fail", reason)."""
+def _sweep_row(
+    payload: tuple[ExperimentSpec, HyperbolicSolution], epsilon: float
+) -> ConvergenceRow | str:
+    """Run one viscosity level against the sweep's exact solution.
+
+    payload is (spec, exact); returns the level's row, or the reason
+    string when the level failed.
+    """
+    spec, exact = payload
     try:
         start = time.perf_counter()
-        net, K, u0, B, T = spec.net, spec.K, spec.u0, spec.B, spec.T
-        compat = build_compatible(u0, B, net, K, epsilon, spec.theta)
+        net, K, B, T = spec.net, spec.K, spec.B, spec.T
+        compat = build_compatible(spec.u0, B, net, K, epsilon, spec.theta)
         cfg = SolverConfig(epsilon=epsilon, T=T, h_rule=spec.h_rule)
         trajectory = solve_parabolic(net, K, compat.arcs, B, cfg)
-        system = compute_gamma(net, K)
-        exact = solve_exact(net, system.gamma, u0, B, T)
         final_error = l1_distance(
             trajectory.final, exact, trajectory.grid, t=T
         )
         trace_error = node_trace_error(trajectory, exact)
         times = trajectory.diagnostics[:, 0]
-        row = (
-            float(epsilon),
-            float(max(trajectory.grid.spacings)),
-            float(times[1] - times[0]),
-            float(final_error),
-            float(trace_error),
-            float(np.max(np.abs(trajectory.diagnostics[:, 3]))),
-            float(np.min(trajectory.diagnostics[:, 2])),
-            time.perf_counter() - start,
+        return ConvergenceRow(
+            epsilon=float(epsilon),
+            h=float(max(trajectory.grid.spacings)),
+            dt=float(times[1] - times[0]),
+            l1_error_final_time=float(final_error),
+            node_trace_l1_error=float(trace_error),
+            flux_residual_max=float(np.max(np.abs(trajectory.diagnostics[:, 3]))),
+            min_value=float(np.min(trajectory.diagnostics[:, 2])),
+            wall_time=time.perf_counter() - start,
         )
-        return ("ok", row)
     except Exception as exc:  # crash isolation: one level must not kill the sweep
-        return ("fail", f"{type(exc).__name__}: {exc}")
+        return f"{type(exc).__name__}: {exc}"
 
 
 def run_convergence(spec: ExperimentSpec, workers: int = 1) -> ConvergenceReport:
     """Run the viscosity sweep, one row per level.
 
-    The coupling assumptions are checked once up front (raising on
-    violation); per-level work then runs inline or on a bounded process
+    The transmission weights and the exact solution do not depend on
+    epsilon, so both are computed once per sweep, before any level runs:
+    compute_gamma also checks the coupling assumptions (raising on
+    violation). Per-level work then runs inline or on a bounded process
     pool when workers > 1. Rows come back sorted by viscosity
     descending, failed levels in the failures list with their reasons.
     """
-    compute_gamma(spec.net, spec.K)  # fail fast on assumption violations
+    system = compute_gamma(spec.net, spec.K)
+    exact = solve_exact(spec.net, system.gamma, spec.u0, spec.B, spec.T)
+    payload = (spec, exact)
     if workers <= 1:
-        outcomes = [_sweep_row(spec, e) for e in spec.epsilons]
+        outcomes = [_sweep_row(payload, e) for e in spec.epsilons]
     else:
-        # the frozen spec is pickled, so each worker gets an exact copy
+        # the frozen payload is pickled, so each worker gets an exact copy
         with ProcessPoolExecutor(
             max_workers=min(workers, len(spec.epsilons))
         ) as pool:
-            outcomes = list(pool.map(partial(_sweep_row, spec), spec.epsilons))
+            outcomes = list(pool.map(partial(_sweep_row, payload), spec.epsilons))
 
-    rows: list[ConvergenceRow] = []
-    failures: list[tuple[float, str]] = []
-    for eps, (status, result) in zip(spec.epsilons, outcomes):
-        if status == "ok":
-            rows.append(ConvergenceRow(*result))  # type: ignore[arg-type]
-        else:
-            failures.append((float(eps), str(result)))
+    rows = [r for r in outcomes if isinstance(r, ConvergenceRow)]
     rows.sort(key=lambda r: -r.epsilon)
+    failures = [(float(e), r) for e, r in zip(spec.epsilons, outcomes) if isinstance(r, str)]
     return ConvergenceReport(rows=tuple(rows), failures=tuple(failures))
 
 
@@ -349,26 +361,7 @@ def run_approx(
 
 
 def approx_csv(rows: Sequence[ApproxRow]) -> str:
-    header = [
-        "n",
-        "epsilon_n",
-        "l1_error",
-        "tv_norm",
-        "scaled_w21",
-        "membership_residual",
-    ]
-    body = (
-        [
-            str(r.n),
-            _fmt(r.epsilon_n),
-            _fmt(r.l1_error),
-            _fmt(r.tv_norm),
-            _fmt(r.scaled_w21),
-            _fmt(r.membership_residual),
-        ]
-        for r in rows
-    )
-    return _csv(header, body)
+    return _rows_csv(ApproxRow, rows)
 
 
 def write_manifest(out_dir: Path, manifest: dict) -> Path:

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidGamma, NonPositiveParameter
+from .errors import DimensionMismatch, InvalidGamma, finite_above, finite_values
 from .grids import DiscreteState, Grid
 from .network import StarNetwork
 
@@ -53,8 +53,7 @@ class ArcProfile:
         breakpoints: Sequence[float],
         values: Sequence[float],
     ) -> "ArcProfile":
-        if length <= 0.0:
-            raise NonPositiveParameter("arc length must be positive")
+        finite_above(length, "length")
         b = np.asarray(breakpoints, dtype=float)
         v = np.asarray(values, dtype=float)
         if v.size != b.size + 1:
@@ -147,8 +146,7 @@ def incoming_trace(
     arc = net.arc(arc_id)
     if not arc.incoming:
         raise DimensionMismatch(f"arc {arc_id} is not incoming")
-    if T <= 0.0:
-        raise NonPositiveParameter("horizon T must be positive")
+    T = finite_above(T, "T")
     lam, L = arc.speed, arc.length
 
     breaks = [(L - b) / lam for b in reversed(u0_i.breakpoints.tolist())]
@@ -245,11 +243,8 @@ def solve_exact(
         raise InvalidGamma("transmission columns must sum to one")
     if len(u0.arcs) != net.m:
         raise DimensionMismatch(f"{len(u0.arcs)} profiles for {net.m} arcs")
-    bvals = np.asarray(B, dtype=float)
-    if bvals.shape != (net.m,):
-        raise DimensionMismatch(f"need {net.m} boundary values, got {bvals.shape}")
-    if T <= 0.0:
-        raise NonPositiveParameter("horizon T must be positive")
+    bvals = finite_values(B, net.m)
+    T = finite_above(T, "T")
 
     traces = tuple(
         incoming_trace(net, j, u0.arcs[j], float(bvals[j]), T)

@@ -20,7 +20,7 @@ from .errors import (
     AssumptionViolated,
     DimensionMismatch,
     EmptySide,
-    NonPositiveParameter,
+    finite_above,
 )
 
 
@@ -129,12 +129,8 @@ def build_network(
                     f"arc {i}: expected (length, speed, orientation)"
                 )
             length, speed, orientation = entry
-        length = float(length)  # type: ignore[arg-type]
-        speed = float(speed)  # type: ignore[arg-type]
-        if not np.isfinite(length) or length <= 0.0:
-            raise NonPositiveParameter(f"arc {i}: length must be positive")
-        if not np.isfinite(speed) or speed <= 0.0:
-            raise NonPositiveParameter(f"arc {i}: speed must be positive")
+        length = finite_above(length, f"arc {i} length")  # type: ignore[arg-type]
+        speed = finite_above(speed, f"arc {i} speed")  # type: ignore[arg-type]
         arcs.append(Arc(i, length, speed, Orientation.parse(orientation)))
 
     net = StarNetwork(tuple(arcs))

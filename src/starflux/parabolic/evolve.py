@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import DimensionMismatch, NoConvergence, NonPositiveParameter
+from ..errors import DimensionMismatch, NoConvergence, finite_above, finite_values
 from ..grids import DiscreteState, Grid, adopt_state, discrete_l1_norm, make_grid, sample_on_grid
 from ..hyperbolic import PiecewiseConstantField
 from ..network import CouplingMatrix, StarNetwork
@@ -99,9 +99,7 @@ def solve_parabolic(
     """
     if grid is None:
         grid = make_grid(net, epsilon=cfg.epsilon, rule_constant=cfg.h_rule)
-    bvals = np.asarray(B, dtype=float)
-    if bvals.shape != (net.m,) or not np.isfinite(bvals).all():
-        raise NonPositiveParameter(f"need {net.m} finite boundary values")
+    bvals = finite_values(B, net.m)
 
     # snap the step so the march lands exactly on the horizon
     dt0 = cfg.dt if cfg.dt is not None else default_dt(net, grid)
@@ -172,11 +170,8 @@ def march_to_steady(
     controls how fast the iteration contracts, not the answer; marching
     stops once the step-to-step change per unit time drops below tol.
     """
-    if theta <= 0.0:
-        raise NonPositiveParameter("theta must be positive")
-    bvals = np.asarray(boundary, dtype=float)
-    if bvals.shape != (net.m,) or not np.isfinite(bvals).all():
-        raise NonPositiveParameter(f"need {net.m} finite boundary values")
+    finite_above(theta, "theta")
+    bvals = finite_values(boundary, net.m)
     dt = 10.0 * theta if dt is None else dt
 
     cfg = SolverConfig(epsilon=epsilon, T=dt, dt=dt)

@@ -21,9 +21,10 @@ import numpy as np
 
 from ..errors import (
     DimensionMismatch,
-    NonPositiveParameter,
     NumericalError,
     SingularMatrix,
+    finite_above,
+    finite_values,
 )
 from ..grids import DiscreteState, Grid
 from ..hyperbolic import ArcProfile, PiecewiseConstantField
@@ -42,14 +43,10 @@ class ResolventProblem:
     def build(
         cls, theta: float, f: PiecewiseConstantField, boundary: Sequence[float]
     ) -> "ResolventProblem":
-        if not (np.isfinite(theta) and theta > 0.0):
-            raise NonPositiveParameter("theta must be finite and positive")
+        finite_above(theta, "theta")
+        # any flat length here; solve_resolvent matches it to the network
         b = np.asarray(boundary, dtype=float)
-        if b.ndim != 1:
-            raise DimensionMismatch("boundary must be a flat vector")
-        if not np.isfinite(b).all():
-            raise NonPositiveParameter(f"need {b.size} finite boundary values")
-        b = b.copy()
+        b = finite_values(b, b.size).copy()
         b.flags.writeable = False
         return cls(theta=theta, f=f, boundary=b)
 
@@ -254,15 +251,13 @@ def solve_resolvent(
     solvable down to vanishing viscosity, where it degenerates to the
     transport transmission system.
     """
-    if not (np.isfinite(epsilon) and epsilon > 0.0):
-        raise NonPositiveParameter("epsilon must be finite and positive")
+    finite_above(epsilon, "epsilon")
     theta = prob.theta
     alpha = alpha_from_k(K).alpha
     m = net.m
     if len(prob.f.arcs) != m:
         raise DimensionMismatch(f"{len(prob.f.arcs)} forcing profiles for {m} arcs")
-    if prob.boundary.shape != (m,):
-        raise DimensionMismatch(f"need {m} boundary values")
+    finite_values(prob.boundary, m)
 
     a1 = np.empty(m)
     a2 = np.empty(m)

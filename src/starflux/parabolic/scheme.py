@@ -37,8 +37,8 @@ from scipy.linalg.lapack import dgttrf, dgttrs
 from ..errors import (
     AssumptionViolated,
     LinearSolveFailure,
-    NonPositiveParameter,
     UnstableConfig,
+    finite_above,
 )
 from ..grids import DiscreteState, Grid, adopt_state
 from ..hyperbolic import PiecewiseConstantField
@@ -55,14 +55,11 @@ class SolverConfig:
     h_rule: float = 8.0
 
     def __post_init__(self) -> None:
-        if self.epsilon <= 0.0:
-            raise NonPositiveParameter("epsilon must be positive")
-        if self.T <= 0.0:
-            raise NonPositiveParameter("horizon T must be positive")
-        if self.dt is not None and self.dt <= 0.0:
-            raise NonPositiveParameter("dt must be positive")
-        if self.h_rule < 4.0:
-            raise NonPositiveParameter("h_rule must be at least 4")
+        finite_above(self.epsilon, "epsilon")
+        finite_above(self.T, "T")
+        if self.dt is not None:
+            finite_above(self.dt, "dt")
+        finite_above(self.h_rule, "h_rule", 4.0, inclusive=True)
 
 
 def default_dt(net: StarNetwork, grid: Grid) -> float:

@@ -228,6 +228,28 @@ def test_approx_data_bad_range_exits_2(tmp_path, capsys):
     assert "--n-range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, flags, name",
+    [
+        ("simulate", ["--mode", "hyperbolic", "--T", "nan"], "T"),
+        ("simulate", ["--mode", "parabolic", "--epsilon", "0.1", "--T", "nan"], "T"),
+        ("simulate", ["--mode", "parabolic", "--epsilon", "inf", "--T", "0.1"], "epsilon"),
+        ("approx-data", ["--theta", "inf"], "theta"),
+        ("approx-data", ["--theta", "nan"], "theta"),
+    ],
+    ids=["hyperbolic-T-nan", "parabolic-T-nan", "parabolic-epsilon-inf",
+         "approx-theta-inf", "approx-theta-nan"],
+)
+def test_non_finite_parameter_exits_2_naming_it(tmp_path, capsys, command, flags, name):
+    net = write_json(tmp_path, "net.json", PAIR_NET)
+    data = write_json(tmp_path, "u0.json", PAIR_DATA)
+    out_dir = tmp_path / "run"
+    argv = [command, "--config", net, "--data", data, "--out", str(out_dir), *flags]
+    assert main(argv) == 2
+    assert f"error: {name}: must be finite" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_numerical_failure_exits_3(tmp_path, capsys):
     # epsilon_n = 0.5 cannot clear the node zones on short arcs
     short = {

@@ -13,6 +13,7 @@ from starflux import (
     TwoOutTarget,
     load_design_target,
     load_experiment,
+    load_experiment_spec,
     load_initial_data,
     load_network,
 )
@@ -192,6 +193,19 @@ def test_experiment_resolves_paths_relative_to_document(tmp_path):
     assert cfg.theta == 1.5
 
 
+GOOD_DATA = {
+    "arcs": [
+        {"breaks": [0.25], "values": [1.0, 0.0]},
+        {"breaks": [], "values": [0.5]},
+    ],
+    "boundary": [1.0, 0.0],
+}
+
+#: hints of the cases load_experiment rejects; the rest are ranges, which
+#: ExperimentSpec owns
+STRUCTURAL_HINTS = ("at least 1", "unknown")
+
+
 @pytest.mark.parametrize(
     "patch, hint",
     [
@@ -205,10 +219,18 @@ def test_experiment_resolves_paths_relative_to_document(tmp_path):
     ],
 )
 def test_experiment_validation(tmp_path, patch, hint):
+    write(tmp_path, "n.json", GOOD_NET)
+    write(tmp_path, "d.json", GOOD_DATA)
     doc = {"network": "n.json", "data": "d.json", "epsilons": [0.1], "T": 1.0}
     doc.update(patch)
-    with pytest.raises(ConfigError, match=hint):
-        load_experiment(write(tmp_path, "exp.json", doc))
+    path = write(tmp_path, "exp.json", doc)
+    if hint in STRUCTURAL_HINTS:
+        with pytest.raises(ConfigError, match=hint):
+            load_experiment(path)
+    else:
+        load_experiment(path)  # parses: ranges are not checked here
+        with pytest.raises(ConfigError, match=hint):
+            load_experiment_spec(path)
 
 
 def test_missing_file_is_a_config_error(tmp_path):

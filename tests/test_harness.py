@@ -23,6 +23,7 @@ from starflux import (
     run_parabolic_simulation,
     sample_hyperbolic,
 )
+from starflux import harness
 from starflux.harness import approx_csv, coupling_csv, gamma_csv
 from starflux.transmission import compute_gamma
 
@@ -167,6 +168,24 @@ class TestRunConvergence:
         eps, reason = report.failures[0]
         assert eps == 0.7
         assert "WidthOverflow" in reason
+
+    def test_gamma_and_oracle_run_once_per_sweep(self, monkeypatch):
+        calls = {"compute_gamma": 0, "solve_exact": 0}
+        for name in calls:
+            original = getattr(harness, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(harness, name, counted)
+        net, K = pair_net()
+        spec = make_spec(
+            net, K, one_jump_field(net), [1.0, 0.0], [0.08, 0.04, 0.02], T=0.3
+        )
+        report = run_convergence(spec)
+        assert len(report.rows) == 3
+        assert calls == {"compute_gamma": 1, "solve_exact": 1}
 
     def test_worker_pool_matches_inline(self):
         net, K = pair_net()
