@@ -28,8 +28,8 @@ callers can stamp their runs.
 
 Exit codes: 0 on success, 2 on validation failure (malformed JSON,
 schema violations, infeasible parameters), 3 on numerical failure.
-The library range-checks numeric flags: a NaN, infinite or
-out-of-range value exits 2 naming the parameter.
+The library range-checks the numeric flags a command reads: a NaN,
+infinite or out-of-range value exits 2.
 """
 
 from __future__ import annotations

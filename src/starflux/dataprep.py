@@ -235,9 +235,14 @@ def smooth_bv(
     room is left for a transition.
     """
     _check_level(epsilon_n, theta)
+    return _smooth(v, net, epsilon_n, epsilon_n**theta)
+
+
+def _smooth(
+    v: PiecewiseConstantField, net: StarNetwork, epsilon_n: float, delta_n: float
+) -> tuple[PiecewisePoly, ...]:
     if len(v.arcs) != net.m:
         raise DimensionMismatch(f"{len(v.arcs)} profiles for {net.m} arcs")
-    delta_n = epsilon_n**theta
     half = epsilon_n / 2.0
 
     smoothed = []
@@ -316,18 +321,23 @@ def fit_node_polynomial(
     """
     _check_level(epsilon_n, theta)
     alpha = alpha_from_k(K).alpha
-    delta_n = epsilon_n**theta
+    return _node_cubic(w, arc_id, net, alpha, epsilon_n, epsilon_n**theta)
+
+
+def _node_cubic(
+    w: Sequence[PiecewisePoly],
+    arc_id: int,
+    net: StarNetwork,
+    alpha: np.ndarray,
+    epsilon_n: float,
+    delta_n: float,
+) -> PolynomialPiece:
     arc = net.arc(arc_id)
     if delta_n >= arc.length:
         raise WidthOverflow(
             f"arc {arc_id}: node interval {delta_n:.3g} exceeds the arc"
         )
-    node_vals = np.array(
-        [
-            w[j].evaluate(net.arc(j).length if net.arc(j).incoming else 0.0)
-            for j in range(net.m)
-        ]
-    )
+    node_vals = np.array([p.evaluate(a.node_position) for p, a in zip(w, net.arcs)])
     coupling = float(alpha[arc_id] @ node_vals)
     lam = arc.speed
 
@@ -429,10 +439,9 @@ def build_compatible(
                 f"{arc.length:.3g}"
             )
 
-    core = smooth_bv(v, net, epsilon_n, theta)
+    core = _smooth(v, net, epsilon_n, delta_n)
     cubics = tuple(
-        fit_node_polynomial(core, i, net, K, epsilon_n, theta)
-        for i in range(net.m)
+        _node_cubic(core, i, net, alpha, epsilon_n, delta_n) for i in range(net.m)
     )
     quads: list[PolynomialPiece | None] = []
     assembled = []
@@ -450,18 +459,9 @@ def build_compatible(
             pieces = [cubics[i], *core[i].restricted(delta_n, arc.length)]
         assembled.append(PiecewisePoly(arc.length, tuple(pieces)))
 
-    node_vals = np.array(
-        [
-            assembled[i].evaluate(arc.length if arc.incoming else 0.0)
-            for i, arc in enumerate(net.arcs)
-        ]
-    )
-    node_slopes = np.array(
-        [
-            assembled[i].evaluate(arc.length if arc.incoming else 0.0, 1)
-            for i, arc in enumerate(net.arcs)
-        ]
-    )
+    ends = [(poly, arc.node_position) for poly, arc in zip(assembled, net.arcs)]
+    node_vals = np.array([poly.evaluate(x) for poly, x in ends])
+    node_slopes = np.array([poly.evaluate(x, 1) for poly, x in ends])
     membership = 0.0
     for i, arc in enumerate(net.arcs):
         beta = 1.0 if arc.incoming else -1.0

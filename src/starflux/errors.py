@@ -96,7 +96,7 @@ def finite_above(
     raise error(f"{name}: must be finite and {rule}, got {x!r}")
 
 
-def finite_values(values, m: int, name: str = "boundary") -> np.ndarray:
+def finite_values(values, m: int) -> np.ndarray:
     """Return ``values`` as a float vector of ``m`` finite entries.
 
     A wrong shape raises DimensionMismatch, a non-finite entry
@@ -104,7 +104,7 @@ def finite_values(values, m: int, name: str = "boundary") -> np.ndarray:
     """
     arr = np.asarray(values, dtype=float)
     if arr.shape != (m,):
-        raise DimensionMismatch(f"need {m} {name} values, got shape {arr.shape}")
+        raise DimensionMismatch(f"need {m} boundary values, got shape {arr.shape}")
     if not np.isfinite(arr).all():
-        raise NonPositiveParameter(f"need {m} finite {name} values")
+        raise NonPositiveParameter(f"need {m} finite boundary values")
     return arr

@@ -27,7 +27,7 @@ import numpy as np
 
 from .configio import load_experiment, load_initial_data, load_network
 from .dataprep import DEFAULT_THETA, build_compatible
-from .errors import ConfigError, finite_above, finite_values
+from .errors import ConfigError, ValidationError, finite_above, finite_values
 from .hyperbolic import (
     HyperbolicSolution,
     PiecewiseConstantField,
@@ -82,7 +82,10 @@ class ExperimentSpec:
         finite_above(self.T, "T", error=ConfigError)
         finite_above(self.h_rule, "h_rule", 4.0, inclusive=True, error=ConfigError)
         finite_above(self.theta, "theta", 1.0, error=ConfigError)
-        finite_values(self.B, self.net.m)
+        try:
+            finite_values(self.B, self.net.m)
+        except ValidationError as exc:
+            raise ConfigError(f"B: {exc}") from None
 
 
 def load_experiment_spec(path: str | Path) -> ExperimentSpec:

@@ -14,7 +14,7 @@ mode fluxes themselves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -286,11 +286,13 @@ def solve_resolvent(
         edges_all.append(edges)
         g_all.append(-profile.values / (theta * epsilon))
 
-    # particular part and its slope at both arc ends
+    # particular part and its slope at both arc ends, read off each arc
+    # before its mode weights c and d are known
     p0 = np.empty(m)
     pL = np.empty(m)
     dp0 = np.empty(m)
     dpL = np.empty(m)
+    probes = []
     for i, arc in enumerate(net.arcs):
         probe = _ArcSolution(
             incoming=arc.incoming,
@@ -303,6 +305,7 @@ def solve_resolvent(
             c=0.0,
             d=0.0,
         )
+        probes.append(probe)
         (p0[i], pL[i]), (dp0[i], dpL[i]), _ = probe.particular(
             np.array([0.0, arc.length])
         )
@@ -343,19 +346,7 @@ def solve_resolvent(
         else:
             c = float(w[i])
             d = float((b[i] - pL[i]) - c * F[i])
-        arcs.append(
-            _ArcSolution(
-                incoming=arc.incoming,
-                speed=arc.speed,
-                length=arc.length,
-                a1=a1[i],
-                a2=a2[i],
-                edges=edges_all[i],
-                g=g_all[i],
-                c=c,
-                d=d,
-            )
-        )
+        arcs.append(replace(probes[i], c=c, d=d))
 
     return ResolventSolution(
         net=net,

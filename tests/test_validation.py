@@ -24,6 +24,7 @@ from starflux import (
     SolverConfig,
     TwoOutTarget,
     build_compatible,
+    fit_node_polynomial,
     incoming_trace,
     make_grid,
     march_to_steady,
@@ -75,8 +76,10 @@ def test_experiment_spec(field, bad):
 
 @non_finite
 def test_experiment_spec_boundary(bad):
-    with pytest.raises(NonPositiveParameter, match="need 2 finite boundary"):
+    with pytest.raises(ConfigError, match="^B: need 2 finite boundary"):
         spec(B=(bad, 0.0))
+    with pytest.raises(ConfigError, match="^B: need 2 boundary values"):
+        spec(B=(bad, 0.0, 0.0))
 
 
 @pytest.mark.parametrize(
@@ -119,6 +122,17 @@ def test_smooth_bv(field, bad):
     args[field] = bad
     with pytest.raises(NonPositiveParameter, match=f"^{field}: must be finite"):
         smooth_bv(u0, net, **args)
+
+
+@non_finite
+@pytest.mark.parametrize("field", ["epsilon_n", "theta"])
+def test_fit_node_polynomial(field, bad):
+    net, K, u0 = pair()
+    core = smooth_bv(u0, net, 0.125)
+    args = dict(epsilon_n=0.125, theta=1.5)
+    args[field] = bad
+    with pytest.raises(NonPositiveParameter, match=f"^{field}: must be finite"):
+        fit_node_polynomial(core, 0, net, K, **args)
 
 
 @non_finite
