@@ -50,7 +50,7 @@ print("certificates behind those guarantees:")
 print("  node matrix irreducible:     ", system.certificates.irreducible)
 print("  diagonal dominance holds:    ", system.certificates.gershgorin_ok)
 print("  M-matrix structure verified: ", system.certificates.m_matrix_ok)
-print(f"  det(node matrix) = {system.det_q:.6e}")
+print(f"  det(node matrix) = {system.certificates.det:.6e}")
 print()
 
 # collapse to a single outgoing arc: the only flux-conserving choice is

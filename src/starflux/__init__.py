@@ -24,7 +24,6 @@ from .errors import (
     WidthOverflow,
 )
 from .network import (
-    AlphaMatrix,
     Arc,
     AssumptionReport,
     CouplingMatrix,
@@ -36,14 +35,11 @@ from .network import (
 )
 from .transmission import (
     MCertificate,
-    QMatrix,
     TransmissionSystem,
     assemble_q,
     certify_m_matrix,
-    check_irreducible,
     compute_gamma,
     connected_components,
-    hyperbolic_node_traces,
 )
 from .design import (
     ProportionalTarget,

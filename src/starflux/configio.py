@@ -131,7 +131,7 @@ def load_network(
             raise ConfigError(
                 f"{where}.orientation: expected \"in\" or \"out\", got {orientation!r}"
             )
-        specs.append({"length": length, "speed": speed, "orientation": orientation})
+        specs.append((length, speed, orientation))
 
     m = len(specs)
     net = build_network(specs)

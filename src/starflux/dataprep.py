@@ -320,7 +320,7 @@ def fit_node_polynomial(
     exactly.
     """
     _check_level(epsilon_n, theta)
-    alpha = alpha_from_k(K).alpha
+    alpha = alpha_from_k(K)
     return _node_cubic(w, arc_id, net, alpha, epsilon_n, epsilon_n**theta)
 
 
@@ -428,7 +428,7 @@ def build_compatible(
     """
     _check_level(epsilon_n, theta)
     bvals = finite_values(B, net.m)
-    alpha = alpha_from_k(K).alpha
+    alpha = alpha_from_k(K)
     delta_n = epsilon_n**theta
 
     for i, arc in enumerate(net.arcs):

@@ -229,10 +229,10 @@ def run_convergence(spec: ExperimentSpec, workers: int = 1) -> ConvergenceReport
 
 def gamma_csv(system: TransmissionSystem) -> str:
     """Transmission weights, one row per outgoing arc, incoming columns."""
-    header = ["outgoing_arc"] + [f"incoming_{j}" for j in system.incoming_ids]
+    header = ["outgoing_arc"] + [f"incoming_{j}" for j in system.net.incoming_ids]
     rows = (
         [str(l)] + [_fmt(v) for v in system.gamma[pos]]
-        for pos, l in enumerate(system.outgoing_ids)
+        for pos, l in enumerate(system.net.outgoing_ids)
     )
     return _csv(header, rows)
 
@@ -242,7 +242,7 @@ def certificate_summary(system: TransmissionSystem) -> str:
     return (
         f"certificates: irreducible={c.irreducible} "
         f"gershgorin_ok={c.gershgorin_ok} m_matrix_ok={c.m_matrix_ok} "
-        f"det_q={system.det_q:.6e} "
+        f"det_q={c.det:.6e} "
         f"condition_indicator={system.condition_indicator:.6e}"
     )
 

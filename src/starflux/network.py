@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -100,35 +100,20 @@ class StarNetwork:
         return np.array([a.length for a in self.arcs])
 
 
-def build_network(
-    arc_specs: Iterable[Mapping[str, object] | Sequence[object]],
-) -> StarNetwork:
-    """Assemble a validated StarNetwork from per-arc descriptions.
+def build_network(arc_specs: Iterable[Sequence[object]]) -> StarNetwork:
+    """Assemble a validated StarNetwork from (length, speed, orientation) triples.
 
-    Each entry is either a mapping with keys ``length``, ``speed``,
-    ``orientation`` or a (length, speed, orientation) triple. Arc ids are
-    assigned in input order. Raises NonPositiveParameter for bad lengths
-    or speeds and EmptySide if either side of the junction is empty.
+    Arc ids are assigned in input order. Raises NonPositiveParameter for
+    bad lengths or speeds and EmptySide if either side of the junction is
+    empty.
     """
     arcs: list[Arc] = []
     for i, entry in enumerate(arc_specs):
-        if isinstance(entry, Mapping):
-            try:
-                length, speed, orientation = (
-                    entry["length"],
-                    entry["speed"],
-                    entry["orientation"],
-                )
-            except KeyError as missing:
-                raise DimensionMismatch(
-                    f"arc {i}: missing field {missing.args[0]!r}"
-                ) from None
-        else:
-            if len(entry) != 3:
-                raise DimensionMismatch(
-                    f"arc {i}: expected (length, speed, orientation)"
-                )
-            length, speed, orientation = entry
+        if len(entry) != 3:
+            raise DimensionMismatch(
+                f"arc {i}: expected (length, speed, orientation)"
+            )
+        length, speed, orientation = entry
         length = finite_above(length, f"arc {i} length")  # type: ignore[arg-type]
         speed = finite_above(speed, f"arc {i} speed")  # type: ignore[arg-type]
         arcs.append(Arc(i, length, speed, Orientation.parse(orientation)))
@@ -179,43 +164,41 @@ class CouplingMatrix:
         return self.k.shape[0]
 
 
-#: absolute symmetry tolerance for coupling and exchange matrices
+#: symmetry tolerance for K, relative to its largest entry
 SYMMETRY_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class AlphaMatrix:
-    """Exchange matrix with zero row sums.
+def _coupling_defects(k: np.ndarray) -> list[str]:
+    """Ways K breaks the sign rules: nonnegative, symmetric, zero diagonal."""
+    defects = []
+    if np.any(k < 0.0):
+        defects.append("negative coupling entries")
+    sym_defect = float(np.max(np.abs(k - k.T), initial=0.0))
+    if sym_defect > SYMMETRY_TOL * float(np.max(np.abs(k), initial=0.0)):
+        defects.append(
+            f"asymmetry {sym_defect:.3e} exceeds {SYMMETRY_TOL:.0e} times max|K|"
+        )
+    if np.any(np.diag(k) != 0.0):
+        defects.append("nonzero diagonal")
+    return defects
 
-    alpha has -K off the diagonal and the corresponding row sums of K on
-    it, so every row and column sums to zero and the diagonal dominates
-    its row in absolute value with equality.
-    """
 
-    alpha: np.ndarray
-
-    @property
-    def m(self) -> int:
-        return self.alpha.shape[0]
-
-
-def alpha_from_k(K: CouplingMatrix) -> AlphaMatrix:
+def alpha_from_k(K: CouplingMatrix) -> np.ndarray:
     """Convert coupling coefficients to the zero-row-sum exchange matrix.
 
-    Raises AssumptionViolated if K is not symmetric nonnegative with zero
-    diagonal, since the exchange matrix's sign structure depends on it.
+    alpha has -K off the diagonal and the row sums of K on it, so every
+    row and column sums to zero. Returned read-only. Raises
+    AssumptionViolated if K breaks the sign rules, since the exchange
+    matrix's sign structure depends on them.
     """
     k = K.k
-    if np.any(k < 0.0):
-        raise AssumptionViolated("coupling matrix has negative entries")
-    if np.max(np.abs(k - k.T), initial=0.0) > SYMMETRY_TOL:
-        raise AssumptionViolated("coupling matrix is not symmetric")
-    if np.any(np.diag(k) != 0.0):
-        raise AssumptionViolated("coupling matrix must have zero diagonal")
+    defects = _coupling_defects(k)
+    if defects:
+        raise AssumptionViolated("; ".join(defects))
     alpha = -k.astype(float)
     np.fill_diagonal(alpha, k.sum(axis=1))
     alpha.flags.writeable = False
-    return AlphaMatrix(alpha)
+    return alpha
 
 
 @dataclass(frozen=True)
@@ -247,18 +230,8 @@ class AssumptionReport:
 def validate_assumptions(net: StarNetwork, K: CouplingMatrix) -> AssumptionReport:
     """Check sign/symmetry and the two cross-side connectivity conditions."""
     k = _as_square(K.k, net.m)
-    messages: list[str] = []
-
-    sign_ok = bool(np.all(k >= 0.0))
-    if not sign_ok:
-        messages.append("negative coupling entries")
-    sym_defect = float(np.max(np.abs(k - k.T), initial=0.0))
-    if sym_defect > SYMMETRY_TOL:
-        sign_ok = False
-        messages.append(f"asymmetry {sym_defect:.3e} exceeds {SYMMETRY_TOL:.0e}")
-    if np.any(np.diag(k) != 0.0):
-        sign_ok = False
-        messages.append("nonzero diagonal")
+    messages = _coupling_defects(k)
+    sign_ok = not messages
 
     inc = list(net.incoming_ids)
     out = list(net.outgoing_ids)

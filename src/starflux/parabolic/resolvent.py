@@ -253,7 +253,7 @@ def solve_resolvent(
     """
     finite_above(epsilon, "epsilon")
     theta = prob.theta
-    alpha = alpha_from_k(K).alpha
+    alpha = alpha_from_k(K)
     m = net.m
     if len(prob.f.arcs) != m:
         raise DimensionMismatch(f"{len(prob.f.arcs)} forcing profiles for {m} arcs")

@@ -285,7 +285,7 @@ def assemble_step_operator(
     report = validate_assumptions(net, K)
     if not report.holds_sign_symmetry or not report.holds_incoming_linked:
         raise AssumptionViolated("; ".join(report.messages) or "assumptions fail")
-    alpha = alpha_from_k(K).alpha
+    alpha = alpha_from_k(K)
     eps = cfg.epsilon
     dt = cfg.dt if cfg.dt is not None else default_dt(net, grid)
 

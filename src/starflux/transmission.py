@@ -23,13 +23,7 @@ from .errors import (
     InvalidGamma,
     SingularMatrix,
 )
-from .network import (
-    AlphaMatrix,
-    CouplingMatrix,
-    StarNetwork,
-    alpha_from_k,
-    validate_assumptions,
-)
+from .network import CouplingMatrix, StarNetwork, alpha_from_k, validate_assumptions
 
 #: relative pivot threshold for node-system factorizations
 PIVOT_RTOL = 1e-13
@@ -39,45 +33,28 @@ COLUMN_SUM_TOL = 1e-10
 GAMMA_NEG_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class QMatrix:
-    """Node system matrix with its unknown ordering.
+def assemble_q(net: StarNetwork, alpha: np.ndarray) -> np.ndarray:
+    """Build the read-only node system matrix Q from the exchange matrix.
 
-    ordering[r] is the arc id of unknown r: incoming arcs first (their
-    node weights), then outgoing arcs (their node values), each block in
-    arc-id order. incoming_count is the size of the first block.
+    Unknown r of Q belongs to arc ``(net.incoming_ids + net.outgoing_ids)[r]``:
+    incoming arcs first (their node weights), then outgoing arcs (their
+    node values), each block in arc-id order. Rows for incoming arcs are
+    plain exchange rows; rows for outgoing arcs additionally carry the arc
+    speed on the diagonal, which is what makes them strictly diagonally
+    dominant.
     """
-
-    q: np.ndarray
-    ordering: tuple[int, ...]
-    incoming_count: int
-
-
-def assemble_q(net: StarNetwork, alpha: AlphaMatrix) -> QMatrix:
-    """Build the node system matrix from the exchange matrix.
-
-    Rows for incoming arcs are plain exchange rows; rows for outgoing
-    arcs additionally carry the arc speed on the diagonal, which is what
-    makes them strictly diagonally dominant.
-    """
-    if alpha.m != net.m:
+    if alpha.shape[0] != net.m:
         raise DimensionMismatch(
-            f"exchange matrix is {alpha.m}x{alpha.m} for a {net.m}-arc network"
+            f"exchange matrix is {alpha.shape[0]}x{alpha.shape[0]} for a "
+            f"{net.m}-arc network"
         )
     ordering = net.incoming_ids + net.outgoing_ids
     perm = np.asarray(ordering)
-    q = alpha.alpha[np.ix_(perm, perm)].copy()
-    n_inc = len(net.incoming_ids)
-    for r in range(n_inc, net.m):
+    q = alpha[np.ix_(perm, perm)].copy()
+    for r in range(len(net.incoming_ids), net.m):
         q[r, r] += net.arc(ordering[r]).speed
     q.flags.writeable = False
-    return QMatrix(q=q, ordering=ordering, incoming_count=n_inc)
-
-
-def _pattern(q: np.ndarray) -> np.ndarray:
-    pat = np.abs(q) + np.abs(q.T)
-    np.fill_diagonal(pat, 0.0)
-    return pat > 0.0
+    return q
 
 
 def connected_components(q: np.ndarray) -> list[list[int]]:
@@ -86,7 +63,8 @@ def connected_components(q: np.ndarray) -> list[list[int]]:
     The pattern is symmetrized first, so for the symmetric node matrix
     this is exactly the partition into irreducible diagonal blocks.
     """
-    pat = _pattern(q)
+    linked = (np.abs(q) + np.abs(q.T)) > 0.0
+    np.fill_diagonal(linked, False)
     n = q.shape[0]
     seen = np.zeros(n, dtype=bool)
     comps: list[list[int]] = []
@@ -99,18 +77,12 @@ def connected_components(q: np.ndarray) -> list[list[int]]:
         while stack:
             v = stack.pop()
             comp.append(v)
-            for w in np.flatnonzero(pat[v]):
+            for w in np.flatnonzero(linked[v]):
                 if not seen[w]:
                     seen[w] = True
                     stack.append(int(w))
         comps.append(sorted(comp))
     return comps
-
-
-def check_irreducible(q: QMatrix | np.ndarray) -> bool:
-    """True when the node system couples all unknowns in one block."""
-    mat = q.q if isinstance(q, QMatrix) else np.asarray(q, dtype=float)
-    return len(connected_components(mat)) == 1
 
 
 def _lu_invert(sub: np.ndarray) -> tuple[np.ndarray, float]:
@@ -171,35 +143,33 @@ class MCertificate:
         )
 
 
-def certify_m_matrix(q: QMatrix | np.ndarray) -> MCertificate:
+def certify_m_matrix(q: np.ndarray) -> MCertificate:
     """Certify M-matrix structure blockwise and produce the inverse.
 
     Works per irreducible block so reducible couplings (isolated arcs,
     disjoint junction groups) are certified block by block. Raises
     SingularMatrix if any block fails to factor.
     """
-    mat = q.q if isinstance(q, QMatrix) else np.asarray(q, dtype=float)
-    n = mat.shape[0]
-    scale = max(float(np.max(np.abs(mat))), 1e-300)
+    scale = max(float(np.max(np.abs(q))), 1e-300)
     tol = 1e-12 * scale
 
-    offdiag = mat - np.diag(np.diag(mat))
-    sign_ok = bool(np.all(offdiag <= tol) and np.all(np.diag(mat) >= -tol))
+    offdiag = q - np.diag(np.diag(q))
+    sign_ok = bool(np.all(offdiag <= tol) and np.all(np.diag(q) >= -tol))
 
     offsum = np.sum(np.abs(offdiag), axis=1)
-    margins = np.diag(mat) - offsum
+    margins = np.diag(q) - offsum
     gershgorin_ok = bool(np.all(margins >= -tol))
 
-    comps = connected_components(mat)
+    comps = connected_components(q)
     every_block_strict = all(
         np.any(margins[np.asarray(comp)] > tol) for comp in comps
     )
 
-    inverse = np.zeros_like(mat)
+    inverse = np.zeros_like(q)
     det = 1.0
     for comp in comps:
         idx = np.asarray(comp)
-        sub_inv, sub_det = _lu_invert(mat[np.ix_(idx, idx)])
+        sub_inv, sub_det = _lu_invert(q[np.ix_(idx, idx)])
         inverse[np.ix_(idx, idx)] = sub_inv
         det *= sub_det
 
@@ -221,29 +191,20 @@ def certify_m_matrix(q: QMatrix | np.ndarray) -> MCertificate:
 
 @dataclass(frozen=True)
 class TransmissionSystem:
-    """Solved node system: matrix, inverse, and transmission weights.
+    """Solved node system: matrix Q, certificates, and transmission weights.
 
-    gamma has one row per outgoing arc and one column per incoming arc,
-    both in arc-id order; gamma[l, j] is the fraction of incoming flux j
-    that leaves through outgoing arc l. Every column sums to one.
-    condition_indicator is max|q| * max|z|, reported but never asserted.
+    The inverse and determinant of Q live in ``certificates``. gamma has
+    one row per outgoing arc and one column per incoming arc, both in
+    arc-id order; gamma[l, j] is the fraction of incoming flux j that
+    leaves through outgoing arc l. Every column sums to one.
+    condition_indicator is max|Q| * max|Q^-1|, reported but never asserted.
     """
 
     net: StarNetwork
-    q: QMatrix
-    z: np.ndarray
+    q: np.ndarray
     gamma: np.ndarray
-    det_q: float
     certificates: MCertificate
     condition_indicator: float
-
-    @property
-    def incoming_ids(self) -> tuple[int, ...]:
-        return self.net.incoming_ids
-
-    @property
-    def outgoing_ids(self) -> tuple[int, ...]:
-        return self.net.outgoing_ids
 
 
 def compute_gamma(net: StarNetwork, K: CouplingMatrix) -> TransmissionSystem:
@@ -259,14 +220,13 @@ def compute_gamma(net: StarNetwork, K: CouplingMatrix) -> TransmissionSystem:
     if not report.holds_sign_symmetry or not report.holds_incoming_linked:
         raise AssumptionViolated("; ".join(report.messages) or "assumptions fail")
 
-    alpha = alpha_from_k(K)
-    qm = assemble_q(net, alpha)
-    cert = certify_m_matrix(qm)
+    q = assemble_q(net, alpha_from_k(K))
+    cert = certify_m_matrix(q)
     if not cert.m_matrix_ok:
         raise SingularMatrix("node matrix failed M-matrix certification")
     z = cert.inverse
 
-    n_inc = qm.incoming_count
+    n_inc = len(net.incoming_ids)
     out_speeds = np.array([net.arc(l).speed for l in net.outgoing_ids])
     gamma = out_speeds[:, None] * z[n_inc:, :n_inc]
 
@@ -283,35 +243,8 @@ def compute_gamma(net: StarNetwork, K: CouplingMatrix) -> TransmissionSystem:
         )
 
     gamma.flags.writeable = False
-    cond = float(np.max(np.abs(qm.q)) * np.max(np.abs(z)))
+    cond = float(np.max(np.abs(q)) * np.max(np.abs(z)))
     return TransmissionSystem(
-        net=net,
-        q=qm,
-        z=z,
-        gamma=gamma,
-        det_q=cert.det,
-        certificates=cert,
-        condition_indicator=cond,
+        net=net, q=q, gamma=gamma, certificates=cert, condition_indicator=cond
     )
 
-
-def hyperbolic_node_traces(
-    ts: TransmissionSystem, incoming_flux: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Node response to a vector of incoming fluxes.
-
-    incoming_flux[j] is speed_j * trace of incoming arc j at the node
-    (arc-id order). Returns (outgoing_values, node_weights): the node
-    values of the outgoing arcs and the effective weights of the
-    incoming arcs. outgoing_values satisfies
-    speed_l * outgoing_values[l] = sum_j gamma[l, j] * incoming_flux[j].
-    """
-    flux = np.asarray(incoming_flux, dtype=float)
-    n_inc = ts.q.incoming_count
-    if flux.shape != (n_inc,):
-        raise DimensionMismatch(
-            f"expected {n_inc} incoming fluxes, got shape {flux.shape}"
-        )
-    rhs = np.concatenate([flux, np.zeros(ts.net.m - n_inc)])
-    x = ts.z @ rhs
-    return x[n_inc:], x[:n_inc]

@@ -186,7 +186,8 @@ def test_02_single_outgoing_arc_takes_all_flux():
         lam_out = net.arc(net.outgoing_ids[0]).speed
         # the weight row is the outgoing speed times the matching
         # inverse row; clamping only strips negative rounding noise
-        expected = np.maximum(lam_out * system.z[n_inc, :n_inc], 0.0)
+        z = system.certificates.inverse
+        expected = np.maximum(lam_out * z[n_inc, :n_inc], 0.0)
         worst_structural = max(
             worst_structural, float(np.max(np.abs(system.gamma[0] - expected)))
         )

@@ -15,6 +15,7 @@ from starflux import (
     Orientation,
     alpha_from_k,
     build_network,
+    compute_gamma,
     validate_assumptions,
 )
 
@@ -22,7 +23,7 @@ from starflux import (
 def test_build_network_assigns_ids_in_order():
     net = build_network(
         [
-            {"length": 2.0, "speed": 1.5, "orientation": "in"},
+            (2.0, 1.5, "in"),
             (1.0, 3.0, "out"),
             (0.5, 0.7, Orientation.INCOMING),
         ]
@@ -51,8 +52,6 @@ def test_build_network_rejects_bad_parameters():
         build_network([(1.0, -2.0, "in"), (1.0, 1.0, "out")])
     with pytest.raises(DimensionMismatch):
         build_network([(1.0, 1.0, "sideways"), (1.0, 1.0, "out")])
-    with pytest.raises(DimensionMismatch):
-        build_network([{"length": 1.0, "speed": 1.0}, (1.0, 1.0, "out")])
 
 
 def test_alpha_from_k_frozen_three_arcs():
@@ -61,7 +60,7 @@ def test_alpha_from_k_frozen_three_arcs():
     K = CouplingMatrix.from_array(
         [[0.0, 1.0, 2.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]], net
     )
-    alpha = alpha_from_k(K).alpha
+    alpha = alpha_from_k(K)
     expected = np.array(
         [[3.0, -1.0, -2.0], [-1.0, 1.0, 0.0], [-2.0, 0.0, 2.0]]
     )
@@ -73,7 +72,7 @@ def test_alpha_rows_and_columns_sum_to_zero():
     for _ in range(25):
         net = random_network(rng)
         K = random_coupling(rng, net)
-        alpha = alpha_from_k(K).alpha
+        alpha = alpha_from_k(K)
         np.testing.assert_allclose(alpha.sum(axis=1), 0.0, atol=1e-12)
         np.testing.assert_allclose(alpha.sum(axis=0), 0.0, atol=1e-12)
         np.testing.assert_allclose(alpha, alpha.T, atol=1e-12)
@@ -90,6 +89,28 @@ def test_alpha_from_k_rejects_bad_couplings():
         alpha_from_k(CouplingMatrix.from_array([[0.0, 1.0], [2.0, 0.0]], net))
     with pytest.raises(AssumptionViolated):
         alpha_from_k(CouplingMatrix.from_array([[1.0, 1.0], [1.0, 0.0]], net))
+
+
+@pytest.mark.parametrize("scale", [1e-13, 1.0, 1e6])
+def test_symmetry_rule_is_relative_to_the_scale_of_k(scale):
+    """Asymmetry counts relative to max|K|, so scaling K and the speeds
+    together, which leaves gamma unchanged, leaves the verdict unchanged."""
+    net = simple_star([scale], [scale])
+    near = CouplingMatrix.from_array(
+        [[0.0, scale], [scale * (1.0 + 1e-15), 0.0]], net
+    )
+    assert validate_assumptions(net, near).holds_sign_symmetry
+    alpha_from_k(near)
+    assert compute_gamma(net, near).gamma[0, 0] == pytest.approx(1.0, abs=1e-14)
+
+    skewed = CouplingMatrix.from_array([[0.0, scale], [3.0 * scale, 0.0]], net)
+    report = validate_assumptions(net, skewed)
+    assert not report.holds_sign_symmetry
+    assert any("asymmetry" in msg for msg in report.messages)
+    with pytest.raises(AssumptionViolated, match="asymmetry"):
+        alpha_from_k(skewed)
+    with pytest.raises(AssumptionViolated, match="asymmetry"):
+        compute_gamma(net, skewed)
 
 
 def test_coupling_matrix_shape_validation():
