@@ -6,8 +6,11 @@ quantities are recorded after every step and act as health checks:
 
   l1_norm        total variation-free size of the state, should only
                  shrink once inflow stops feeding it
-  min_value      the scheme is positivity-preserving, so this should
-                 never drop below a machine-scale floor
+  min_value      on this pair, as on the acceptance cases, the scheme
+                 keeps the state nonnegative, so this should never drop
+                 below a machine-scale floor; it is not yet
+                 positivity-preserving on every star (ROADMAP item 1,
+                 test_march_stays_nonnegative_and_bounded_on_random_stars)
   flux_residual  imbalance of the junction fluxes, enforced by the
                  linear solve itself, so it sits at solver precision
 
@@ -34,7 +37,7 @@ u0 = PiecewiseConstantField.constant(net, [0.0, 0.0])
 
 epsilon = 0.05
 cfg = SolverConfig(epsilon=epsilon, T=4.0, dt=0.02)
-traj = solve_parabolic(net, K, u0, [1.0, 0.0], cfg, record_every=10)
+traj = solve_parabolic(net, K, u0, [1.0, 0.0], cfg)
 
 print(f"epsilon = {epsilon}, grid spacing = {max(traj.grid.spacings):.4f}")
 print()

@@ -75,12 +75,9 @@ from .dataprep import (
     PolynomialPiece,
     build_compatible,
     fit_boundary_quadratic,
-    fit_node_polynomial,
     l1_distance_to_profile,
-    smooth_bv,
 )
 from .parabolic import (
-    ContractionReport,
     ParabolicTrajectory,
     ResidualReport,
     ResolventProblem,
@@ -90,7 +87,6 @@ from .parabolic import (
     assemble_step_operator,
     compatibility_residual,
     default_dt,
-    discrete_l1_contraction_probe,
     flux_residual,
     l1_error_against_state,
     march_to_steady,

@@ -38,7 +38,7 @@ import numpy as np
 
 from .dataprep import DEFAULT_THETA
 from .design import ProportionalTarget, TwoOutTarget
-from .errors import ConfigError, finite_above
+from .errors import ConfigError, ValidationError, finite_above
 from .hyperbolic import ArcProfile, PiecewiseConstantField
 from .network import CouplingMatrix, StarNetwork, build_network
 
@@ -184,15 +184,10 @@ def load_initial_data(
                 f"{where}.values: expected {len(breaks) + 1} values for "
                 f"{len(breaks)} breaks, got {len(values)}"
             )
-        length = net.arc(i).length
-        b = np.asarray(breaks)
-        if b.size and (
-            np.any(b <= 0.0) or np.any(b >= length) or np.any(np.diff(b) <= 0.0)
-        ):
-            raise ConfigError(
-                f"{where}.breaks: must be strictly increasing inside (0, {length})"
-            )
-        profiles.append(ArcProfile.from_lists(length, breaks, values))
+        try:
+            profiles.append(ArcProfile.from_lists(net.arc(i).length, breaks, values))
+        except ValidationError as exc:
+            raise ConfigError(f"{where}.breaks: {exc}") from None
 
     boundary = _as_number_list(_require(doc, "boundary", ""), "boundary")
     if len(boundary) != net.m:

@@ -120,10 +120,6 @@ class PiecewisePoly:
         if abs(self.pieces[0].lo) > 1e-14 or abs(self.pieces[-1].hi - self.length) > 1e-12:
             raise DimensionMismatch("pieces must span [0, length]")
 
-    @classmethod
-    def constant(cls, length: float, value: float) -> "PiecewisePoly":
-        return cls(length, (PolynomialPiece(0.0, length, np.array([value])),))
-
     def piece_index(self, x: np.ndarray) -> np.ndarray:
         uppers = np.array([p.hi for p in self.pieces])
         return np.minimum(
@@ -214,16 +210,8 @@ def _free_zone(arc, epsilon_n: float, delta_n: float) -> tuple[float, float]:
     return delta_n, arc.length
 
 
-def _check_level(epsilon_n: float, theta: float) -> None:
-    finite_above(epsilon_n, "epsilon_n")
-    finite_above(theta, "theta", 1.0)
-
-
-def smooth_bv(
-    v: PiecewiseConstantField,
-    net: StarNetwork,
-    epsilon_n: float,
-    theta: float = DEFAULT_THETA,
+def _smooth(
+    v: PiecewiseConstantField, net: StarNetwork, epsilon_n: float, delta_n: float
 ) -> tuple[PiecewisePoly, ...]:
     """Replace each jump by a cubic transition of width epsilon_n.
 
@@ -234,13 +222,6 @@ def smooth_bv(
     Raises WidthOverflow when a jump sits inside a reserved zone or no
     room is left for a transition.
     """
-    _check_level(epsilon_n, theta)
-    return _smooth(v, net, epsilon_n, epsilon_n**theta)
-
-
-def _smooth(
-    v: PiecewiseConstantField, net: StarNetwork, epsilon_n: float, delta_n: float
-) -> tuple[PiecewisePoly, ...]:
     if len(v.arcs) != net.m:
         raise DimensionMismatch(f"{len(v.arcs)} profiles for {net.m} arcs")
     half = epsilon_n / 2.0
@@ -303,13 +284,13 @@ def _hermite_tail(
     return np.array([c0, c1, c2, c3])
 
 
-def fit_node_polynomial(
+def _node_cubic(
     w: Sequence[PiecewisePoly],
     arc_id: int,
     net: StarNetwork,
-    K: CouplingMatrix,
+    alpha: np.ndarray,
     epsilon_n: float,
-    theta: float = DEFAULT_THETA,
+    delta_n: float,
 ) -> PolynomialPiece:
     """Cubic on the node-side interval enforcing the transmission slope.
 
@@ -319,19 +300,6 @@ def fit_node_polynomial(
     balance, so the assembled data satisfies the viscous node condition
     exactly.
     """
-    _check_level(epsilon_n, theta)
-    alpha = alpha_from_k(K)
-    return _node_cubic(w, arc_id, net, alpha, epsilon_n, epsilon_n**theta)
-
-
-def _node_cubic(
-    w: Sequence[PiecewisePoly],
-    arc_id: int,
-    net: StarNetwork,
-    alpha: np.ndarray,
-    epsilon_n: float,
-    delta_n: float,
-) -> PolynomialPiece:
     arc = net.arc(arc_id)
     if delta_n >= arc.length:
         raise WidthOverflow(
@@ -377,20 +345,12 @@ def fit_boundary_quadratic(
 class CompatibleData:
     """C^1 polynomial data admissible for the viscous problem.
 
-    arcs holds the assembled per-arc functions; core, node_cubics, and
-    boundary_quads keep the construction parts (boundary_quads entries
-    are None on outgoing arcs). The remaining fields are exact
-    diagnostics of the lemma-level properties.
+    arcs holds the assembled per-arc functions. The remaining fields are
+    exact diagnostics of the lemma-level properties.
     """
 
-    net: StarNetwork
     epsilon_n: float
-    theta: float
-    delta_n: float
     arcs: tuple[PiecewisePoly, ...]
-    core: tuple[PiecewisePoly, ...]
-    node_cubics: tuple[PolynomialPiece, ...]
-    boundary_quads: tuple[PolynomialPiece | None, ...]
     membership_residual: float
     boundary_defect: float
     junction_value_defect: float
@@ -426,7 +386,8 @@ def build_compatible(
     norm diagnostics. Raises WidthOverflow when the reserved intervals
     do not fit on an arc at this epsilon_n.
     """
-    _check_level(epsilon_n, theta)
+    finite_above(epsilon_n, "epsilon_n")
+    finite_above(theta, "theta", 1.0)
     bvals = finite_values(B, net.m)
     alpha = alpha_from_k(K)
     delta_n = epsilon_n**theta
@@ -443,19 +404,16 @@ def build_compatible(
     cubics = tuple(
         _node_cubic(core, i, net, alpha, epsilon_n, delta_n) for i in range(net.m)
     )
-    quads: list[PolynomialPiece | None] = []
     assembled = []
     for i, arc in enumerate(net.arcs):
         if arc.incoming:
             r = fit_boundary_quadratic(core[i], float(bvals[i]), epsilon_n)
-            quads.append(r)
             pieces = [
                 r,
                 *core[i].restricted(epsilon_n, arc.length - delta_n),
                 cubics[i],
             ]
         else:
-            quads.append(None)
             pieces = [cubics[i], *core[i].restricted(delta_n, arc.length)]
         assembled.append(PiecewisePoly(arc.length, tuple(pieces)))
 
@@ -492,14 +450,8 @@ def build_compatible(
         w21_norms[i] = assembled[i].w21_norm()
 
     return CompatibleData(
-        net=net,
         epsilon_n=epsilon_n,
-        theta=theta,
-        delta_n=delta_n,
         arcs=tuple(assembled),
-        core=core,
-        node_cubics=cubics,
-        boundary_quads=tuple(quads),
         membership_residual=float(membership),
         boundary_defect=float(boundary_defect),
         junction_value_defect=float(jv),

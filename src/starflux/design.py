@@ -22,7 +22,6 @@ from .errors import (
     InfeasibleTheta,
     InvalidGamma,
     NoConvergence,
-    finite_above,
 )
 from .network import CouplingMatrix, StarNetwork
 
@@ -111,16 +110,16 @@ def design_proportional(
 
 
 def design_two_outgoing(
-    net: StarNetwork, target: TwoOutTarget, k_init: float = 1.0
+    net: StarNetwork, target: TwoOutTarget
 ) -> CouplingMatrix:
     """Coupling realizing per-incoming split fractions over two outgoing arcs.
 
     With the coupling to the second outgoing arc frozen at a trial value
     k, the fractions demand that the couplings to the first arc satisfy a
     linear system in the auxiliary variables X_j = K_j1 / (k + K_j1).
-    The system is solved exactly; if any X_j falls outside (0, 1) the
-    trial k is halved and the solve repeated. Raises NoConvergence when
-    k underflows without an admissible solution.
+    The system is solved exactly, first with k = 1; if any X_j falls
+    outside (0, 1) the trial k is halved and the solve repeated. Raises
+    NoConvergence when k underflows without an admissible solution.
     """
     inc = net.incoming_ids
     out = net.outgoing_ids
@@ -137,12 +136,10 @@ def design_two_outgoing(
     lam1 = net.arc(h1).speed
     lam2 = net.arc(h2).speed
 
-    finite_above(k_init, "k_init", error=NoConvergence)
-
     # row j: k*(lam1 - g_j*(lam1+lam2))*sum(X) + lam1*lam2*X_j = lam1*lam2*g_j
     c = lam1 - g * (lam1 + lam2)
     rhs = lam1 * lam2 * g
-    k = float(k_init)
+    k = 1.0
     while k >= MIN_TRIAL_K:
         A = lam1 * lam2 * np.eye(g.size) + k * np.outer(c, np.ones(g.size))
         try:

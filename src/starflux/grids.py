@@ -20,6 +20,8 @@ from .network import StarNetwork
 
 #: smallest admissible number of cells per arc
 MIN_CELLS = 4
+#: largest number of cells per arc; finer targets are clipped to it
+MAX_CELLS = 10**6
 
 
 @dataclass(frozen=True)
@@ -62,14 +64,13 @@ def make_grid(
     h: float | None = None,
     epsilon: float | None = None,
     rule_constant: float = 8.0,
-    max_cells: int = 10**6,
 ) -> Grid:
     """Build per-arc grids from a target spacing or a viscosity rule.
 
     Exactly one of ``h`` and ``epsilon`` must be given; with ``epsilon``
     the target spacing is epsilon / rule_constant, which resolves the
     boundary layer as long as rule_constant >= 4. Cell counts are
-    rounded up, clipped to [MIN_CELLS, max_cells], and the spacing is
+    rounded up, clipped to [MIN_CELLS, MAX_CELLS], and the spacing is
     recomputed so cells exactly tile each arc.
     """
     if (h is None) == (epsilon is None):
@@ -84,7 +85,7 @@ def make_grid(
     spacings = []
     for arc in net.arcs:
         n = int(np.ceil(arc.length / h))
-        n = min(max(n, MIN_CELLS), max_cells)
+        n = min(max(n, MIN_CELLS), MAX_CELLS)
         cells.append(n)
         spacings.append(arc.length / n)
     return Grid(cells=tuple(cells), spacings=tuple(spacings))
@@ -116,12 +117,6 @@ class DiscreteState:
 
     def min_value(self) -> float:
         return float(np.min(self.flat))
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.flat)))
-
-    def is_finite(self) -> bool:
-        return bool(np.isfinite(self.flat).all())
 
 
 def new_state(

@@ -122,6 +122,8 @@ class TraceSignal:
             raise DimensionMismatch(
                 f"{b.size} breakpoints need {b.size + 1} values, got {v.size}"
             )
+        if not (np.all(np.isfinite(b)) and np.all(np.isfinite(v))):
+            raise DimensionMismatch("signal entries must be finite")
         if b.size and (np.any(b <= 0.0) or np.any(np.diff(b) <= 0.0)):
             raise DimensionMismatch("signal breakpoints must be positive increasing")
         b.flags.writeable = False
@@ -229,7 +231,8 @@ def solve_exact(
     gamma is the (outgoing x incoming) transmission matrix; B holds the
     inflow values indexed by arc id (entries for outgoing arcs are
     ignored here, the outflow end needs no condition). Raises
-    InvalidGamma for negative entries or column sums away from one.
+    InvalidGamma for non-finite or negative entries or column sums away
+    from one.
     """
     g = np.asarray(gamma, dtype=float)
     n_out, n_inc = len(net.outgoing_ids), len(net.incoming_ids)
@@ -237,6 +240,8 @@ def solve_exact(
         raise DimensionMismatch(
             f"gamma shape {g.shape}, expected {(n_out, n_inc)}"
         )
+    if not np.all(np.isfinite(g)):
+        raise InvalidGamma("transmission weights must be finite")
     if float(np.min(g, initial=0.0)) < -1e-12:
         raise InvalidGamma("transmission weights must be nonnegative")
     if float(np.max(np.abs(g.sum(axis=0) - 1.0), initial=0.0)) > GAMMA_INPUT_TOL:

@@ -96,9 +96,6 @@ class StarNetwork:
     def speeds(self) -> np.ndarray:
         return np.array([a.speed for a in self.arcs])
 
-    def lengths(self) -> np.ndarray:
-        return np.array([a.length for a in self.arcs])
-
 
 def build_network(arc_specs: Iterable[Sequence[object]]) -> StarNetwork:
     """Assemble a validated StarNetwork from (length, speed, orientation) triples.
@@ -217,14 +214,6 @@ class AssumptionReport:
     holds_incoming_linked: bool
     holds_outgoing_linked: bool
     messages: tuple[str, ...] = ()
-
-    @property
-    def all_hold(self) -> bool:
-        return (
-            self.holds_sign_symmetry
-            and self.holds_incoming_linked
-            and self.holds_outgoing_linked
-        )
 
 
 def validate_assumptions(net: StarNetwork, K: CouplingMatrix) -> AssumptionReport:

@@ -2,9 +2,7 @@
 
 from .evolve import (
     COMPATIBILITY_WARN_TOL,
-    ContractionReport,
     ParabolicTrajectory,
-    discrete_l1_contraction_probe,
     march_to_steady,
     solve_parabolic,
 )

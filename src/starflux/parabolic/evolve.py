@@ -33,28 +33,32 @@ from .scheme import (
 #: much before a warning is issued
 COMPATIBILITY_WARN_TOL = 1e-8
 
+#: the steady march stops once its step-to-step L1 change per unit time
+#: falls to this
+STEADY_TOL = 1e-10
+#: steps the steady march may take before it gives up
+STEADY_MAX_STEPS = 10000
+
 
 @dataclass(frozen=True)
 class ParabolicTrajectory:
-    """March output: recorded states and per-step diagnostics.
+    """March output: the marched endpoints and per-step diagnostics.
 
+    initial is the state the march started from: the data after the
+    inflow values were imposed and the junction values projected, so
+    it records that repair. final is the state at the horizon.
     diagnostics rows are (t, l1_norm, min_value, flux_residual), one for
-    the initial state and one after every step. states holds snapshots
-    at the recording stride plus the final state. node_history row k
+    the initial state and one after every step. node_history row k
     gives each arc's junction-end value at diagnostics time k, so the
-    junction trace survives even when intermediate states are dropped.
+    junction trace survives although intermediate states are dropped.
     """
 
-    states: tuple[DiscreteState, ...]
+    initial: DiscreteState
+    final: DiscreteState
     diagnostics: np.ndarray
     node_history: np.ndarray
     grid: Grid
-    cfg: SolverConfig
     operator: StepOperator
-
-    @property
-    def final(self) -> DiscreteState:
-        return self.states[-1]
 
 
 def _initial_state(
@@ -85,20 +89,16 @@ def solve_parabolic(
     u0_eps: "DiscreteState | PiecewiseConstantField | Sequence",
     B: Sequence[float],
     cfg: SolverConfig,
-    grid: Grid | None = None,
-    record_every: int = 0,
 ) -> ParabolicTrajectory:
     """March the viscous problem from u0_eps to time T.
 
-    The initial data may be a discrete state or anything samplable per
-    arc. Its defect against the discrete node conditions is measured and
-    warned about beyond COMPATIBILITY_WARN_TOL; the junction values are
-    then projected so the algebraic node rows hold from step zero.
-    record_every=k keeps every k-th state (0 keeps only the first and
-    last).
+    The grid follows cfg's rule h = epsilon/h_rule. The initial data may
+    be a state on that grid or anything samplable per arc. Its defect
+    against the discrete node conditions is measured and warned about
+    beyond COMPATIBILITY_WARN_TOL; the junction values are then
+    projected so the algebraic node rows hold from step zero.
     """
-    if grid is None:
-        grid = make_grid(net, epsilon=cfg.epsilon, rule_constant=cfg.h_rule)
+    grid = make_grid(net, epsilon=cfg.epsilon, rule_constant=cfg.h_rule)
     bvals = finite_values(B, net.m)
 
     # snap the step so the march lands exactly on the horizon
@@ -117,15 +117,14 @@ def solve_parabolic(
             f"{defect:.3e}",
             UserWarning,
         )
-    state = project_node_values(state, op)
+    state = initial = project_node_values(state, op)
 
     node = op.stencil.node
     diag_rows = [
         (state.t, discrete_l1_norm(state, grid), state.min_value(), flux_residual(state, op))
     ]
     node_rows = [state.flat[node]]
-    recorded = [state]
-    for n in range(1, n_steps + 1):
+    for _ in range(n_steps):
         state = step(state, op)
         diag_rows.append(
             (
@@ -136,16 +135,13 @@ def solve_parabolic(
             )
         )
         node_rows.append(state.flat[node])
-        if record_every and n % record_every == 0 and n < n_steps:
-            recorded.append(state)
-    recorded.append(state)
 
     return ParabolicTrajectory(
-        states=tuple(recorded),
+        initial=initial,
+        final=state,
         diagnostics=np.asarray(diag_rows),
         node_history=np.asarray(node_rows),
         grid=grid,
-        cfg=cfg,
         operator=op,
     )
 
@@ -158,66 +154,33 @@ def march_to_steady(
     theta: float,
     f: PiecewiseConstantField,
     boundary: Sequence[float],
-    dt: float | None = None,
-    tol: float = 1e-10,
-    max_steps: int = 10000,
 ) -> DiscreteState:
     """Fixed point of the reaction-augmented march.
 
     The steady state satisfies u - theta*(eps*u'' - speed*u') = f in the
     discrete sense, with Dirichlet values ``boundary`` at the outer ends
-    and the viscous node coupling at the junction. The step size only
-    controls how fast the iteration contracts, not the answer; marching
-    stops once the step-to-step change per unit time drops below tol.
+    and the viscous node coupling at the junction. The step, 10*theta,
+    only controls how fast the iteration contracts, not the answer;
+    marching stops once the step-to-step change per unit time drops
+    below STEADY_TOL.
     """
-    finite_above(theta, "theta")
+    dt = 10.0 * finite_above(theta, "theta")
     bvals = finite_values(boundary, net.m)
-    dt = 10.0 * theta if dt is None else dt
 
     cfg = SolverConfig(epsilon=epsilon, T=dt, dt=dt)
-    op = assemble_step_operator(
-        net, K, cfg, grid, reaction=1.0 / theta, forcing=f, forcing_scale=1.0 / theta
-    )
+    op = assemble_step_operator(net, K, cfg, grid, reaction=1.0 / theta, forcing=f)
 
     flat = np.zeros(op.size)
     flat[op.outer] = bvals
     state = project_node_values(adopt_state(grid, flat, 0.0), op)
 
-    for _ in range(max_steps):
+    for _ in range(STEADY_MAX_STEPS):
         nxt = step(state, op)
         gap = discrete_l1_norm(adopt_state(grid, nxt.flat - state.flat, nxt.t), grid)
         state = nxt
-        if gap / dt <= tol:
+        if gap / dt <= STEADY_TOL:
             return state
     raise NoConvergence(
-        f"steady march did not settle within {max_steps} steps"
+        f"steady march did not settle within {STEADY_MAX_STEPS} steps"
     )
 
-
-@dataclass(frozen=True)
-class ContractionReport:
-    """L1 norms along a trajectory and the worst step-to-step growth."""
-
-    norms: np.ndarray
-    max_growth: float
-    nonexpansive_within: float
-
-    def is_nonexpansive(self, slack: float = 1e-10) -> bool:
-        return self.max_growth <= slack
-
-
-def discrete_l1_contraction_probe(trajectory: ParabolicTrajectory) -> ContractionReport:
-    """Check the L1 norm never grows along the recorded diagnostics.
-
-    Uses the per-step diagnostic norms; max_growth is the largest
-    increase between consecutive steps (negative when strictly
-    decreasing throughout).
-    """
-    norms = trajectory.diagnostics[:, 1]
-    diffs = np.diff(norms)
-    max_growth = float(np.max(diffs, initial=-np.inf))
-    return ContractionReport(
-        norms=norms,
-        max_growth=max_growth,
-        nonexpansive_within=max(0.0, max_growth),
-    )

@@ -30,6 +30,9 @@ from ..grids import DiscreteState, Grid
 from ..hyperbolic import ArcProfile, PiecewiseConstantField
 from ..network import CouplingMatrix, StarNetwork, alpha_from_k
 
+#: midpoint samples per arc at which residual_report checks the equation
+RESIDUAL_SAMPLES = 400
+
 
 @dataclass(frozen=True)
 class ResolventProblem:
@@ -60,7 +63,6 @@ class _ArcSolution:
     to the left end and d to the right end.
     """
 
-    incoming: bool
     speed: float
     length: float
     a1: float
@@ -69,11 +71,6 @@ class _ArcSolution:
     g: np.ndarray  # -f_r / (theta*eps) per piece
     c: float
     d: float
-
-    @property
-    def node_x(self) -> float:
-        """Coordinate of the junction end: L on incoming arcs, 0 outgoing."""
-        return self.length if self.incoming else 0.0
 
     def _convolutions(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """One-sided mode integrals I1 (left, decaying) and I2 (right).
@@ -181,45 +178,37 @@ class ResolventSolution:
     ) -> np.ndarray | float:
         return self.arcs[arc_id].evaluate(x, order)
 
-    def _flux(self, arc: _ArcSolution, v: float, dv: float) -> float:
-        return float(arc.speed * v - self.epsilon * dv)
-
-    def node_flux(self, arc_id: int) -> float:
-        """speed*v - eps*v' at this arc's junction end."""
-        arc = self.arcs[arc_id]
-        v, dv, _ = arc.derivatives(np.array([arc.node_x]))[:, 0]
-        return self._flux(arc, v, dv)
-
-    def residual_report(self, samples_per_arc: int = 400) -> ResidualReport:
+    def residual_report(self) -> ResidualReport:
         """Worst defects of the equation, the outer ends and the junction.
 
-        Each arc is evaluated once, at its samples plus its node and
-        outer ends, and every check reads that one (v, v', v'') result.
+        Each arc is evaluated once, at RESIDUAL_SAMPLES midpoints plus
+        its node and outer ends, and every check reads that one
+        (v, v', v'') result.
         """
-        n = samples_per_arc
+        n = RESIDUAL_SAMPLES
         m = len(self.arcs)
-        node_v, node_dv, outer_v = np.empty(m), np.empty(m), np.empty(m)
+        node_v, node_flux, outer_v = np.empty(m), np.empty(m), np.empty(m)
         ode_max = 0.0
-        for i, arc in enumerate(self.arcs):
+        for i, (arc, edge) in enumerate(zip(self.arcs, self.net.arcs)):
             xs = (np.arange(n) + 0.5) * (arc.length / n)
-            outer = 0.0 if arc.incoming else arc.length
-            v, dv, ddv = arc.derivatives(np.append(xs, [arc.node_x, outer]))
+            ends = [edge.node_position, edge.outer_position]
+            v, dv, ddv = arc.derivatives(np.append(xs, ends))
             fvals = self.problem.f.arcs[i].evaluate(xs)
             resid = (
                 v[:n] - self.theta * (self.epsilon * ddv[:n] - arc.speed * dv[:n])
                 - fvals
             )
             ode_max = max(ode_max, float(np.max(np.abs(resid))))
-            node_v[i], node_dv[i], outer_v[i] = v[n], dv[n], v[n + 1]
+            node_v[i], outer_v[i] = v[n], v[n + 1]
+            # speed*v - eps*v' at the junction end
+            node_flux[i] = arc.speed * v[n] - self.epsilon * dv[n]
 
         dir_max = 0.0
         node_max = 0.0
-        for i, arc in enumerate(self.arcs):
+        for i, edge in enumerate(self.net.arcs):
             dir_max = max(dir_max, abs(outer_v[i] - self.problem.boundary[i]))
-            beta = 1.0 if arc.incoming else -1.0
-            defect = beta * self._flux(arc, node_v[i], node_dv[i]) - float(
-                self.alpha[i] @ node_v
-            )
+            beta = 1.0 if edge.incoming else -1.0
+            defect = beta * node_flux[i] - float(self.alpha[i] @ node_v)
             node_max = max(node_max, abs(defect))
 
         scale = max(
@@ -295,7 +284,6 @@ def solve_resolvent(
     probes = []
     for i, arc in enumerate(net.arcs):
         probe = _ArcSolution(
-            incoming=arc.incoming,
             speed=arc.speed,
             length=arc.length,
             a1=a1[i],

@@ -272,13 +272,12 @@ def assemble_step_operator(
     grid: Grid,
     reaction: float = 0.0,
     forcing: PiecewiseConstantField | None = None,
-    forcing_scale: float = 1.0,
 ) -> StepOperator:
     """Build and factorize the implicit step matrix.
 
     ``reaction`` adds a zeroth-order term to the interior rows and
-    ``forcing`` a time-independent source (scaled by forcing_scale),
-    which is how steady problems are marched. Warns UnstableConfig when
+    ``forcing`` the time-independent source reaction*forcing, which is
+    how steady problems are marched. Warns UnstableConfig when
     any spacing exceeds epsilon/2, the point where the boundary layer
     is no longer resolved.
     """
@@ -323,7 +322,7 @@ def assemble_step_operator(
         ]
         rhs_scale[r] = 1.0 / dt
         if forcing is not None:
-            forcing_vec[r] = forcing_scale * forcing.arcs[i].evaluate(k * h)
+            forcing_vec[r] = reaction * forcing.arcs[i].evaluate(k * h)
 
     # outer ends: identity rows, so the Dirichlet values persist
     incoming = [arc.incoming for arc in net.arcs]

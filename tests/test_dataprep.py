@@ -7,24 +7,35 @@ import pytest
 
 from conftest import simple_star
 from starflux import (
+    DEFAULT_THETA,
     ArcProfile,
     CouplingMatrix,
     PiecewiseConstantField,
     PiecewisePoly,
     PolynomialPiece,
     WidthOverflow,
+    alpha_from_k,
     build_compatible,
     fit_boundary_quadratic,
-    fit_node_polynomial,
     l1_distance_to_profile,
-    smooth_bv,
 )
+from starflux.dataprep import _node_cubic, _smooth
 
 
 def pair_net(k=0.7, lam=(1.0, 2.0)):
     net = simple_star([lam[0]], [lam[1]])
     K = CouplingMatrix.from_array([[0.0, k], [k, 0.0]], net)
     return net, K
+
+
+def smoothed_core(v, net, eps):
+    """The smoothed core build_compatible starts from, at the default theta."""
+    return _smooth(v, net, eps, eps**DEFAULT_THETA)
+
+
+def unit_poly(value):
+    """The constant ``value`` on [0, 1]."""
+    return PiecewisePoly(1.0, (PolynomialPiece(0.0, 1.0, np.array([value])),))
 
 
 def one_jump_field(net, jump_at=0.5, low=0.0, high=1.0, out_value=0.4):
@@ -67,7 +78,7 @@ def test_smoothing_norms_for_single_jump():
     net, _ = pair_net()
     v = one_jump_field(net)
     eps = 0.125
-    w = smooth_bv(v, net, eps)
+    w = smoothed_core(v, net, eps)
     # derivative mass equals the jump height exactly
     assert w[0].l1_norm(1) == pytest.approx(1.0, abs=1e-13)
     assert w[1].l1_norm(1) == 0.0
@@ -76,7 +87,7 @@ def test_smoothing_norms_for_single_jump():
     # the scaled curvature is n-independent for jump data
     for n in (4, 6, 8):
         eps_n = 2.0**-n
-        wn = smooth_bv(v, net, eps_n)
+        wn = smoothed_core(v, net, eps_n)
         assert eps_n * wn[0].l1_norm(2) == pytest.approx(3.0, abs=1e-10)
 
 
@@ -85,7 +96,7 @@ def test_smoothing_l1_gap_matches_hand_integral():
     net, _ = pair_net()
     v = one_jump_field(net)
     eps = 0.125
-    w = smooth_bv(v, net, eps)
+    w = smoothed_core(v, net, eps)
     assert l1_distance_to_profile(w[0], v.arcs[0]) == pytest.approx(
         3.0 / 16.0 * eps, abs=1e-13
     )
@@ -95,7 +106,7 @@ def test_smoothing_l1_gap_matches_hand_integral():
 def test_smoothing_keeps_constants_exact():
     net, _ = pair_net()
     v = PiecewiseConstantField.constant(net, [2.5, -1.0])
-    w = smooth_bv(v, net, 0.125)
+    w = smoothed_core(v, net, 0.125)
     xs = np.linspace(0.0, 1.0, 11)
     np.testing.assert_allclose(w[0].evaluate(xs), 2.5)
     np.testing.assert_allclose(w[1].evaluate(xs), -1.0)
@@ -108,7 +119,7 @@ def test_jump_in_reserved_zone_is_rejected():
     # inflow zone of the incoming arc is [0, eps]
     v = one_jump_field(net, jump_at=0.05)
     with pytest.raises(WidthOverflow):
-        smooth_bv(v, net, eps)
+        smoothed_core(v, net, eps)
     # node zone of the outgoing arc is [0, delta]
     v2 = PiecewiseConstantField(
         (
@@ -117,7 +128,7 @@ def test_jump_in_reserved_zone_is_rejected():
         )
     )
     with pytest.raises(WidthOverflow):
-        smooth_bv(v2, net, eps)
+        smoothed_core(v2, net, eps)
 
 
 def test_reserved_intervals_must_fit_the_arc():
@@ -129,7 +140,7 @@ def test_reserved_intervals_must_fit_the_arc():
 
 def test_boundary_quadratic_frozen_coefficients():
     """B=0 against a unit core over width 1/4: r = 8x - 16x^2."""
-    w = PiecewisePoly.constant(1.0, 1.0)
+    w = unit_poly(1.0)
     r = fit_boundary_quadratic(w, 0.0, 0.25)
     np.testing.assert_allclose(r.coeffs, [0.0, 8.0, -16.0])
     assert r.evaluate(0.25) == pytest.approx(1.0)
@@ -140,7 +151,7 @@ def test_boundary_quadratic_frozen_coefficients():
 
 
 def test_boundary_quadratic_degenerates_to_constant():
-    w = PiecewisePoly.constant(1.0, 0.7)
+    w = unit_poly(0.7)
     r = fit_boundary_quadratic(w, 0.7, 0.25)
     np.testing.assert_allclose(r.coeffs, [0.7, 0.0, 0.0], atol=1e-15)
 
@@ -148,16 +159,16 @@ def test_boundary_quadratic_degenerates_to_constant():
 def test_node_cubic_slope_for_constant_data():
     """Constant data c: the coupling sum cancels, node slope is lam*c/eps."""
     net, K = pair_net(k=0.7, lam=(1.0, 2.0))
-    w = (PiecewisePoly.constant(1.0, 1.0), PiecewisePoly.constant(1.0, 1.0))
+    w = (unit_poly(1.0), unit_poly(1.0))
     eps = 0.1
-    p_in = fit_node_polynomial(w, 0, net, K, eps)
+    alpha, delta = alpha_from_k(K), eps**1.5
+    p_in = _node_cubic(w, 0, net, alpha, eps, delta)
     assert p_in.evaluate(1.0) == pytest.approx(1.0)
     assert p_in.evaluate(1.0, 1) == pytest.approx(1.0 / eps)
-    p_out = fit_node_polynomial(w, 1, net, K, eps)
+    p_out = _node_cubic(w, 1, net, alpha, eps, delta)
     assert p_out.evaluate(0.0) == pytest.approx(1.0)
     assert p_out.evaluate(0.0, 1) == pytest.approx(2.0 / eps)
     # both cubics blend back to the core at the interior joint
-    delta = eps**1.5
     assert p_in.evaluate(1.0 - delta) == pytest.approx(1.0)
     assert p_in.evaluate(1.0 - delta, 1) == pytest.approx(0.0, abs=1e-9)
     assert p_out.evaluate(delta) == pytest.approx(1.0)
@@ -225,7 +236,7 @@ def test_compatible_data_feeds_the_grid_sampler():
     cd = build_compatible(v, [0.0, 0.0], net, K, epsilon_n=0.125)
     grid = make_grid(net, epsilon=0.125)
     state = sample_on_grid(cd.arcs, grid)
-    assert state.is_finite()
+    assert np.isfinite(state.flat).all()
     # data compatible in the continuous sense still misses the one-sided
     # discrete node rows by an O(h)-consistency amount, which the solver
     # reports and projects away
@@ -233,4 +244,4 @@ def test_compatible_data_feeds_the_grid_sampler():
         traj = solve_parabolic(
             net, K, cd.arcs, [0.0, 0.0], SolverConfig(epsilon=0.125, T=0.05)
         )
-    assert traj.final.is_finite()
+    assert np.isfinite(traj.final.flat).all()

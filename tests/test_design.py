@@ -9,7 +9,6 @@ from conftest import simple_star
 from starflux import (
     DimensionMismatch,
     InvalidGamma,
-    NoConvergence,
     ProportionalTarget,
     TwoOutTarget,
     compute_gamma,
@@ -70,7 +69,7 @@ def test_design_two_outgoing_degenerate_coefficient():
     is exactly a third of the trial value.
     """
     net = simple_star([1.0], [1.0, 3.0])
-    K = design_two_outgoing(net, TwoOutTarget((0.25,)), k_init=1.0)
+    K = design_two_outgoing(net, TwoOutTarget((0.25,)))
     assert K.k[0, 2] == pytest.approx(1.0, abs=1e-15)
     assert K.k[0, 1] == pytest.approx(1.0 / 3.0, rel=1e-12)
     ts = compute_gamma(net, K)
@@ -92,7 +91,7 @@ def test_design_two_outgoing_halves_until_admissible():
     """A lopsided target forces several halvings before X lands in (0,1)."""
     net = simple_star([1.0, 1.0], [1.0, 1.0])
     target = TwoOutTarget((0.9, 0.1))
-    K = design_two_outgoing(net, target, k_init=1.0)
+    K = design_two_outgoing(net, target)
     # the shared coupling is the halved trial value
     assert K.k[0, 3] == K.k[1, 3]
     assert K.k[0, 3] <= 0.1251
@@ -117,8 +116,5 @@ def test_design_two_outgoing_validation():
     net3 = simple_star([1.0], [1.0, 1.0, 1.0])
     with pytest.raises(DimensionMismatch):
         design_two_outgoing(net3, TwoOutTarget((0.5,)))
-    net = simple_star([1.0], [1.0, 1.0])
     with pytest.raises(InvalidGamma):
         TwoOutTarget((1.5,))
-    with pytest.raises(NoConvergence):
-        design_two_outgoing(net, TwoOutTarget((0.5,)), k_init=0.0)

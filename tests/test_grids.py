@@ -75,8 +75,6 @@ def test_reductions_match_the_per_arc_formulas():
     arrays = [rng.uniform(-1.0, 1.0, n + 1) for n in grid.cells]
     state = new_state(grid, arrays)
     assert state.min_value() == min(float(np.min(a)) for a in arrays)
-    assert state.max_abs() == max(float(np.max(np.abs(a))) for a in arrays)
-    assert state.is_finite()
     trapezoid = sum(
         h * (0.5 * abs(a[0]) + np.sum(np.abs(a[1:-1])) + 0.5 * abs(a[-1]))
         for a, h in zip(arrays, grid.spacings)

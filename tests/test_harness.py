@@ -73,8 +73,8 @@ def hand_trajectory(step_times, outgoing_values) -> ParabolicTrajectory:
     history = np.zeros((times.size, 2))
     history[:, 1] = outgoing_values
     return ParabolicTrajectory(
-        states=(), diagnostics=diagnostics, node_history=history,
-        grid=None, cfg=None, operator=None,
+        initial=None, final=None, diagnostics=diagnostics,
+        node_history=history, grid=None, operator=None,
     )
 
 

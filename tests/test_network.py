@@ -131,7 +131,6 @@ def test_validate_assumptions_all_hold():
     assert report.holds_sign_symmetry
     assert report.holds_incoming_linked
     assert report.holds_outgoing_linked
-    assert report.all_hold
     assert report.messages == ()
 
 
@@ -145,7 +144,6 @@ def test_validate_assumptions_flags_unlinked_sides():
     assert report.holds_sign_symmetry
     assert not report.holds_incoming_linked
     assert report.holds_outgoing_linked
-    assert not report.all_hold
 
     # outgoing arc 2 isolated instead
     net2 = simple_star([1.0], [1.0, 1.0])

@@ -19,7 +19,6 @@ from starflux import (
     UnstableConfig,
     assemble_step_operator,
     compatibility_residual,
-    discrete_l1_contraction_probe,
     discrete_l1_norm,
     flux_residual,
     make_grid,
@@ -194,9 +193,9 @@ def test_solve_parabolic_zero_boundary_pulse_contracts():
     )
     cfg = SolverConfig(epsilon=0.4, T=0.5, dt=0.01)
     traj = solve_parabolic(net, K, u0, [0.0, 0.0], cfg)
-    probe = discrete_l1_contraction_probe(traj)
-    assert probe.is_nonexpansive(1e-10)
-    assert probe.norms[0] > probe.norms[-1]
+    norms = traj.diagnostics[:, 1]
+    assert np.max(np.diff(norms)) <= 1e-10
+    assert norms[0] > norms[-1]
     assert traj.diagnostics.shape[1] == 4
     # every per-step junction residual is at solver precision
     assert np.max(np.abs(traj.diagnostics[:, 3])) <= 1e-10
@@ -208,7 +207,7 @@ def test_solve_parabolic_zero_state_stays_zero():
     traj = solve_parabolic(
         net, K, PiecewiseConstantField.constant(net, [0.0, 0.0]), [0.0, 0.0], cfg
     )
-    assert traj.final.max_abs() == 0.0
+    assert not np.any(traj.final.flat)
 
 
 def test_solve_parabolic_diagnostics_align_with_norm():
@@ -220,9 +219,8 @@ def test_solve_parabolic_diagnostics_align_with_norm():
     # the solver reports before projecting it away
     with pytest.warns(UserWarning, match="node conditions"):
         traj = solve_parabolic(net, K, u0, [1.0, 1.0, 0.0, 0.0], cfg)
-    state0 = traj.states[0]
     assert traj.diagnostics[0, 1] == pytest.approx(
-        discrete_l1_norm(state0, traj.grid)
+        discrete_l1_norm(traj.initial, traj.grid)
     )
     assert traj.final.t == pytest.approx(0.1)
 
@@ -289,12 +287,14 @@ def test_march_diagnostics_match_per_arc_formulas(seed, m):
     u0 = resolvent_forcing_field(net, rng)
     B = rng.uniform(0.0, 2.0, net.m)
     cfg = SolverConfig(epsilon=eps, T=0.05)
-    traj = solve_parabolic(net, K, u0, B, cfg, record_every=1)
+    traj = solve_parabolic(net, K, u0, B, cfg)
     grid = traj.grid
-    assert len(traj.states) == traj.diagnostics.shape[0]
 
-    for k, state in enumerate(traj.states):
-        t, l1, low, flux = traj.diagnostics[k]
+    # re-march the recorded start on the recorded operator
+    state = traj.initial
+    for k, (t, l1, low, flux) in enumerate(traj.diagnostics):
+        if k:
+            state = step(state, traj.operator)
         assert t == state.t
         assert low == min(float(np.min(v)) for v in state.values)
         assert flux == loop_flux_residual(state, net, grid, eps)
@@ -305,6 +305,8 @@ def test_march_diagnostics_match_per_arc_formulas(seed, m):
             a = np.abs(vals)
             per_arc += h * (0.5 * a[0] + np.sum(a[1:-1]) + 0.5 * a[-1])
         assert abs(l1 - per_arc) <= 4 * np.finfo(float).eps * per_arc
+    assert state.t == traj.final.t
+    assert state.flat.tobytes() == traj.final.flat.tobytes()
 
 
 @pytest.mark.filterwarnings("ignore:initial data violates")
@@ -316,8 +318,8 @@ def test_outer_values_persist_bitwise(seed, m):
     net = random_network(rng, m_min=m, m_max=m)
     K = random_coupling(rng, net)
     eps = float(rng.uniform(0.3, 1.0))
-    lam_max = float(np.max(net.speeds()))
-    grid = make_grid(net, h=eps / (8.0 * max(1.0, lam_max)))
+    h_rule = 8.0 * max(1.0, float(np.max(net.speeds())))
+    grid = make_grid(net, epsilon=eps, rule_constant=h_rule)
     op = assemble_step_operator(net, K, SolverConfig(eps, 1.0, 0.01), grid)
     state = new_state(grid, [rng.uniform(0.0, 2.0, n + 1) for n in grid.cells])
     assert step(state, op).flat[op.outer].tolist() == state.flat[op.outer].tolist()
@@ -326,7 +328,7 @@ def test_outer_values_persist_bitwise(seed, m):
     flat = state.flat.copy()
     flat[op.outer] = B
     u0 = new_state(grid, [flat[a:b] for a, b in zip(grid.offsets, grid.offsets[1:])])
-    traj = solve_parabolic(net, K, u0, B, SolverConfig(eps, 0.05), grid=grid)
+    traj = solve_parabolic(net, K, u0, B, SolverConfig(eps, 0.05, 0.01, h_rule))
     assert traj.diagnostics.shape[0] > 2
     assert traj.final.flat[traj.operator.outer].tolist() == B.tolist()
 
@@ -359,7 +361,7 @@ def test_arc_junction_lu_matches_dense_solve(seed, m, coarse, steady):
         theta = float(rng.uniform(0.1, 2.0))
         op = assemble_step_operator(
             net, K, SolverConfig(eps, dt, dt), grid, reaction=1.0 / theta,
-            forcing=resolvent_forcing_field(net, rng), forcing_scale=1.0 / theta,
+            forcing=resolvent_forcing_field(net, rng),
         )
     else:
         op = assemble_step_operator(net, K, SolverConfig(eps, 1.0, dt), grid)
@@ -387,3 +389,36 @@ def test_arc_junction_lu_rejects_singular_systems():
     mute = dataclasses.replace(op.stencil, block=np.zeros((2, 2)), eh=np.zeros(2))
     with pytest.raises(LinearSolveFailure, match="Schur complement is singular"):
         ArcJunctionLU.factor(op.matrix, mute, op.outer)
+
+
+@pytest.mark.filterwarnings("ignore:initial data violates")
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: the incoming node row is not conservative, and "
+    "on some stars the step map has spectral radius above 1",
+)
+def test_march_stays_nonnegative_and_bounded_on_random_stars():
+    """A pulse with zero inflow stays nonnegative and its L1 norm bounded.
+
+    One seeded loop, not a property test, so that the expected failure
+    leaves no example database or patch files behind.
+    """
+    failures = []
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        m = 2 + seed % 7
+        net = random_network(rng, m_min=m, m_max=m)
+        K = random_coupling(rng, net)
+        eps = float(rng.uniform(0.3, 1.0))
+        u0 = PiecewiseConstantField(
+            tuple(
+                ArcProfile.from_lists(L, [0.2 * L, 0.8 * L], [0.0, 1.0, 0.0])
+                for L in (arc.length for arc in net.arcs)
+            )
+        )
+        traj = solve_parabolic(net, K, u0, np.zeros(m), SolverConfig(eps, 0.1))
+        norms = traj.diagnostics[:, 1]
+        low = float(np.min(traj.diagnostics[:, 2]))
+        if low < -1e-10 or np.max(norms) > 2.0 * norms[0]:
+            failures.append((seed, low, float(np.max(norms) / norms[0])))
+    assert not failures, f"{len(failures)} of 60 stars: {failures}"

@@ -14,13 +14,16 @@ from starflux import (
     NonPositiveParameter,
     PiecewiseConstantField,
     ResolventProblem,
+    SolverConfig,
+    assemble_step_operator,
     l1_error_against_state,
     make_grid,
     march_to_steady,
     resolvent_forcing_field,
     solve_resolvent,
+    step,
 )
-from starflux.parabolic.resolvent import _ArcSolution
+from starflux.parabolic.resolvent import RESIDUAL_SAMPLES, _ArcSolution
 
 
 def pair_problem(theta=0.8, boundary=(0.7, 0.3), seed=11):
@@ -84,10 +87,11 @@ def test_signed_node_fluxes_cancel():
         [0.4, -0.2, 0.9, 0.1],
     )
     sol = solve_resolvent(net, K, 0.3, prob)
-    signed = sum(
-        (1.0 if net.arc(i).incoming else -1.0) * sol.node_flux(i)
-        for i in range(net.m)
-    )
+    signed = 0.0
+    for arc, edge in zip(sol.arcs, net.arcs):
+        v, dv, _ = arc.derivatives(np.array([edge.node_position]))[:, 0]
+        flux = arc.speed * v - sol.epsilon * dv
+        signed += flux if edge.incoming else -flux
     assert abs(signed) <= 1e-12
 
 
@@ -110,8 +114,8 @@ def test_each_arc_is_evaluated_in_one_pass(monkeypatch):
     sol = solve_resolvent(net, cross_ones_coupling(net), 0.3, prob)
     assert sizes == [2] * net.m
     sizes.clear()
-    sol.residual_report(samples_per_arc=50)
-    assert sizes == [52] * net.m
+    sol.residual_report()
+    assert sizes == [RESIDUAL_SAMPLES + 2] * net.m
 
 
 def test_stiff_viscosity_stays_accurate():
@@ -150,15 +154,17 @@ def test_march_fixed_point_matches_closed_form_at_first_order():
 
 
 def test_march_fixed_point_is_step_size_independent():
-    """Different relaxation steps settle on the same discrete answer."""
+    """The settled state is a fixed point of the steady step at any step size."""
     net, K, prob = pair_problem(seed=29)
     grid = make_grid(net, h=0.05)
-    a = march_to_steady(net, K, grid, 0.5, prob.theta, prob.f, prob.boundary, dt=8.0)
-    b = march_to_steady(net, K, grid, 0.5, prob.theta, prob.f, prob.boundary, dt=2.0)
-    gap = max(
-        float(np.max(np.abs(x - y))) for x, y in zip(a.values, b.values)
-    )
-    assert gap <= 1e-7
+    settled = march_to_steady(net, K, grid, 0.5, prob.theta, prob.f, prob.boundary)
+    for dt in (8.0, 2.0, 0.1):
+        op = assemble_step_operator(
+            net, K, SolverConfig(0.5, dt, dt), grid,
+            reaction=1.0 / prob.theta, forcing=prob.f,
+        )
+        moved = step(settled, op)
+        assert float(np.max(np.abs(moved.flat - settled.flat))) <= 1e-7, dt
 
 
 def test_resolvent_validation():
@@ -191,13 +197,12 @@ def random_solution(seed, m):
     return solve_resolvent(net, K, float(10.0 ** rng.uniform(-3.0, 0.0)), prob)
 
 
-def arc_points(arc, samples=24):
+def arc_points(arc, edge, samples=24):
     """Midpoint samples, points inside both end layers, node and outer end."""
     xs = (np.arange(samples) + 0.5) * (arc.length / samples)
     layer = np.array([0.5, 1.0, 2.0, 4.0]) / max(arc.a2, -arc.a1)
-    outer = 0.0 if arc.incoming else arc.length
     return np.concatenate(
-        [xs, layer, arc.length - layer, [arc.node_x, outer]]
+        [xs, layer, arc.length - layer, [edge.node_position, edge.outer_position]]
     ).clip(0.0, arc.length)
 
 
@@ -237,8 +242,8 @@ def test_one_pass_matches_scalar_and_per_piece_evaluation(seed, m):
     """
     sol = random_solution(seed, m)
     assert sol.residual_report().worst_scaled <= 1e-9
-    for i, arc in enumerate(sol.arcs):
-        xs = arc_points(arc)
+    for i, (arc, edge) in enumerate(zip(sol.arcs, sol.net.arcs)):
+        xs = arc_points(arc, edge)
         rows = arc.derivatives(xs)
         for order in range(3):
             scalar = np.array([sol.evaluate(i, float(x), order) for x in xs])
@@ -246,8 +251,6 @@ def test_one_pass_matches_scalar_and_per_piece_evaluation(seed, m):
             assert sol.evaluate(i, xs, order).tobytes() == rows[order].tobytes()
         for got, want in zip(arc._convolutions(xs), loop_convolutions(arc, xs)):
             assert got.tobytes() == want.tobytes()
-        v, dv, _ = rows[:, -2]
-        assert sol.node_flux(i) == float(arc.speed * v - sol.epsilon * dv)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -255,9 +258,9 @@ def test_one_pass_matches_scalar_and_per_piece_evaluation(seed, m):
 def test_derivative_rows_match_centred_differences(seed, m):
     """v' and v'' agree with centred differences of v away from f's jumps."""
     sol = random_solution(seed, m)
-    for arc in sol.arcs:
+    for arc, edge in zip(sol.arcs, sol.net.arcs):
         h = 1e-3 / max(arc.a2, -arc.a1)
-        xs = arc_points(arc)[:-2].clip(2.0 * h, arc.length - 2.0 * h)
+        xs = arc_points(arc, edge)[:-2].clip(2.0 * h, arc.length - 2.0 * h)
         near_jump = np.abs(xs[:, None] - arc.edges[None, 1:-1]) <= 2.0 * h
         xs = xs[~near_jump.any(axis=1)]
         v, dv, ddv = arc.derivatives(xs)

@@ -16,19 +16,19 @@ from starflux import (
     ArcProfile,
     ConfigError,
     CouplingMatrix,
+    DimensionMismatch,
     ExperimentSpec,
     InvalidGamma,
     NonPositiveParameter,
     PiecewiseConstantField,
     ProportionalTarget,
     SolverConfig,
+    TraceSignal,
     TwoOutTarget,
     build_compatible,
-    fit_node_polynomial,
     incoming_trace,
     make_grid,
     march_to_steady,
-    smooth_bv,
     solve_exact,
     solve_parabolic,
 )
@@ -103,6 +103,18 @@ def test_solve_exact_and_incoming_trace(bad):
         solve_exact(net, gamma, u0, [bad, 0.0], 0.5)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_transmission_weights_and_trace_signal(bad):
+    net = simple_star([1.0], [1.0, 1.0])
+    u0 = PiecewiseConstantField.constant(net, [0.0, 0.0, 0.0])
+    for gamma in ([[bad], [bad]], [[0.5], [bad]]):
+        with pytest.raises(InvalidGamma, match="must be finite"):
+            solve_exact(net, np.array(gamma), u0, [1.0, 0.0, 0.0], 0.5)
+    for breaks, values in (([bad], [1.0, 2.0]), ([0.5], [1.0, bad])):
+        with pytest.raises(DimensionMismatch, match="must be finite"):
+            TraceSignal.from_lists(breaks, values)
+
+
 @non_finite
 @pytest.mark.parametrize("field", ["epsilon_n", "theta", "B"])
 def test_build_compatible(field, bad):
@@ -112,27 +124,6 @@ def test_build_compatible(field, bad):
     hint = "need 2 finite boundary" if field == "B" else f"^{field}: must be finite"
     with pytest.raises(NonPositiveParameter, match=hint):
         build_compatible(u0, args["B"], net, K, args["epsilon_n"], args["theta"])
-
-
-@non_finite
-@pytest.mark.parametrize("field", ["epsilon_n", "theta"])
-def test_smooth_bv(field, bad):
-    net, _, u0 = pair()
-    args = dict(epsilon_n=0.125, theta=1.5)
-    args[field] = bad
-    with pytest.raises(NonPositiveParameter, match=f"^{field}: must be finite"):
-        smooth_bv(u0, net, **args)
-
-
-@non_finite
-@pytest.mark.parametrize("field", ["epsilon_n", "theta"])
-def test_fit_node_polynomial(field, bad):
-    net, K, u0 = pair()
-    core = smooth_bv(u0, net, 0.125)
-    args = dict(epsilon_n=0.125, theta=1.5)
-    args[field] = bad
-    with pytest.raises(NonPositiveParameter, match=f"^{field}: must be finite"):
-        fit_node_polynomial(core, 0, net, K, **args)
 
 
 @non_finite
