@@ -21,8 +21,6 @@ prints a coarse view of the outflow boundary layer.
 
 from __future__ import annotations
 
-import numpy as np
-
 from starflux import (
     CouplingMatrix,
     PiecewiseConstantField,

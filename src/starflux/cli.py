@@ -9,6 +9,7 @@ Five subcommands cover the package's capabilities:
 ``design``
     Inverse design: synthesize a coupling matrix K realizing a target
     split, emit it as CSV together with the realized round-trip error.
+    The target's key (``weights`` or ``fractions``) picks the family.
 ``simulate``
     Either the exact inviscid solution sampled on a space-time lattice
     (``--mode hyperbolic``) or the viscous march (``--mode parabolic
@@ -118,12 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_design.add_argument(
         "--target", required=True, metavar="PATH", help="target JSON document"
-    )
-    p_design.add_argument(
-        "--mode",
-        choices=["proportional", "two-out"],
-        default=None,
-        help="design family (default: inferred from the target keys)",
     )
 
     p_sim = sub.add_parser(
@@ -255,7 +250,7 @@ def _cmd_gamma(args: argparse.Namespace) -> int:
 
 def _cmd_design(args: argparse.Namespace) -> int:
     net, _ = load_network(args.config, need_coupling=False)
-    target = load_design_target(args.target, args.mode)
+    target = load_design_target(args.target)
     if isinstance(target, ProportionalTarget):
         K = design_proportional(net, target)
         target_gamma = proportional_gamma_matrix(net, target)

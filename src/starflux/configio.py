@@ -197,14 +197,11 @@ def load_initial_data(
     return PiecewiseConstantField(tuple(profiles)), np.asarray(boundary)
 
 
-def load_design_target(
-    path: str | Path, mode: str | None = None
-) -> ProportionalTarget | TwoOutTarget:
+def load_design_target(path: str | Path) -> ProportionalTarget | TwoOutTarget:
     """Parse a design target document.
 
     ``{"weights": [...]}`` selects the proportional design and
-    ``{"fractions": [...]}`` the two-outgoing design; an explicit mode
-    must agree with the key present.
+    ``{"fractions": [...]}`` the two-outgoing design.
     """
     doc = _as_object(_load_document(path), str(path))
     _reject_unknown(doc, {"weights", "fractions"}, "")
@@ -212,13 +209,7 @@ def load_design_target(
         raise ConfigError(
             "target: give exactly one of \"weights\" and \"fractions\""
         )
-    kind = "proportional" if "weights" in doc else "two-out"
-    if mode is not None and mode != kind:
-        key = "weights" if kind == "proportional" else "fractions"
-        raise ConfigError(
-            f"target: mode {mode!r} does not match the {key!r} key in {path}"
-        )
-    if kind == "proportional":
+    if "weights" in doc:
         weights = _as_number_list(doc["weights"], "weights", min_len=2)
         return ProportionalTarget(tuple(weights))
     fractions = _as_number_list(doc["fractions"], "fractions", min_len=1)

@@ -43,16 +43,18 @@ def _fmt(x: float) -> str:
     return f"{x:.16e}"
 
 
-def _csv(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
+def _csv(header: Sequence[str], rows: Iterable[Iterable]) -> str:
+    """The one CSV row layout: ints via str, every other cell via _fmt."""
     lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
+    lines.extend(
+        ",".join(str(v) if isinstance(v, int) else _fmt(v) for v in row) for row in rows
+    )
     return "\n".join(lines) + "\n"
 
 
 def _rows_csv(row_type: type, rows: Iterable) -> str:
-    """Dataclass rows under their field names; ints via str, floats via _fmt."""
-    cells = ([str(v) if isinstance(v, int) else _fmt(v) for v in astuple(r)] for r in rows)
-    return _csv([f.name for f in fields(row_type)], cells)
+    """Dataclass rows under their field names."""
+    return _csv([f.name for f in fields(row_type)], (astuple(r) for r in rows))
 
 
 @dataclass(frozen=True)
@@ -231,8 +233,7 @@ def gamma_csv(system: TransmissionSystem) -> str:
     """Transmission weights, one row per outgoing arc, incoming columns."""
     header = ["outgoing_arc"] + [f"incoming_{j}" for j in system.net.incoming_ids]
     rows = (
-        [str(l)] + [_fmt(v) for v in system.gamma[pos]]
-        for pos, l in enumerate(system.net.outgoing_ids)
+        [l, *system.gamma[pos]] for pos, l in enumerate(system.net.outgoing_ids)
     )
     return _csv(header, rows)
 
@@ -251,22 +252,17 @@ def coupling_csv(K: CouplingMatrix) -> str:
     """Full symmetric coupling matrix, one row per arc."""
     m = K.m
     header = ["arc"] + [f"arc_{j}" for j in range(m)]
-    rows = ([str(i)] + [_fmt(v) for v in K.k[i]] for i in range(m))
-    return _csv(header, rows)
+    return _csv(header, ([i, *K.k[i]] for i in range(m)))
 
 
 def field_csv(samples: Iterable[tuple[int, float, float, float]]) -> str:
     """Long-format space-time samples: (arc_id, x, t, u) per row."""
-    rows = (
-        [str(arc_id), _fmt(x), _fmt(t), _fmt(u)] for arc_id, x, t, u in samples
-    )
-    return _csv(["arc_id", "x", "t", "u"], rows)
+    return _csv(["arc_id", "x", "t", "u"], samples)
 
 
 def diagnostics_csv(diagnostics: np.ndarray) -> str:
     """Per-step march diagnostics in recorded order."""
-    rows = ([_fmt(v) for v in row] for row in diagnostics)
-    return _csv(["t", "l1_norm", "min_value", "flux_residual"], rows)
+    return _csv(["t", "l1_norm", "min_value", "flux_residual"], diagnostics)
 
 
 def sample_hyperbolic(
@@ -372,6 +368,3 @@ def write_manifest(out_dir: Path, manifest: dict) -> Path:
     path = out_dir / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return path
-
-
-__all__ = [name for name in dir() if not name.startswith("_")]

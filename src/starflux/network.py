@@ -10,7 +10,6 @@ the traces of arcs i and j.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -24,29 +23,12 @@ from .errors import (
 )
 
 
-class Orientation(enum.Enum):
-    """Direction of an arc relative to the junction."""
-
-    INCOMING = "in"
-    OUTGOING = "out"
-
-    @classmethod
-    def parse(cls, value: "Orientation | str") -> "Orientation":
-        if isinstance(value, Orientation):
-            return value
-        try:
-            return cls(value)
-        except ValueError:
-            raise DimensionMismatch(
-                f"orientation must be 'in' or 'out', got {value!r}"
-            ) from None
-
-
 @dataclass(frozen=True)
 class Arc:
     """One edge of the star.
 
-    The arc owns the interval [0, length]. For incoming arcs the junction
+    The arc owns the interval [0, length]. ``incoming`` is True when the
+    arc flows toward the junction. For incoming arcs the junction
     sits at x = length and the outer endpoint at x = 0; outgoing arcs are
     the mirror image. ``speed`` is the (positive) transport velocity in the
     direction of increasing x.
@@ -55,11 +37,7 @@ class Arc:
     id: int
     length: float
     speed: float
-    orientation: Orientation
-
-    @property
-    def incoming(self) -> bool:
-        return self.orientation is Orientation.INCOMING
+    incoming: bool
 
     @property
     def node_position(self) -> float:
@@ -100,9 +78,10 @@ class StarNetwork:
 def build_network(arc_specs: Iterable[Sequence[object]]) -> StarNetwork:
     """Assemble a validated StarNetwork from (length, speed, orientation) triples.
 
-    Arc ids are assigned in input order. Raises NonPositiveParameter for
-    bad lengths or speeds and EmptySide if either side of the junction is
-    empty.
+    Arc ids are assigned in input order and orientation is "in" or
+    "out". Raises NonPositiveParameter for bad lengths or speeds,
+    DimensionMismatch for any other orientation, and EmptySide if either
+    side of the junction is empty.
     """
     arcs: list[Arc] = []
     for i, entry in enumerate(arc_specs):
@@ -113,7 +92,11 @@ def build_network(arc_specs: Iterable[Sequence[object]]) -> StarNetwork:
         length, speed, orientation = entry
         length = finite_above(length, f"arc {i} length")  # type: ignore[arg-type]
         speed = finite_above(speed, f"arc {i} speed")  # type: ignore[arg-type]
-        arcs.append(Arc(i, length, speed, Orientation.parse(orientation)))
+        if orientation not in ("in", "out"):
+            raise DimensionMismatch(
+                f"orientation must be 'in' or 'out', got {orientation!r}"
+            )
+        arcs.append(Arc(i, length, speed, orientation == "in"))
 
     net = StarNetwork(tuple(arcs))
     if not net.incoming_ids or not net.outgoing_ids:

@@ -19,11 +19,9 @@ from ..grids import DiscreteState, Grid, adopt_state, discrete_l1_norm, make_gri
 from ..hyperbolic import PiecewiseConstantField
 from ..network import CouplingMatrix, StarNetwork
 from .scheme import (
-    SolverConfig,
     StepOperator,
     assemble_step_operator,
     compatibility_residual,
-    default_dt,
     flux_residual,
     project_node_values,
     step,
@@ -38,6 +36,27 @@ COMPATIBILITY_WARN_TOL = 1e-8
 STEADY_TOL = 1e-10
 #: steps the steady march may take before it gives up
 STEADY_MAX_STEPS = 10000
+
+
+@dataclass(frozen=True)
+class SolverConfig:
+    """Viscosity, step size, horizon, and the grid rule h = epsilon/h_rule.
+
+    solve_parabolic snaps dt to the horizon; without one it starts from
+    the transport-scale step.
+    """
+
+    epsilon: float
+    T: float
+    dt: float | None = None
+    h_rule: float = 8.0
+
+    def __post_init__(self) -> None:
+        finite_above(self.epsilon, "epsilon")
+        finite_above(self.T, "T")
+        if self.dt is not None:
+            finite_above(self.dt, "dt")
+        finite_above(self.h_rule, "h_rule", 4.0, inclusive=True)
 
 
 @dataclass(frozen=True)
@@ -101,13 +120,13 @@ def solve_parabolic(
     grid = make_grid(net, epsilon=cfg.epsilon, rule_constant=cfg.h_rule)
     bvals = finite_values(B, net.m)
 
-    # snap the step so the march lands exactly on the horizon
-    dt0 = cfg.dt if cfg.dt is not None else default_dt(net, grid)
+    # transport-scale step (smallest spacing over twice the top speed)
+    # unless cfg sets one, snapped so the march lands on the horizon
+    dt0 = cfg.dt
+    if dt0 is None:
+        dt0 = min(grid.spacings) / (2.0 * float(np.max(net.speeds())))
     n_steps = max(1, int(np.ceil(cfg.T / dt0 - 1e-12)))
-    dt = cfg.T / n_steps
-    op = assemble_step_operator(
-        net, K, SolverConfig(cfg.epsilon, cfg.T, dt, cfg.h_rule), grid
-    )
+    op = assemble_step_operator(net, K, grid, cfg.epsilon, cfg.T / n_steps)
     state = _initial_state(u0_eps, op, net, bvals)
 
     defect = compatibility_residual(state, op)
@@ -166,13 +185,16 @@ def march_to_steady(
     """
     dt = 10.0 * finite_above(theta, "theta")
     bvals = finite_values(boundary, net.m)
+    finite_above(epsilon, "epsilon")
+    op = assemble_step_operator(
+        net, K, grid, epsilon, dt, reaction=1.0 / theta, forcing=f
+    )
 
-    cfg = SolverConfig(epsilon=epsilon, T=dt, dt=dt)
-    op = assemble_step_operator(net, K, cfg, grid, reaction=1.0 / theta, forcing=f)
-
+    # the junction values start at zero, as the node rows give for a
+    # zero interior; a step never reads them (rhs_scale is 0 there)
     flat = np.zeros(op.size)
     flat[op.outer] = bvals
-    state = project_node_values(adopt_state(grid, flat, 0.0), op)
+    state = adopt_state(grid, flat, 0.0)
 
     for _ in range(STEADY_MAX_STEPS):
         nxt = step(state, op)

@@ -165,11 +165,9 @@ class ResolventSolution:
 
     net: StarNetwork
     epsilon: float
-    theta: float
     problem: ResolventProblem
     arcs: tuple[_ArcSolution, ...]
     alpha: np.ndarray
-    h_matrix: np.ndarray
     h_rhs: np.ndarray
     dominance_margins: np.ndarray
 
@@ -187,6 +185,7 @@ class ResolventSolution:
         """
         n = RESIDUAL_SAMPLES
         m = len(self.arcs)
+        theta = self.problem.theta
         node_v, node_flux, outer_v = np.empty(m), np.empty(m), np.empty(m)
         ode_max = 0.0
         for i, (arc, edge) in enumerate(zip(self.arcs, self.net.arcs)):
@@ -195,7 +194,7 @@ class ResolventSolution:
             v, dv, ddv = arc.derivatives(np.append(xs, ends))
             fvals = self.problem.f.arcs[i].evaluate(xs)
             resid = (
-                v[:n] - self.theta * (self.epsilon * ddv[:n] - arc.speed * dv[:n])
+                v[:n] - theta * (self.epsilon * ddv[:n] - arc.speed * dv[:n])
                 - fvals
             )
             ode_max = max(ode_max, float(np.max(np.abs(resid))))
@@ -339,11 +338,9 @@ def solve_resolvent(
     return ResolventSolution(
         net=net,
         epsilon=epsilon,
-        theta=theta,
         problem=prob,
         arcs=tuple(arcs),
         alpha=alpha,
-        h_matrix=H,
         h_rhs=rhs,
         dominance_margins=margins,
     )

@@ -34,37 +34,10 @@ import numpy as np
 import scipy.sparse
 from scipy.linalg.lapack import dgttrf, dgttrs
 
-from ..errors import (
-    AssumptionViolated,
-    LinearSolveFailure,
-    UnstableConfig,
-    finite_above,
-)
+from ..errors import AssumptionViolated, LinearSolveFailure, UnstableConfig
 from ..grids import DiscreteState, Grid, adopt_state
 from ..hyperbolic import PiecewiseConstantField
 from ..network import CouplingMatrix, StarNetwork, alpha_from_k, validate_assumptions
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Viscosity, step sizes, horizon, and the grid rule h = epsilon/h_rule."""
-
-    epsilon: float
-    T: float
-    dt: float | None = None
-    h_rule: float = 8.0
-
-    def __post_init__(self) -> None:
-        finite_above(self.epsilon, "epsilon")
-        finite_above(self.T, "T")
-        if self.dt is not None:
-            finite_above(self.dt, "dt")
-        finite_above(self.h_rule, "h_rule", 4.0, inclusive=True)
-
-
-def default_dt(net: StarNetwork, grid: Grid) -> float:
-    """Transport-scale step: smallest spacing over twice the top speed."""
-    return min(grid.spacings) / (2.0 * float(np.max(net.speeds())))
 
 
 @dataclass(frozen=True)
@@ -268,12 +241,15 @@ class StepOperator:
 def assemble_step_operator(
     net: StarNetwork,
     K: CouplingMatrix,
-    cfg: SolverConfig,
     grid: Grid,
+    epsilon: float,
+    dt: float,
     reaction: float = 0.0,
     forcing: PiecewiseConstantField | None = None,
 ) -> StepOperator:
     """Build and factorize the implicit step matrix.
+
+    epsilon and dt are taken as given: callers check them.
 
     ``reaction`` adds a zeroth-order term to the interior rows and
     ``forcing`` the time-independent source reaction*forcing, which is
@@ -285,19 +261,17 @@ def assemble_step_operator(
     if not report.holds_sign_symmetry or not report.holds_incoming_linked:
         raise AssumptionViolated("; ".join(report.messages) or "assumptions fail")
     alpha = alpha_from_k(K)
-    eps = cfg.epsilon
-    dt = cfg.dt if cfg.dt is not None else default_dt(net, grid)
 
-    if any(h > eps / 2.0 for h in grid.spacings):
+    if any(h > epsilon / 2.0 for h in grid.spacings):
         warnings.warn(
             f"coarsest spacing {max(grid.spacings):.3e} exceeds epsilon/2 = "
-            f"{eps / 2.0:.3e}; the viscous layer is unresolved",
+            f"{epsilon / 2.0:.3e}; the viscous layer is unresolved",
             UnstableConfig,
         )
 
     offsets = grid.offsets
     total = offsets[-1]
-    stencil = JunctionStencil.build(net, alpha, grid, eps)
+    stencil = JunctionStencil.build(net, alpha, grid, epsilon)
 
     rows: list[np.ndarray] = []
     cols: list[np.ndarray] = []
@@ -309,7 +283,7 @@ def assemble_step_operator(
         n = grid.cells[i]
         h = grid.spacings[i]
         adv = arc.speed / h
-        dif = eps / (h * h)
+        dif = epsilon / (h * h)
 
         k = np.arange(1, n)
         r = offsets[i] + k

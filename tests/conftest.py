@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from starflux import CouplingMatrix, StarNetwork, build_network
+from starflux import CouplingMatrix, build_network
+from starflux.network import StarNetwork
 
 
 def simple_star(

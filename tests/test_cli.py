@@ -103,15 +103,6 @@ def test_design_then_gamma_round_trip(tmp_path, capsys):
             assert abs(float(row[f"incoming_{j}"]) - weight) <= 1e-9
 
 
-def test_design_mode_mismatch_exits_2(tmp_path, capsys):
-    net = write_json(tmp_path, "net.json", {"arcs": CROSS_NET["arcs"]})
-    target = write_json(tmp_path, "target.json", {"weights": [0.3, 0.7]})
-    assert main([
-        "design", "--config", net, "--target", target, "--mode", "two-out",
-    ]) == 2
-    assert "two-out" in capsys.readouterr().err
-
-
 def test_simulate_hyperbolic_stdout_csv(tmp_path, capsys):
     net = write_json(tmp_path, "net.json", PAIR_NET)
     data = write_json(tmp_path, "u0.json", PAIR_DATA)

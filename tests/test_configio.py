@@ -7,16 +7,14 @@ import json
 import numpy as np
 import pytest
 
-from starflux import (
-    ConfigError,
-    ProportionalTarget,
-    TwoOutTarget,
+from starflux import ConfigError, ProportionalTarget, TwoOutTarget
+from starflux.configio import (
     load_design_target,
     load_experiment,
-    load_experiment_spec,
     load_initial_data,
     load_network,
 )
+from starflux.harness import load_experiment_spec
 
 GOOD_NET = {
     "arcs": [
@@ -167,12 +165,6 @@ def test_design_target_key_must_be_unique(tmp_path):
     path = write(tmp_path, "t.json", {"weights": [0.5, 0.5], "fractions": [0.5]})
     with pytest.raises(ConfigError, match="exactly one"):
         load_design_target(path)
-
-
-def test_design_target_mode_mismatch(tmp_path):
-    path = write(tmp_path, "t.json", {"weights": [0.5, 0.5]})
-    with pytest.raises(ConfigError, match="two-out"):
-        load_design_target(path, mode="two-out")
 
 
 def test_experiment_resolves_paths_relative_to_document(tmp_path):

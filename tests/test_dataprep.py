@@ -7,19 +7,22 @@ import pytest
 
 from conftest import simple_star
 from starflux import (
-    DEFAULT_THETA,
     ArcProfile,
     CouplingMatrix,
     PiecewiseConstantField,
-    PiecewisePoly,
-    PolynomialPiece,
     WidthOverflow,
     alpha_from_k,
     build_compatible,
+)
+from starflux.dataprep import (
+    DEFAULT_THETA,
+    PiecewisePoly,
+    PolynomialPiece,
     fit_boundary_quadratic,
+    _node_cubic,
+    _smooth,
     l1_distance_to_profile,
 )
-from starflux.dataprep import _node_cubic, _smooth
 
 
 def pair_net(k=0.7, lam=(1.0, 2.0)):
@@ -229,7 +232,8 @@ def test_sweep_converges_with_bounded_regularity():
 
 
 def test_compatible_data_feeds_the_grid_sampler():
-    from starflux import SolverConfig, make_grid, sample_on_grid, solve_parabolic
+    from starflux import SolverConfig, make_grid, solve_parabolic
+    from starflux.grids import sample_on_grid
 
     net, K = pair_net()
     v = one_jump_field(net)

@@ -11,20 +11,23 @@ from starflux import (
     ConfigError,
     CouplingMatrix,
     ExperimentSpec,
-    HyperbolicSolution,
-    ParabolicTrajectory,
     PiecewiseConstantField,
-    TraceSignal,
     ArcProfile,
     build_network,
+    run_convergence,
+)
+from starflux import harness
+from starflux.harness import (
+    approx_csv,
+    coupling_csv,
+    gamma_csv,
     node_trace_error,
     run_approx,
-    run_convergence,
     run_parabolic_simulation,
     sample_hyperbolic,
 )
-from starflux import harness
-from starflux.harness import approx_csv, coupling_csv, gamma_csv
+from starflux.hyperbolic import HyperbolicSolution, TraceSignal
+from starflux.parabolic.evolve import ParabolicTrajectory
 from starflux.transmission import compute_gamma
 
 

@@ -13,11 +13,10 @@ from starflux import (
     PiecewiseConstantField,
     check_flux_conservation,
     compute_gamma,
-    incoming_trace,
-    l1_distance,
     make_grid,
     solve_exact,
 )
+from starflux.hyperbolic import incoming_trace, l1_distance
 
 
 def test_arc_profile_is_left_continuous():

@@ -12,7 +12,6 @@ from starflux import (
     DimensionMismatch,
     EmptySide,
     NonPositiveParameter,
-    Orientation,
     alpha_from_k,
     build_network,
     compute_gamma,
@@ -25,7 +24,7 @@ def test_build_network_assigns_ids_in_order():
         [
             (2.0, 1.5, "in"),
             (1.0, 3.0, "out"),
-            (0.5, 0.7, Orientation.INCOMING),
+            (0.5, 0.7, "in"),
         ]
     )
     assert net.m == 3

@@ -17,20 +17,21 @@ from starflux import (
     PiecewiseConstantField,
     SolverConfig,
     UnstableConfig,
-    assemble_step_operator,
-    compatibility_residual,
     discrete_l1_norm,
-    flux_residual,
     make_grid,
     new_state,
-    project_node_values,
     resolvent_forcing_field,
-    sample_on_grid,
     solve_parabolic,
-    step,
 )
 from starflux.grids import MIN_CELLS
-from starflux.parabolic.scheme import ArcJunctionLU
+from starflux.parabolic.scheme import (
+    ArcJunctionLU,
+    assemble_step_operator,
+    compatibility_residual,
+    flux_residual,
+    project_node_values,
+    step,
+)
 
 
 def small_pair():
@@ -48,8 +49,7 @@ def test_step_matrix_frozen_ten_by_ten():
     """
     net, K = small_pair()
     grid = make_grid(net, h=0.25)
-    cfg = SolverConfig(epsilon=0.8, T=1.0, dt=0.1)
-    op = assemble_step_operator(net, K, cfg, grid)
+    op = assemble_step_operator(net, K, grid, 0.8, 0.1)
 
     A = np.zeros((10, 10))
     A[0, 0] = 1.0
@@ -84,8 +84,7 @@ def test_step_matrix_frozen_ten_by_ten():
 def test_step_keeps_dirichlet_values_and_node_rows():
     net, K = small_pair()
     grid = make_grid(net, h=0.05)
-    cfg = SolverConfig(epsilon=0.8, T=1.0, dt=0.02)
-    op = assemble_step_operator(net, K, cfg, grid)
+    op = assemble_step_operator(net, K, grid, 0.8, 0.02)
 
     rng = np.random.default_rng(2)
     state = new_state(
@@ -104,7 +103,7 @@ def test_step_keeps_dirichlet_values_and_node_rows():
 def test_step_rejects_wrong_size_and_non_finite_solves():
     net, K = small_pair()
     grid = make_grid(net, h=0.25)
-    op = assemble_step_operator(net, K, SolverConfig(0.8, 1.0, 0.1), grid)
+    op = assemble_step_operator(net, K, grid, 0.8, 0.1)
     finer = make_grid(net, h=0.125)
     with pytest.raises(LinearSolveFailure, match="operator expects 10"):
         step(new_state(finer, [np.ones(n + 1) for n in finer.cells]), op)
@@ -118,7 +117,7 @@ def test_step_rejects_wrong_size_and_non_finite_solves():
 def test_step_output_is_a_read_only_state_of_its_own():
     net, K = small_pair()
     grid = make_grid(net, h=0.25)
-    op = assemble_step_operator(net, K, SolverConfig(0.8, 1.0, 0.1), grid)
+    op = assemble_step_operator(net, K, grid, 0.8, 0.1)
     state = project_node_values(
         new_state(grid, [np.linspace(0.0, 1.0, n + 1) for n in grid.cells]), op
     )
@@ -132,7 +131,7 @@ def test_flux_residual_of_constant_state():
     """All-ones state: imbalance is the speed difference across the node."""
     net, K = small_pair()
     grid = make_grid(net, h=0.25)
-    op = assemble_step_operator(net, K, SolverConfig(0.8, 1.0, 0.1), grid)
+    op = assemble_step_operator(net, K, grid, 0.8, 0.1)
     ones = new_state(grid, [np.ones(n + 1) for n in grid.cells], 0.0)
     assert flux_residual(ones, op) == pytest.approx(1.0 - 2.0)
 
@@ -140,7 +139,7 @@ def test_flux_residual_of_constant_state():
 def test_projection_enforces_node_conditions():
     net, K = small_pair()
     grid = make_grid(net, h=0.1)
-    op = assemble_step_operator(net, K, SolverConfig(0.8, 1.0, 0.05), grid)
+    op = assemble_step_operator(net, K, grid, 0.8, 0.05)
     state = new_state(
         grid, [np.linspace(1.0, 2.0, n + 1) for n in grid.cells], 0.0
     )
@@ -156,7 +155,7 @@ def test_unresolved_layer_warns():
     net, K = small_pair()
     grid = make_grid(net, h=0.25)
     with pytest.warns(UnstableConfig):
-        assemble_step_operator(net, K, SolverConfig(0.1, 1.0, 0.1), grid)
+        assemble_step_operator(net, K, grid, 0.1, 0.1)
 
 
 def test_positivity_random_states():
@@ -168,9 +167,7 @@ def test_positivity_random_states():
         lam_max = float(np.max(net.speeds()))
         eps = float(rng.uniform(0.3, 1.0))
         grid = make_grid(net, h=eps / (8.0 * max(1.0, lam_max)))
-        op = assemble_step_operator(
-            net, K, SolverConfig(eps, 1.0, 0.01), grid
-        )
+        op = assemble_step_operator(net, K, grid, eps, 0.01)
         state = new_state(
             grid, [rng.uniform(0.0, 2.0, n + 1) for n in grid.cells], 0.0
         )
@@ -251,7 +248,7 @@ def test_node_conditions_hold_after_projection_and_step(seed, m):
     eps = float(rng.uniform(0.3, 1.0))
     lam_max = float(np.max(net.speeds()))
     grid = make_grid(net, h=eps / (8.0 * max(1.0, lam_max)))
-    op = assemble_step_operator(net, K, SolverConfig(eps, 1.0, 0.01), grid)
+    op = assemble_step_operator(net, K, grid, eps, 0.01)
     stencil = op.stencil
     row_scale = float(np.max(np.sum(np.abs(stencil.block), axis=1) + stencil.eh))
     top = 2.0
@@ -320,7 +317,7 @@ def test_outer_values_persist_bitwise(seed, m):
     eps = float(rng.uniform(0.3, 1.0))
     h_rule = 8.0 * max(1.0, float(np.max(net.speeds())))
     grid = make_grid(net, epsilon=eps, rule_constant=h_rule)
-    op = assemble_step_operator(net, K, SolverConfig(eps, 1.0, 0.01), grid)
+    op = assemble_step_operator(net, K, grid, eps, 0.01)
     state = new_state(grid, [rng.uniform(0.0, 2.0, n + 1) for n in grid.cells])
     assert step(state, op).flat[op.outer].tolist() == state.flat[op.outer].tolist()
 
@@ -360,11 +357,11 @@ def test_arc_junction_lu_matches_dense_solve(seed, m, coarse, steady):
     if steady:
         theta = float(rng.uniform(0.1, 2.0))
         op = assemble_step_operator(
-            net, K, SolverConfig(eps, dt, dt), grid, reaction=1.0 / theta,
+            net, K, grid, eps, dt, reaction=1.0 / theta,
             forcing=resolvent_forcing_field(net, rng),
         )
     else:
-        op = assemble_step_operator(net, K, SolverConfig(eps, 1.0, dt), grid)
+        op = assemble_step_operator(net, K, grid, eps, dt)
     # the cut boundary rows leave nothing for dgttrf to pivot
     assert op.lu.ipiv.tolist() == list(range(1, op.size + 1))
 
@@ -379,7 +376,7 @@ def test_arc_junction_lu_matches_dense_solve(seed, m, coarse, steady):
 def test_arc_junction_lu_rejects_singular_systems():
     net, K = small_pair()
     grid = make_grid(net, h=0.25)
-    op = assemble_step_operator(net, K, SolverConfig(0.8, 1.0, 0.1), grid)
+    op = assemble_step_operator(net, K, grid, 0.8, 0.1)
     # an interior column of zeros leaves dgttrf an exactly zero pivot
     broken = op.matrix.tolil()
     broken[:, 2] = 0.0

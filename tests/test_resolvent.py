@@ -14,15 +14,13 @@ from starflux import (
     NonPositiveParameter,
     PiecewiseConstantField,
     ResolventProblem,
-    SolverConfig,
-    assemble_step_operator,
     l1_error_against_state,
     make_grid,
     march_to_steady,
     resolvent_forcing_field,
     solve_resolvent,
-    step,
 )
+from starflux.parabolic.scheme import assemble_step_operator, step
 from starflux.parabolic.resolvent import RESIDUAL_SAMPLES, _ArcSolution
 
 
@@ -160,7 +158,7 @@ def test_march_fixed_point_is_step_size_independent():
     settled = march_to_steady(net, K, grid, 0.5, prob.theta, prob.f, prob.boundary)
     for dt in (8.0, 2.0, 0.1):
         op = assemble_step_operator(
-            net, K, SolverConfig(0.5, dt, dt), grid,
+            net, K, grid, 0.5, dt,
             reaction=1.0 / prob.theta, forcing=prob.f,
         )
         moved = step(settled, op)

@@ -23,15 +23,14 @@ from starflux import (
     PiecewiseConstantField,
     ProportionalTarget,
     SolverConfig,
-    TraceSignal,
     TwoOutTarget,
     build_compatible,
-    incoming_trace,
     make_grid,
     march_to_steady,
     solve_exact,
     solve_parabolic,
 )
+from starflux.hyperbolic import TraceSignal, incoming_trace
 
 non_finite = pytest.mark.parametrize(
     "bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"]
@@ -132,6 +131,16 @@ def test_march_to_steady_theta(bad):
     grid = make_grid(net, h=0.05)
     with pytest.raises(NonPositiveParameter, match="^theta: must be finite"):
         march_to_steady(net, K, grid, 0.5, bad, u0, [0.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    "bad", [np.nan, np.inf, -np.inf, 0.0], ids=["nan", "inf", "-inf", "zero"]
+)
+def test_march_to_steady_epsilon(bad):
+    net, K, u0 = pair()
+    grid = make_grid(net, h=0.05)
+    with pytest.raises(NonPositiveParameter, match="^epsilon: must be finite"):
+        march_to_steady(net, K, grid, bad, 1.0, u0, [0.0, 0.0])
 
 
 @non_finite
