@@ -56,6 +56,7 @@ from .design import (
     two_out_gamma_matrix,
 )
 from .errors import ConfigError, NumericalError, ValidationError
+from .grids import DEFAULT_H_RULE
 from .harness import (
     approx_csv,
     certificate_summary,
@@ -137,8 +138,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument(
         "--h-rule",
         type=float,
-        default=8.0,
-        help="grid rule h = epsilon / h_rule (parabolic mode, default 8)",
+        default=DEFAULT_H_RULE,
+        help="grid rule h = epsilon / h_rule "
+        f"(parabolic mode, default {DEFAULT_H_RULE:g})",
     )
     p_sim.add_argument(
         "--times",

@@ -39,6 +39,7 @@ import numpy as np
 from .dataprep import DEFAULT_THETA
 from .design import ProportionalTarget, TwoOutTarget
 from .errors import ConfigError, ValidationError, finite_above
+from .grids import DEFAULT_H_RULE
 from .hyperbolic import ArcProfile, PiecewiseConstantField
 from .network import CouplingMatrix, StarNetwork, build_network
 
@@ -246,7 +247,7 @@ def load_experiment(path: str | Path) -> ExperimentConfig:
 
     eps = _as_number_list(_require(doc, "epsilons", ""), "epsilons", min_len=1)
     T = _as_number(_require(doc, "T", ""), "T")
-    h_rule = _as_number(doc.get("h_rule", 8.0), "h_rule")
+    h_rule = _as_number(doc.get("h_rule", DEFAULT_H_RULE), "h_rule")
     theta = _as_number(doc.get("theta", DEFAULT_THETA), "theta")
 
     base = p.resolve().parent

@@ -22,6 +22,8 @@ from .network import StarNetwork
 MIN_CELLS = 4
 #: largest number of cells per arc; finer targets are clipped to it
 MAX_CELLS = 10**6
+#: default grid rule: target spacing epsilon / DEFAULT_H_RULE
+DEFAULT_H_RULE = 8.0
 
 
 @dataclass(frozen=True)
@@ -63,7 +65,7 @@ def make_grid(
     net: StarNetwork,
     h: float | None = None,
     epsilon: float | None = None,
-    rule_constant: float = 8.0,
+    rule_constant: float = DEFAULT_H_RULE,
 ) -> Grid:
     """Build per-arc grids from a target spacing or a viscosity rule.
 

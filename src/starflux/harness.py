@@ -28,6 +28,7 @@ import numpy as np
 from .configio import load_experiment, load_initial_data, load_network
 from .dataprep import DEFAULT_THETA, build_compatible
 from .errors import ConfigError, ValidationError, finite_above, finite_values
+from .grids import DEFAULT_H_RULE
 from .hyperbolic import (
     HyperbolicSolution,
     PiecewiseConstantField,
@@ -71,7 +72,7 @@ class ExperimentSpec:
     B: np.ndarray
     epsilons: tuple[float, ...]
     T: float
-    h_rule: float = 8.0
+    h_rule: float = DEFAULT_H_RULE
     theta: float = DEFAULT_THETA
 
     def __post_init__(self) -> None:
@@ -298,7 +299,7 @@ def run_parabolic_simulation(
     B: np.ndarray,
     epsilon: float,
     T: float,
-    h_rule: float = 8.0,
+    h_rule: float = DEFAULT_H_RULE,
 ) -> tuple[list[tuple[int, float, float, float]], np.ndarray]:
     """March the viscous scheme; final snapshot plus per-step diagnostics.
 

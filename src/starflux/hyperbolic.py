@@ -333,19 +333,22 @@ def check_flux_conservation(
 
     Conservation means total incoming flux equals total outgoing flux at
     every time; with column-stochastic weights this holds identically, so
-    the return value is numerical noise.
+    the return value is numerical noise. Each trace and node signal is
+    evaluated once over all sample times, and the fluxes are summed in
+    arc order from zero. Raises DimensionMismatch unless the sample
+    times are a finite 1-d sequence; no samples give 0.0.
     """
     ts = np.asarray(t_samples, dtype=float)
+    if ts.ndim != 1:
+        raise DimensionMismatch(f"sample times must be 1-d, got shape {ts.shape}")
+    if not np.all(np.isfinite(ts)):
+        raise DimensionMismatch("sample times must be finite")
     in_speeds = np.array([sol.net.arc(j).speed for j in sol.net.incoming_ids])
     out_speeds = np.array([sol.net.arc(l).speed for l in sol.net.outgoing_ids])
-    worst = 0.0
-    for t in ts:
-        inflow = sum(
-            float(in_speeds[p] * tr.evaluate(t)) for p, tr in enumerate(sol.traces)
-        )
-        outflow = sum(
-            float(out_speeds[p] * nv.evaluate(t))
-            for p, nv in enumerate(sol.node_values)
-        )
-        worst = max(worst, abs(inflow - outflow))
-    return worst
+    inflow = np.zeros_like(ts)
+    for speed, tr in zip(in_speeds, sol.traces):
+        inflow = inflow + speed * tr.evaluate(ts)
+    outflow = np.zeros_like(ts)
+    for speed, nv in zip(out_speeds, sol.node_values):
+        outflow = outflow + speed * nv.evaluate(ts)
+    return float(np.max(np.abs(inflow - outflow), initial=0.0))

@@ -15,7 +15,15 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import DimensionMismatch, NoConvergence, finite_above, finite_values
-from ..grids import DiscreteState, Grid, adopt_state, discrete_l1_norm, make_grid, sample_on_grid
+from ..grids import (
+    DEFAULT_H_RULE,
+    DiscreteState,
+    Grid,
+    adopt_state,
+    discrete_l1_norm,
+    make_grid,
+    sample_on_grid,
+)
 from ..hyperbolic import PiecewiseConstantField
 from ..network import CouplingMatrix, StarNetwork
 from .scheme import (
@@ -49,7 +57,7 @@ class SolverConfig:
     epsilon: float
     T: float
     dt: float | None = None
-    h_rule: float = 8.0
+    h_rule: float = DEFAULT_H_RULE
 
     def __post_init__(self) -> None:
         finite_above(self.epsilon, "epsilon")

@@ -14,7 +14,7 @@ mode fluxes themselves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -54,6 +54,89 @@ class ResolventProblem:
         return cls(theta=theta, f=f, boundary=b)
 
 
+def _convolutions(
+    a1: np.ndarray, a2: np.ndarray, edges: np.ndarray, g: np.ndarray, x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """One-sided mode integrals I1 (left, decaying) and I2 (right).
+
+    Row i of x holds points on arc i, whose modes are a1[i], a2[i] and
+    whose forcing pieces are edges[i] and g[i]. I1(x) integrates
+    exp(a1*(x-s)) g(s) over [0, x] and I2(x) integrates exp(a2*(x-s))
+    g(s) over [x, L]; every exponent is nonpositive, so both are bounded
+    by |g| over the mode scale. All arcs and pieces form one
+    (arcs, pieces, points) array, and the pieces are summed as a running
+    total from zero, in piece order.
+    """
+    a1 = a1[:, np.newaxis, np.newaxis]
+    a2 = a2[:, np.newaxis, np.newaxis]
+    lo = edges[:, :-1, np.newaxis]
+    hi = edges[:, 1:, np.newaxis]
+    g = g[:, :, np.newaxis]
+    xs = x[:, np.newaxis, :]
+    # left part of each piece, [lo, min(hi, x)]
+    hi_l = np.minimum(hi, xs)
+    w = hi_l - lo
+    mask = w > 0.0
+    w = np.where(mask, w, 0.0)
+    anchor = np.where(mask, hi_l, xs)
+    t1 = np.where(
+        mask, g * np.exp(a1 * (xs - anchor)) * np.expm1(a1 * w) / a1, 0.0
+    )
+    # right part of each piece, [max(lo, x), hi]
+    lo_r = np.maximum(lo, xs)
+    w = hi - lo_r
+    mask = w > 0.0
+    w = np.where(mask, w, 0.0)
+    anchor = np.where(mask, lo_r, xs)
+    t2 = np.where(
+        mask, -g * np.exp(a2 * (xs - anchor)) * np.expm1(-a2 * w) / a2, 0.0
+    )
+    i1 = np.zeros_like(x)
+    i2 = np.zeros_like(x)
+    for r in range(t1.shape[1]):
+        i1 = i1 + t1[:, r]
+        i2 = i2 + t2[:, r]
+    return i1, i2
+
+
+def _particular(
+    a1: np.ndarray, a2: np.ndarray, edges: np.ndarray, g: np.ndarray, x: np.ndarray
+) -> np.ndarray:
+    """Rows p, p', p'' of the bounded particular part, (3, arcs, points)."""
+    i1, i2 = _convolutions(a1, a2, edges, g, x)
+    a1 = a1[:, np.newaxis]
+    a2 = a2[:, np.newaxis]
+    gap = a2 - a1
+    # the piece holding each point: how many inner edges lie below it
+    idx = np.sum(edges[:, np.newaxis, 1:-1] < x[:, :, np.newaxis], axis=2)
+    return np.stack(
+        [
+            -(i1 + i2) / gap,
+            -(a1 * i1 + a2 * i2) / gap,
+            np.take_along_axis(g, idx, axis=1) - (a1 * a1 * i1 + a2 * a2 * i2) / gap,
+        ]
+    )
+
+
+def _pad_pieces(
+    edges: Sequence[np.ndarray], g: Sequence[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stack per-arc piece edges and weights into (arcs, pieces) arrays.
+
+    Arcs with fewer pieces are padded with pieces of zero width at their
+    right end and zero weight, which add exactly +0.0 to every integral
+    and are never the piece holding a point of [0, L].
+    """
+    pieces = max(row.size for row in g)
+    edges_pad = np.empty((len(g), pieces + 1))
+    g_pad = np.zeros((len(g), pieces))
+    for i, (e, w) in enumerate(zip(edges, g)):
+        edges_pad[i, : e.size] = e
+        edges_pad[i, e.size :] = e[-1]
+        g_pad[i, : w.size] = w
+    return edges_pad, g_pad
+
+
 @dataclass(frozen=True)
 class _ArcSolution:
     """All per-arc constants needed to evaluate v, v', v''.
@@ -72,70 +155,9 @@ class _ArcSolution:
     c: float
     d: float
 
-    def _convolutions(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """One-sided mode integrals I1 (left, decaying) and I2 (right).
-
-        I1(x) integrates exp(a1*(x-s)) g(s) over [0, x] and I2(x)
-        integrates exp(a2*(x-s)) g(s) over [x, L]; every exponent is
-        nonpositive, so both are bounded by |g| over the mode scale.
-        Each piece is one row of a (pieces, points) array; the rows are
-        summed as a running total from zero, in piece order.
-        """
-        a1, a2 = self.a1, self.a2
-        lo = self.edges[:-1, np.newaxis]
-        hi = self.edges[1:, np.newaxis]
-        g = self.g[:, np.newaxis]
-        # left part of each piece, [lo, min(hi, x)]
-        hi_l = np.minimum(hi, x)
-        w = hi_l - lo
-        mask = w > 0.0
-        w = np.where(mask, w, 0.0)
-        anchor = np.where(mask, hi_l, x)
-        t1 = np.where(
-            mask, g * np.exp(a1 * (x - anchor)) * np.expm1(a1 * w) / a1, 0.0
-        )
-        # right part of each piece, [max(lo, x), hi]
-        lo_r = np.maximum(lo, x)
-        w = hi - lo_r
-        mask = w > 0.0
-        w = np.where(mask, w, 0.0)
-        anchor = np.where(mask, lo_r, x)
-        t2 = np.where(
-            mask, -g * np.exp(a2 * (x - anchor)) * np.expm1(-a2 * w) / a2, 0.0
-        )
-        return sum(t1, np.zeros_like(x)), sum(t2, np.zeros_like(x))
-
-    def particular(self, x: np.ndarray) -> np.ndarray:
-        """Rows p, p', p'' of the bounded particular part at the points x."""
-        a1, a2 = self.a1, self.a2
-        i1, i2 = self._convolutions(x)
-        gap = a2 - a1
-        idx = np.searchsorted(self.edges[1:-1], x, side="left")
-        return np.stack(
-            [
-                -(i1 + i2) / gap,
-                -(a1 * i1 + a2 * i2) / gap,
-                self.g[idx] - (a1 * a1 * i1 + a2 * a2 * i2) / gap,
-            ]
-        )
-
     def derivatives(self, x: np.ndarray) -> np.ndarray:
         """Rows v, v', v'' at the 1-d points x, from one pass over f."""
-        a1, a2, L = self.a1, self.a2, self.length
-        p = self.particular(x)
-        mode1 = np.exp(a1 * x)
-        mode2 = np.exp(a2 * (x - L))
-        live = mode2 > 0.0
-        # an underflowed mode contributes nothing even when the a2^k
-        # prefactor has overflowed, so keep 0*inf out of the product
-        return np.stack(
-            [
-                self.c * a1**k * mode1
-                + np.where(live, self.d * a2**k * mode2, 0.0)
-                + p[k]
-                for k in range(3)
-            ]
-        )
+        return _derivatives((self,), x[np.newaxis])[:, 0]
 
     def evaluate(self, x: np.ndarray | float, order: int = 0) -> np.ndarray | float:
         xs = np.asarray(x, dtype=float)
@@ -143,6 +165,30 @@ class _ArcSolution:
         if np.isscalar(x):
             return float(out)
         return out
+
+
+def _derivatives(arcs: Sequence[_ArcSolution], x: np.ndarray) -> np.ndarray:
+    """Rows v, v', v'' of every arc at its row of points, (3, arcs, points).
+
+    One pass over all arcs and forcing pieces; row i of x lies on arcs[i].
+    """
+    a1 = np.array([arc.a1 for arc in arcs])
+    a2 = np.array([arc.a2 for arc in arcs])
+    L = np.array([arc.length for arc in arcs])
+    edges, g = _pad_pieces([arc.edges for arc in arcs], [arc.g for arc in arcs])
+    p = _particular(a1, a2, edges, g, x)
+    mode1 = np.exp(a1[:, np.newaxis] * x)
+    mode2 = np.exp(a2[:, np.newaxis] * (x - L[:, np.newaxis]))
+    live = mode2 > 0.0
+    rows = []
+    for k in range(3):
+        # scalar powers per arc: an array power a1**k rounds differently
+        c_k = np.array([arc.c * arc.a1**k for arc in arcs])[:, np.newaxis]
+        d_k = np.array([arc.d * arc.a2**k for arc in arcs])[:, np.newaxis]
+        # an underflowed mode contributes nothing even when the a2^k
+        # prefactor has overflowed, so keep 0*inf out of the product
+        rows.append(c_k * mode1 + np.where(live, d_k * mode2, 0.0) + p[k])
+    return np.stack(rows)
 
 
 @dataclass(frozen=True)
@@ -179,36 +225,33 @@ class ResolventSolution:
     def residual_report(self) -> ResidualReport:
         """Worst defects of the equation, the outer ends and the junction.
 
-        Each arc is evaluated once, at RESIDUAL_SAMPLES midpoints plus
-        its node and outer ends, and every check reads that one
-        (v, v', v'') result.
+        All arcs are evaluated in one pass, each at RESIDUAL_SAMPLES
+        midpoints plus its node and outer ends, and every check reads
+        that one (v, v', v'') result.
         """
         n = RESIDUAL_SAMPLES
-        m = len(self.arcs)
         theta = self.problem.theta
-        node_v, node_flux, outer_v = np.empty(m), np.empty(m), np.empty(m)
-        ode_max = 0.0
-        for i, (arc, edge) in enumerate(zip(self.arcs, self.net.arcs)):
-            xs = (np.arange(n) + 0.5) * (arc.length / n)
-            ends = [edge.node_position, edge.outer_position]
-            v, dv, ddv = arc.derivatives(np.append(xs, ends))
-            fvals = self.problem.f.arcs[i].evaluate(xs)
-            resid = (
-                v[:n] - theta * (self.epsilon * ddv[:n] - arc.speed * dv[:n])
-                - fvals
-            )
-            ode_max = max(ode_max, float(np.max(np.abs(resid))))
-            node_v[i], outer_v[i] = v[n], v[n + 1]
-            # speed*v - eps*v' at the junction end
-            node_flux[i] = arc.speed * v[n] - self.epsilon * dv[n]
+        speed = np.array([arc.speed for arc in self.arcs])
+        lengths = np.array([arc.length for arc in self.arcs])
+        xs = (np.arange(n) + 0.5) * (lengths / n)[:, np.newaxis]
+        ends = np.array([[e.node_position, e.outer_position] for e in self.net.arcs])
+        v, dv, ddv = _derivatives(self.arcs, np.concatenate([xs, ends], axis=1))
+        fvals = np.stack([p.evaluate(x) for p, x in zip(self.problem.f.arcs, xs)])
+        resid = (
+            v[:, :n]
+            - theta * (self.epsilon * ddv[:, :n] - speed[:, np.newaxis] * dv[:, :n])
+            - fvals
+        )
+        ode_max = float(np.max(np.abs(resid)))
+        dir_max = float(np.max(np.abs(v[:, n + 1] - self.problem.boundary)))
 
-        dir_max = 0.0
-        node_max = 0.0
-        for i, edge in enumerate(self.net.arcs):
-            dir_max = max(dir_max, abs(outer_v[i] - self.problem.boundary[i]))
-            beta = 1.0 if edge.incoming else -1.0
-            defect = beta * node_flux[i] - float(self.alpha[i] @ node_v)
-            node_max = max(node_max, abs(defect))
+        # a contiguous copy: alpha rows times a strided view round differently
+        node_v = v[:, n].copy()
+        # speed*v - eps*v' at the junction end
+        node_flux = speed * node_v - self.epsilon * dv[:, n]
+        beta = np.array([1.0 if edge.incoming else -1.0 for edge in self.net.arcs])
+        coupled = np.array([row @ node_v for row in self.alpha])
+        node_max = float(np.max(np.abs(beta * node_flux - coupled)))
 
         scale = max(
             1.0,
@@ -247,58 +290,31 @@ def solve_resolvent(
         raise DimensionMismatch(f"{len(prob.f.arcs)} forcing profiles for {m} arcs")
     finite_values(prob.boundary, m)
 
-    a1 = np.empty(m)
-    a2 = np.empty(m)
-    mu = np.empty(m)  # eps*a2 - speed, positive
-    nu = np.empty(m)  # speed - eps*a1, positive
-    E = np.empty(m)  # exp(-(a2 - a1) * L)
-    F = np.empty(m)  # exp(a1 * L)
-    G = np.empty(m)  # exp(-a2 * L)
+    lam = net.speeds()
+    L = np.array([arc.length for arc in net.arcs])
     incoming = np.array([arc.incoming for arc in net.arcs])
-    edges_all: list[np.ndarray] = []
-    g_all: list[np.ndarray] = []
+    disc = np.sqrt(lam * lam + 4.0 * epsilon / theta)
+    a2 = (lam + disc) / (2.0 * epsilon)
+    a1 = -2.0 / (theta * (lam + disc))
+    mu = 2.0 * epsilon / (theta * (disc + lam))  # eps*a2 - speed, positive
+    nu = (lam + disc) / 2.0  # speed - eps*a1, positive
+    F = np.exp(a1 * L)
+    G = np.exp(-a2 * L)
+    E = F * G  # exp(-(a2 - a1) * L)
 
-    for i, arc in enumerate(net.arcs):
-        lam, L = arc.speed, arc.length
-        disc = float(np.sqrt(lam * lam + 4.0 * epsilon / theta))
-        a2[i] = (lam + disc) / (2.0 * epsilon)
-        a1[i] = -2.0 / (theta * (lam + disc))
-        mu[i] = 2.0 * epsilon / (theta * (disc + lam))
-        nu[i] = (lam + disc) / 2.0
-        F[i] = np.exp(a1[i] * L)
-        G[i] = np.exp(-a2[i] * L)
-        E[i] = F[i] * G[i]
+    edges_all = [
+        np.concatenate([[0.0], profile.breakpoints, [length]])
+        for profile, length in zip(prob.f.arcs, L)
+    ]
+    g_all = [-profile.values / (theta * epsilon) for profile in prob.f.arcs]
 
-        profile = prob.f.arcs[i]
-        edges = np.concatenate([[0.0], profile.breakpoints, [L]])
-        edges_all.append(edges)
-        g_all.append(-profile.values / (theta * epsilon))
-
-    # particular part and its slope at both arc ends, read off each arc
-    # before its mode weights c and d are known
-    p0 = np.empty(m)
-    pL = np.empty(m)
-    dp0 = np.empty(m)
-    dpL = np.empty(m)
-    probes = []
-    for i, arc in enumerate(net.arcs):
-        probe = _ArcSolution(
-            speed=arc.speed,
-            length=arc.length,
-            a1=a1[i],
-            a2=a2[i],
-            edges=edges_all[i],
-            g=g_all[i],
-            c=0.0,
-            d=0.0,
-        )
-        probes.append(probe)
-        (p0[i], pL[i]), (dp0[i], dpL[i]), _ = probe.particular(
-            np.array([0.0, arc.length])
-        )
+    # particular part and its slope at both ends of every arc, read off
+    # before the mode weights c and d are known
+    edges, g = _pad_pieces(edges_all, g_all)
+    ends = np.stack([np.zeros(m), L], axis=1)
+    (p0, pL), (dp0, dpL), _ = _particular(a1, a2, edges, g, ends).transpose(0, 2, 1)
 
     b = prob.boundary
-    lam = net.speeds()
     # node value of each arc splits as unknown*(1 - E) + t
     t = np.where(incoming, (b - p0) * F + pL, (b - pL) * G + p0)
 
@@ -325,21 +341,27 @@ def solve_resolvent(
         raise SingularMatrix("coupling system lost strict column dominance")
     w = np.linalg.solve(H, rhs)
 
-    arcs = []
-    for i, arc in enumerate(net.arcs):
-        if arc.incoming:
-            d = float(w[i])
-            c = float((b[i] - p0[i]) - d * G[i])
-        else:
-            c = float(w[i])
-            d = float((b[i] - pL[i]) - c * F[i])
-        arcs.append(replace(probes[i], c=c, d=d))
+    d = np.where(incoming, w, (b - pL) - w * F)
+    c = np.where(incoming, (b - p0) - w * G, w)
+    arcs = tuple(
+        _ArcSolution(
+            speed=arc.speed,
+            length=arc.length,
+            a1=a1[i],
+            a2=a2[i],
+            edges=edges_all[i],
+            g=g_all[i],
+            c=float(c[i]),
+            d=float(d[i]),
+        )
+        for i, arc in enumerate(net.arcs)
+    )
 
     return ResolventSolution(
         net=net,
         epsilon=epsilon,
         problem=prob,
-        arcs=tuple(arcs),
+        arcs=arcs,
         alpha=alpha,
         h_rhs=rhs,
         dominance_margins=margins,

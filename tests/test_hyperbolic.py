@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import cross_ones_coupling, simple_star
+from conftest import cross_ones_coupling, random_coupling, random_network, simple_star
 from starflux import (
     ArcProfile,
     DimensionMismatch,
@@ -128,6 +130,69 @@ def test_flux_conservation_random_times():
     u0 = PiecewiseConstantField(tuple(profiles))
     sol = solve_exact(net, ts.gamma, u0, rng.uniform(0.0, 1.0, 4), T=3.0)
     assert check_flux_conservation(sol, rng.uniform(0.0, 3.0, 64)) <= 1e-12
+
+
+def loop_flux_balance(sol, t_samples):
+    """Per-time reference for check_flux_conservation: one scalar per trace."""
+    ts = np.asarray(t_samples, dtype=float)
+    in_speeds = np.array([sol.net.arc(j).speed for j in sol.net.incoming_ids])
+    out_speeds = np.array([sol.net.arc(l).speed for l in sol.net.outgoing_ids])
+    worst = 0.0
+    for t in ts:
+        inflow = sum(
+            float(in_speeds[p] * tr.evaluate(t)) for p, tr in enumerate(sol.traces)
+        )
+        outflow = sum(
+            float(out_speeds[p] * nv.evaluate(t))
+            for p, nv in enumerate(sol.node_values)
+        )
+        worst = max(worst, abs(inflow - outflow))
+    return worst
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_flux_check_matches_per_time_loop_on_random_stars(seed):
+    """All sample times in one pass give the per-time loop's value, bit for bit.
+
+    The times include every trace and node breakpoint, where the
+    left-continuous signals switch pieces, and times past the horizon.
+    """
+    rng = np.random.default_rng(seed)
+    net = random_network(rng)
+    gamma = compute_gamma(net, random_coupling(rng, net)).gamma
+    profiles = []
+    for arc in net.arcs:
+        pieces = int(rng.integers(1, 5))
+        breaks = np.sort(rng.uniform(0.1, 0.9, pieces - 1)) * arc.length
+        values = rng.uniform(0.0, 2.0, pieces)
+        profiles.append(ArcProfile.from_lists(arc.length, breaks, values))
+    u0 = PiecewiseConstantField(tuple(profiles))
+    T = float(rng.uniform(0.5, 3.0))
+    sol = solve_exact(net, gamma, u0, rng.uniform(0.0, 1.0, net.m), T)
+    switches = [s.breakpoints for s in sol.traces + sol.node_values]
+    ts = np.concatenate(
+        [np.linspace(0.0, T, 31), rng.uniform(0.0, 2.0 * T, 16), *switches]
+    )
+    got = check_flux_conservation(sol, ts)
+    want = loop_flux_balance(sol, ts)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    assert got <= 1e-9
+
+
+def test_flux_check_rejects_bad_sample_times():
+    """Times are checked before any signal is read; no times give 0.0."""
+    net = simple_star([1.0], [2.0])
+    ts = compute_gamma(net, cross_ones_coupling(net))
+    u0 = PiecewiseConstantField.constant(net, [4.0, 0.0])
+    sol = solve_exact(net, ts.gamma, u0, [2.0, 0.0], T=2.0)
+    for bad in ([np.nan], [0.5, np.inf], [-np.inf]):
+        with pytest.raises(DimensionMismatch, match="finite"):
+            check_flux_conservation(sol, bad)
+    for bad in ([[0.5, 1.0]], 0.5):
+        with pytest.raises(DimensionMismatch, match="1-d"):
+            check_flux_conservation(sol, bad)
+    assert check_flux_conservation(sol, []) == 0.0
 
 
 def test_l1_distance_between_constant_fields():

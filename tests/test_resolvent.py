@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import cross_ones_coupling, random_coupling, random_network, simple_star
 from starflux import (
+    ArcProfile,
     CouplingMatrix,
     DimensionMismatch,
     NonPositiveParameter,
@@ -21,7 +22,13 @@ from starflux import (
     solve_resolvent,
 )
 from starflux.parabolic.scheme import assemble_step_operator, step
-from starflux.parabolic.resolvent import RESIDUAL_SAMPLES, _ArcSolution
+from starflux.parabolic import resolvent
+from starflux.parabolic.resolvent import (
+    RESIDUAL_SAMPLES,
+    _convolutions,
+    _derivatives,
+    _pad_pieces,
+)
 
 
 def pair_problem(theta=0.8, boundary=(0.7, 0.3), seed=11):
@@ -94,26 +101,26 @@ def test_signed_node_fluxes_cancel():
 
 
 def test_each_arc_is_evaluated_in_one_pass(monkeypatch):
-    """solve_resolvent and residual_report run one forcing pass per arc."""
+    """solve_resolvent and residual_report run one forcing pass over all arcs."""
     net = simple_star([1.0, 3.0], [2.0, 0.5])
     prob = ResolventProblem.build(
         1.2,
         resolvent_forcing_field(net, np.random.default_rng(5)),
         [0.4, -0.2, 0.9, 0.1],
     )
-    sizes = []
-    convolutions = _ArcSolution._convolutions
+    shapes = []
+    convolutions = resolvent._convolutions
 
-    def counted(arc, x):
-        sizes.append(x.size)
-        return convolutions(arc, x)
+    def counted(a1, a2, edges, g, x):
+        shapes.append(x.shape)
+        return convolutions(a1, a2, edges, g, x)
 
-    monkeypatch.setattr(_ArcSolution, "_convolutions", counted)
+    monkeypatch.setattr(resolvent, "_convolutions", counted)
     sol = solve_resolvent(net, cross_ones_coupling(net), 0.3, prob)
-    assert sizes == [2] * net.m
-    sizes.clear()
+    assert shapes == [(net.m, 2)]
+    shapes.clear()
     sol.residual_report()
-    assert sizes == [RESIDUAL_SAMPLES + 2] * net.m
+    assert shapes == [(net.m, RESIDUAL_SAMPLES + 2)]
 
 
 def test_stiff_viscosity_stays_accurate():
@@ -182,15 +189,30 @@ def test_resolvent_validation():
         solve_resolvent(net, K, 0.5, bad)
 
 
-def random_solution(seed, m):
-    """Resolvent of a random m-arc star, viscosity down to 1e-3."""
+def random_solution(seed, m, uneven=False):
+    """Resolvent of a random m-arc star, viscosity down to 1e-3.
+
+    With ``uneven``, arc i gets i % 4 forcing breakpoints, so the arcs
+    of every star carry different piece counts.
+    """
     rng = np.random.default_rng(seed)
     net = random_network(rng, m_min=m, m_max=m)
     K = random_coupling(rng, net)
+    if uneven:
+        f = PiecewiseConstantField(
+            tuple(
+                ArcProfile.from_lists(
+                    arc.length,
+                    np.sort(rng.uniform(0.1, 0.9, arc.id % 4)) * arc.length,
+                    rng.uniform(-1.0, 1.0, arc.id % 4 + 1),
+                )
+                for arc in net.arcs
+            )
+        )
+    else:
+        f = resolvent_forcing_field(net, rng, pieces=int(rng.integers(1, 6)))
     prob = ResolventProblem.build(
-        float(rng.uniform(0.2, 3.0)),
-        resolvent_forcing_field(net, rng, pieces=int(rng.integers(1, 6))),
-        rng.uniform(-1.0, 1.0, m),
+        float(rng.uniform(0.2, 3.0)), f, rng.uniform(-1.0, 1.0, m)
     )
     return solve_resolvent(net, K, float(10.0 ** rng.uniform(-3.0, 0.0)), prob)
 
@@ -205,7 +227,7 @@ def arc_points(arc, edge, samples=24):
 
 
 def loop_convolutions(arc, x):
-    """Per-piece reference for _ArcSolution._convolutions."""
+    """Per-piece reference for one arc's row of _convolutions."""
     a1, a2 = arc.a1, arc.a2
     i1 = np.zeros_like(x)
     i2 = np.zeros_like(x)
@@ -231,24 +253,35 @@ def loop_convolutions(arc, x):
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
-@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 8))
-def test_one_pass_matches_scalar_and_per_piece_evaluation(seed, m):
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 8), uneven=st.booleans())
+def test_one_pass_matches_scalar_and_per_piece_evaluation(seed, m, uneven):
     """The shared (v, v', v'') pass, bitwise against its per-point pieces.
 
-    Every row equals the scalar ``evaluate`` at each point, and the
-    piece-vectorised convolutions equal the per-piece loop.
+    Every row equals the scalar ``evaluate`` at each point, the pass
+    over all arcs equals each arc's own pass, whatever padding the
+    uneven piece counts need, and the piece-vectorised convolutions
+    equal the per-piece loop.
     """
-    sol = random_solution(seed, m)
+    sol = random_solution(seed, m, uneven)
     assert sol.residual_report().worst_scaled <= 1e-9
-    for i, (arc, edge) in enumerate(zip(sol.arcs, sol.net.arcs)):
-        xs = arc_points(arc, edge)
+    points = np.stack(
+        [arc_points(arc, edge) for arc, edge in zip(sol.arcs, sol.net.arcs)]
+    )
+    stacked = _derivatives(sol.arcs, points)
+    edges, g = _pad_pieces([arc.edges for arc in sol.arcs], [arc.g for arc in sol.arcs])
+    a1 = np.array([arc.a1 for arc in sol.arcs])
+    a2 = np.array([arc.a2 for arc in sol.arcs])
+    i1, i2 = _convolutions(a1, a2, edges, g, points)
+    for i, (arc, xs) in enumerate(zip(sol.arcs, points)):
         rows = arc.derivatives(xs)
+        assert stacked[:, i].tobytes() == rows.tobytes()
         for order in range(3):
             scalar = np.array([sol.evaluate(i, float(x), order) for x in xs])
             assert rows[order].tobytes() == scalar.tobytes()
             assert sol.evaluate(i, xs, order).tobytes() == rows[order].tobytes()
-        for got, want in zip(arc._convolutions(xs), loop_convolutions(arc, xs)):
-            assert got.tobytes() == want.tobytes()
+        want1, want2 = loop_convolutions(arc, xs)
+        assert i1[i].tobytes() == want1.tobytes()
+        assert i2[i].tobytes() == want2.tobytes()
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
