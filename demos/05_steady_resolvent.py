@@ -5,8 +5,8 @@ the state equals a forcing) is solved twice:
 
   1. in closed form, by combining exponential modes per arc and solving
      one small coupling system for the junction; and
-  2. by time marching a reaction-augmented implicit scheme until it
-     stops moving.
+  2. on a grid, as one implicit time step of length theta started from
+     the forcing: the step's equation is the discrete steady equation.
 
 Route 1 is exact up to rounding; route 2 carries an O(h) discretization
 error. Their gap, measured in L1 on successively halved grids, should

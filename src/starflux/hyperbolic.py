@@ -183,9 +183,18 @@ class HyperbolicSolution:
     def evaluate(
         self, arc_id: int, x: np.ndarray | float, t: float
     ) -> np.ndarray | float:
-        """Solution value on one arc at time t; vectorized over x."""
+        """Solution value on one arc at time t; vectorized over x.
+
+        Raises DimensionMismatch for t outside [0, T] or x outside
+        [0, length], NaN included: past the horizon the stored traces
+        no longer describe the solution.
+        """
         arc = self.net.arc(arc_id)
+        if not 0.0 <= t <= self.T:
+            raise DimensionMismatch(f"t = {t} lies outside [0, {self.T}]")
         xs = np.asarray(x, dtype=float)
+        if not np.all((xs >= 0.0) & (xs <= arc.length)):
+            raise DimensionMismatch(f"arc {arc_id}: x outside [0, {arc.length}]")
         shift = xs - arc.speed * t
         from_data = self.u0.arcs[arc_id].evaluate(shift)
         if arc.incoming:
@@ -200,7 +209,7 @@ class HyperbolicSolution:
         return out
 
     def snapshot(self, t: float) -> PiecewiseConstantField:
-        """Exact piecewise-constant spatial profile at time t."""
+        """Exact piecewise-constant spatial profile at time t in [0, T]."""
         profiles = []
         for arc in self.net.arcs:
             lam, L = arc.speed, arc.length

@@ -1,9 +1,8 @@
 """Time marching: viscous evolution and steady-state resolution.
 
 solve_parabolic integrates the viscous problem to a horizon with
-per-step diagnostics; march_to_steady drives a reaction-augmented
-problem to its fixed point, which solves the steady resolvent equation
-independently of the step size used to get there.
+per-step diagnostics; march_to_steady solves the steady resolvent
+equation, which is one implicit step of length theta.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import DimensionMismatch, NoConvergence, finite_above, finite_values
+from ..errors import DimensionMismatch, finite_above, finite_values
 from ..grids import (
     DEFAULT_H_RULE,
     DiscreteState,
@@ -38,12 +37,6 @@ from .scheme import (
 #: sampled initial data may violate the discrete node conditions by this
 #: much before a warning is issued
 COMPATIBILITY_WARN_TOL = 1e-8
-
-#: the steady march stops once its step-to-step L1 change per unit time
-#: falls to this
-STEADY_TOL = 1e-10
-#: steps the steady march may take before it gives up
-STEADY_MAX_STEPS = 10000
 
 
 @dataclass(frozen=True)
@@ -182,35 +175,19 @@ def march_to_steady(
     f: PiecewiseConstantField,
     boundary: Sequence[float],
 ) -> DiscreteState:
-    """Fixed point of the reaction-augmented march.
+    """Discrete steady resolvent state, at time theta.
 
     The steady state satisfies u - theta*(eps*u'' - speed*u') = f in the
     discrete sense, with Dirichlet values ``boundary`` at the outer ends
-    and the viscous node coupling at the junction. The step, 10*theta,
-    only controls how fast the iteration contracts, not the answer;
-    marching stops once the step-to-step change per unit time drops
-    below STEADY_TOL.
+    and the viscous node coupling at the junction. That is one implicit
+    step of length theta started from f sampled on the grid: its
+    interior rows read (u - f)/theta = eps*u'' - speed*u', its outer
+    rows keep ``boundary``, and its node rows ignore the start state.
     """
-    dt = 10.0 * finite_above(theta, "theta")
+    theta = finite_above(theta, "theta")
     bvals = finite_values(boundary, net.m)
     finite_above(epsilon, "epsilon")
-    op = assemble_step_operator(
-        net, K, grid, epsilon, dt, reaction=1.0 / theta, forcing=f
-    )
-
-    # the junction values start at zero, as the node rows give for a
-    # zero interior; a step never reads them (rhs_scale is 0 there)
-    flat = np.zeros(op.size)
+    op = assemble_step_operator(net, K, grid, epsilon, theta)
+    flat = sample_on_grid(f.arcs, grid).flat.copy()
     flat[op.outer] = bvals
-    state = adopt_state(grid, flat, 0.0)
-
-    for _ in range(STEADY_MAX_STEPS):
-        nxt = step(state, op)
-        gap = discrete_l1_norm(adopt_state(grid, nxt.flat - state.flat, nxt.t), grid)
-        state = nxt
-        if gap / dt <= STEADY_TOL:
-            return state
-    raise NoConvergence(
-        f"steady march did not settle within {STEADY_MAX_STEPS} steps"
-    )
-
+    return step(adopt_state(grid, flat, 0.0), op)

@@ -160,7 +160,10 @@ class _ArcSolution:
         return _derivatives((self,), x[np.newaxis])[:, 0]
 
     def evaluate(self, x: np.ndarray | float, order: int = 0) -> np.ndarray | float:
+        """Row ``order`` of (v, v', v'') at x; x outside [0, L] or NaN raises."""
         xs = np.asarray(x, dtype=float)
+        if not np.all((xs >= 0.0) & (xs <= self.length)):
+            raise DimensionMismatch(f"x outside [0, {self.length}]")
         out = self.derivatives(xs.ravel())[order].reshape(xs.shape)
         if np.isscalar(x):
             return float(out)

@@ -36,7 +36,6 @@ from scipy.linalg.lapack import dgttrf, dgttrs
 
 from ..errors import AssumptionViolated, LinearSolveFailure, UnstableConfig
 from ..grids import DiscreteState, Grid, adopt_state
-from ..hyperbolic import PiecewiseConstantField
 from ..network import CouplingMatrix, StarNetwork, alpha_from_k, validate_assumptions
 
 
@@ -218,10 +217,10 @@ class StepOperator:
 
     rhs_scale maps the current state to the right-hand side: 1/dt at
     interior rows, 1 at Dirichlet rows (values persist), 0 at node rows.
-    forcing is added on top each step. outer indexes each arc's outer
-    end, a Dirichlet row. stencil is the junction condition the node
-    rows are built from. lu solves matrix arc by arc plus an m x m
-    junction system; the outer values pass through it bitwise.
+    outer indexes each arc's outer end, a Dirichlet row. stencil is the
+    junction condition the node rows are built from. lu solves matrix
+    arc by arc plus an m x m junction system; the outer values pass
+    through it bitwise.
     """
 
     matrix: scipy.sparse.csc_matrix
@@ -229,7 +228,6 @@ class StepOperator:
     grid: Grid
     dt: float
     rhs_scale: np.ndarray
-    forcing: np.ndarray
     outer: np.ndarray
     stencil: JunctionStencil
 
@@ -244,18 +242,12 @@ def assemble_step_operator(
     grid: Grid,
     epsilon: float,
     dt: float,
-    reaction: float = 0.0,
-    forcing: PiecewiseConstantField | None = None,
 ) -> StepOperator:
     """Build and factorize the implicit step matrix.
 
-    epsilon and dt are taken as given: callers check them.
-
-    ``reaction`` adds a zeroth-order term to the interior rows and
-    ``forcing`` the time-independent source reaction*forcing, which is
-    how steady problems are marched. Warns UnstableConfig when
-    any spacing exceeds epsilon/2, the point where the boundary layer
-    is no longer resolved.
+    epsilon and dt are taken as given: callers check them. Warns
+    UnstableConfig when any spacing exceeds epsilon/2, the point where
+    the boundary layer is no longer resolved.
     """
     report = validate_assumptions(net, K)
     if not report.holds_sign_symmetry or not report.holds_incoming_linked:
@@ -277,7 +269,6 @@ def assemble_step_operator(
     cols: list[np.ndarray] = []
     vals: list[np.ndarray] = []
     rhs_scale = np.zeros(total)
-    forcing_vec = np.zeros(total)
 
     for i, arc in enumerate(net.arcs):
         n = grid.cells[i]
@@ -290,13 +281,11 @@ def assemble_step_operator(
         rows += [r, r, r]
         cols += [r, r - 1, r + 1]
         vals += [
-            np.full(n - 1, 1.0 / dt + reaction + adv + 2.0 * dif),
+            np.full(n - 1, 1.0 / dt + adv + 2.0 * dif),
             np.full(n - 1, -(adv + dif)),
             np.full(n - 1, -dif),
         ]
         rhs_scale[r] = 1.0 / dt
-        if forcing is not None:
-            forcing_vec[r] = reaction * forcing.arcs[i].evaluate(k * h)
 
     # outer ends: identity rows, so the Dirichlet values persist
     incoming = [arc.incoming for arc in net.arcs]
@@ -321,7 +310,6 @@ def assemble_step_operator(
         grid=grid,
         dt=dt,
         rhs_scale=rhs_scale,
-        forcing=forcing_vec,
         outer=outer,
         stencil=stencil,
     )
@@ -333,7 +321,7 @@ def step(state: DiscreteState, op: StepOperator) -> DiscreteState:
         raise LinearSolveFailure(
             f"state has {state.flat.size} values, operator expects {op.size}"
         )
-    out = op.lu.solve(op.rhs_scale * state.flat + op.forcing)
+    out = op.lu.solve(op.rhs_scale * state.flat)
     if not np.isfinite(out).all():
         raise LinearSolveFailure("implicit solve produced non-finite values")
     return adopt_state(op.grid, out, state.t + op.dt)

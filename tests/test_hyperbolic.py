@@ -96,6 +96,30 @@ def test_solve_exact_single_pair_frozen():
     assert check_flux_conservation(sol, np.linspace(0.01, 2.0, 37)) <= 1e-12
 
 
+def test_evaluation_is_confined_to_the_horizon_and_the_arcs():
+    """Past T the stored node signals stop, so evaluate refuses to guess.
+
+    With T = 0.5 the inflow value 1 has not yet crossed the node; a
+    solution to T = 3 shows it reaching x = 0.2 on the outgoing arc at
+    t = 1.5, where the shorter solution used to answer 0.
+    """
+    net = simple_star([1.0], [1.0])
+    ts = compute_gamma(net, cross_ones_coupling(net))
+    u0 = PiecewiseConstantField.constant(net, [0.0, 0.0])
+    assert solve_exact(net, ts.gamma, u0, [1.0, 0.0], T=3.0).evaluate(1, 0.2, 1.5) == 1.0
+
+    sol = solve_exact(net, ts.gamma, u0, [1.0, 0.0], T=0.5)
+    assert sol.evaluate(1, 1.0, 0.5) == 0.0
+    for t in (1.5, -0.1, np.nan):
+        with pytest.raises(DimensionMismatch, match="outside"):
+            sol.evaluate(1, 0.2, t)
+    for x in (-0.1, 1.1, np.nan, np.array([0.5, 1.5])):
+        with pytest.raises(DimensionMismatch, match="outside"):
+            sol.evaluate(0, x, 0.2)
+    with pytest.raises(DimensionMismatch, match="outside"):
+        sol.snapshot(1.5)
+
+
 def test_solution_restarted_from_snapshot_matches():
     """Semigroup property: restarting at an intermediate time changes nothing."""
     net = simple_star([1.0, 2.0], [1.5, 0.5], [1.0, 1.3], [0.8, 1.0])

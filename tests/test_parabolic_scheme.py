@@ -109,7 +109,7 @@ def test_step_rejects_wrong_size_and_non_finite_solves():
         step(new_state(finer, [np.ones(n + 1) for n in finer.cells]), op)
 
     ones = new_state(grid, [np.ones(n + 1) for n in grid.cells])
-    blowup = dataclasses.replace(op, forcing=np.full(op.size, np.inf))
+    blowup = dataclasses.replace(op, rhs_scale=np.full(op.size, np.inf))
     with pytest.raises(LinearSolveFailure, match="non-finite"):
         step(ones, blowup)
 
@@ -336,15 +336,14 @@ def test_outer_values_persist_bitwise(seed, m):
     seed=st.integers(0, 2**32 - 1),
     m=st.integers(2, 8),
     coarse=st.booleans(),
-    steady=st.booleans(),
 )
-def test_arc_junction_lu_matches_dense_solve(seed, m, coarse, steady):
+def test_arc_junction_lu_matches_dense_solve(seed, m, coarse):
     """op.lu.solve against a dense solve of op.matrix.
 
-    coarse puts MIN_CELLS cells on every arc; steady builds the
-    reaction-plus-forcing operator march_to_steady uses. Random step
-    sizes make the arcs' junction responses fall below the cutoff in
-    some draws and span whole arcs in others.
+    coarse puts MIN_CELLS cells on every arc. Random step sizes, up to
+    the steady solve's step lengths theta, make the arcs' junction
+    responses fall below the cutoff in some draws and span whole arcs
+    in others.
     """
     rng = np.random.default_rng(seed)
     net = random_network(rng, m_min=m, m_max=m)
@@ -353,15 +352,8 @@ def test_arc_junction_lu_matches_dense_solve(seed, m, coarse, steady):
     grid = make_grid(net, h=10.0 if coarse else float(rng.uniform(0.02, 0.1)))
     if coarse:
         assert set(grid.cells) == {MIN_CELLS}
-    dt = float(10.0 ** rng.uniform(-4.5, -1.0))
-    if steady:
-        theta = float(rng.uniform(0.1, 2.0))
-        op = assemble_step_operator(
-            net, K, grid, eps, dt, reaction=1.0 / theta,
-            forcing=resolvent_forcing_field(net, rng),
-        )
-    else:
-        op = assemble_step_operator(net, K, grid, eps, dt)
+    dt = float(10.0 ** rng.uniform(-4.5, 0.5))
+    op = assemble_step_operator(net, K, grid, eps, dt)
     # the cut boundary rows leave nothing for dgttrf to pivot
     assert op.lu.ipiv.tolist() == list(range(1, op.size + 1))
 

@@ -1,10 +1,10 @@
-"""Closed-form steady solver checked by direct substitution and marching."""
+"""Closed-form steady solver checked by direct substitution and the steady march."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import cross_ones_coupling, random_coupling, random_network, simple_star
@@ -21,7 +21,7 @@ from starflux import (
     resolvent_forcing_field,
     solve_resolvent,
 )
-from starflux.parabolic.scheme import assemble_step_operator, step
+from starflux.network import alpha_from_k
 from starflux.parabolic import resolvent
 from starflux.parabolic.resolvent import (
     RESIDUAL_SAMPLES,
@@ -158,18 +158,75 @@ def test_march_fixed_point_matches_closed_form_at_first_order():
     assert all(1.6 <= r <= 2.4 for r in ratios), (errors, ratios)
 
 
-def test_march_fixed_point_is_step_size_independent():
-    """The settled state is a fixed point of the steady step at any step size."""
-    net, K, prob = pair_problem(seed=29)
-    grid = make_grid(net, h=0.05)
-    settled = march_to_steady(net, K, grid, 0.5, prob.theta, prob.f, prob.boundary)
-    for dt in (8.0, 2.0, 0.1):
-        op = assemble_step_operator(
-            net, K, grid, 0.5, dt,
-            reaction=1.0 / prob.theta, forcing=prob.f,
-        )
-        moved = step(settled, op)
-        assert float(np.max(np.abs(moved.flat - settled.flat))) <= 1e-7, dt
+def steady_star(seed, m):
+    """Random m-arc star with the data of a steady problem."""
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, m_min=m, m_max=m)
+    K = random_coupling(rng, net)
+    eps = float(rng.uniform(0.3, 1.0))
+    theta = float(rng.uniform(0.1, 2.0))
+    f = resolvent_forcing_field(net, rng)
+    boundary = rng.uniform(-1.0, 1.0, m)
+    return net, K, eps, theta, f, boundary
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 8))
+@example(seed=172, m=6)
+def test_march_to_steady_solves_the_discrete_steady_equations(seed, m):
+    """The steady state, substituted into the stencil written out here.
+
+    Along each arc's direction of travel the interior rows read
+    (u_k - f(x_k))/theta + speed*(u_k - u_{k-1})/h
+    - eps*(u_{k+1} - 2u_k + u_{k-1})/h^2 = 0, the node rows
+    alpha[i] @ u_node = beta_i * F_i with the one-sided viscous flux
+    F_i, and the outer values equal the boundary exactly. Each residual
+    is measured against the sum of its terms' sizes. Seed 172 with
+    m = 6 is a star whose discrete steady state grows to about 6e2.
+    """
+    net, K, eps, theta, f, boundary = steady_star(seed, m)
+    grid = make_grid(net, h=eps / 8.0)
+    state = march_to_steady(net, K, grid, eps, theta, f, boundary)
+    assert state.t == theta
+
+    alpha = alpha_from_k(K)
+    u_node, u_inner, outer = [], [], []
+    for arc, u, h in zip(net.arcs, state.values, grid.spacings):
+        fk = f.arcs[arc.id].evaluate(grid.nodes(arc.id))[1:-1]
+        left, mid, right = u[:-2], u[1:-1], u[2:]
+        terms = [
+            (mid - fk) / theta,
+            arc.speed * mid / h,
+            -arc.speed * left / h,
+            -eps * right / h**2,
+            2.0 * eps * mid / h**2,
+            -eps * left / h**2,
+        ]
+        resid = np.abs(sum(terms))
+        assert np.all(resid <= 1e-12 * sum(np.abs(t) for t in terms)), arc.id
+        u_node.append(u[-1] if arc.incoming else u[0])
+        u_inner.append(u[-2] if arc.incoming else u[1])
+        outer.append(u[0] if arc.incoming else u[-1])
+    assert outer == boundary.tolist()
+
+    u_node, u_inner = np.array(u_node), np.array(u_inner)
+    beta = np.array([1.0 if arc.incoming else -1.0 for arc in net.arcs])
+    speed, h = net.speeds(), np.array(grid.spacings)
+    flux = speed * u_node - eps * beta * (u_node - u_inner) / h
+    resid = np.abs(alpha @ u_node - beta * flux)
+    scale = np.abs(alpha) @ np.abs(u_node) + speed * np.abs(u_node)
+    scale += eps * (np.abs(u_node) + np.abs(u_inner)) / h
+    assert np.all(resid <= 1e-12 * scale)
+
+
+def test_evaluation_is_confined_to_the_arcs():
+    """Past either end the right mode would overflow; evaluate refuses."""
+    net, K, prob = pair_problem()
+    sol = solve_resolvent(net, K, 1e-4, prob)
+    assert np.isfinite(sol.evaluate(1, 1.0))
+    for x in (-0.1, 1.5, np.nan, np.array([0.5, 2.0])):
+        with pytest.raises(DimensionMismatch, match="outside"):
+            sol.evaluate(1, x)
 
 
 def test_resolvent_validation():
