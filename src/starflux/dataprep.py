@@ -222,8 +222,6 @@ def _smooth(
     Raises WidthOverflow when a jump sits inside a reserved zone or no
     room is left for a transition.
     """
-    if len(v.arcs) != net.m:
-        raise DimensionMismatch(f"{len(v.arcs)} profiles for {net.m} arcs")
     half = epsilon_n / 2.0
 
     smoothed = []
@@ -400,6 +398,9 @@ def build_compatible(
                 f"{arc.length:.3g}"
             )
 
+    if len(v.arcs) != net.m:
+        raise DimensionMismatch(f"{len(v.arcs)} profiles for {net.m} arcs")
+    v.check_lengths(net, "profiles")
     core = _smooth(v, net, epsilon_n, delta_n)
     cubics = tuple(
         _node_cubic(core, i, net, alpha, epsilon_n, delta_n) for i in range(net.m)

@@ -24,14 +24,35 @@ from .network import StarNetwork
 GAMMA_INPUT_TOL = 1e-8
 
 
-def _check_breaks(breaks: np.ndarray, upper: float, what: str) -> None:
-    if breaks.size:
-        if np.any(breaks <= 0.0) or np.any(breaks >= upper):
-            raise DimensionMismatch(
-                f"{what} breakpoints must lie strictly inside (0, {upper})"
-            )
-        if np.any(np.diff(breaks) <= 0.0):
-            raise DimensionMismatch(f"{what} breakpoints must strictly increase")
+def _increasing_inside(b: np.ndarray, upper: float) -> bool:
+    """True when 1-d ``b`` strictly increases inside (0, upper).
+
+    Comparing neighbours, not their differences, keeps huge breakpoints
+    from overflowing; NaN fails every comparison.
+    """
+    return b.size == 0 or bool(
+        b[0] > 0.0 and b[-1] < upper and (b[1:] > b[:-1]).all()
+    )
+
+
+def _check_count_and_finite(b: np.ndarray, v: np.ndarray, what: str) -> None:
+    """Failure branch of profiles and signals: the two rules they share.
+
+    Raises DimensionMismatch unless there is one more value than
+    breakpoints and every entry is finite.
+    """
+    if v.size != b.size + 1:
+        raise DimensionMismatch(
+            f"{b.size} breakpoints need {b.size + 1} values, got {v.size}"
+        )
+    if not (np.isfinite(b).all() and np.isfinite(v).all()):
+        raise DimensionMismatch(f"{what} entries must be finite")
+
+
+def _not_1d(b: np.ndarray, v: np.ndarray, what: str) -> DimensionMismatch:
+    return DimensionMismatch(
+        f"{what} breakpoints and values must be 1-d, got shapes {b.shape} and {v.shape}"
+    )
 
 
 @dataclass(frozen=True)
@@ -53,21 +74,34 @@ class ArcProfile:
         breakpoints: Sequence[float],
         values: Sequence[float],
     ) -> "ArcProfile":
-        finite_above(length, "length")
+        """Read-only profile from breakpoints and values.
+
+        Raises NonPositiveParameter for a bad length and
+        DimensionMismatch unless breakpoints and values are finite, 1-d,
+        one more value than breakpoints, and the breakpoints strictly
+        increase inside (0, length).
+        """
+        upper = finite_above(length, "length")
         b = np.asarray(breakpoints, dtype=float)
         v = np.asarray(values, dtype=float)
-        if v.size != b.size + 1:
-            raise DimensionMismatch(
-                f"{b.size} breakpoints need {b.size + 1} values, got {v.size}"
-            )
-        if not (np.all(np.isfinite(b)) if b.size else True) or not np.all(
-            np.isfinite(v)
+        if not (
+            b.ndim == 1
+            and v.ndim == 1
+            and v.size == b.size + 1
+            and np.isfinite(v).all()
+            and _increasing_inside(b, upper)
         ):
-            raise DimensionMismatch("profile entries must be finite")
-        _check_breaks(b, length, "profile")
+            _check_count_and_finite(b, v, "profile")
+            if b.size and ((b <= 0.0).any() or (b >= upper).any()):
+                raise DimensionMismatch(
+                    f"profile breakpoints must lie strictly inside (0, {length})"
+                )
+            if b.ndim and b.size and (np.diff(b) <= 0.0).any():
+                raise DimensionMismatch("profile breakpoints must strictly increase")
+            raise _not_1d(b, v, "profile")
         b.flags.writeable = False
         v.flags.writeable = False
-        return cls(length=float(length), breakpoints=b, values=v)
+        return cls(length=upper, breakpoints=b, values=v)
 
     def evaluate(self, x: np.ndarray | float) -> np.ndarray | float:
         idx = np.searchsorted(self.breakpoints, x, side="left")
@@ -100,6 +134,19 @@ class PiecewiseConstantField:
     def total_variation(self) -> float:
         return sum(a.total_variation() for a in self.arcs)
 
+    def check_lengths(self, net: StarNetwork, what: str) -> None:
+        """Raise DimensionMismatch unless each profile is as long as its arc.
+
+        Expects one profile per arc; ``what`` names the profiles in the
+        message.
+        """
+        for profile, arc in zip(self.arcs, net.arcs):
+            if profile.length != arc.length:
+                raise DimensionMismatch(
+                    f"{what}: arc {arc.id} has length {arc.length}, its "
+                    f"profile {profile.length}"
+                )
+
 
 @dataclass(frozen=True)
 class TraceSignal:
@@ -116,16 +163,27 @@ class TraceSignal:
     def from_lists(
         cls, breakpoints: Sequence[float], values: Sequence[float]
     ) -> "TraceSignal":
+        """Read-only signal from breakpoints and values.
+
+        Raises DimensionMismatch unless breakpoints and values are
+        finite, 1-d, one more value than breakpoints, and the
+        breakpoints positive and strictly increasing.
+        """
         b = np.asarray(breakpoints, dtype=float)
         v = np.asarray(values, dtype=float)
-        if v.size != b.size + 1:
-            raise DimensionMismatch(
-                f"{b.size} breakpoints need {b.size + 1} values, got {v.size}"
-            )
-        if not (np.all(np.isfinite(b)) and np.all(np.isfinite(v))):
-            raise DimensionMismatch("signal entries must be finite")
-        if b.size and (np.any(b <= 0.0) or np.any(np.diff(b) <= 0.0)):
-            raise DimensionMismatch("signal breakpoints must be positive increasing")
+        if not (
+            b.ndim == 1
+            and v.ndim == 1
+            and v.size == b.size + 1
+            and np.isfinite(v).all()
+            and _increasing_inside(b, np.inf)
+        ):
+            _check_count_and_finite(b, v, "signal")
+            if b.size and (
+                (b <= 0.0).any() or (b.ndim and (np.diff(b) <= 0.0).any())
+            ):
+                raise DimensionMismatch("signal breakpoints must be positive increasing")
+            raise _not_1d(b, v, "signal")
         b.flags.writeable = False
         v.flags.writeable = False
         return cls(breakpoints=b, values=v)
@@ -193,7 +251,7 @@ class HyperbolicSolution:
         if not 0.0 <= t <= self.T:
             raise DimensionMismatch(f"t = {t} lies outside [0, {self.T}]")
         xs = np.asarray(x, dtype=float)
-        if not np.all((xs >= 0.0) & (xs <= arc.length)):
+        if not ((xs >= 0.0) & (xs <= arc.length)).all():
             raise DimensionMismatch(f"arc {arc_id}: x outside [0, {arc.length}]")
         shift = xs - arc.speed * t
         from_data = self.u0.arcs[arc_id].evaluate(shift)
@@ -213,14 +271,12 @@ class HyperbolicSolution:
         profiles = []
         for arc in self.net.arcs:
             lam, L = arc.speed, arc.length
-            cand = [b + lam * t for b in self.u0.arcs[arc.id].breakpoints]
-            cand.append(lam * t)
+            parts = [self.u0.arcs[arc.id].breakpoints + lam * t, [lam * t]]
             if not arc.incoming:
                 pos = self.net.outgoing_ids.index(arc.id)
-                cand.extend(
-                    lam * (t - s) for s in self.node_values[pos].breakpoints
-                )
-            breaks = np.unique([c for c in cand if 0.0 < c < L])
+                parts.append(lam * (t - self.node_values[pos].breakpoints))
+            cand = np.concatenate(parts)
+            breaks = np.unique(cand[(cand > 0.0) & (cand < L)])
             edges = np.concatenate([[0.0], breaks, [L]])
             mids = 0.5 * (edges[:-1] + edges[1:])
             vals = np.asarray(self.evaluate(arc.id, mids, t), dtype=float)
@@ -249,16 +305,23 @@ def solve_exact(
         raise DimensionMismatch(
             f"gamma shape {g.shape}, expected {(n_out, n_inc)}"
         )
-    if not np.all(np.isfinite(g)):
-        raise InvalidGamma("transmission weights must be finite")
-    if float(np.min(g, initial=0.0)) < -1e-12:
-        raise InvalidGamma("transmission weights must be nonnegative")
-    if float(np.max(np.abs(g.sum(axis=0) - 1.0), initial=0.0)) > GAMMA_INPUT_TOL:
+    # finite (NaN fails every comparison), nonnegative, columns summing
+    # to one; the column sums are formed only once the entries are finite
+    if not (
+        g.min(initial=0.0) >= -1e-12
+        and g.max(initial=0.0) < np.inf
+        and np.abs(g.sum(axis=0) - 1.0).max(initial=0.0) <= GAMMA_INPUT_TOL
+    ):
+        if not np.isfinite(g).all():
+            raise InvalidGamma("transmission weights must be finite")
+        if g.min(initial=0.0) < -1e-12:
+            raise InvalidGamma("transmission weights must be nonnegative")
         raise InvalidGamma("transmission columns must sum to one")
     if len(u0.arcs) != net.m:
         raise DimensionMismatch(f"{len(u0.arcs)} profiles for {net.m} arcs")
     bvals = finite_values(B, net.m)
     T = finite_above(T, "T")
+    u0.check_lengths(net, "profiles")
 
     traces = tuple(
         incoming_trace(net, j, u0.arcs[j], float(bvals[j]), T)
@@ -269,8 +332,9 @@ def solve_exact(
     mids = 0.5 * (edges[:-1] + edges[1:])
     piece_values = np.column_stack([tr.evaluate(mids) for tr in traces])
 
-    in_speeds = np.array([net.arc(j).speed for j in net.incoming_ids])
-    out_speeds = np.array([net.arc(l).speed for l in net.outgoing_ids])
+    speeds = net.speeds()
+    in_speeds = speeds[list(net.incoming_ids)]
+    out_speeds = speeds[list(net.outgoing_ids)]
     flux = piece_values * in_speeds
     node_vals = (flux @ g.T) / out_speeds
     node_values = tuple(

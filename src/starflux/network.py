@@ -151,14 +151,14 @@ SYMMETRY_TOL = 1e-12
 def _coupling_defects(k: np.ndarray) -> list[str]:
     """Ways K breaks the sign rules: nonnegative, symmetric, zero diagonal."""
     defects = []
-    if np.any(k < 0.0):
+    if (k < 0.0).any():
         defects.append("negative coupling entries")
-    sym_defect = float(np.max(np.abs(k - k.T), initial=0.0))
-    if sym_defect > SYMMETRY_TOL * float(np.max(np.abs(k), initial=0.0)):
+    sym_defect = float(np.abs(k - k.T).max(initial=0.0))
+    if sym_defect > SYMMETRY_TOL * float(np.abs(k).max(initial=0.0)):
         defects.append(
             f"asymmetry {sym_defect:.3e} exceeds {SYMMETRY_TOL:.0e} times max|K|"
         )
-    if np.any(np.diag(k) != 0.0):
+    if k.diagonal().any():
         defects.append("nonzero diagonal")
     return defects
 
@@ -205,15 +205,18 @@ def validate_assumptions(net: StarNetwork, K: CouplingMatrix) -> AssumptionRepor
     messages = _coupling_defects(k)
     sign_ok = not messages
 
-    inc = list(net.incoming_ids)
-    out = list(net.outgoing_ids)
-    incoming_linked = all(np.any(k[i, out] > 0.0) for i in inc)
+    inc = np.array(net.incoming_ids)
+    out = np.array(net.outgoing_ids)
+    linked = k > 0.0
+    inc_ok = linked[inc][:, out].any(axis=1)
+    out_ok = linked[out][:, inc].any(axis=1)
+    incoming_linked = bool(inc_ok.all())
     if not incoming_linked:
-        bad = [i for i in inc if not np.any(k[i, out] > 0.0)]
+        bad = inc[~inc_ok].tolist()
         messages.append(f"incoming arcs {bad} have no outgoing coupling")
-    outgoing_linked = all(np.any(k[l, inc] > 0.0) for l in out)
+    outgoing_linked = bool(out_ok.all())
     if not outgoing_linked:
-        bad = [l for l in out if not np.any(k[l, inc] > 0.0)]
+        bad = out[~out_ok].tolist()
         messages.append(f"outgoing arcs {bad} have no incoming coupling")
 
     return AssumptionReport(

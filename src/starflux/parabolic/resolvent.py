@@ -292,6 +292,7 @@ def solve_resolvent(
     if len(prob.f.arcs) != m:
         raise DimensionMismatch(f"{len(prob.f.arcs)} forcing profiles for {m} arcs")
     finite_values(prob.boundary, m)
+    prob.f.check_lengths(net, "forcing profiles")
 
     lam = net.speeds()
     L = np.array([arc.length for arc in net.arcs])

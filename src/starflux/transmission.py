@@ -11,11 +11,10 @@ to exactly one, which is mass conservation across the junction.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+import scipy.linalg.lapack
 
 from .errors import (
     AssumptionViolated,
@@ -48,13 +47,36 @@ def assemble_q(net: StarNetwork, alpha: np.ndarray) -> np.ndarray:
             f"exchange matrix is {alpha.shape[0]}x{alpha.shape[0]} for a "
             f"{net.m}-arc network"
         )
-    ordering = net.incoming_ids + net.outgoing_ids
-    perm = np.asarray(ordering)
-    q = alpha[np.ix_(perm, perm)].copy()
-    for r in range(len(net.incoming_ids), net.m):
-        q[r, r] += net.arc(ordering[r]).speed
+    n_inc = len(net.incoming_ids)
+    perm = np.array(net.incoming_ids + net.outgoing_ids)
+    q = alpha[perm][:, perm]
+    out = np.arange(n_inc, net.m)
+    q[out, out] += net.speeds()[perm[n_inc:]]
     q.flags.writeable = False
     return q
+
+
+def _same_block(q: np.ndarray) -> np.ndarray:
+    """Boolean matrix: entry (v, w) is True when v and w share a component.
+
+    Components are those of the symmetrized off-diagonal pattern, found
+    by squaring the boolean reachability matrix until it stops growing;
+    boolean products cannot overflow.
+    """
+    reach = (np.abs(q) + np.abs(q.T)) > 0.0
+    np.fill_diagonal(reach, True)
+    while True:
+        grown = reach @ reach
+        if (grown == reach).all():
+            return reach
+        reach = grown
+
+
+def _components(reach: np.ndarray) -> list[np.ndarray]:
+    """Index arrays of the components, ordered by their smallest member."""
+    first = reach.argmax(axis=1)
+    leaders = np.flatnonzero(first == np.arange(first.size))
+    return [np.flatnonzero(reach[v]) for v in leaders]
 
 
 def connected_components(q: np.ndarray) -> list[list[int]]:
@@ -62,50 +84,30 @@ def connected_components(q: np.ndarray) -> list[list[int]]:
 
     The pattern is symmetrized first, so for the symmetric node matrix
     this is exactly the partition into irreducible diagonal blocks.
+    Components come in order of their smallest member, each sorted.
     """
-    linked = (np.abs(q) + np.abs(q.T)) > 0.0
-    np.fill_diagonal(linked, False)
-    n = q.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    comps: list[list[int]] = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        comp = []
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in np.flatnonzero(linked[v]):
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(int(w))
-        comps.append(sorted(comp))
-    return comps
+    return [comp.tolist() for comp in _components(_same_block(q))]
 
 
 def _lu_invert(sub: np.ndarray) -> tuple[np.ndarray, float]:
     """Invert a principal block by LU with partial pivoting.
 
+    One LAPACK gesv factors the block and solves against the identity.
     Returns (inverse, determinant). Raises SingularMatrix when a pivot
-    falls below PIVOT_RTOL relative to the largest diagonal entry.
+    is exactly zero or falls below PIVOT_RTOL relative to the largest
+    diagonal entry.
     """
-    with warnings.catch_warnings():
-        # the explicit pivot check below reports singularity on its own
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(sub, check_finite=False)
-    udiag = np.diag(lu)
-    threshold = PIVOT_RTOL * max(np.max(np.abs(np.diag(sub))), 1e-300)
-    if np.min(np.abs(udiag)) < threshold:
+    n = sub.shape[0]
+    lu, piv, inv, info = scipy.linalg.lapack.dgesv(sub, np.eye(n))
+    udiag = lu.diagonal()
+    pivot = np.abs(udiag).min()
+    threshold = PIVOT_RTOL * max(np.abs(sub.diagonal()).max(), 1e-300)
+    if info > 0 or pivot < threshold:
         raise SingularMatrix(
-            f"node system pivot {np.min(np.abs(udiag)):.3e} below threshold "
-            f"{threshold:.3e}"
+            f"node system pivot {pivot:.3e} below threshold {threshold:.3e}"
         )
-    sign = 1.0 if np.sum(piv != np.arange(len(piv))) % 2 == 0 else -1.0
-    det = sign * float(np.prod(udiag))
-    inv = scipy.linalg.lu_solve((lu, piv), np.eye(sub.shape[0]), check_finite=False)
-    return inv, det
+    sign = -1.0 if (piv != np.arange(n)).sum() % 2 else 1.0
+    return inv, sign * float(udiag.prod())
 
 
 @dataclass(frozen=True)
@@ -150,31 +152,31 @@ def certify_m_matrix(q: np.ndarray) -> MCertificate:
     disjoint junction groups) are certified block by block. Raises
     SingularMatrix if any block fails to factor.
     """
-    scale = max(float(np.max(np.abs(q))), 1e-300)
+    diag = q.diagonal()
+    scale = max(float(np.abs(q).max()), 1e-300)
     tol = 1e-12 * scale
 
-    offdiag = q - np.diag(np.diag(q))
-    sign_ok = bool(np.all(offdiag <= tol) and np.all(np.diag(q) >= -tol))
+    offdiag = q - np.diag(diag)
+    sign_ok = bool((offdiag <= tol).all() and (diag >= -tol).all())
 
-    offsum = np.sum(np.abs(offdiag), axis=1)
-    margins = np.diag(q) - offsum
-    gershgorin_ok = bool(np.all(margins >= -tol))
+    margins = diag - np.abs(offdiag).sum(axis=1)
+    gershgorin_ok = bool((margins >= -tol).all())
 
-    comps = connected_components(q)
-    every_block_strict = all(
-        np.any(margins[np.asarray(comp)] > tol) for comp in comps
-    )
+    reach = _same_block(q)
+    # each unknown's block holds a strictly dominant row
+    every_block_strict = bool((reach & (margins > tol)).any(axis=1).all())
 
+    comps = _components(reach)
     inverse = np.zeros_like(q)
     det = 1.0
-    for comp in comps:
-        idx = np.asarray(comp)
-        sub_inv, sub_det = _lu_invert(q[np.ix_(idx, idx)])
-        inverse[np.ix_(idx, idx)] = sub_inv
+    for idx in comps:
+        block = (idx[:, None], idx)
+        sub_inv, sub_det = _lu_invert(q[block])
+        inverse[block] = sub_inv
         det *= sub_det
 
-    min_entry = float(np.min(inverse))
-    inv_scale = max(float(np.max(np.abs(inverse))), 1e-300)
+    min_entry = float(inverse.min())
+    inv_scale = max(float(np.abs(inverse).max()), 1e-300)
     inverse_nonneg = min_entry >= -1e-12 * inv_scale
     inverse.flags.writeable = False
     return MCertificate(
@@ -227,23 +229,23 @@ def compute_gamma(net: StarNetwork, K: CouplingMatrix) -> TransmissionSystem:
     z = cert.inverse
 
     n_inc = len(net.incoming_ids)
-    out_speeds = np.array([net.arc(l).speed for l in net.outgoing_ids])
+    out_speeds = net.speeds()[list(net.outgoing_ids)]
     gamma = out_speeds[:, None] * z[n_inc:, :n_inc]
 
-    min_gamma = float(np.min(gamma, initial=0.0))
+    min_gamma = float(gamma.min(initial=0.0))
     if min_gamma < -GAMMA_NEG_TOL:
         raise InvalidGamma(f"negative transmission weight {min_gamma:.3e}")
     gamma = np.where(gamma < 0.0, 0.0, gamma)
 
     col_sums = gamma.sum(axis=0)
-    worst = float(np.max(np.abs(col_sums - 1.0), initial=0.0))
+    worst = float(np.abs(col_sums - 1.0).max(initial=0.0))
     if worst > COLUMN_SUM_TOL:
         raise InvalidGamma(
             f"gamma column sums deviate from 1 by {worst:.3e}"
         )
 
     gamma.flags.writeable = False
-    cond = float(np.max(np.abs(q)) * np.max(np.abs(z)))
+    cond = float(np.abs(q).max() * np.abs(z).max())
     return TransmissionSystem(
         net=net, q=q, gamma=gamma, certificates=cert, condition_indicator=cond
     )

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import cross_ones_coupling, random_coupling, random_network, simple_star
 from starflux import (
@@ -18,7 +19,8 @@ from starflux import (
     make_grid,
     solve_exact,
 )
-from starflux.hyperbolic import incoming_trace, l1_distance
+from starflux.errors import finite_above
+from starflux.hyperbolic import GAMMA_INPUT_TOL, TraceSignal, incoming_trace, l1_distance
 
 
 def test_arc_profile_is_left_continuous():
@@ -41,6 +43,156 @@ def test_arc_profile_validation():
         ArcProfile.from_lists(1.0, [1.0], [1.0, 2.0])
     with pytest.raises(DimensionMismatch):
         ArcProfile.from_lists(1.0, [0.6, 0.4], [1.0, 2.0, 3.0])
+
+
+def test_profiles_and_signals_reject_non_1d_data():
+    """Unchecked, a 2-d profile would pass and fail later in evaluate."""
+    for b, v in (([[0.5]], [[1.0, 2.0]]), ([0.5], [[1.0, 2.0]]), (0.5, [1.0, 2.0])):
+        with pytest.raises(DimensionMismatch, match="must be 1-d"):
+            ArcProfile.from_lists(1.0, b, v)
+        with pytest.raises(DimensionMismatch, match="must be 1-d"):
+            TraceSignal.from_lists(b, v)
+
+
+def profile_rules_one_by_one(length, breakpoints, values):
+    """ArcProfile.from_lists' checks one rule at a time, the reference."""
+    finite_above(length, "length")
+    b = np.asarray(breakpoints, dtype=float)
+    v = np.asarray(values, dtype=float)
+    if v.size != b.size + 1:
+        raise DimensionMismatch(
+            f"{b.size} breakpoints need {b.size + 1} values, got {v.size}"
+        )
+    if not (np.all(np.isfinite(b)) if b.size else True) or not np.all(np.isfinite(v)):
+        raise DimensionMismatch("profile entries must be finite")
+    if b.size:
+        if np.any(b <= 0.0) or np.any(b >= length):
+            raise DimensionMismatch(
+                f"profile breakpoints must lie strictly inside (0, {length})"
+            )
+        if np.any(np.diff(b) <= 0.0):
+            raise DimensionMismatch("profile breakpoints must strictly increase")
+
+
+def signal_rules_one_by_one(breakpoints, values):
+    """TraceSignal.from_lists' checks one rule at a time, the reference."""
+    b = np.asarray(breakpoints, dtype=float)
+    v = np.asarray(values, dtype=float)
+    if v.size != b.size + 1:
+        raise DimensionMismatch(
+            f"{b.size} breakpoints need {b.size + 1} values, got {v.size}"
+        )
+    if not (np.all(np.isfinite(b)) and np.all(np.isfinite(v))):
+        raise DimensionMismatch("signal entries must be finite")
+    if b.size and (np.any(b <= 0.0) or np.any(np.diff(b) <= 0.0)):
+        raise DimensionMismatch("signal breakpoints must be positive increasing")
+
+
+def gamma_rules_one_by_one(g):
+    """solve_exact's transmission-weight checks one rule at a time."""
+    if not np.all(np.isfinite(g)):
+        raise InvalidGamma("transmission weights must be finite")
+    if float(np.min(g, initial=0.0)) < -1e-12:
+        raise InvalidGamma("transmission weights must be nonnegative")
+    if float(np.max(np.abs(g.sum(axis=0) - 1.0), initial=0.0)) > GAMMA_INPUT_TOL:
+        raise InvalidGamma("transmission columns must sum to one")
+
+
+def verdict(fn, *args):
+    """None when fn accepts, else the class and message it raises."""
+    try:
+        fn(*args)
+    except Exception as exc:  # the class is part of the verdict
+        return type(exc), str(exc)
+    return None
+
+
+def assert_same_verdict(new, ref, b, v, what):
+    """The fused check accepts exactly what the reference accepted, on
+    1-d data, and raises the reference's error otherwise. Non-1-d data
+    the reference let through (or crashed on, as np.diff does on a
+    scalar) now raises the 1-d rule."""
+    one_d = np.ndim(b) == 1 and np.ndim(v) == 1
+    if ref is not None and ref[0] is DimensionMismatch:
+        assert new == ref
+    elif ref is None and one_d:
+        assert new is None
+    else:
+        assert new == (
+            DimensionMismatch,
+            f"{what} breakpoints and values must be 1-d, got shapes "
+            f"{np.shape(b)} and {np.shape(v)}",
+        )
+
+
+special = st.sampled_from(
+    [np.nan, np.inf, -np.inf, 0.0, -0.0, 0.5, 0.5, 1.0, 2.0, -1.0, 1e308, -1e308]
+)
+entries = st.one_of(special, st.floats(0.01, 0.74), st.floats(-0.5, 2.5))
+shapes = st.one_of(
+    hnp.array_shapes(min_dims=1, max_dims=1, min_side=0, max_side=5),
+    hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=4),
+)
+
+
+@st.composite
+def piece_data(draw):
+    """Breakpoints, often sorted, and values, often one more of them."""
+    b = draw(hnp.arrays(float, draw(shapes), elements=entries))
+    if draw(st.booleans()):
+        b = np.sort(b, axis=-1) if b.ndim else b
+    v_shape = draw(
+        st.one_of(st.just((b.size + 1,)), st.just((1, b.size + 1)), shapes)
+    )
+    v = draw(hnp.arrays(float, v_shape, elements=entries))
+    as_list = draw(st.booleans())
+    return (b.tolist(), v.tolist()) if as_list else (b, v)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(data=piece_data(), length=st.sampled_from([1.0, 1, 2.0, 0.75]))
+def test_piece_checks_match_the_rule_by_rule_reference(data, length):
+    """NaN, inf, unsorted, duplicate and out-of-range breaks, empty, 0-d
+    and 2-d arrays: same acceptance and the same class and message."""
+    b, v = data
+    new = verdict(ArcProfile.from_lists, length, b, v)
+    assert_same_verdict(new, verdict(profile_rules_one_by_one, length, b, v), b, v, "profile")
+    if new is None:
+        p = ArcProfile.from_lists(length, b, v)
+        assert p.length == float(length)
+        assert p.breakpoints.tobytes() == np.asarray(b, dtype=float).tobytes()
+        assert p.values.tobytes() == np.asarray(v, dtype=float).tobytes()
+    new = verdict(TraceSignal.from_lists, b, v)
+    assert_same_verdict(new, verdict(signal_rules_one_by_one, b, v), b, v, "signal")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    g=hnp.arrays(
+        float,
+        hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=3),
+        elements=st.one_of(
+            st.sampled_from([np.nan, np.inf, -np.inf, -1e-12, -2e-12, 1e308]),
+            st.floats(0.0, 1.0),
+        ),
+    ),
+    scale=st.booleans(),
+)
+@example(g=np.array([[1e308], [1e308], [np.inf]]), scale=False)
+def test_gamma_checks_match_the_rule_by_rule_reference(g, scale):
+    """Non-finite, negative and non-stochastic weights, alone and mixed.
+
+    The example holds an infinite weight beside two whose sum
+    overflows: the column sums must not be formed for it.
+    """
+    if scale:  # columns scaled to sum to about one
+        with np.errstate(all="ignore"):
+            g = g / g.sum(axis=0)
+    n_out, n_inc = g.shape
+    net = simple_star([1.0] * n_inc, [1.0] * n_out)
+    u0 = PiecewiseConstantField.constant(net, [0.0] * net.m)
+    new = verdict(solve_exact, net, g, u0, [1.0] * net.m, 0.5)
+    assert new == verdict(gamma_rules_one_by_one, g)
 
 
 def test_incoming_trace_replays_profile_from_node_end():
@@ -174,15 +326,8 @@ def loop_flux_balance(sol, t_samples):
     return worst
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(seed=st.integers(0, 2**32 - 1))
-def test_flux_check_matches_per_time_loop_on_random_stars(seed):
-    """All sample times in one pass give the per-time loop's value, bit for bit.
-
-    The times include every trace and node breakpoint, where the
-    left-continuous signals switch pieces, and times past the horizon.
-    """
-    rng = np.random.default_rng(seed)
+def random_solution(rng):
+    """Exact solution on a random 2-8-arc star with 1-4 pieces per arc."""
     net = random_network(rng)
     gamma = compute_gamma(net, random_coupling(rng, net)).gamma
     profiles = []
@@ -193,7 +338,20 @@ def test_flux_check_matches_per_time_loop_on_random_stars(seed):
         profiles.append(ArcProfile.from_lists(arc.length, breaks, values))
     u0 = PiecewiseConstantField(tuple(profiles))
     T = float(rng.uniform(0.5, 3.0))
-    sol = solve_exact(net, gamma, u0, rng.uniform(0.0, 1.0, net.m), T)
+    return solve_exact(net, gamma, u0, rng.uniform(0.0, 1.0, net.m), T)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_flux_check_matches_per_time_loop_on_random_stars(seed):
+    """All sample times in one pass give the per-time loop's value, bit for bit.
+
+    The times include every trace and node breakpoint, where the
+    left-continuous signals switch pieces, and times past the horizon.
+    """
+    rng = np.random.default_rng(seed)
+    sol = random_solution(rng)
+    T = sol.T
     switches = [s.breakpoints for s in sol.traces + sol.node_values]
     ts = np.concatenate(
         [np.linspace(0.0, T, 31), rng.uniform(0.0, 2.0 * T, 16), *switches]
@@ -202,6 +360,38 @@ def test_flux_check_matches_per_time_loop_on_random_stars(seed):
     want = loop_flux_balance(sol, ts)
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
     assert got <= 1e-9
+
+
+def snapshot_reference(sol, t):
+    """snapshot's breakpoints and values, candidates built one by one."""
+    profiles = []
+    for arc in sol.net.arcs:
+        lam, L = arc.speed, arc.length
+        cand = [b + lam * t for b in sol.u0.arcs[arc.id].breakpoints]
+        cand.append(lam * t)
+        if not arc.incoming:
+            pos = sol.net.outgoing_ids.index(arc.id)
+            cand.extend(lam * (t - s) for s in sol.node_values[pos].breakpoints)
+        breaks = np.unique([c for c in cand if 0.0 < c < L])
+        edges = np.concatenate([[0.0], breaks, [L]])
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        profiles.append((breaks, np.asarray(sol.evaluate(arc.id, mids, t))))
+    return profiles
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_snapshot_matches_pointwise_candidates_on_random_stars(seed):
+    """Candidate breakpoints built as arrays give the same profiles, bit
+    for bit, at 0, T, every node switch and random times."""
+    rng = np.random.default_rng(seed)
+    sol = random_solution(rng)
+    switches = np.concatenate([s.breakpoints for s in sol.node_values] + [[]])
+    for t in [0.0, sol.T, *switches[switches <= sol.T], *rng.uniform(0.0, sol.T, 4)]:
+        snap = sol.snapshot(t)
+        for got, (breaks, values) in zip(snap.arcs, snapshot_reference(sol, t)):
+            assert got.breakpoints.tobytes() == breaks.tobytes()
+            assert got.values.tobytes() == values.tobytes()
 
 
 def test_flux_check_rejects_bad_sample_times():

@@ -152,6 +152,19 @@ def test_validate_assumptions_flags_unlinked_sides():
     report2 = validate_assumptions(net2, K2)
     assert report2.holds_incoming_linked
     assert not report2.holds_outgoing_linked
+    assert report2.messages == ("outgoing arcs [2] have no incoming coupling",)
+
+    # an asymmetric K: each side is judged by its own rows
+    K3 = CouplingMatrix.from_array(
+        [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]], net
+    )
+    report3 = validate_assumptions(net, K3)
+    assert not report3.holds_incoming_linked
+    assert not report3.holds_outgoing_linked
+    assert report3.messages[1:] == (
+        "incoming arcs [1] have no outgoing coupling",
+        "outgoing arcs [2] have no incoming coupling",
+    )
 
 
 def test_validate_assumptions_flags_sign_breaks():

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
+import re
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -19,7 +23,120 @@ from starflux import (
     certify_m_matrix,
     compute_gamma,
 )
-from starflux.transmission import connected_components
+from starflux.transmission import (
+    PIVOT_RTOL,
+    MCertificate,
+    _lu_invert,
+    connected_components,
+)
+
+
+def lu_reference(sub):
+    """Block inverse and determinant from lu_factor + lu_solve.
+
+    The getrf/getrs pair that one gesv call runs; kept as the reference
+    the certificate must match bit for bit.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        lu, piv = scipy.linalg.lu_factor(sub, check_finite=False)
+    udiag = np.diag(lu)
+    threshold = PIVOT_RTOL * max(np.max(np.abs(np.diag(sub))), 1e-300)
+    if np.min(np.abs(udiag)) < threshold:
+        raise SingularMatrix(
+            f"node system pivot {np.min(np.abs(udiag)):.3e} below threshold "
+            f"{threshold:.3e}"
+        )
+    sign = 1.0 if np.sum(piv != np.arange(len(piv))) % 2 == 0 else -1.0
+    inv = scipy.linalg.lu_solve((lu, piv), np.eye(sub.shape[0]), check_finite=False)
+    return inv, sign * float(np.prod(udiag))
+
+
+def bfs_components(q):
+    """Components of the symmetrized off-diagonal pattern by breadth-first
+    search from each unvisited unknown in order, each sorted."""
+    linked = (np.abs(q) + np.abs(q.T)) > 0.0
+    np.fill_diagonal(linked, False)
+    seen = np.zeros(q.shape[0], dtype=bool)
+    comps = []
+    for start in range(q.shape[0]):
+        if seen[start]:
+            continue
+        stack, comp = [start], []
+        seen[start] = True
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for w in np.flatnonzero(linked[v]):
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(int(w))
+        comps.append(sorted(comp))
+    return comps
+
+
+def certify_reference(q):
+    """The certificate computed rule by rule, block by block."""
+    scale = max(float(np.max(np.abs(q))), 1e-300)
+    tol = 1e-12 * scale
+    offdiag = q - np.diag(np.diag(q))
+    sign_ok = bool(np.all(offdiag <= tol) and np.all(np.diag(q) >= -tol))
+    margins = np.diag(q) - np.sum(np.abs(offdiag), axis=1)
+    comps = bfs_components(q)
+    inverse = np.zeros_like(q)
+    det = 1.0
+    for comp in comps:
+        idx = np.asarray(comp)
+        sub_inv, sub_det = lu_reference(q[np.ix_(idx, idx)])
+        inverse[np.ix_(idx, idx)] = sub_inv
+        det *= sub_det
+    min_entry = float(np.min(inverse))
+    inv_scale = max(float(np.max(np.abs(inverse))), 1e-300)
+    return MCertificate(
+        irreducible=len(comps) == 1,
+        sign_pattern_ok=sign_ok,
+        gershgorin_ok=bool(np.all(margins >= -tol)),
+        every_block_strict=all(np.any(margins[np.asarray(c)] > tol) for c in comps),
+        det=det,
+        inverse_nonneg=min_entry >= -1e-12 * inv_scale,
+        min_inverse_entry=min_entry,
+        inverse=inverse,
+    )
+
+
+def assert_bitwise_equal(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+def assert_certificate_matches_reference(q):
+    """certify_m_matrix equals the reference bit for bit, or raises the
+    same SingularMatrix message."""
+    try:
+        ref = certify_reference(q)
+    except SingularMatrix as exc:
+        with pytest.raises(SingularMatrix, match=f"^{re.escape(str(exc))}$"):
+            certify_m_matrix(q)
+        return None
+    cert = certify_m_matrix(q)
+    for field in dataclasses.fields(MCertificate):
+        got, want = getattr(cert, field.name), getattr(ref, field.name)
+        assert type(got) is type(want), field.name
+        assert_bitwise_equal(got, want)
+    return cert
+
+
+def union_of_stars(rng, parts):
+    """``parts`` random stars joined at one node, K block-diagonal."""
+    subs = []
+    for _ in range(parts):
+        sub = random_network(rng, m_max=6)
+        subs.append((sub, random_coupling(rng, sub)))
+    specs = [(a.length, a.speed, "in" if a.incoming else "out") for sub, _ in subs for a in sub.arcs]
+    net = build_network(specs)
+    k = scipy.linalg.block_diag(*(sub_k.k for _, sub_k in subs))
+    return net, CouplingMatrix.from_array(k, net), subs
 
 
 def two_arc_system(k: float, lam_out: float):
@@ -181,15 +298,8 @@ def test_union_of_stars_solves_block_by_block(seed, parts):
     pairwise, so a diagonal of Q may round one ulp away from the
     sub-star's, and the blocks then agree to rounding.
     """
-    rng = np.random.default_rng(seed)
-    subs = []
-    for _ in range(parts):
-        sub = random_network(rng, m_max=6)
-        subs.append((sub, random_coupling(rng, sub)))
-    specs = [(a.length, a.speed, "in" if a.incoming else "out") for sub, _ in subs for a in sub.arcs]
-    net = build_network(specs)
-    k = scipy.linalg.block_diag(*(sub_k.k for _, sub_k in subs))
-    ts = compute_gamma(net, CouplingMatrix.from_array(k, net))
+    net, K, subs = union_of_stars(np.random.default_rng(seed), parts)
+    ts = compute_gamma(net, K)
     assert not ts.certificates.irreducible
     assert ts.certificates.m_matrix_ok
 
@@ -244,3 +354,62 @@ def test_sign_lemma_positive_coupling_gives_positive_weight():
             for jp, j in enumerate(net.incoming_ids):
                 if K.k[l, j] > 0.0:
                     assert ts.gamma[lp, jp] > 1e-14
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), parts=st.integers(1, 3))
+def test_certificate_matches_lu_factor_reference(seed, parts):
+    """One gesv per block gives the lu_factor/lu_solve certificate bit for bit.
+
+    Single stars (parts = 1) and the reducible unions above: inverse,
+    det with its sign, every flag, and the condition indicator.
+    """
+    net, K, _ = union_of_stars(np.random.default_rng(seed), parts)
+    ts = compute_gamma(net, K)
+    ref = certify_reference(ts.q)
+    assert_certificate_matches_reference(ts.q)
+    cond = float(np.max(np.abs(ts.q)) * np.max(np.abs(ref.inverse)))
+    assert_bitwise_equal(ts.condition_indicator, cond)
+
+
+@pytest.mark.parametrize(
+    "block",
+    [
+        [[1e-3, 1.0], [1.0, 1.0]],  # one row swap: det < 0
+        [[0.0, 2.0, 1.0], [1.0, 0.5, 3.0], [4.0, 1.0, 0.25]],  # two swaps
+        [[2.0, 3.0, 1.0], [4.0, 1.0, 5.0], [8.0, 2.0, 2.0]],
+        [[1.0, 1.0], [1.0, 1.0]],  # exact zero pivot: LAPACK info > 0
+        [[1.0, 1.0], [1.0, 1.0 + 2.0**-44]],  # pivot 5.7e-14, below PIVOT_RTOL
+        [[1.0, 1.0], [1.0, 1.0 + 2.0**-43]],  # pivot 1.1e-13, just above
+    ],
+)
+def test_lu_invert_matches_reference_on_pivoting_blocks(block):
+    """Blocks that are no M-matrix force row pivoting, and a singular
+    block raises the reference's message; whole certificates agree too."""
+    sub = np.array(block)
+    try:
+        inv, det = lu_reference(sub)
+    except SingularMatrix as exc:
+        with pytest.raises(SingularMatrix, match=f"^{re.escape(str(exc))}$"):
+            _lu_invert(sub)
+    else:
+        got_inv, got_det = _lu_invert(sub)
+        assert_bitwise_equal(got_inv, inv)
+        assert_bitwise_equal(got_det, det)
+        assert got_det == pytest.approx(np.linalg.det(sub), rel=1e-12)
+    cert = assert_certificate_matches_reference(sub)
+    assert cert is None or not cert.m_matrix_ok
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 12),
+    density=st.floats(0.0, 0.6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_connected_components_match_breadth_first_search(n, density, seed):
+    """Same components in the same order as a search, on patterns that
+    need not be symmetric, with isolated unknowns and signed entries."""
+    rng = np.random.default_rng(seed)
+    q = np.where(rng.uniform(size=(n, n)) < density, rng.normal(size=(n, n)), 0.0)
+    assert connected_components(q) == bfs_components(q)

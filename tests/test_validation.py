@@ -22,13 +22,16 @@ from starflux import (
     NonPositiveParameter,
     PiecewiseConstantField,
     ProportionalTarget,
+    ResolventProblem,
     SolverConfig,
     TwoOutTarget,
     build_compatible,
+    compute_gamma,
     make_grid,
     march_to_steady,
     solve_exact,
     solve_parabolic,
+    solve_resolvent,
 )
 from starflux.hyperbolic import TraceSignal, incoming_trace
 
@@ -165,3 +168,22 @@ def test_design_targets(bad):
         ProportionalTarget((bad, 0.5))
     with pytest.raises(InvalidGamma, match="strictly inside"):
         TwoOutTarget((0.5, bad))
+
+
+@pytest.mark.parametrize("length", [0.5, 3.0])
+def test_profiles_must_match_their_arcs(length):
+    """Unchecked, a profile shorter or longer than its arc would be cut
+    or extended silently, or fail later with an unrelated error."""
+    net, K, u0 = pair()
+    gamma = compute_gamma(net, K).gamma
+    off = PiecewiseConstantField(
+        (ArcProfile.from_lists(length, [length / 2], [1.0, 0.0]), u0.arcs[1])
+    )
+    hint = f"arc 0 has length 1.0, its profile {length}"
+    with pytest.raises(DimensionMismatch, match=f"^profiles: {hint}"):
+        solve_exact(net, gamma, off, [1.0, 0.0], 0.5)
+    with pytest.raises(DimensionMismatch, match=f"^profiles: {hint}"):
+        build_compatible(off, [1.0, 0.0], net, K, 0.125)
+    prob = ResolventProblem.build(1.0, off, [0.0, 0.0])
+    with pytest.raises(DimensionMismatch, match=f"^forcing profiles: {hint}"):
+        solve_resolvent(net, K, 0.1, prob)
