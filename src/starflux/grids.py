@@ -151,6 +151,21 @@ def adopt_state(grid: Grid, flat: np.ndarray, t: float) -> DiscreteState:
     return DiscreteState(flat, grid.offsets, float(t))
 
 
+def check_on_grid(state: DiscreteState, grid: Grid) -> None:
+    """Raise DimensionMismatch unless state holds grid's points, arc by arc."""
+    if state.bounds == grid.offsets:
+        return
+    if len(state.bounds) != len(grid.offsets):
+        raise DimensionMismatch(
+            f"state has {len(state.bounds) - 1} arcs, the grid {grid.arc_count}"
+        )
+    points = np.diff(state.bounds)
+    arc = int(np.argmax(points != np.asarray(grid.cells) + 1))
+    raise DimensionMismatch(
+        f"arc {arc}: state has {points[arc]} points for {grid.cells[arc]} cells"
+    )
+
+
 def sample_on_grid(
     profiles: Sequence[ArcEvaluable], grid: Grid, t: float = 0.0
 ) -> DiscreteState:

@@ -149,15 +149,13 @@ def node_trace_error(
     viscosity, so their pointwise junction values are not expected to
     match the inviscid traces.
     """
-    net = exact.net
     step_times = trajectory.diagnostics[:, 0]
     horizon = step_times[-1]
     total = 0.0
-    for pos, arc_id in enumerate(net.outgoing_ids):
-        signal = exact.node_values[pos]
-        inner = signal.breakpoints[
-            (signal.breakpoints > 0.0) & (signal.breakpoints < horizon)
-        ]
+    for arc_id in exact.net.outgoing_ids:
+        signal = exact.junction[arc_id]
+        # breakpoints lie inside (0, T); keep those the march reached
+        inner = signal.breakpoints[signal.breakpoints < horizon]
         edges = np.unique(np.concatenate([step_times, inner]))
         mids = 0.5 * (edges[:-1] + edges[1:])
         hyp = np.asarray(signal.evaluate(mids), dtype=float)

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidGamma, finite_above, finite_values
-from .grids import DiscreteState, Grid
+from .grids import DiscreteState, Grid, check_on_grid
 from .network import StarNetwork
 
 #: input transmission matrices may deviate from column sums 1 by this much
@@ -35,32 +35,13 @@ def _increasing_inside(b: np.ndarray, upper: float) -> bool:
     )
 
 
-def _check_count_and_finite(b: np.ndarray, v: np.ndarray, what: str) -> None:
-    """Failure branch of profiles and signals: the two rules they share.
-
-    Raises DimensionMismatch unless there is one more value than
-    breakpoints and every entry is finite.
-    """
-    if v.size != b.size + 1:
-        raise DimensionMismatch(
-            f"{b.size} breakpoints need {b.size + 1} values, got {v.size}"
-        )
-    if not (np.isfinite(b).all() and np.isfinite(v).all()):
-        raise DimensionMismatch(f"{what} entries must be finite")
-
-
-def _not_1d(b: np.ndarray, v: np.ndarray, what: str) -> DimensionMismatch:
-    return DimensionMismatch(
-        f"{what} breakpoints and values must be 1-d, got shapes {b.shape} and {v.shape}"
-    )
-
-
 @dataclass(frozen=True)
 class ArcProfile:
-    """Piecewise-constant function on one arc's interval [0, length].
+    """Piecewise-constant function on [0, length]: one arc, or a time span.
 
     Piece r takes values[r] on (breakpoints[r-1], breakpoints[r]], with
     the first piece closed at 0: the profile is left-continuous.
+    evaluate extends the first and last pieces beyond the interval.
     """
 
     length: float
@@ -91,14 +72,22 @@ class ArcProfile:
             and np.isfinite(v).all()
             and _increasing_inside(b, upper)
         ):
-            _check_count_and_finite(b, v, "profile")
+            if v.size != b.size + 1:
+                raise DimensionMismatch(
+                    f"{b.size} breakpoints need {b.size + 1} values, got {v.size}"
+                )
+            if not (np.isfinite(b).all() and np.isfinite(v).all()):
+                raise DimensionMismatch("profile entries must be finite")
             if b.size and ((b <= 0.0).any() or (b >= upper).any()):
                 raise DimensionMismatch(
                     f"profile breakpoints must lie strictly inside (0, {length})"
                 )
             if b.ndim and b.size and (np.diff(b) <= 0.0).any():
                 raise DimensionMismatch("profile breakpoints must strictly increase")
-            raise _not_1d(b, v, "profile")
+            raise DimensionMismatch(
+                "profile breakpoints and values must be 1-d, got shapes "
+                f"{b.shape} and {v.shape}"
+            )
         b.flags.writeable = False
         v.flags.writeable = False
         return cls(length=upper, breakpoints=b, values=v)
@@ -148,55 +137,10 @@ class PiecewiseConstantField:
                 )
 
 
-@dataclass(frozen=True)
-class TraceSignal:
-    """Piecewise-constant signal in time, left-continuous.
-
-    Piece r holds on (breakpoints[r-1], breakpoints[r]]; the last piece
-    extends to every later time.
-    """
-
-    breakpoints: np.ndarray
-    values: np.ndarray
-
-    @classmethod
-    def from_lists(
-        cls, breakpoints: Sequence[float], values: Sequence[float]
-    ) -> "TraceSignal":
-        """Read-only signal from breakpoints and values.
-
-        Raises DimensionMismatch unless breakpoints and values are
-        finite, 1-d, one more value than breakpoints, and the
-        breakpoints positive and strictly increasing.
-        """
-        b = np.asarray(breakpoints, dtype=float)
-        v = np.asarray(values, dtype=float)
-        if not (
-            b.ndim == 1
-            and v.ndim == 1
-            and v.size == b.size + 1
-            and np.isfinite(v).all()
-            and _increasing_inside(b, np.inf)
-        ):
-            _check_count_and_finite(b, v, "signal")
-            if b.size and (
-                (b <= 0.0).any() or (b.ndim and (np.diff(b) <= 0.0).any())
-            ):
-                raise DimensionMismatch("signal breakpoints must be positive increasing")
-            raise _not_1d(b, v, "signal")
-        b.flags.writeable = False
-        v.flags.writeable = False
-        return cls(breakpoints=b, values=v)
-
-    def evaluate(self, t: np.ndarray | float) -> np.ndarray | float:
-        idx = np.searchsorted(self.breakpoints, t, side="left")
-        return self.values[idx]
-
-
 def incoming_trace(
     net: StarNetwork, arc_id: int, u0_i: ArcProfile, B_i: float, T: float
-) -> TraceSignal:
-    """Time trace of an incoming arc's value at the junction.
+) -> ArcProfile:
+    """Time trace of an incoming arc's value at the junction, on [0, T].
 
     The data slides toward the junction at the arc speed, so the trace
     replays the initial profile from the junction end backwards; once the
@@ -215,10 +159,10 @@ def incoming_trace(
     values.append(float(B_i))
 
     cut = bisect.bisect_left(breaks, T)
-    return TraceSignal.from_lists(breaks[:cut], values[: cut + 1])
+    return ArcProfile.from_lists(T, breaks[:cut], values[: cut + 1])
 
 
-def _merged_partition(traces: Sequence[TraceSignal], T: float) -> np.ndarray:
+def _merged_partition(traces: Sequence[ArcProfile], T: float) -> np.ndarray:
     pool = np.concatenate(
         [tr.breakpoints for tr in traces] + [np.empty(0)]
     )
@@ -228,15 +172,19 @@ def _merged_partition(traces: Sequence[TraceSignal], T: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HyperbolicSolution:
-    """Exact transport solution, evaluable anywhere in space-time."""
+    """Exact transport solution, evaluable anywhere in space-time.
+
+    junction[i] is arc i's value at the junction over [0, T]: the
+    arriving trace on an incoming arc, the transmitted node value on an
+    outgoing one.
+    """
 
     net: StarNetwork
     gamma: np.ndarray
     B: np.ndarray
     u0: PiecewiseConstantField
     T: float
-    traces: tuple[TraceSignal, ...]
-    node_values: tuple[TraceSignal, ...]
+    junction: tuple[ArcProfile, ...]
 
     def evaluate(
         self, arc_id: int, x: np.ndarray | float, t: float
@@ -258,9 +206,8 @@ class HyperbolicSolution:
         if arc.incoming:
             out = np.where(shift > 0.0, from_data, self.B[arc_id])
         else:
-            pos = self.net.outgoing_ids.index(arc_id)
             s = t - xs / arc.speed
-            from_node = self.node_values[pos].evaluate(np.maximum(s, 0.0))
+            from_node = self.junction[arc_id].evaluate(np.maximum(s, 0.0))
             out = np.where(s > 0.0, from_node, from_data)
         if np.isscalar(x):
             return float(out)
@@ -273,8 +220,7 @@ class HyperbolicSolution:
             lam, L = arc.speed, arc.length
             parts = [self.u0.arcs[arc.id].breakpoints + lam * t, [lam * t]]
             if not arc.incoming:
-                pos = self.net.outgoing_ids.index(arc.id)
-                parts.append(lam * (t - self.node_values[pos].breakpoints))
+                parts.append(lam * (t - self.junction[arc.id].breakpoints))
             cand = np.concatenate(parts)
             breaks = np.unique(cand[(cand > 0.0) & (cand < L)])
             edges = np.concatenate([[0.0], breaks, [L]])
@@ -337,10 +283,9 @@ def solve_exact(
     out_speeds = speeds[list(net.outgoing_ids)]
     flux = piece_values * in_speeds
     node_vals = (flux @ g.T) / out_speeds
-    node_values = tuple(
-        TraceSignal.from_lists(breaks, node_vals[:, pos])
-        for pos in range(n_out)
-    )
+    junction = dict(zip(net.incoming_ids, traces))
+    for pos, arc_id in enumerate(net.outgoing_ids):
+        junction[arc_id] = ArcProfile.from_lists(T, breaks, node_vals[:, pos])
 
     g = g.copy()
     g.flags.writeable = False
@@ -352,8 +297,7 @@ def solve_exact(
         B=bvals,
         u0=u0,
         T=float(T),
-        traces=traces,
-        node_values=node_values,
+        junction=tuple(junction[i] for i in range(net.m)),
     )
 
 
@@ -371,10 +315,6 @@ def _midpoint_values(
         return np.asarray(obj.arcs[arc_id].evaluate(mids), dtype=float)
     if isinstance(obj, DiscreteState):
         vals = obj.values[arc_id]
-        if vals.size != mids.size + 1:
-            raise DimensionMismatch(
-                f"arc {arc_id}: state has {vals.size} points for {mids.size} cells"
-            )
         return 0.5 * (vals[:-1] + vals[1:])
     raise DimensionMismatch(f"cannot take midpoint values of {type(obj)!r}")
 
@@ -388,8 +328,17 @@ def l1_distance(
     """Composite-midpoint L1 distance between two solution-like objects.
 
     Discrete states are averaged onto cell midpoints; exact solutions are
-    evaluated there (at time t). Summed over all arcs.
+    evaluated there (at time t). Summed over all arcs. Raises
+    DimensionMismatch unless both sides have the grid's arcs and every
+    state holds the grid's points.
     """
+    for obj in (a, b):
+        if isinstance(obj, DiscreteState):
+            check_on_grid(obj, grid)
+        elif isinstance(obj, (HyperbolicSolution, PiecewiseConstantField)):
+            arcs = obj.net.m if isinstance(obj, HyperbolicSolution) else len(obj.arcs)
+            if arcs != grid.arc_count:
+                raise DimensionMismatch(f"{arcs} arcs for a grid of {grid.arc_count}")
     total = 0.0
     for arc_id in range(grid.arc_count):
         mids = grid.midpoints(arc_id)
@@ -406,22 +355,23 @@ def check_flux_conservation(
 
     Conservation means total incoming flux equals total outgoing flux at
     every time; with column-stochastic weights this holds identically, so
-    the return value is numerical noise. Each trace and node signal is
-    evaluated once over all sample times, and the fluxes are summed in
-    arc order from zero. Raises DimensionMismatch unless the sample
-    times are a finite 1-d sequence; no samples give 0.0.
+    the return value is numerical noise. Each junction signal is
+    evaluated once over all sample times, and the incoming and the
+    outgoing fluxes are each summed in arc order from zero. Raises
+    DimensionMismatch unless the sample times are a finite 1-d
+    sequence; no samples give 0.0.
     """
     ts = np.asarray(t_samples, dtype=float)
     if ts.ndim != 1:
         raise DimensionMismatch(f"sample times must be 1-d, got shape {ts.shape}")
     if not np.all(np.isfinite(ts)):
         raise DimensionMismatch("sample times must be finite")
-    in_speeds = np.array([sol.net.arc(j).speed for j in sol.net.incoming_ids])
-    out_speeds = np.array([sol.net.arc(l).speed for l in sol.net.outgoing_ids])
     inflow = np.zeros_like(ts)
-    for speed, tr in zip(in_speeds, sol.traces):
-        inflow = inflow + speed * tr.evaluate(ts)
     outflow = np.zeros_like(ts)
-    for speed, nv in zip(out_speeds, sol.node_values):
-        outflow = outflow + speed * nv.evaluate(ts)
+    for arc, signal in zip(sol.net.arcs, sol.junction):
+        flux = arc.speed * signal.evaluate(ts)
+        if arc.incoming:
+            inflow = inflow + flux
+        else:
+            outflow = outflow + flux
     return float(np.max(np.abs(inflow - outflow), initial=0.0))

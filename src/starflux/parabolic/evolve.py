@@ -92,6 +92,9 @@ def _initial_state(
         state = u0_eps
     elif isinstance(u0_eps, PiecewiseConstantField):
         state = sample_on_grid(u0_eps.arcs, grid)
+        # sampling checked the count; a short profile would have been
+        # extended by its last piece
+        u0_eps.check_lengths(net, "initial profiles")
     else:
         state = sample_on_grid(list(u0_eps), grid)
     if state.bounds != grid.offsets:
@@ -189,5 +192,6 @@ def march_to_steady(
     finite_above(epsilon, "epsilon")
     op = assemble_step_operator(net, K, grid, epsilon, theta)
     flat = sample_on_grid(f.arcs, grid).flat.copy()
+    f.check_lengths(net, "forcing profiles")
     flat[op.outer] = bvals
     return step(adopt_state(grid, flat, 0.0), op)

@@ -26,7 +26,7 @@ from ..errors import (
     finite_above,
     finite_values,
 )
-from ..grids import DiscreteState, Grid
+from ..grids import DiscreteState, Grid, check_on_grid
 from ..hyperbolic import ArcProfile, PiecewiseConstantField
 from ..network import CouplingMatrix, StarNetwork, alpha_from_k
 
@@ -137,57 +137,26 @@ def _pad_pieces(
     return edges_pad, g_pad
 
 
-@dataclass(frozen=True)
-class _ArcSolution:
-    """All per-arc constants needed to evaluate v, v', v''.
-
-    v(x) = c*exp(a1*x) + d*exp(a2*(x - L)) + p(x): both homogeneous
-    modes are written with nonpositive exponents on [0, L], c attached
-    to the left end and d to the right end.
-    """
-
-    speed: float
-    length: float
-    a1: float
-    a2: float
-    edges: np.ndarray  # forcing piece edges including 0 and length
-    g: np.ndarray  # -f_r / (theta*eps) per piece
-    c: float
-    d: float
-
-    def derivatives(self, x: np.ndarray) -> np.ndarray:
-        """Rows v, v', v'' at the 1-d points x, from one pass over f."""
-        return _derivatives((self,), x[np.newaxis])[:, 0]
-
-    def evaluate(self, x: np.ndarray | float, order: int = 0) -> np.ndarray | float:
-        """Row ``order`` of (v, v', v'') at x; x outside [0, L] or NaN raises."""
-        xs = np.asarray(x, dtype=float)
-        if not np.all((xs >= 0.0) & (xs <= self.length)):
-            raise DimensionMismatch(f"x outside [0, {self.length}]")
-        out = self.derivatives(xs.ravel())[order].reshape(xs.shape)
-        if np.isscalar(x):
-            return float(out)
-        return out
-
-
-def _derivatives(arcs: Sequence[_ArcSolution], x: np.ndarray) -> np.ndarray:
+def _derivatives(
+    a1: np.ndarray, a2: np.ndarray, edges: np.ndarray, g: np.ndarray,
+    c: np.ndarray, d: np.ndarray, x: np.ndarray,
+) -> np.ndarray:
     """Rows v, v', v'' of every arc at its row of points, (3, arcs, points).
 
-    One pass over all arcs and forcing pieces; row i of x lies on arcs[i].
+    Row i of x lies on arc i, where v(x) = c*exp(a1*x) + d*exp(a2*(x - L))
+    + p(x): both homogeneous modes have nonpositive exponents on [0, L],
+    c attached to the left end and d to the right end. L is each arc's
+    last piece edge. One pass over all arcs and forcing pieces.
     """
-    a1 = np.array([arc.a1 for arc in arcs])
-    a2 = np.array([arc.a2 for arc in arcs])
-    L = np.array([arc.length for arc in arcs])
-    edges, g = _pad_pieces([arc.edges for arc in arcs], [arc.g for arc in arcs])
     p = _particular(a1, a2, edges, g, x)
     mode1 = np.exp(a1[:, np.newaxis] * x)
-    mode2 = np.exp(a2[:, np.newaxis] * (x - L[:, np.newaxis]))
+    mode2 = np.exp(a2[:, np.newaxis] * (x - edges[:, -1:]))
     live = mode2 > 0.0
     rows = []
     for k in range(3):
         # scalar powers per arc: an array power a1**k rounds differently
-        c_k = np.array([arc.c * arc.a1**k for arc in arcs])[:, np.newaxis]
-        d_k = np.array([arc.d * arc.a2**k for arc in arcs])[:, np.newaxis]
+        c_k = np.array([ci * ai**k for ci, ai in zip(c, a1)])[:, np.newaxis]
+        d_k = np.array([di * ai**k for di, ai in zip(d, a2)])[:, np.newaxis]
         # an underflowed mode contributes nothing even when the a2^k
         # prefactor has overflowed, so keep 0*inf out of the product
         rows.append(c_k * mode1 + np.where(live, d_k * mode2, 0.0) + p[k])
@@ -210,20 +179,49 @@ class ResidualReport:
 
 @dataclass(frozen=True)
 class ResolventSolution:
-    """Evaluable resolvent solution with its coupling-system evidence."""
+    """Evaluable resolvent solution with its coupling-system evidence.
+
+    Row i of a1, a2 (mode exponents), c, d (mode weights), edges and g
+    belongs to arc i. edges holds the forcing piece edges from 0 to the
+    arc's length and g = -f/(theta*eps) per piece; arcs with fewer
+    pieces are padded as _pad_pieces describes.
+    """
 
     net: StarNetwork
     epsilon: float
     problem: ResolventProblem
-    arcs: tuple[_ArcSolution, ...]
+    a1: np.ndarray
+    a2: np.ndarray
+    edges: np.ndarray
+    g: np.ndarray
+    c: np.ndarray
+    d: np.ndarray
     alpha: np.ndarray
     h_rhs: np.ndarray
     dominance_margins: np.ndarray
 
+    def _rows(self, rows: "slice | list[int]", x: np.ndarray) -> np.ndarray:
+        """Rows v, v', v'' of the arcs ``rows`` picks, at their rows of x."""
+        return _derivatives(
+            self.a1[rows], self.a2[rows], self.edges[rows], self.g[rows],
+            self.c[rows], self.d[rows], x,
+        )
+
     def evaluate(
         self, arc_id: int, x: np.ndarray | float, order: int = 0
     ) -> np.ndarray | float:
-        return self.arcs[arc_id].evaluate(x, order)
+        """Row ``order`` of (v, v', v'') on one arc at x.
+
+        Raises DimensionMismatch for x outside [0, length], NaN included.
+        """
+        length = self.net.arc(arc_id).length
+        xs = np.asarray(x, dtype=float)
+        if not np.all((xs >= 0.0) & (xs <= length)):
+            raise DimensionMismatch(f"x outside [0, {length}]")
+        out = self._rows([arc_id], xs.reshape(1, -1))[order, 0].reshape(xs.shape)
+        if np.isscalar(x):
+            return float(out)
+        return out
 
     def residual_report(self) -> ResidualReport:
         """Worst defects of the equation, the outer ends and the junction.
@@ -234,11 +232,11 @@ class ResolventSolution:
         """
         n = RESIDUAL_SAMPLES
         theta = self.problem.theta
-        speed = np.array([arc.speed for arc in self.arcs])
-        lengths = np.array([arc.length for arc in self.arcs])
+        speed = self.net.speeds()
+        lengths = self.edges[:, -1]
         xs = (np.arange(n) + 0.5) * (lengths / n)[:, np.newaxis]
         ends = np.array([[e.node_position, e.outer_position] for e in self.net.arcs])
-        v, dv, ddv = _derivatives(self.arcs, np.concatenate([xs, ends], axis=1))
+        v, dv, ddv = self._rows(slice(None), np.concatenate([xs, ends], axis=1))
         fvals = np.stack([p.evaluate(x) for p, x in zip(self.problem.f.arcs, xs)])
         resid = (
             v[:, :n]
@@ -306,15 +304,15 @@ def solve_resolvent(
     G = np.exp(-a2 * L)
     E = F * G  # exp(-(a2 - a1) * L)
 
-    edges_all = [
-        np.concatenate([[0.0], profile.breakpoints, [length]])
-        for profile, length in zip(prob.f.arcs, L)
-    ]
-    g_all = [-profile.values / (theta * epsilon) for profile in prob.f.arcs]
-
+    edges, g = _pad_pieces(
+        [
+            np.concatenate([[0.0], profile.breakpoints, [length]])
+            for profile, length in zip(prob.f.arcs, L)
+        ],
+        [-profile.values / (theta * epsilon) for profile in prob.f.arcs],
+    )
     # particular part and its slope at both ends of every arc, read off
     # before the mode weights c and d are known
-    edges, g = _pad_pieces(edges_all, g_all)
     ends = np.stack([np.zeros(m), L], axis=1)
     (p0, pL), (dp0, dpL), _ = _particular(a1, a2, edges, g, ends).transpose(0, 2, 1)
 
@@ -347,25 +345,16 @@ def solve_resolvent(
 
     d = np.where(incoming, w, (b - pL) - w * F)
     c = np.where(incoming, (b - p0) - w * G, w)
-    arcs = tuple(
-        _ArcSolution(
-            speed=arc.speed,
-            length=arc.length,
-            a1=a1[i],
-            a2=a2[i],
-            edges=edges_all[i],
-            g=g_all[i],
-            c=float(c[i]),
-            d=float(d[i]),
-        )
-        for i, arc in enumerate(net.arcs)
-    )
-
     return ResolventSolution(
         net=net,
         epsilon=epsilon,
         problem=prob,
-        arcs=arcs,
+        a1=a1,
+        a2=a2,
+        edges=edges,
+        g=g,
+        c=c,
+        d=d,
         alpha=alpha,
         h_rhs=rhs,
         dominance_margins=margins,
@@ -375,7 +364,14 @@ def solve_resolvent(
 def l1_error_against_state(
     sol: ResolventSolution, state: DiscreteState, grid: Grid
 ) -> float:
-    """Composite-midpoint L1 gap between the closed form and a state."""
+    """Composite-midpoint L1 gap between the closed form and a state.
+
+    Raises DimensionMismatch unless the solution has the grid's arcs and
+    the state holds the grid's points.
+    """
+    if sol.net.m != grid.arc_count:
+        raise DimensionMismatch(f"{sol.net.m} arcs for a grid of {grid.arc_count}")
+    check_on_grid(state, grid)
     total = 0.0
     for i, vals in enumerate(state.values):
         mids = grid.midpoints(i)

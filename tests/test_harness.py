@@ -26,7 +26,7 @@ from starflux.harness import (
     run_parabolic_simulation,
     sample_hyperbolic,
 )
-from starflux.hyperbolic import HyperbolicSolution, TraceSignal
+from starflux.hyperbolic import HyperbolicSolution
 from starflux.parabolic.evolve import ParabolicTrajectory
 from starflux.transmission import compute_gamma
 
@@ -55,7 +55,7 @@ def make_spec(net, K, u0, B, epsilons, T=0.5, **kw) -> ExperimentSpec:
     )
 
 
-def hand_solution(net, node_signal: TraceSignal, T: float) -> HyperbolicSolution:
+def hand_solution(net, breakpoints, values, T: float) -> HyperbolicSolution:
     """Minimal exact-solution shell carrying a prescribed outgoing trace."""
     return HyperbolicSolution(
         net=net,
@@ -63,8 +63,10 @@ def hand_solution(net, node_signal: TraceSignal, T: float) -> HyperbolicSolution
         B=np.zeros(net.m),
         u0=PiecewiseConstantField.constant(net, np.zeros(net.m)),
         T=T,
-        traces=(TraceSignal.from_lists([], [0.0]),),
-        node_values=(node_signal,),
+        junction=(
+            ArcProfile.from_lists(T, [], [0.0]),
+            ArcProfile.from_lists(T, breakpoints, values),
+        ),
     )
 
 
@@ -87,26 +89,27 @@ class TestNodeTraceError:
         # |2-1|*.1 + |2-3|*.15 + |4-3|*.25 = 0.5
         net, _ = pair_net()
         trajectory = hand_trajectory([0.0, 0.25, 0.5], [99.0, 2.0, 4.0])
-        exact = hand_solution(net, TraceSignal.from_lists([0.1], [1.0, 3.0]), 0.5)
+        exact = hand_solution(net, [0.1], [1.0, 3.0], 0.5)
         assert node_trace_error(trajectory, exact) == pytest.approx(0.5, abs=1e-15)
 
     def test_breakpoint_coinciding_with_step_time(self):
         net, _ = pair_net()
         trajectory = hand_trajectory([0.0, 0.25, 0.5], [99.0, 2.0, 4.0])
-        exact = hand_solution(net, TraceSignal.from_lists([0.25], [1.0, 3.0]), 0.5)
+        exact = hand_solution(net, [0.25], [1.0, 3.0], 0.5)
         # |2-1|*.25 + |4-3|*.25
         assert node_trace_error(trajectory, exact) == pytest.approx(0.5, abs=1e-15)
 
     def test_breakpoints_beyond_horizon_ignored(self):
         net, _ = pair_net()
         trajectory = hand_trajectory([0.0, 0.5], [99.0, 1.0])
-        exact = hand_solution(net, TraceSignal.from_lists([0.9], [0.0, 7.0]), 0.5)
+        # the exact trace reaches T = 1, the march stops at 0.5
+        exact = hand_solution(net, [0.9], [0.0, 7.0], 1.0)
         assert node_trace_error(trajectory, exact) == pytest.approx(0.5, abs=1e-15)
 
     def test_initial_row_never_enters(self):
         net, _ = pair_net()
         trajectory = hand_trajectory([0.0, 0.5], [1e9, 0.0])
-        exact = hand_solution(net, TraceSignal.from_lists([], [0.0]), 0.5)
+        exact = hand_solution(net, [], [0.0], 0.5)
         assert node_trace_error(trajectory, exact) == 0.0
 
 

@@ -20,7 +20,8 @@ from starflux import (
     solve_exact,
 )
 from starflux.errors import finite_above
-from starflux.hyperbolic import GAMMA_INPUT_TOL, TraceSignal, incoming_trace, l1_distance
+from starflux.grids import new_state
+from starflux.hyperbolic import GAMMA_INPUT_TOL, incoming_trace, l1_distance
 
 
 def test_arc_profile_is_left_continuous():
@@ -46,12 +47,13 @@ def test_arc_profile_validation():
 
 
 def test_profiles_and_signals_reject_non_1d_data():
-    """Unchecked, a 2-d profile would pass and fail later in evaluate."""
+    """Unchecked, a 2-d profile would pass and fail later in evaluate.
+
+    Junction signals in time are profiles on [0, T], so one check
+    covers both."""
     for b, v in (([[0.5]], [[1.0, 2.0]]), ([0.5], [[1.0, 2.0]]), (0.5, [1.0, 2.0])):
         with pytest.raises(DimensionMismatch, match="must be 1-d"):
             ArcProfile.from_lists(1.0, b, v)
-        with pytest.raises(DimensionMismatch, match="must be 1-d"):
-            TraceSignal.from_lists(b, v)
 
 
 def profile_rules_one_by_one(length, breakpoints, values):
@@ -72,20 +74,6 @@ def profile_rules_one_by_one(length, breakpoints, values):
             )
         if np.any(np.diff(b) <= 0.0):
             raise DimensionMismatch("profile breakpoints must strictly increase")
-
-
-def signal_rules_one_by_one(breakpoints, values):
-    """TraceSignal.from_lists' checks one rule at a time, the reference."""
-    b = np.asarray(breakpoints, dtype=float)
-    v = np.asarray(values, dtype=float)
-    if v.size != b.size + 1:
-        raise DimensionMismatch(
-            f"{b.size} breakpoints need {b.size + 1} values, got {v.size}"
-        )
-    if not (np.all(np.isfinite(b)) and np.all(np.isfinite(v))):
-        raise DimensionMismatch("signal entries must be finite")
-    if b.size and (np.any(b <= 0.0) or np.any(np.diff(b) <= 0.0)):
-        raise DimensionMismatch("signal breakpoints must be positive increasing")
 
 
 def gamma_rules_one_by_one(g):
@@ -162,8 +150,6 @@ def test_piece_checks_match_the_rule_by_rule_reference(data, length):
         assert p.length == float(length)
         assert p.breakpoints.tobytes() == np.asarray(b, dtype=float).tobytes()
         assert p.values.tobytes() == np.asarray(v, dtype=float).tobytes()
-    new = verdict(TraceSignal.from_lists, b, v)
-    assert_same_verdict(new, verdict(signal_rules_one_by_one, b, v), b, v, "signal")
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -229,8 +215,8 @@ def test_solve_exact_single_pair_frozen():
     sol = solve_exact(net, ts.gamma, u0, [2.0, 0.0], T=2.0)
 
     # node signal: flux 1*4 until t=1, then 1*2; outgoing speed 2 halves it
-    np.testing.assert_allclose(sol.node_values[0].breakpoints, [1.0])
-    np.testing.assert_allclose(sol.node_values[0].values, [2.0, 1.0])
+    np.testing.assert_allclose(sol.junction[1].breakpoints, [1.0])
+    np.testing.assert_allclose(sol.junction[1].values, [2.0, 1.0])
 
     # incoming arc at t=0.4: inflow value behind x=0.4, data ahead
     assert sol.evaluate(0, 0.25, 0.4) == 2.0
@@ -311,16 +297,14 @@ def test_flux_conservation_random_times():
 def loop_flux_balance(sol, t_samples):
     """Per-time reference for check_flux_conservation: one scalar per trace."""
     ts = np.asarray(t_samples, dtype=float)
-    in_speeds = np.array([sol.net.arc(j).speed for j in sol.net.incoming_ids])
-    out_speeds = np.array([sol.net.arc(l).speed for l in sol.net.outgoing_ids])
+    arcs = list(zip(sol.net.arcs, sol.junction))
     worst = 0.0
     for t in ts:
         inflow = sum(
-            float(in_speeds[p] * tr.evaluate(t)) for p, tr in enumerate(sol.traces)
+            float(arc.speed * tr.evaluate(t)) for arc, tr in arcs if arc.incoming
         )
         outflow = sum(
-            float(out_speeds[p] * nv.evaluate(t))
-            for p, nv in enumerate(sol.node_values)
+            float(arc.speed * nv.evaluate(t)) for arc, nv in arcs if not arc.incoming
         )
         worst = max(worst, abs(inflow - outflow))
     return worst
@@ -352,7 +336,7 @@ def test_flux_check_matches_per_time_loop_on_random_stars(seed):
     rng = np.random.default_rng(seed)
     sol = random_solution(rng)
     T = sol.T
-    switches = [s.breakpoints for s in sol.traces + sol.node_values]
+    switches = [s.breakpoints for s in sol.junction]
     ts = np.concatenate(
         [np.linspace(0.0, T, 31), rng.uniform(0.0, 2.0 * T, 16), *switches]
     )
@@ -360,6 +344,23 @@ def test_flux_check_matches_per_time_loop_on_random_stars(seed):
     want = loop_flux_balance(sol, ts)
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
     assert got <= 1e-9
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_junction_holds_incoming_traces_and_profiles_on_the_horizon(seed):
+    """Each arc has one junction signal, a profile on [0, T]; an
+    incoming arc's is its incoming_trace, bit for bit."""
+    rng = np.random.default_rng(seed)
+    sol = random_solution(rng)
+    assert len(sol.junction) == sol.net.m
+    for signal in sol.junction:
+        assert isinstance(signal, ArcProfile)
+        assert signal.length == sol.T
+    for j in sol.net.incoming_ids:
+        want = incoming_trace(sol.net, j, sol.u0.arcs[j], sol.B[j], sol.T)
+        assert sol.junction[j].breakpoints.tobytes() == want.breakpoints.tobytes()
+        assert sol.junction[j].values.tobytes() == want.values.tobytes()
 
 
 def snapshot_reference(sol, t):
@@ -370,8 +371,7 @@ def snapshot_reference(sol, t):
         cand = [b + lam * t for b in sol.u0.arcs[arc.id].breakpoints]
         cand.append(lam * t)
         if not arc.incoming:
-            pos = sol.net.outgoing_ids.index(arc.id)
-            cand.extend(lam * (t - s) for s in sol.node_values[pos].breakpoints)
+            cand.extend(lam * (t - s) for s in sol.junction[arc.id].breakpoints)
         breaks = np.unique([c for c in cand if 0.0 < c < L])
         edges = np.concatenate([[0.0], breaks, [L]])
         mids = 0.5 * (edges[:-1] + edges[1:])
@@ -386,7 +386,9 @@ def test_snapshot_matches_pointwise_candidates_on_random_stars(seed):
     for bit, at 0, T, every node switch and random times."""
     rng = np.random.default_rng(seed)
     sol = random_solution(rng)
-    switches = np.concatenate([s.breakpoints for s in sol.node_values] + [[]])
+    switches = np.concatenate(
+        [sol.junction[l].breakpoints for l in sol.net.outgoing_ids] + [[]]
+    )
     for t in [0.0, sol.T, *switches[switches <= sol.T], *rng.uniform(0.0, sol.T, 4)]:
         snap = sol.snapshot(t)
         for got, (breaks, values) in zip(snap.arcs, snapshot_reference(sol, t)):
@@ -427,3 +429,25 @@ def test_solve_exact_validation():
         solve_exact(net, np.array([[-0.2]]), u0, [0.0, 0.0], T=1.0)
     with pytest.raises(DimensionMismatch):
         solve_exact(net, np.array([[1.0]]), u0, [0.0], T=1.0)
+
+
+def test_l1_distance_needs_the_grid_arcs_and_points():
+    """A side with other arcs than the grid, or a state sampled on
+    another grid, is refused instead of compared on the common part."""
+    net2 = simple_star([1.0], [2.0])
+    net3 = simple_star([1.0], [2.0, 0.5])
+    grid2, grid3 = make_grid(net2, h=0.1), make_grid(net3, h=0.1)
+    u0 = PiecewiseConstantField.constant(net3, [1.0, 0.0, 0.0])
+    gamma = compute_gamma(net3, cross_ones_coupling(net3)).gamma
+    oracle = solve_exact(net3, gamma, u0, [1.0, 0.0, 0.0], 1.0)
+    state2 = new_state(grid2, [np.full(n + 1, 0.5) for n in grid2.cells])
+    with pytest.raises(DimensionMismatch, match="^3 arcs for a grid of 2"):
+        l1_distance(oracle, state2, grid2, 0.5)
+    with pytest.raises(DimensionMismatch, match="^3 arcs for a grid of 2"):
+        l1_distance(state2, u0, grid2)
+    with pytest.raises(DimensionMismatch, match="^state has 2 arcs, the grid 3"):
+        l1_distance(oracle, state2, grid3, 0.5)
+    coarse = make_grid(net2, h=0.25)
+    with pytest.raises(DimensionMismatch, match="^arc 0: state has 11 points for 4 cells"):
+        l1_distance(PiecewiseConstantField.constant(net2, [0.0, 0.0]), state2, coarse)
+    assert l1_distance(state2, state2, grid2) == 0.0

@@ -13,12 +13,14 @@ from conftest import cross_ones_coupling, random_coupling, random_network, simpl
 from starflux import (
     ArcProfile,
     CouplingMatrix,
+    DimensionMismatch,
     LinearSolveFailure,
     PiecewiseConstantField,
     SolverConfig,
     UnstableConfig,
     discrete_l1_norm,
     make_grid,
+    march_to_steady,
     new_state,
     resolvent_forcing_field,
     solve_parabolic,
@@ -411,3 +413,24 @@ def test_march_stays_nonnegative_and_bounded_on_random_stars():
         if low < -1e-10 or np.max(norms) > 2.0 * norms[0]:
             failures.append((seed, low, float(np.max(norms) / norms[0])))
     assert not failures, f"{len(failures)} of 60 stars: {failures}"
+
+
+@pytest.mark.parametrize("length", [0.5, 1.5])
+def test_march_entry_points_reject_profiles_of_another_length(length):
+    """Sampling would stretch the last piece of a short profile over the
+    rest of the arc, so the initial data and the steady forcing must be
+    exactly as long as their arcs."""
+    net = simple_star([1.0], [1.0])
+    K = cross_ones_coupling(net)
+    field = PiecewiseConstantField(
+        (
+            ArcProfile.from_lists(length, [0.25], [1.0, 0.0]),
+            ArcProfile.from_lists(1.0, [], [0.0]),
+        )
+    )
+    hint = f"arc 0 has length 1.0, its profile {length}"
+    with pytest.raises(DimensionMismatch, match=f"^initial profiles: {hint}"):
+        solve_parabolic(net, K, field, [0.0, 0.0], SolverConfig(epsilon=0.2, T=0.05))
+    grid = make_grid(net, h=0.05)
+    with pytest.raises(DimensionMismatch, match=f"^forcing profiles: {hint}"):
+        march_to_steady(net, K, grid, 0.2, 1.0, field, [0.0, 0.0])

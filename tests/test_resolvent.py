@@ -21,13 +21,14 @@ from starflux import (
     resolvent_forcing_field,
     solve_resolvent,
 )
+from starflux.grids import new_state
 from starflux.network import alpha_from_k
 from starflux.parabolic import resolvent
 from starflux.parabolic.resolvent import (
     RESIDUAL_SAMPLES,
     _convolutions,
     _derivatives,
-    _pad_pieces,
+    _particular,
 )
 
 
@@ -93,9 +94,10 @@ def test_signed_node_fluxes_cancel():
     )
     sol = solve_resolvent(net, K, 0.3, prob)
     signed = 0.0
-    for arc, edge in zip(sol.arcs, net.arcs):
-        v, dv, _ = arc.derivatives(np.array([edge.node_position]))[:, 0]
-        flux = arc.speed * v - sol.epsilon * dv
+    for edge in net.arcs:
+        v = sol.evaluate(edge.id, edge.node_position)
+        dv = sol.evaluate(edge.id, edge.node_position, 1)
+        flux = edge.speed * v - sol.epsilon * dv
         signed += flux if edge.incoming else -flux
     assert abs(signed) <= 1e-12
 
@@ -274,29 +276,38 @@ def random_solution(seed, m, uneven=False):
     return solve_resolvent(net, K, float(10.0 ** rng.uniform(-3.0, 0.0)), prob)
 
 
-def arc_points(arc, edge, samples=24):
+def arc_points(sol, i, samples=24):
     """Midpoint samples, points inside both end layers, node and outer end."""
-    xs = (np.arange(samples) + 0.5) * (arc.length / samples)
-    layer = np.array([0.5, 1.0, 2.0, 4.0]) / max(arc.a2, -arc.a1)
+    edge = sol.net.arc(i)
+    xs = (np.arange(samples) + 0.5) * (edge.length / samples)
+    layer = np.array([0.5, 1.0, 2.0, 4.0]) / max(sol.a2[i], -sol.a1[i])
     return np.concatenate(
-        [xs, layer, arc.length - layer, [edge.node_position, edge.outer_position]]
-    ).clip(0.0, arc.length)
+        [xs, layer, edge.length - layer, [edge.node_position, edge.outer_position]]
+    ).clip(0.0, edge.length)
 
 
-def loop_convolutions(arc, x):
-    """Per-piece reference for one arc's row of _convolutions."""
-    a1, a2 = arc.a1, arc.a2
+def own_pieces(sol, i):
+    """Arc i's forcing piece edges and weights g, without padding."""
+    f = sol.problem.f.arcs[i]
+    edges = np.concatenate([[0.0], f.breakpoints, [f.length]])
+    return edges, -f.values / (sol.problem.theta * sol.epsilon)
+
+
+def loop_convolutions(sol, i, x):
+    """Per-piece reference for arc i's row of _convolutions."""
+    a1, a2 = sol.a1[i], sol.a2[i]
+    edges, g = own_pieces(sol, i)
     i1 = np.zeros_like(x)
     i2 = np.zeros_like(x)
-    for r in range(arc.g.size):
-        lo, hi = arc.edges[r], arc.edges[r + 1]
+    for r in range(g.size):
+        lo, hi = edges[r], edges[r + 1]
         hi_l = np.minimum(hi, x)
         w = hi_l - lo
         mask = w > 0.0
         w = np.where(mask, w, 0.0)
         anchor = np.where(mask, hi_l, x)
         i1 += np.where(
-            mask, arc.g[r] * np.exp(a1 * (x - anchor)) * np.expm1(a1 * w) / a1, 0.0
+            mask, g[r] * np.exp(a1 * (x - anchor)) * np.expm1(a1 * w) / a1, 0.0
         )
         lo_r = np.maximum(lo, x)
         w = hi - lo_r
@@ -304,9 +315,26 @@ def loop_convolutions(arc, x):
         w = np.where(mask, w, 0.0)
         anchor = np.where(mask, lo_r, x)
         i2 += np.where(
-            mask, -arc.g[r] * np.exp(a2 * (x - anchor)) * np.expm1(-a2 * w) / a2, 0.0
+            mask, -g[r] * np.exp(a2 * (x - anchor)) * np.expm1(-a2 * w) / a2, 0.0
         )
     return i1, i2
+
+
+def own_pass(sol, i, x):
+    """Arc i's rows v, v', v'' from a one-arc pass without padding."""
+    edges, g = own_pieces(sol, i)
+    a1, a2, c, d = sol.a1[i], sol.a2[i], sol.c[i], sol.d[i]
+    p = _particular(
+        np.array([a1]), np.array([a2]), edges[np.newaxis], g[np.newaxis], x[np.newaxis]
+    )[:, 0]
+    mode1 = np.exp(a1 * x)
+    mode2 = np.exp(a2 * (x - edges[-1]))
+    return np.stack(
+        [
+            c * a1**k * mode1 + np.where(mode2 > 0.0, d * a2**k * mode2, 0.0) + p[k]
+            for k in range(3)
+        ]
+    )
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -321,22 +349,21 @@ def test_one_pass_matches_scalar_and_per_piece_evaluation(seed, m, uneven):
     """
     sol = random_solution(seed, m, uneven)
     assert sol.residual_report().worst_scaled <= 1e-9
-    points = np.stack(
-        [arc_points(arc, edge) for arc, edge in zip(sol.arcs, sol.net.arcs)]
-    )
-    stacked = _derivatives(sol.arcs, points)
-    edges, g = _pad_pieces([arc.edges for arc in sol.arcs], [arc.g for arc in sol.arcs])
-    a1 = np.array([arc.a1 for arc in sol.arcs])
-    a2 = np.array([arc.a2 for arc in sol.arcs])
-    i1, i2 = _convolutions(a1, a2, edges, g, points)
-    for i, (arc, xs) in enumerate(zip(sol.arcs, points)):
-        rows = arc.derivatives(xs)
+    points = np.stack([arc_points(sol, i) for i in range(m)])
+    stacked = _derivatives(sol.a1, sol.a2, sol.edges, sol.g, sol.c, sol.d, points)
+    i1, i2 = _convolutions(sol.a1, sol.a2, sol.edges, sol.g, points)
+    for i, xs in enumerate(points):
+        edges, g = own_pieces(sol, i)
+        rows = _derivatives(
+            sol.a1[[i]], sol.a2[[i]], edges[np.newaxis], g[np.newaxis],
+            sol.c[[i]], sol.d[[i]], xs[np.newaxis],
+        )[:, 0]
         assert stacked[:, i].tobytes() == rows.tobytes()
         for order in range(3):
             scalar = np.array([sol.evaluate(i, float(x), order) for x in xs])
             assert rows[order].tobytes() == scalar.tobytes()
             assert sol.evaluate(i, xs, order).tobytes() == rows[order].tobytes()
-        want1, want2 = loop_convolutions(arc, xs)
+        want1, want2 = loop_convolutions(sol, i, xs)
         assert i1[i].tobytes() == want1.tobytes()
         assert i2[i].tobytes() == want2.tobytes()
 
@@ -346,15 +373,76 @@ def test_one_pass_matches_scalar_and_per_piece_evaluation(seed, m, uneven):
 def test_derivative_rows_match_centred_differences(seed, m):
     """v' and v'' agree with centred differences of v away from f's jumps."""
     sol = random_solution(seed, m)
-    for arc, edge in zip(sol.arcs, sol.net.arcs):
-        h = 1e-3 / max(arc.a2, -arc.a1)
-        xs = arc_points(arc, edge)[:-2].clip(2.0 * h, arc.length - 2.0 * h)
-        near_jump = np.abs(xs[:, None] - arc.edges[None, 1:-1]) <= 2.0 * h
+    for i, arc in enumerate(sol.net.arcs):
+        h = 1e-3 / max(sol.a2[i], -sol.a1[i])
+        xs = arc_points(sol, i)[:-2].clip(2.0 * h, arc.length - 2.0 * h)
+        jumps = sol.problem.f.arcs[i].breakpoints
+        near_jump = np.abs(xs[:, None] - jumps[None, :]) <= 2.0 * h
         xs = xs[~near_jump.any(axis=1)]
-        v, dv, ddv = arc.derivatives(xs)
-        left, right = arc.derivatives(xs - h)[0], arc.derivatives(xs + h)[0]
+        v, dv, ddv = (sol.evaluate(i, xs, k) for k in range(3))
+        left, right = sol.evaluate(i, xs - h), sol.evaluate(i, xs + h)
         top = float(np.max(np.abs(v)))
         fd1 = (right - left) / (2.0 * h)
         fd2 = (right - 2.0 * v + left) / (h * h)
         assert np.max(np.abs(fd1 - dv)) <= 1e-5 * np.max(np.abs(dv)) + 1e-12 * top / h
         assert np.max(np.abs(fd2 - ddv)) <= 1e-5 * np.max(np.abs(ddv)) + 1e-11 * top / h**2
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    breaks=st.lists(st.integers(0, 4), min_size=2, max_size=8),
+)
+def test_evaluate_matches_an_unpadded_one_arc_pass(seed, breaks):
+    """sol.evaluate on each arc, scalar and vector, equals bit for bit
+    the arc's own pass over its unpadded forcing pieces: the stored
+    stacked arrays pad shorter arcs, and the pads add exactly +0.0."""
+    rng = np.random.default_rng(seed)
+    m = len(breaks)
+    net = random_network(rng, m_min=m, m_max=m)
+    f = PiecewiseConstantField(
+        tuple(
+            ArcProfile.from_lists(
+                arc.length,
+                np.sort(rng.uniform(0.05, 0.95, n)) * arc.length,
+                rng.uniform(-1.0, 1.0, n + 1),
+            )
+            for arc, n in zip(net.arcs, breaks)
+        )
+    )
+    prob = ResolventProblem.build(
+        float(rng.uniform(0.2, 3.0)), f, rng.uniform(-1.0, 1.0, m)
+    )
+    sol = solve_resolvent(
+        net, random_coupling(rng, net), float(10.0 ** rng.uniform(-3.0, 0.0)), prob
+    )
+    assert sol.edges.shape == (m, max(breaks) + 2)
+    for i in range(m):
+        xs = np.concatenate([arc_points(sol, i), f.arcs[i].breakpoints])
+        want = own_pass(sol, i, xs)
+        for k in range(3):
+            assert sol.evaluate(i, xs, k).tobytes() == want[k].tobytes()
+            scalar = np.array([sol.evaluate(i, float(x), k) for x in xs])
+            assert scalar.tobytes() == want[k].tobytes()
+
+
+def test_l1_error_needs_the_grid_arcs_and_points():
+    """A state with fewer arcs than the solution, or sampled on another
+    grid, is refused instead of compared on the common part."""
+    net3 = simple_star([1.0], [2.0, 0.5])
+    prob = ResolventProblem.build(
+        0.8, PiecewiseConstantField.constant(net3, [0.5, 0.0, 0.0]), [0.7, 0.3, 0.1]
+    )
+    sol = solve_resolvent(net3, cross_ones_coupling(net3), 0.5, prob)
+    net2 = simple_star([1.0], [2.0])
+    grid2, grid3 = make_grid(net2, h=0.1), make_grid(net3, h=0.1)
+    state2 = new_state(grid2, [np.full(n + 1, 0.5) for n in grid2.cells])
+    with pytest.raises(DimensionMismatch, match="^3 arcs for a grid of 2"):
+        l1_error_against_state(sol, state2, grid2)
+    with pytest.raises(DimensionMismatch, match="^state has 2 arcs, the grid 3"):
+        l1_error_against_state(sol, state2, grid3)
+    fine = make_grid(net3, h=0.05)
+    state3 = new_state(fine, [np.zeros(n + 1) for n in fine.cells])
+    with pytest.raises(DimensionMismatch, match="^arc 0: state has 21 points for 10 cells"):
+        l1_error_against_state(sol, state3, grid3)
+    assert l1_error_against_state(sol, state3, fine) > 0.0

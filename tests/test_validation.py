@@ -33,7 +33,7 @@ from starflux import (
     solve_parabolic,
     solve_resolvent,
 )
-from starflux.hyperbolic import TraceSignal, incoming_trace
+from starflux.hyperbolic import incoming_trace
 
 non_finite = pytest.mark.parametrize(
     "bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"]
@@ -112,9 +112,9 @@ def test_transmission_weights_and_trace_signal(bad):
     for gamma in ([[bad], [bad]], [[0.5], [bad]]):
         with pytest.raises(InvalidGamma, match="must be finite"):
             solve_exact(net, np.array(gamma), u0, [1.0, 0.0, 0.0], 0.5)
-    for breaks, values in (([bad], [1.0, 2.0]), ([0.5], [1.0, bad])):
-        with pytest.raises(DimensionMismatch, match="must be finite"):
-            TraceSignal.from_lists(breaks, values)
+    # the junction trace is a profile on [0, T]; B_i arrives at t = 1
+    with pytest.raises(DimensionMismatch, match="^profile entries must be finite"):
+        incoming_trace(net, 0, u0.arcs[0], bad, 2.0)
 
 
 @non_finite
