@@ -124,17 +124,22 @@ class PiecewiseConstantField:
         return sum(a.total_variation() for a in self.arcs)
 
     def check_lengths(self, net: StarNetwork, what: str) -> None:
-        """Raise DimensionMismatch unless each profile is as long as its arc.
+        """check_profile_lengths over this field's profiles."""
+        check_profile_lengths(self.arcs, net, what)
 
-        Expects one profile per arc; ``what`` names the profiles in the
-        message.
-        """
-        for profile, arc in zip(self.arcs, net.arcs):
-            if profile.length != arc.length:
-                raise DimensionMismatch(
-                    f"{what}: arc {arc.id} has length {arc.length}, its "
-                    f"profile {profile.length}"
-                )
+
+def check_profile_lengths(profiles: Sequence, net: StarNetwork, what: str) -> None:
+    """Raise DimensionMismatch unless each profile is as long as its arc.
+
+    Expects one profile per arc, each with a ``length``; ``what`` names
+    the profiles in the message.
+    """
+    for profile, arc in zip(profiles, net.arcs):
+        if profile.length != arc.length:
+            raise DimensionMismatch(
+                f"{what}: arc {arc.id} has length {arc.length}, its "
+                f"profile {profile.length}"
+            )
 
 
 def incoming_trace(

@@ -23,7 +23,7 @@ from ..grids import (
     make_grid,
     sample_on_grid,
 )
-from ..hyperbolic import PiecewiseConstantField
+from ..hyperbolic import PiecewiseConstantField, check_profile_lengths
 from ..network import CouplingMatrix, StarNetwork
 from .scheme import (
     StepOperator,
@@ -90,13 +90,13 @@ def _initial_state(
     grid = op.grid
     if isinstance(u0_eps, DiscreteState):
         state = u0_eps
-    elif isinstance(u0_eps, PiecewiseConstantField):
-        state = sample_on_grid(u0_eps.arcs, grid)
+    else:
+        field = isinstance(u0_eps, PiecewiseConstantField)
+        profiles = u0_eps.arcs if field else list(u0_eps)
+        state = sample_on_grid(profiles, grid)
         # sampling checked the count; a short profile would have been
         # extended by its last piece
-        u0_eps.check_lengths(net, "initial profiles")
-    else:
-        state = sample_on_grid(list(u0_eps), grid)
+        check_profile_lengths(profiles, net, "initial profiles")
     if state.bounds != grid.offsets:
         raise DimensionMismatch("initial state does not match the grid")
     # inflow Dirichlet values override whatever the data carries there

@@ -19,10 +19,12 @@ to zero, so the junction flux balance sum_i beta_i * F_i = 0 holds to
 solver precision after each step.
 
 Only the m node rows couple the arcs, so a step is solved as a bordered
-tridiagonal system (ArcJunctionLU): one LAPACK tridiagonal solve over
-every arc's interior with the junction values held at zero, an m x m
-Schur system for the junction values, and each arc's precomputed
-response to its junction value added back.
+tridiagonal system (ArcJunctionLU): one tridiagonal solve over every
+arc's interior with the junction values held at zero, an m x m Schur
+system for the junction values, and each arc's precomputed response to
+its junction value added back. The tridiagonal solve eliminates every
+other point first (OddEvenLU), so LAPACK's serial dgttrs runs over half
+the points and the other half are filled in by vector operations.
 """
 
 from __future__ import annotations
@@ -119,25 +121,98 @@ RESPONSE_CUTOFF = np.finfo(float).eps ** 2
 
 
 @dataclass(frozen=True)
+class OddEvenLU:
+    """A tridiagonal system with its odd-indexed unknowns eliminated.
+
+    Row k reads a_k x[k-1] + b_k x[k] + c_k x[k+1] = f[k]. An odd row
+    gives x[k] = (f[k] - a_k x[k-1] - c_k x[k+1]) / b_k, and putting
+    that into the even rows leaves a tridiagonal system over the even
+    unknowns, with right-hand side f[j] + fold_lo f[j-1] + fold_up f[j+1],
+    fold_lo = -a_j / b_{j-1} and fold_up = -c_j / b_{j+1}. That system is
+    a Schur complement, so it is strictly diagonally dominant by rows
+    and by columns when the full one is, and dgttrf then factors it
+    without pivoting; reduced holds its (dl, d, du, du2, ipiv). odd_lo,
+    odd_diag and odd_up are a, b and c on the odd rows. Any number of
+    rows works: the last even or odd row just has no right neighbour.
+    """
+
+    fold_lo: np.ndarray
+    fold_up: np.ndarray
+    odd_lo: np.ndarray
+    odd_diag: np.ndarray
+    odd_up: np.ndarray
+    reduced: tuple
+
+    @classmethod
+    def factor(cls, dl: np.ndarray, d: np.ndarray, du: np.ndarray) -> "OddEvenLU":
+        """Factor the bands dl[k] = A[k+1, k], d[k] = A[k, k], du[k] = A[k, k+1].
+
+        A zero pivot raises LinearSolveFailure naming its 1-based row.
+        """
+        n_even = (d.size + 1) // 2
+        n_odd = d.size // 2
+        # copies, so that the full-length bands are not kept alive
+        odd_diag = d[1::2].copy()
+        zero = np.flatnonzero(odd_diag == 0.0)
+        if zero.size:
+            raise LinearSolveFailure(
+                f"arc factorization failed: zero pivot in row {2 * zero[0] + 2}"
+            )
+        odd_lo, odd_up = dl[0::2].copy(), du[1::2].copy()
+        fold_lo = -dl[1::2] / odd_diag[: n_even - 1]
+        fold_up = -du[0::2] / odd_diag
+        diag = d[0::2].copy()
+        diag[1:] += fold_lo * odd_up
+        diag[:n_odd] += fold_up * odd_lo
+        lower = fold_lo * odd_lo[: n_even - 1]
+        upper = fold_up[: n_even - 1] * odd_up
+        *reduced, info = dgttrf(lower, diag, upper)
+        if info != 0:
+            raise LinearSolveFailure(
+                f"arc factorization failed: zero pivot in row {2 * info - 1}"
+            )
+        return cls(fold_lo, fold_up, odd_lo, odd_diag, odd_up, tuple(reduced))
+
+    @property
+    def nnz(self) -> int:
+        """Stored entries: the elimination coefficients and the reduced bands."""
+        parts = (self.fold_lo, self.fold_up, self.odd_lo, self.odd_diag, self.odd_up)
+        return int(sum(p.size for p in parts + self.reduced[:4]))
+
+    def solve(self, x: np.ndarray) -> None:
+        """Overwrite x, of shape (n,) or (n, k), with the solution against it."""
+        # the coefficients run down axis 0, alike for every column of x
+        col = (-1,) + (1,) * (x.ndim - 1)
+        even, odd = x[0::2], x[1::2]
+        n_even, n_odd = even.shape[0], odd.shape[0]
+        # Fortran order, which dgttrs overwrites without a copy
+        g = even.copy(order="F")
+        g[1:] += self.fold_lo.reshape(col) * odd[: n_even - 1]
+        g[:n_odd] += self.fold_up.reshape(col) * odd
+        g, _ = dgttrs(*self.reduced, g, overwrite_b=True)
+        even[...] = g
+        odd -= self.odd_lo.reshape(col) * g[:n_odd]
+        odd[: n_even - 1] -= self.odd_up.reshape(col) * g[1:]
+        odd /= self.odd_diag.reshape(col)
+
+
+@dataclass(frozen=True)
 class ArcJunctionLU:
     """Bordered-tridiagonal factorization of a step matrix.
 
     Cutting the node and outer rows and columns out of the three bands
-    leaves one tridiagonal block per arc interior; dl, d, du, du2, ipiv
-    are their dgttrf factors, with unit rows at the cut points. The
-    outer values are known, so they move to the right-hand side of
-    their neighbour rows (outer_row, outer_coef). response[k] is arc
-    window_arc[k]'s value at point window[k] when its junction value
-    is 1 and everything else is 0. Eliminating the interiors leaves the
-    m x m Schur complement of the stencil's node rows,
-    block - diag(eh * response at inner), kept as its inverse.
+    leaves one tridiagonal block per arc interior, with unit rows at the
+    cut points; arcs is its odd-even reduction, so each solve runs
+    dgttrs over half the points. The outer values are known, so they
+    move to the right-hand side of their neighbour rows (outer_row,
+    outer_coef). response[k] is arc window_arc[k]'s value at point
+    window[k] when its junction value is 1 and everything else is 0.
+    Eliminating the interiors leaves the m x m Schur complement of the
+    stencil's node rows, block - diag(eh * response at inner), kept as
+    its inverse.
     """
 
-    dl: np.ndarray
-    d: np.ndarray
-    du: np.ndarray
-    du2: np.ndarray
-    ipiv: np.ndarray
+    arcs: OddEvenLU
     outer: np.ndarray
     outer_row: np.ndarray
     outer_coef: np.ndarray
@@ -171,38 +246,39 @@ class ArcJunctionLU:
         dl[cut[cut < last]] = 0.0
         du[cut[cut > 0] - 1] = 0.0
         dl[cut[cut > 0] - 1] = 0.0
-        dl, d, du, du2, ipiv, info = dgttrf(dl, d, du)
-        if info != 0:
-            raise LinearSolveFailure(f"arc factorization failed: dgttrf info {info}")
+        arcs = OddEvenLU.factor(dl, d, du)
+        del dl, d, du  # the factors hold all that is needed from here
 
         m = node.size
-        arcs = np.arange(m)
-        pull = np.zeros((d.size, m), order="F")
-        pull[inner, arcs] = -inner_coef
-        pull, _ = dgttrs(dl, d, du, du2, ipiv, pull, overwrite_b=True)
+        ids = np.arange(m)
+        pull = np.zeros((matrix.shape[0], m), order="F")
+        pull[inner, ids] = -inner_coef
+        arcs.solve(pull)
         window, window_arc = np.nonzero(np.abs(pull) >= RESPONSE_CUTOFF)
         response = pull[window, window_arc]
 
         try:
-            schur_inv = np.linalg.inv(stencil.block - np.diag(stencil.eh * pull[inner, arcs]))
+            schur_inv = np.linalg.inv(stencil.block - np.diag(stencil.eh * pull[inner, ids]))
         except np.linalg.LinAlgError as exc:
             raise LinearSolveFailure(f"junction Schur complement is singular: {exc}") from exc
         return cls(
-            dl, d, du, du2, ipiv, outer, outer_row, outer_coef, stencil,
+            arcs, outer, outer_row, outer_coef, stencil,
             schur_inv, window, window_arc, response,
         )
 
     @property
     def nnz(self) -> int:
-        """Stored factor entries: the bands, the responses and the Schur inverse."""
-        parts = (self.dl, self.d, self.du, self.du2, self.response, self.schur_inv)
-        return int(sum(p.size for p in parts))
+        """Stored factor entries: the arc factors, the responses and the Schur inverse."""
+        return self.arcs.nnz + self.response.size + self.schur_inv.size
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solution of the step matrix against rhs, as a new vector."""
         x = np.array(rhs, dtype=float)
+        # an infinity would meet the cut rows' zero couplings as 0 * inf
+        if not np.isfinite(x).all():
+            raise LinearSolveFailure("non-finite right-hand side")
         x[self.outer_row] -= self.outer_coef * x[self.outer]
-        x, _ = dgttrs(self.dl, self.d, self.du, self.du2, self.ipiv, x, overwrite_b=True)
+        self.arcs.solve(x)
         # the cut node rows left x[node] = rhs[node]
         node = self.stencil.node
         u = self.schur_inv @ (x[node] + self.stencil.eh * x[self.stencil.inner])

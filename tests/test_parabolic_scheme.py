@@ -25,8 +25,10 @@ from starflux import (
     resolvent_forcing_field,
     solve_parabolic,
 )
+from starflux.dataprep import PiecewisePoly, PolynomialPiece
 from starflux.grids import MIN_CELLS
 from starflux.parabolic.scheme import (
+    RESPONSE_CUTOFF,
     ArcJunctionLU,
     assemble_step_operator,
     compatibility_residual,
@@ -332,32 +334,56 @@ def test_outer_values_persist_bitwise(seed, m):
     assert traj.final.flat[traj.operator.outer].tolist() == B.tolist()
 
 
-@pytest.mark.filterwarnings("ignore::starflux.UnstableConfig")
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    m=st.integers(2, 8),
-    coarse=st.booleans(),
-)
-def test_arc_junction_lu_matches_dense_solve(seed, m, coarse):
-    """op.lu.solve against a dense solve of op.matrix.
+def with_parity(grid, net, odd_total):
+    """grid, with one more cell on arc 0 if that gives the point total's parity."""
+    if grid.offsets[-1] % 2 == odd_total:
+        return grid
+    n = grid.cells[0] + 1
+    return dataclasses.replace(
+        grid,
+        cells=(n,) + grid.cells[1:],
+        spacings=(net.arcs[0].length / n,) + grid.spacings[1:],
+    )
 
-    coarse puts MIN_CELLS cells on every arc. Random step sizes, up to
-    the steady solve's step lengths theta, make the arcs' junction
-    responses fall below the cutoff in some draws and span whole arcs
-    in others.
+
+def random_star_operator(seed, m, coarse, odd_total):
+    """Step operator of a random m-arc star with the given point-total parity.
+
+    coarse puts MIN_CELLS cells on every arc but possibly one. Random
+    step sizes, up to the steady solve's step lengths theta, make the
+    arcs' junction responses fall below the cutoff in some draws and
+    span whole arcs in others.
     """
     rng = np.random.default_rng(seed)
     net = random_network(rng, m_min=m, m_max=m)
     K = random_coupling(rng, net)
     eps = float(rng.uniform(0.3, 1.0))
     grid = make_grid(net, h=10.0 if coarse else float(rng.uniform(0.02, 0.1)))
+    grid = with_parity(grid, net, odd_total)
     if coarse:
-        assert set(grid.cells) == {MIN_CELLS}
+        assert min(grid.cells) == MIN_CELLS
     dt = float(10.0 ** rng.uniform(-4.5, 0.5))
-    op = assemble_step_operator(net, K, grid, eps, dt)
+    return rng, assemble_step_operator(net, K, grid, eps, dt)
+
+
+star_draws = given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(2, 8),
+    coarse=st.booleans(),
+    odd_total=st.booleans(),
+)
+
+
+@pytest.mark.filterwarnings("ignore::starflux.UnstableConfig")
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@star_draws
+def test_arc_junction_lu_matches_dense_solve(seed, m, coarse, odd_total):
+    """op.lu.solve against a dense solve of op.matrix, at both parities."""
+    rng, op = random_star_operator(seed, m, coarse, odd_total)
+    assert op.size % 2 == odd_total
     # the cut boundary rows leave nothing for dgttrf to pivot
-    assert op.lu.ipiv.tolist() == list(range(1, op.size + 1))
+    ipiv = op.lu.arcs.reduced[4]
+    assert ipiv.tolist() == list(range(1, (op.size + 1) // 2 + 1))
 
     rhs = rng.normal(size=op.size)
     before = rhs.copy()
@@ -367,6 +393,68 @@ def test_arc_junction_lu_matches_dense_solve(seed, m, coarse):
     np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-10 * np.max(np.abs(expected)))
 
 
+def cut_tridiagonal(op):
+    """The step matrix's three bands with the node and outer rows and
+    columns replaced by unit rows, as a dense array."""
+    tri = np.triu(np.tril(op.matrix.toarray(), 1), -1)
+    cut = np.concatenate([op.stencil.node, op.outer])
+    tri[cut, :] = 0.0
+    tri[:, cut] = 0.0
+    tri[cut, cut] = 1.0
+    return tri
+
+
+@pytest.mark.filterwarnings("ignore::starflux.UnstableConfig")
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@star_draws
+def test_reduced_system_is_diagonally_dominant(seed, m, coarse, odd_total):
+    """The stability argument for factoring the reduced system unpivoted.
+
+    Eliminating the odd unknowns of the cut tridiagonal leaves the Schur
+    complement over the even ones. It is tridiagonal and strictly
+    diagonally dominant by rows and by columns, and the stored factors
+    are its LU factors without row exchanges.
+    """
+    _, op = random_star_operator(seed, m, coarse, odd_total)
+    tri = cut_tridiagonal(op)
+    even, odd = slice(0, None, 2), slice(1, None, 2)
+    odd_diag = np.diag(tri[odd, odd])
+    assert (np.diag(odd_diag) == tri[odd, odd]).all()
+    schur = tri[even, even] - tri[even, odd] @ (tri[odd, even] / odd_diag[:, None])
+    assert (np.triu(schur, 2) == 0.0).all() and (np.tril(schur, -2) == 0.0).all()
+    diag = np.abs(np.diag(schur))
+    off = np.abs(schur - np.diag(np.diag(schur)))
+    assert (diag > off.sum(axis=1)).all()
+    assert (diag > off.sum(axis=0)).all()
+
+    dl, d, du, du2, ipiv = op.lu.arcs.reduced
+    assert ipiv.tolist() == list(range(1, d.size + 1))
+    assert not du2.any()
+    lower = np.eye(d.size) + np.diag(dl, -1)
+    upper = np.diag(d) + np.diag(du, 1)
+    np.testing.assert_allclose(lower @ upper, schur, rtol=0.0, atol=1e-13 * diag.max())
+
+
+@pytest.mark.filterwarnings("ignore::starflux.UnstableConfig")
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@star_draws
+def test_junction_responses_are_single_arc_solves(seed, m, coarse, odd_total):
+    """The responses, solved as one (n, m) block, equal m single solves bit
+    for bit: steps and responses share one solve path."""
+    _, op = random_star_operator(seed, m, coarse, odd_total)
+    lu, node, inner = op.lu, op.stencil.node, op.stencil.inner
+    inner_coef = np.asarray(op.matrix[inner, node]).ravel()
+    for i in range(m):
+        pull = np.zeros(op.size)
+        pull[inner[i]] = -inner_coef[i]
+        lu.arcs.solve(pull)
+        mine = lu.window_arc == i
+        assert lu.response[mine].tolist() == pull[lu.window[mine]].tolist()
+        rest = np.ones(op.size, dtype=bool)
+        rest[lu.window[mine]] = False
+        assert (np.abs(pull[rest]) < RESPONSE_CUTOFF).all()
+
+
 def test_arc_junction_lu_rejects_singular_systems():
     net, K = small_pair()
     grid = make_grid(net, h=0.25)
@@ -374,12 +462,26 @@ def test_arc_junction_lu_rejects_singular_systems():
     # an interior column of zeros leaves dgttrf an exactly zero pivot
     broken = op.matrix.tolil()
     broken[:, 2] = 0.0
-    with pytest.raises(LinearSolveFailure, match="dgttrf info 3"):
+    with pytest.raises(LinearSolveFailure, match="zero pivot in row 3"):
         ArcJunctionLU.factor(broken.tocsc(), op.stencil, op.outer)
     # node rows that only read their inner neighbours: S = 0
     mute = dataclasses.replace(op.stencil, block=np.zeros((2, 2)), eh=np.zeros(2))
     with pytest.raises(LinearSolveFailure, match="Schur complement is singular"):
         ArcJunctionLU.factor(op.matrix, mute, op.outer)
+
+
+@pytest.mark.parametrize("column", [1, 3, 6, 7])
+def test_zero_pivot_names_its_row_of_the_full_system(column):
+    """Zeroing interior column c leaves a zero pivot in 1-based row c + 1,
+    whether that row is eliminated (odd c) or kept in the reduced system;
+    test_arc_junction_lu_rejects_singular_systems covers column 2."""
+    net, K = small_pair()
+    grid = make_grid(net, h=0.25)
+    op = assemble_step_operator(net, K, grid, 0.8, 0.1)
+    broken = op.matrix.tolil()
+    broken[:, column] = 0.0
+    with pytest.raises(LinearSolveFailure, match=f"zero pivot in row {column + 1}$"):
+        ArcJunctionLU.factor(broken.tocsc(), op.stencil, op.outer)
 
 
 @pytest.mark.filterwarnings("ignore:initial data violates")
@@ -434,3 +536,19 @@ def test_march_entry_points_reject_profiles_of_another_length(length):
     grid = make_grid(net, h=0.05)
     with pytest.raises(DimensionMismatch, match=f"^forcing profiles: {hint}"):
         march_to_steady(net, K, grid, 0.2, 1.0, field, [0.0, 0.0])
+
+
+@pytest.mark.parametrize("kind", ["ArcProfile", "PiecewisePoly"])
+def test_solve_parabolic_checks_lengths_of_a_profile_sequence(kind):
+    """A plain sequence of profiles is sampled like a field, so it gets the
+    same length check: build_compatible's PiecewisePoly arcs pass this way."""
+    net = simple_star([1.0], [1.0])
+    K = cross_ones_coupling(net)
+    if kind == "ArcProfile":
+        short = ArcProfile.from_lists(0.5, [0.25], [1.0, 0.0])
+    else:
+        short = PiecewisePoly(0.5, (PolynomialPiece(0.0, 0.5, np.array([1.0, -2.0])),))
+    profiles = [short, ArcProfile.from_lists(1.0, [], [0.0])]
+    hint = "arc 0 has length 1.0, its profile 0.5"
+    with pytest.raises(DimensionMismatch, match=f"^initial profiles: {hint}"):
+        solve_parabolic(net, K, profiles, [0.0, 0.0], SolverConfig(epsilon=0.2, T=0.05))
