@@ -181,7 +181,33 @@ def sample_on_grid(
     return new_state(grid, arrays, t)
 
 
+def average_on_grid(profiles: Sequence, grid: Grid, t: float = 0.0) -> DiscreteState:
+    """Average each profile over its grid points' cells.
+
+    A point x of an arc of length L gets the profile's mean over
+    [x - h/2, x + h/2] cut to [0, L], the difference of its primitive
+    (profile.primitive) at the two ends over their distance.
+    """
+    if len(profiles) != grid.arc_count:
+        raise DimensionMismatch(
+            f"{len(profiles)} profiles for {grid.arc_count} arcs"
+        )
+    arrays = []
+    for i, profile in enumerate(profiles):
+        x = grid.nodes(i)
+        half = 0.5 * grid.spacings[i]
+        lo = np.maximum(x - half, 0.0)
+        hi = np.minimum(x + half, profile.length)
+        arrays.append((profile.primitive(hi) - profile.primitive(lo)) / (hi - lo))
+    return new_state(grid, arrays, t)
+
+
 def discrete_l1_norm(state: DiscreteState, grid: Grid) -> float:
     """Composite-trapezoid L1 norm of |state| summed over arcs."""
+    return weighted_l1(state.flat, grid.weights)
+
+
+def weighted_l1(values: np.ndarray, weights: np.ndarray) -> float:
+    """sum(|values| * weights), values and weights in one order."""
     # np.sum, not a BLAS dot: OpenBLAS splits long dots across threads
-    return float(np.sum(np.abs(state.flat) * grid.weights))
+    return float(np.sum(np.abs(values) * weights))

@@ -96,6 +96,13 @@ class ArcProfile:
         idx = np.searchsorted(self.breakpoints, x, side="left")
         return self.values[idx]
 
+    def primitive(self, x: np.ndarray) -> np.ndarray:
+        """The integral of the profile from 0 to each x in [0, length]."""
+        starts = np.concatenate([[0.0], self.breakpoints])
+        mass = np.concatenate([[0.0], np.cumsum(self.values[:-1] * np.diff(starts))])
+        idx = np.searchsorted(self.breakpoints, x, side="left")
+        return mass[idx] + self.values[idx] * (x - starts[idx])
+
     def total_variation(self) -> float:
         if self.values.size < 2:
             return 0.0

@@ -19,19 +19,24 @@ from ..grids import (
     DiscreteState,
     Grid,
     adopt_state,
+    average_on_grid,
     discrete_l1_norm,
     make_grid,
     sample_on_grid,
+    weighted_l1,
 )
 from ..hyperbolic import PiecewiseConstantField, check_profile_lengths
 from ..network import CouplingMatrix, StarNetwork
 from .scheme import (
     StepOperator,
+    advance,
     assemble_step_operator,
     compatibility_residual,
     flux_residual,
     project_node_values,
     step,
+    to_grid_order,
+    to_march_order,
 )
 
 #: sampled initial data may violate the discrete node conditions by this
@@ -140,28 +145,28 @@ def solve_parabolic(
             f"{defect:.3e}",
             UserWarning,
         )
-    state = initial = project_node_values(state, op)
+    initial = project_node_values(state, op)
 
-    node = op.stencil.node
+    # the march runs on one vector in the step's march order; the first
+    # row reads the grid-order start state, every later one the vector
     diag_rows = [
-        (state.t, discrete_l1_norm(state, grid), state.min_value(), flux_residual(state, op))
+        (initial.t, discrete_l1_norm(initial, grid), initial.min_value(),
+         flux_residual(initial, op))
     ]
-    node_rows = [state.flat[node]]
+    weights = to_march_order(grid.weights)
+    stencil = op.lu.stencil
+    x = to_march_order(initial.flat)
+    t = initial.t
+    node_rows = [x[stencil.node]]
     for _ in range(n_steps):
-        state = step(state, op)
-        diag_rows.append(
-            (
-                state.t,
-                discrete_l1_norm(state, grid),
-                state.min_value(),
-                flux_residual(state, op),
-            )
-        )
-        node_rows.append(state.flat[node])
+        step(x, op)
+        t += op.dt
+        diag_rows.append((t, weighted_l1(x, weights), float(np.min(x)), stencil.residual(x)))
+        node_rows.append(x[stencil.node])
 
     return ParabolicTrajectory(
         initial=initial,
-        final=state,
+        final=adopt_state(grid, to_grid_order(x), t),
         diagnostics=np.asarray(diag_rows),
         node_history=np.asarray(node_rows),
         grid=grid,
@@ -183,15 +188,18 @@ def march_to_steady(
     The steady state satisfies u - theta*(eps*u'' - speed*u') = f in the
     discrete sense, with Dirichlet values ``boundary`` at the outer ends
     and the viscous node coupling at the junction. That is one implicit
-    step of length theta started from f sampled on the grid: its
-    interior rows read (u - f)/theta = eps*u'' - speed*u', its outer
-    rows keep ``boundary``, and its node rows ignore the start state.
+    step of length theta started from f's average over each grid
+    point's cell [x - h/2, x + h/2], cut at the arc's ends: its interior
+    rows read (u - f)/theta = eps*u'' - speed*u', its outer rows keep
+    ``boundary``, and its node rows ignore the start state. Averaging,
+    not sampling, keeps a forcing break inside a cell from adding an
+    O(h) error that depends on where in the cell it falls.
     """
     theta = finite_above(theta, "theta")
     bvals = finite_values(boundary, net.m)
     finite_above(epsilon, "epsilon")
     op = assemble_step_operator(net, K, grid, epsilon, theta)
-    flat = sample_on_grid(f.arcs, grid).flat.copy()
     f.check_lengths(net, "forcing profiles")
+    flat = average_on_grid(f.arcs, grid).flat.copy()
     flat[op.outer] = bvals
-    return step(adopt_state(grid, flat, 0.0), op)
+    return advance(adopt_state(grid, flat, 0.0), op)

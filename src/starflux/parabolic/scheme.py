@@ -25,10 +25,17 @@ system for the junction values, and each arc's precomputed response to
 its junction value added back. The tridiagonal solve eliminates every
 other point first (OddEvenLU), so LAPACK's serial dgttrs runs over half
 the points and the other half are filled in by vector operations.
+
+step works on a vector in march order (to_march_order): every
+even-indexed point of the grid order first, then every odd-indexed
+one. Both halves of the reduction are then contiguous, and a step
+overwrites its vector with no copy and no strided view. advance wraps
+it for a DiscreteState, which stays in grid order.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
 from dataclasses import dataclass
 
@@ -120,6 +127,25 @@ class JunctionStencil:
 RESPONSE_CUTOFF = np.finfo(float).eps ** 2
 
 
+def to_march_order(flat: np.ndarray) -> np.ndarray:
+    """flat's even-indexed rows, then its odd-indexed ones, as a new array."""
+    return np.concatenate([flat[0::2], flat[1::2]])
+
+
+def to_grid_order(x: np.ndarray) -> np.ndarray:
+    """The inverse of to_march_order, as a new array."""
+    flat = np.empty_like(x)
+    n_even = (x.shape[0] + 1) // 2
+    flat[0::2] = x[:n_even]
+    flat[1::2] = x[n_even:]
+    return flat
+
+
+def march_index(k: np.ndarray, size: int) -> np.ndarray:
+    """Positions in march order of grid-order indices k into size rows."""
+    return k // 2 + (k % 2) * ((size + 1) // 2)
+
+
 @dataclass(frozen=True)
 class OddEvenLU:
     """A tridiagonal system with its odd-indexed unknowns eliminated.
@@ -134,6 +160,8 @@ class OddEvenLU:
     without pivoting; reduced holds its (dl, d, du, du2, ipiv). odd_lo,
     odd_diag and odd_up are a, b and c on the odd rows. Any number of
     rows works: the last even or odd row just has no right neighbour.
+    solve takes its vector in march order, the even rows first, so that
+    dgttrs overwrites the even half in place.
     """
 
     fold_lo: np.ndarray
@@ -180,17 +208,19 @@ class OddEvenLU:
         return int(sum(p.size for p in parts + self.reduced[:4]))
 
     def solve(self, x: np.ndarray) -> None:
-        """Overwrite x, of shape (n,) or (n, k), with the solution against it."""
+        """Overwrite x, of shape (n,) or (n, k) in march order, with the
+        solution against it."""
         # the coefficients run down axis 0, alike for every column of x
         col = (-1,) + (1,) * (x.ndim - 1)
-        even, odd = x[0::2], x[1::2]
-        n_even, n_odd = even.shape[0], odd.shape[0]
-        # Fortran order, which dgttrs overwrites without a copy
-        g = even.copy(order="F")
-        g[1:] += self.fold_lo.reshape(col) * odd[: n_even - 1]
-        g[:n_odd] += self.fold_up.reshape(col) * odd
-        g, _ = dgttrs(*self.reduced, g, overwrite_b=True)
-        even[...] = g
+        n_even = self.reduced[1].size
+        even, odd = x[:n_even], x[n_even:]
+        n_odd = odd.shape[0]
+        even[1:] += self.fold_lo.reshape(col) * odd[: n_even - 1]
+        even[:n_odd] += self.fold_up.reshape(col) * odd
+        g, _ = dgttrs(*self.reduced, even, overwrite_b=True)
+        if g is not even:
+            # f2py solved a copy: even is not contiguous in Fortran order
+            even[...] = g
         odd -= self.odd_lo.reshape(col) * g[:n_odd]
         odd[: n_even - 1] -= self.odd_up.reshape(col) * g[1:]
         odd /= self.odd_diag.reshape(col)
@@ -198,18 +228,21 @@ class OddEvenLU:
 
 @dataclass(frozen=True)
 class ArcJunctionLU:
-    """Bordered-tridiagonal factorization of a step matrix.
+    """Bordered-tridiagonal factorization of a step matrix, in march order.
 
     Cutting the node and outer rows and columns out of the three bands
     leaves one tridiagonal block per arc interior, with unit rows at the
     cut points; arcs is its odd-even reduction, so each solve runs
-    dgttrs over half the points. The outer values are known, so they
-    move to the right-hand side of their neighbour rows (outer_row,
-    outer_coef). response[k] is arc window_arc[k]'s value at point
-    window[k] when its junction value is 1 and everything else is 0.
-    Eliminating the interiors leaves the m x m Schur complement of the
-    stencil's node rows, block - diag(eh * response at inner), kept as
-    its inverse.
+    dgttrs over half the points. Every index held here is a position in
+    march order (to_march_order): the reduction's even rows first, then
+    its odd ones, so solve works on contiguous halves. The outer values
+    are known, so they move to the right-hand side of their neighbour
+    rows (outer_row, outer_coef). stencil is the step's JunctionStencil
+    with its node and inner indices in march order. response[k] is arc
+    window_arc[k]'s value at point window[k] when its junction value is
+    1 and everything else is 0. Eliminating the interiors leaves the
+    m x m Schur complement of the stencil's node rows,
+    block - diag(eh * response at inner), kept as its inverse.
     """
 
     arcs: OddEvenLU
@@ -229,6 +262,7 @@ class ArcJunctionLU:
         stencil: JunctionStencil,
         outer: np.ndarray,
     ) -> "ArcJunctionLU":
+        """Factor matrix, given with its stencil and outer ends in grid order."""
         node, inner = stencil.node, stencil.inner
         # the outer end sits at the far end of the arc from the node
         outer_row = outer + (node - inner)
@@ -249,21 +283,25 @@ class ArcJunctionLU:
         arcs = OddEvenLU.factor(dl, d, du)
         del dl, d, du  # the factors hold all that is needed from here
 
+        size = matrix.shape[0]
+        march = dataclasses.replace(
+            stencil, node=march_index(node, size), inner=march_index(inner, size)
+        )
         m = node.size
         ids = np.arange(m)
-        pull = np.zeros((matrix.shape[0], m), order="F")
-        pull[inner, ids] = -inner_coef
+        pull = np.zeros((size, m), order="F")
+        pull[march.inner, ids] = -inner_coef
         arcs.solve(pull)
         window, window_arc = np.nonzero(np.abs(pull) >= RESPONSE_CUTOFF)
         response = pull[window, window_arc]
 
         try:
-            schur_inv = np.linalg.inv(stencil.block - np.diag(stencil.eh * pull[inner, ids]))
+            schur_inv = np.linalg.inv(stencil.block - np.diag(stencil.eh * pull[march.inner, ids]))
         except np.linalg.LinAlgError as exc:
             raise LinearSolveFailure(f"junction Schur complement is singular: {exc}") from exc
         return cls(
-            arcs, outer, outer_row, outer_coef, stencil,
-            schur_inv, window, window_arc, response,
+            arcs, march_index(outer, size), march_index(outer_row, size), outer_coef,
+            march, schur_inv, window, window_arc, response,
         )
 
     @property
@@ -271,20 +309,16 @@ class ArcJunctionLU:
         """Stored factor entries: the arc factors, the responses and the Schur inverse."""
         return self.arcs.nnz + self.response.size + self.schur_inv.size
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solution of the step matrix against rhs, as a new vector."""
-        x = np.array(rhs, dtype=float)
-        # an infinity would meet the cut rows' zero couplings as 0 * inf
-        if not np.isfinite(x).all():
-            raise LinearSolveFailure("non-finite right-hand side")
+    def solve(self, x: np.ndarray) -> None:
+        """Overwrite x, in march order, with the step matrix's solution against it."""
         x[self.outer_row] -= self.outer_coef * x[self.outer]
         self.arcs.solve(x)
         # the cut node rows left x[node] = rhs[node]
-        node = self.stencil.node
-        u = self.schur_inv @ (x[node] + self.stencil.eh * x[self.stencil.inner])
+        stencil = self.stencil
+        node = stencil.node
+        u = self.schur_inv @ (x[node] + stencil.eh * x[stencil.inner])
         x[node] = u
         x[self.window] += self.response * u[self.window_arc]
-        return x
 
 
 @dataclass(frozen=True)
@@ -293,10 +327,11 @@ class StepOperator:
 
     rhs_scale maps the current state to the right-hand side: 1/dt at
     interior rows, 1 at Dirichlet rows (values persist), 0 at node rows.
-    outer indexes each arc's outer end, a Dirichlet row. stencil is the
-    junction condition the node rows are built from. lu solves matrix
-    arc by arc plus an m x m junction system; the outer values pass
-    through it bitwise.
+    It is in march order, as are lu's indices; outer (each arc's outer
+    end, a Dirichlet row) and stencil (the junction condition the node
+    rows are built from) index the grid order of a DiscreteState. lu
+    solves matrix arc by arc plus an m x m junction system; the outer
+    values pass through it bitwise.
     """
 
     matrix: scipy.sparse.csc_matrix
@@ -385,22 +420,33 @@ def assemble_step_operator(
         lu=ArcJunctionLU.factor(matrix, stencil, outer),
         grid=grid,
         dt=dt,
-        rhs_scale=rhs_scale,
+        rhs_scale=to_march_order(rhs_scale),
         outer=outer,
         stencil=stencil,
     )
 
 
-def step(state: DiscreteState, op: StepOperator) -> DiscreteState:
-    """Advance one implicit step; raises LinearSolveFailure on blowup."""
-    if state.flat.size != op.size:
-        raise LinearSolveFailure(
-            f"state has {state.flat.size} values, operator expects {op.size}"
-        )
-    out = op.lu.solve(op.rhs_scale * state.flat)
-    if not np.isfinite(out).all():
+def step(x: np.ndarray, op: StepOperator) -> None:
+    """Advance x, a state's values in march order, one implicit step in place.
+
+    Raises LinearSolveFailure on a wrong size or a non-finite result.
+    """
+    if x.shape != (op.size,):
+        raise LinearSolveFailure(f"state has {x.size} values, operator expects {op.size}")
+    # a non-finite value would meet the cut rows' zero couplings as
+    # 0 * inf; the one scan below reports whatever it left behind
+    with np.errstate(over="ignore", invalid="ignore"):
+        x *= op.rhs_scale
+        op.lu.solve(x)
+    if not np.isfinite(x).all():
         raise LinearSolveFailure("implicit solve produced non-finite values")
-    return adopt_state(op.grid, out, state.t + op.dt)
+
+
+def advance(state: DiscreteState, op: StepOperator) -> DiscreteState:
+    """state one step later: step on its values gathered into march order."""
+    x = to_march_order(state.flat)
+    step(x, op)
+    return adopt_state(op.grid, to_grid_order(x), state.t + op.dt)
 
 
 def flux_residual(state: DiscreteState, op: StepOperator) -> float:

@@ -83,3 +83,13 @@ def cross_ones_coupling(net: StarNetwork) -> CouplingMatrix:
         for l in net.outgoing_ids:
             K[i, l] = K[l, i] = 1.0
     return CouplingMatrix.from_array(K, net)
+
+
+def cell_averages(profile, x: np.ndarray, h: float) -> np.ndarray:
+    """Mean of a piecewise-constant profile over [x - h/2, x + h/2] cut to
+    [0, length], summed piece by piece from each piece's overlap."""
+    lo = np.maximum(x - 0.5 * h, 0.0)
+    hi = np.minimum(x + 0.5 * h, profile.length)
+    edges = np.concatenate([[0.0], profile.breakpoints, [profile.length]])
+    overlap = np.minimum(hi[:, None], edges[1:]) - np.maximum(lo[:, None], edges[:-1])
+    return np.clip(overlap, 0.0, None) @ profile.values / (hi - lo)

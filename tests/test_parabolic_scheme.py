@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dgttrs
 
 from conftest import cross_ones_coupling, random_coupling, random_network, simple_star
 from starflux import (
@@ -30,11 +32,15 @@ from starflux.grids import MIN_CELLS
 from starflux.parabolic.scheme import (
     RESPONSE_CUTOFF,
     ArcJunctionLU,
+    advance,
     assemble_step_operator,
     compatibility_residual,
     flux_residual,
+    march_index,
     project_node_values,
     step,
+    to_grid_order,
+    to_march_order,
 )
 
 
@@ -77,12 +83,18 @@ def test_step_matrix_frozen_ten_by_ten():
 
     np.testing.assert_allclose(op.matrix.toarray(), A, atol=1e-13)
     expected_scale = np.array([1.0] + [10.0] * 3 + [0.0, 0.0] + [10.0] * 3 + [1.0])
-    np.testing.assert_allclose(op.rhs_scale, expected_scale)
+    np.testing.assert_allclose(to_grid_order(op.rhs_scale), expected_scale)
     assert op.stencil.node.tolist() == [4, 5]
     assert op.stencil.inner.tolist() == [3, 6]
     assert op.stencil.beta.tolist() == [1.0, -1.0]
     # the projection block is the node rows restricted to the junction values
     np.testing.assert_array_equal(op.stencil.block, A[4:6, 4:6])
+    # march order: grid points 0, 2, 4, 6, 8, then 1, 3, 5, 7, 9
+    np.testing.assert_allclose(op.rhs_scale, expected_scale[[0, 2, 4, 6, 8, 1, 3, 5, 7, 9]])
+    assert op.lu.stencil.node.tolist() == [2, 7]
+    assert op.lu.stencil.inner.tolist() == [6, 3]
+    assert op.lu.outer.tolist() == [0, 9]
+    assert op.lu.outer_row.tolist() == [5, 4]
 
 
 def test_step_keeps_dirichlet_values_and_node_rows():
@@ -94,7 +106,7 @@ def test_step_keeps_dirichlet_values_and_node_rows():
     state = new_state(
         grid, [rng.uniform(0.0, 1.0, n + 1) for n in grid.cells], 0.0
     )
-    nxt = step(state, op)
+    nxt = advance(state, op)
     assert nxt.t == pytest.approx(0.02)
     # outer values persist through the identity rows
     assert nxt.values[0][0] == pytest.approx(state.values[0][0])
@@ -110,12 +122,18 @@ def test_step_rejects_wrong_size_and_non_finite_solves():
     op = assemble_step_operator(net, K, grid, 0.8, 0.1)
     finer = make_grid(net, h=0.125)
     with pytest.raises(LinearSolveFailure, match="operator expects 10"):
-        step(new_state(finer, [np.ones(n + 1) for n in finer.cells]), op)
+        advance(new_state(finer, [np.ones(n + 1) for n in finer.cells]), op)
+    with pytest.raises(LinearSolveFailure, match="operator expects 10"):
+        step(np.ones((10, 1)), op)
 
+    # infinities meet the cut rows' zero couplings as 0 * inf; that stays
+    # quiet, and the one scan after the solve reports it
     ones = new_state(grid, [np.ones(n + 1) for n in grid.cells])
     blowup = dataclasses.replace(op, rhs_scale=np.full(op.size, np.inf))
-    with pytest.raises(LinearSolveFailure, match="non-finite"):
-        step(ones, blowup)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(LinearSolveFailure, match="non-finite"):
+            advance(ones, blowup)
 
 
 def test_step_output_is_a_read_only_state_of_its_own():
@@ -125,7 +143,7 @@ def test_step_output_is_a_read_only_state_of_its_own():
     state = project_node_values(
         new_state(grid, [np.linspace(0.0, 1.0, n + 1) for n in grid.cells]), op
     )
-    nxt = step(state, op)
+    nxt = advance(state, op)
     assert not nxt.flat.flags.writeable
     assert nxt.bounds == grid.offsets
     assert not np.shares_memory(nxt.flat, state.flat)
@@ -178,7 +196,7 @@ def test_positivity_random_states():
         state = project_node_values(state, op)
         floor = 0.0
         for _ in range(20):
-            state = step(state, op)
+            state = advance(state, op)
             floor = min(floor, state.min_value())
         assert floor >= -1e-12
 
@@ -266,7 +284,7 @@ def test_node_conditions_hold_after_projection_and_step(seed, m):
     assert compatibility_residual(projected, op) <= tol
     assert abs(flux_residual(projected, op)) <= tol
 
-    stepped = step(projected, op)
+    stepped = advance(projected, op)
     assert compatibility_residual(stepped, op) <= tol
     assert abs(flux_residual(stepped, op)) <= tol
 
@@ -277,9 +295,10 @@ def test_node_conditions_hold_after_projection_and_step(seed, m):
 def test_march_diagnostics_match_per_arc_formulas(seed, m):
     """Every diagnostics row, recomputed arc by arc from its state.
 
-    The trapezoid L1 norm used to be summed arc by arc; one weighted sum
-    over the flat state regroups it, so it may differ in the last bits.
-    Everything else is exact.
+    The states come from advance, one step at a time, and must match the
+    march's vector bit for bit. The march sums the trapezoid L1 norm as
+    one weighted sum in march order, which regroups the per-arc sums, so
+    it may differ in the last bits. Everything else is exact.
     """
     rng = np.random.default_rng(seed)
     net = random_network(rng, m_min=m, m_max=m)
@@ -291,11 +310,11 @@ def test_march_diagnostics_match_per_arc_formulas(seed, m):
     traj = solve_parabolic(net, K, u0, B, cfg)
     grid = traj.grid
 
-    # re-march the recorded start on the recorded operator
+    # re-march the recorded start on the recorded operator, one state at a time
     state = traj.initial
     for k, (t, l1, low, flux) in enumerate(traj.diagnostics):
         if k:
-            state = step(state, traj.operator)
+            state = advance(state, traj.operator)
         assert t == state.t
         assert low == min(float(np.min(v)) for v in state.values)
         assert flux == loop_flux_residual(state, net, grid, eps)
@@ -323,7 +342,7 @@ def test_outer_values_persist_bitwise(seed, m):
     grid = make_grid(net, epsilon=eps, rule_constant=h_rule)
     op = assemble_step_operator(net, K, grid, eps, 0.01)
     state = new_state(grid, [rng.uniform(0.0, 2.0, n + 1) for n in grid.cells])
-    assert step(state, op).flat[op.outer].tolist() == state.flat[op.outer].tolist()
+    assert advance(state, op).flat[op.outer].tolist() == state.flat[op.outer].tolist()
 
     B = rng.uniform(0.0, 2.0, net.m)
     flat = state.flat.copy()
@@ -378,19 +397,48 @@ star_draws = given(
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @star_draws
 def test_arc_junction_lu_matches_dense_solve(seed, m, coarse, odd_total):
-    """op.lu.solve against a dense solve of op.matrix, at both parities."""
+    """op.lu.solve and step, in march order, against dense solves of
+    op.matrix at both parities; gathering into march order and scattering
+    back, and the outer values through a step, are exact."""
     rng, op = random_star_operator(seed, m, coarse, odd_total)
     assert op.size % 2 == odd_total
     # the cut boundary rows leave nothing for dgttrf to pivot
     ipiv = op.lu.arcs.reduced[4]
     assert ipiv.tolist() == list(range(1, (op.size + 1) // 2 + 1))
+    matrix = op.matrix.toarray()
 
     rhs = rng.normal(size=op.size)
-    before = rhs.copy()
-    expected = np.linalg.solve(op.matrix.toarray(), rhs)
-    got = op.lu.solve(rhs)
-    assert rhs.tolist() == before.tolist()
+    expected = np.linalg.solve(matrix, rhs)
+    x = to_march_order(rhs)
+    op.lu.solve(x)
+    np.testing.assert_allclose(
+        to_grid_order(x), expected, rtol=0.0, atol=1e-10 * np.max(np.abs(expected))
+    )
+
+    flat = rng.uniform(0.0, 2.0, op.size)
+    x = to_march_order(flat)
+    assert x.flags.c_contiguous and not np.shares_memory(x, flat)
+    assert to_grid_order(x).tobytes() == flat.tobytes()
+    k = np.arange(op.size)
+    assert x[march_index(k, op.size)].tobytes() == flat.tobytes()
+    expected = np.linalg.solve(matrix, to_grid_order(op.rhs_scale) * flat)
+    step(x, op)
+    got = to_grid_order(x)
     np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-10 * np.max(np.abs(expected)))
+    assert got[op.outer].tobytes() == flat[op.outer].tobytes()
+
+
+def test_dgttrs_overwrites_the_even_half_in_place():
+    """The step hands dgttrs the contiguous even half of its vector; the
+    solve must come back in that very slice, not in a copy."""
+    net, K = small_pair()
+    op = assemble_step_operator(net, K, make_grid(net, h=0.05), 0.8, 0.02)
+    x = np.linspace(1.0, 2.0, op.size)
+    even = x[: (op.size + 1) // 2]
+    before = even.copy()
+    g, info = dgttrs(*op.lu.arcs.reduced, even, overwrite_b=True)
+    assert info == 0 and g is even
+    assert even.tobytes() != before.tobytes()
 
 
 def cut_tridiagonal(op):
@@ -440,13 +488,13 @@ def test_reduced_system_is_diagonally_dominant(seed, m, coarse, odd_total):
 @star_draws
 def test_junction_responses_are_single_arc_solves(seed, m, coarse, odd_total):
     """The responses, solved as one (n, m) block, equal m single solves bit
-    for bit: steps and responses share one solve path."""
+    for bit: steps and responses share one solve path, in march order."""
     _, op = random_star_operator(seed, m, coarse, odd_total)
     lu, node, inner = op.lu, op.stencil.node, op.stencil.inner
     inner_coef = np.asarray(op.matrix[inner, node]).ravel()
     for i in range(m):
         pull = np.zeros(op.size)
-        pull[inner[i]] = -inner_coef[i]
+        pull[lu.stencil.inner[i]] = -inner_coef[i]
         lu.arcs.solve(pull)
         mine = lu.window_arc == i
         assert lu.response[mine].tolist() == pull[lu.window[mine]].tolist()

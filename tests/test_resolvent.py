@@ -7,7 +7,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import cross_ones_coupling, random_coupling, random_network, simple_star
+from conftest import (
+    cell_averages,
+    cross_ones_coupling,
+    random_coupling,
+    random_network,
+    simple_star,
+)
 from starflux import (
     ArcProfile,
     CouplingMatrix,
@@ -21,7 +27,7 @@ from starflux import (
     resolvent_forcing_field,
     solve_resolvent,
 )
-from starflux.grids import new_state
+from starflux.grids import average_on_grid, new_state
 from starflux.network import alpha_from_k
 from starflux.parabolic import resolvent
 from starflux.parabolic.resolvent import (
@@ -160,6 +166,39 @@ def test_march_fixed_point_matches_closed_form_at_first_order():
     assert all(1.6 <= r <= 2.4 for r in ratios), (errors, ratios)
 
 
+def test_steady_forcing_enters_as_cell_averages():
+    """A forcing break inside a cell enters through the cell's mean.
+
+    With h = 0.1 a break at 0.33 leaves the cell [0.25, 0.35] of the
+    point x = 0.3 with 0.08 of the left value and 0.02 of the right one,
+    a break on the point x = 0.5 splits its cell in half, and the half
+    cells at the arc's ends average over what is left of them. Sliding the break across x = 0.3 then moves the steady state
+    by as little as the break moves; sampling f at the points instead
+    would switch f(0.3) between the two values.
+    """
+    net = simple_star([1.0], [1.0])
+    K = cross_ones_coupling(net)
+    grid = make_grid(net, h=0.1)
+
+    def forcing(b):
+        return PiecewiseConstantField(
+            (
+                ArcProfile.from_lists(1.0, [b], [2.0, -1.0]),
+                ArcProfile.from_lists(1.0, [0.5], [0.5, 1.5]),
+            )
+        )
+
+    means = average_on_grid(forcing(0.33).arcs, grid).values
+    np.testing.assert_allclose(means[0], [2.0] * 3 + [1.4] + [-1.0] * 7, rtol=1e-14)
+    np.testing.assert_allclose(means[1], [0.5] * 5 + [1.0] + [1.5] * 5, rtol=1e-14)
+
+    left, right = (
+        march_to_steady(net, K, grid, 0.2, 1.0, forcing(b), [0.0, 0.0]).flat
+        for b in (0.3 - 1e-9, 0.3 + 1e-9)
+    )
+    assert np.max(np.abs(left - right)) <= 1e-7
+
+
 def steady_star(seed, m):
     """Random m-arc star with the data of a steady problem."""
     rng = np.random.default_rng(seed)
@@ -179,8 +218,9 @@ def test_march_to_steady_solves_the_discrete_steady_equations(seed, m):
     """The steady state, substituted into the stencil written out here.
 
     Along each arc's direction of travel the interior rows read
-    (u_k - f(x_k))/theta + speed*(u_k - u_{k-1})/h
-    - eps*(u_{k+1} - 2u_k + u_{k-1})/h^2 = 0, the node rows
+    (u_k - f_k)/theta + speed*(u_k - u_{k-1})/h
+    - eps*(u_{k+1} - 2u_k + u_{k-1})/h^2 = 0, f_k the forcing's mean
+    over [x_k - h/2, x_k + h/2], the node rows
     alpha[i] @ u_node = beta_i * F_i with the one-sided viscous flux
     F_i, and the outer values equal the boundary exactly. Each residual
     is measured against the sum of its terms' sizes. Seed 172 with
@@ -194,7 +234,7 @@ def test_march_to_steady_solves_the_discrete_steady_equations(seed, m):
     alpha = alpha_from_k(K)
     u_node, u_inner, outer = [], [], []
     for arc, u, h in zip(net.arcs, state.values, grid.spacings):
-        fk = f.arcs[arc.id].evaluate(grid.nodes(arc.id))[1:-1]
+        fk = cell_averages(f.arcs[arc.id], grid.nodes(arc.id), h)[1:-1]
         left, mid, right = u[:-2], u[1:-1], u[2:]
         terms = [
             (mid - fk) / theta,
