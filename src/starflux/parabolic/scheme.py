@@ -1,9 +1,10 @@
 """Implicit viscous step operator with algebraic node coupling.
 
-One backward-Euler step solves a sparse linear system whose rows are:
-upwind transport plus central diffusion at interior points, identities
-at the outer Dirichlet points (so boundary values persist from the
-current state), and the viscous transmission conditions at the junction.
+One backward-Euler step solves a linear system whose rows are: upwind
+transport plus central diffusion at interior points, identities at the
+outer Dirichlet points (so boundary values persist from the current
+state), and the viscous transmission conditions at the junction. The
+interior rows' per-arc bands and the stencil below define the step.
 
 The node condition is defined once, in JunctionStencil. Let beta_i be +1
 on incoming and -1 on outgoing arcs, u_node_i the junction value of arc
@@ -89,15 +90,9 @@ class JunctionStencil:
         block.flags.writeable = False
         return cls(node, inner, beta, speed, h, epsilon, eh, block)
 
-    def matrix_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(rows, cols, values) of the node rows of the step matrix."""
-        coupled = self.block != 0.0
-        np.fill_diagonal(coupled, True)
-        i, j = np.nonzero(coupled)
-        rows = np.concatenate([self.node[i], self.node])
-        cols = np.concatenate([self.node[j], self.inner])
-        vals = np.concatenate([self.block[i, j], -self.eh])
-        return rows, cols, vals
+    def defect(self, flat: np.ndarray) -> np.ndarray:
+        """The node rows' residuals, block @ u_node - eh * u_inner."""
+        return self.block @ flat[self.node] - self.eh * flat[self.inner]
 
     def flux(self, flat: np.ndarray) -> np.ndarray:
         """F_i, the viscous flux at the node along each arc."""
@@ -226,13 +221,21 @@ class OddEvenLU:
         odd /= self.odd_diag.reshape(col)
 
 
+def interior_arcs(stencil: JunctionStencil, outer: np.ndarray) -> np.ndarray:
+    """The arc of each point in grid order (arcs lie end to end), -1 at the ends."""
+    first = np.minimum(stencil.node, outer)
+    arc = np.repeat(np.arange(outer.size), np.maximum(stencil.node, outer) - first + 1)
+    arc[np.concatenate([stencil.node, outer])] = -1
+    return arc
+
+
 @dataclass(frozen=True)
 class ArcJunctionLU:
-    """Bordered-tridiagonal factorization of a step matrix, in march order.
+    """Bordered-tridiagonal factorization of a step, in march order.
 
-    Cutting the node and outer rows and columns out of the three bands
-    leaves one tridiagonal block per arc interior, with unit rows at the
-    cut points; arcs is its odd-even reduction, so each solve runs
+    Each arc's interior rows, from the step's per-arc bands, with unit
+    rows at the node and outer ends (the cut points) form one
+    tridiagonal system; arcs is its odd-even reduction, so each solve runs
     dgttrs over half the points. Every index held here is a position in
     march order (to_march_order): the reduction's even rows first, then
     its odd ones, so solve works on contiguous halves. The outer values
@@ -258,32 +261,28 @@ class ArcJunctionLU:
     @classmethod
     def factor(
         cls,
-        matrix: scipy.sparse.csc_matrix,
+        bands: tuple[np.ndarray, np.ndarray, np.ndarray],
         stencil: JunctionStencil,
         outer: np.ndarray,
     ) -> "ArcJunctionLU":
-        """Factor matrix, given with its stencil and outer ends in grid order."""
+        """Factor the step of bands and stencil; stencil and outer index the grid order."""
+        lower, diag, upper = bands
         node, inner = stencil.node, stencil.inner
-        # the outer end sits at the far end of the arc from the node
+        # an incoming arc runs from its outer end to the node, an outgoing one back
         outer_row = outer + (node - inner)
-        outer_coef = np.asarray(matrix[outer_row, outer]).ravel()
-        inner_coef = np.asarray(matrix[inner, node]).ravel()
+        outer_coef = np.where(node > inner, lower, upper)
+        inner_coef = np.where(node > inner, upper, lower)
 
-        d = matrix.diagonal(0)
-        du = matrix.diagonal(1)
-        dl = matrix.diagonal(-1)
-        cut = np.concatenate([node, outer])
-        d[cut] = 1.0
-        last = d.size - 1
-        # du[k] = A[k, k+1], dl[k] = A[k+1, k]: clear the cut rows and columns
-        du[cut[cut < last]] = 0.0
-        dl[cut[cut < last]] = 0.0
-        du[cut[cut > 0] - 1] = 0.0
-        dl[cut[cut > 0] - 1] = 0.0
-        arcs = OddEvenLU.factor(dl, d, du)
-        del dl, d, du  # the factors hold all that is needed from here
+        arc = interior_arcs(stencil, outer)
+        # dl[k] = A[k+1, k], du[k] = A[k, k+1] couple two points of one interior
+        coupled = (arc[:-1] >= 0) & (arc[1:] >= 0)
+        arcs = OddEvenLU.factor(
+            np.where(coupled, lower[arc[1:]], 0.0),
+            np.where(arc >= 0, diag[arc], 1.0),
+            np.where(coupled, upper[arc[:-1]], 0.0),
+        )
 
-        size = matrix.shape[0]
+        size = arc.size
         march = dataclasses.replace(
             stencil, node=march_index(node, size), inner=march_index(inner, size)
         )
@@ -325,16 +324,18 @@ class ArcJunctionLU:
 class StepOperator:
     """Factorized implicit step, reusable across steps.
 
-    rhs_scale maps the current state to the right-hand side: 1/dt at
-    interior rows, 1 at Dirichlet rows (values persist), 0 at node rows.
-    It is in march order, as are lu's indices; outer (each arc's outer
-    end, a Dirichlet row) and stencil (the junction condition the node
-    rows are built from) index the grid order of a DiscreteState. lu
-    solves matrix arc by arc plus an m x m junction system; the outer
-    values pass through it bitwise.
+    bands, each arc's interior coefficients (lower, diag, upper), and
+    stencil, the junction condition of the node rows, define the step;
+    matrix is a sparse view of it, assembled when read. rhs_scale maps
+    the current state to the right-hand side: 1/dt at interior rows, 1
+    at Dirichlet rows (values persist), 0 at node rows. It is in march
+    order, as are lu's indices; outer (each arc's outer end) and stencil
+    index the grid order of a DiscreteState. lu solves the step arc by
+    arc plus an m x m junction system; the outer values pass through it
+    bitwise.
     """
 
-    matrix: scipy.sparse.csc_matrix
+    bands: tuple[np.ndarray, np.ndarray, np.ndarray]
     lu: ArcJunctionLU
     grid: Grid
     dt: float
@@ -345,6 +346,21 @@ class StepOperator:
     @property
     def size(self) -> int:
         return self.rhs_scale.size
+
+    @property
+    def matrix(self) -> scipy.sparse.csc_matrix:
+        """The step matrix in grid order, assembled anew on each read."""
+        s, arc = self.stencil, interior_arcs(self.stencil, self.outer)
+        r = np.flatnonzero(arc >= 0)
+        # node rows: the block's nonzeros and its whole diagonal, then -eh
+        i, j = np.nonzero((s.block != 0.0) | np.eye(s.node.size, dtype=bool))
+        rows = [r, r, r, self.outer, s.node[i], s.node]
+        cols = [r - 1, r, r + 1, self.outer, s.node[j], s.inner]
+        vals = [b[arc[r]] for b in self.bands] + [np.ones(self.outer.size), s.block[i, j], -s.eh]
+        return scipy.sparse.csc_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(self.size, self.size),
+        )
 
 
 def assemble_step_operator(
@@ -372,52 +388,21 @@ def assemble_step_operator(
             UnstableConfig,
         )
 
-    offsets = grid.offsets
-    total = offsets[-1]
     stencil = JunctionStencil.build(net, alpha, grid, epsilon)
+    # interior rows: upwind transport plus central diffusion, per arc
+    adv = stencil.speed / stencil.h
+    dif = epsilon / (stencil.h * stencil.h)
+    bands = (-(adv + dif), 1.0 / dt + adv + 2.0 * dif, -dif)
 
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-    rhs_scale = np.zeros(total)
-
-    for i, arc in enumerate(net.arcs):
-        n = grid.cells[i]
-        h = grid.spacings[i]
-        adv = arc.speed / h
-        dif = epsilon / (h * h)
-
-        k = np.arange(1, n)
-        r = offsets[i] + k
-        rows += [r, r, r]
-        cols += [r, r - 1, r + 1]
-        vals += [
-            np.full(n - 1, 1.0 / dt + adv + 2.0 * dif),
-            np.full(n - 1, -(adv + dif)),
-            np.full(n - 1, -dif),
-        ]
-        rhs_scale[r] = 1.0 / dt
-
-    # outer ends: identity rows, so the Dirichlet values persist
-    incoming = [arc.incoming for arc in net.arcs]
-    outer = np.asarray(offsets[:-1]) + np.where(incoming, 0, grid.cells)
-    rows.append(outer)
-    cols.append(outer)
-    vals.append(np.ones(net.m))
-    rhs_scale[outer] = 1.0
-
+    # outer ends: identity rows, so the Dirichlet values persist;
     # transmission rows: algebraic, no time derivative (rhs_scale 0)
-    node_rows, node_cols, node_vals = stencil.matrix_entries()
-    matrix = scipy.sparse.csc_matrix(
-        (
-            np.concatenate(vals + [node_vals]),
-            (np.concatenate(rows + [node_rows]), np.concatenate(cols + [node_cols])),
-        ),
-        shape=(total, total),
-    )
+    outer = np.asarray(grid.offsets[:-1]) + np.where(stencil.beta > 0.0, 0, grid.cells)
+    rhs_scale = np.full(grid.offsets[-1], 1.0 / dt)
+    rhs_scale[outer] = 1.0
+    rhs_scale[stencil.node] = 0.0
     return StepOperator(
-        matrix=matrix,
-        lu=ArcJunctionLU.factor(matrix, stencil, outer),
+        bands=bands,
+        lu=ArcJunctionLU.factor(bands, stencil, outer),
         grid=grid,
         dt=dt,
         rhs_scale=to_march_order(rhs_scale),
@@ -460,8 +445,7 @@ def flux_residual(state: DiscreteState, op: StepOperator) -> float:
 
 def compatibility_residual(state: DiscreteState, op: StepOperator) -> float:
     """Largest defect of the discrete node conditions for this state."""
-    resid = op.matrix[op.stencil.node, :] @ state.flat
-    return float(np.max(np.abs(resid)))
+    return float(np.max(np.abs(op.stencil.defect(state.flat))))
 
 
 def project_node_values(state: DiscreteState, op: StepOperator) -> DiscreteState:

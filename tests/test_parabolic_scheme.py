@@ -7,6 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg.lapack import dgttrs
@@ -32,6 +33,7 @@ from starflux.grids import MIN_CELLS
 from starflux.parabolic.scheme import (
     RESPONSE_CUTOFF,
     ArcJunctionLU,
+    OddEvenLU,
     advance,
     assemble_step_operator,
     compatibility_residual,
@@ -399,13 +401,22 @@ star_draws = given(
 def test_arc_junction_lu_matches_dense_solve(seed, m, coarse, odd_total):
     """op.lu.solve and step, in march order, against dense solves of
     op.matrix at both parities; gathering into march order and scattering
-    back, and the outer values through a step, are exact."""
+    back, and the outer values through a step, are exact. The matrix
+    view's node rows are the stencil's, and it stores three entries per
+    interior point, one per outer end and the node rows' entries."""
     rng, op = random_star_operator(seed, m, coarse, odd_total)
     assert op.size % 2 == odd_total
     # the cut boundary rows leave nothing for dgttrf to pivot
     ipiv = op.lu.arcs.reduced[4]
     assert ipiv.tolist() == list(range(1, (op.size + 1) // 2 + 1))
     matrix = op.matrix.toarray()
+
+    state = rng.normal(size=op.size)
+    node_rows = matrix[op.stencil.node]
+    rounding = 8 * np.finfo(float).eps * (np.abs(node_rows) @ np.abs(state))
+    assert (np.abs(node_rows @ state - op.stencil.defect(state)) <= rounding).all()
+    block_nnz = np.count_nonzero((op.stencil.block != 0.0) | np.eye(m, dtype=bool))
+    assert op.matrix.nnz == 3 * (op.size - 2 * m) + m + block_nnz + m
 
     rhs = rng.normal(size=op.size)
     expected = np.linalg.solve(matrix, rhs)
@@ -490,8 +501,9 @@ def test_junction_responses_are_single_arc_solves(seed, m, coarse, odd_total):
     """The responses, solved as one (n, m) block, equal m single solves bit
     for bit: steps and responses share one solve path, in march order."""
     _, op = random_star_operator(seed, m, coarse, odd_total)
-    lu, node, inner = op.lu, op.stencil.node, op.stencil.inner
-    inner_coef = np.asarray(op.matrix[inner, node]).ravel()
+    lu, (lower, _, upper) = op.lu, op.bands
+    # an incoming arc's inner point reads the node as its right neighbour
+    inner_coef = np.where(op.stencil.beta > 0.0, upper, lower)
     for i in range(m):
         pull = np.zeros(op.size)
         pull[lu.stencil.inner[i]] = -inner_coef[i]
@@ -507,29 +519,62 @@ def test_arc_junction_lu_rejects_singular_systems():
     net, K = small_pair()
     grid = make_grid(net, h=0.25)
     op = assemble_step_operator(net, K, grid, 0.8, 0.1)
-    # an interior column of zeros leaves dgttrf an exactly zero pivot
-    broken = op.matrix.tolil()
-    broken[:, 2] = 0.0
-    with pytest.raises(LinearSolveFailure, match="zero pivot in row 3"):
-        ArcJunctionLU.factor(broken.tocsc(), op.stencil, op.outer)
+    # a zero diagonal on arc 0 (grid rows 1-3) leaves its first interior
+    # row, eliminated by the reduction, an exactly zero pivot
+    lower, diag, upper = op.bands
+    broken = (lower, np.where(np.arange(2) == 0, 0.0, diag), upper)
+    with pytest.raises(LinearSolveFailure, match="zero pivot in row 2$"):
+        ArcJunctionLU.factor(broken, op.stencil, op.outer)
     # node rows that only read their inner neighbours: S = 0
     mute = dataclasses.replace(op.stencil, block=np.zeros((2, 2)), eh=np.zeros(2))
     with pytest.raises(LinearSolveFailure, match="Schur complement is singular"):
-        ArcJunctionLU.factor(op.matrix, mute, op.outer)
+        ArcJunctionLU.factor(op.bands, mute, op.outer)
 
 
-@pytest.mark.parametrize("column", [1, 3, 6, 7])
+@pytest.mark.parametrize("column", [1, 2, 3, 6, 7])
 def test_zero_pivot_names_its_row_of_the_full_system(column):
-    """Zeroing interior column c leaves a zero pivot in 1-based row c + 1,
-    whether that row is eliminated (odd c) or kept in the reduced system;
-    test_arc_junction_lu_rejects_singular_systems covers column 2."""
+    """Zeroing interior column c of the cut tridiagonal leaves a zero
+    pivot in 1-based row c + 1, whether that row is eliminated (odd c)
+    or kept in the reduced system."""
     net, K = small_pair()
     grid = make_grid(net, h=0.25)
-    op = assemble_step_operator(net, K, grid, 0.8, 0.1)
-    broken = op.matrix.tolil()
-    broken[:, column] = 0.0
+    tri = cut_tridiagonal(assemble_step_operator(net, K, grid, 0.8, 0.1))
+    tri[:, column] = 0.0
     with pytest.raises(LinearSolveFailure, match=f"zero pivot in row {column + 1}$"):
-        ArcJunctionLU.factor(broken.tocsc(), op.stencil, op.outer)
+        OddEvenLU.factor(np.diag(tri, -1), np.diag(tri), np.diag(tri, 1))
+
+
+def test_march_builds_no_sparse_matrix(monkeypatch):
+    """The bands and the stencil define the step: assembling it, marching,
+    solving the steady equation and measuring the node defect build no
+    sparse matrix. Only the matrix view does."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sparse matrix was built")
+
+    for kind in ("bsr", "coo", "csc", "csr", "dia", "dok", "lil"):
+        for name in (f"{kind}_matrix", f"{kind}_array"):
+            if hasattr(scipy.sparse, name):
+                monkeypatch.setattr(scipy.sparse, name, refuse)
+    monkeypatch.setattr(scipy.sparse, "diags", refuse)
+
+    net, K = small_pair()
+    grid = make_grid(net, h=0.05)
+    op = assemble_step_operator(net, K, grid, 0.8, 0.02)
+    state = new_state(grid, [np.linspace(0.0, 1.0, n + 1) for n in grid.cells])
+    assert compatibility_residual(state, op) > 0.0
+    pulse = PiecewiseConstantField(
+        (
+            ArcProfile.from_lists(1.0, [0.3, 0.6], [0.0, 1.0, 0.0]),
+            ArcProfile.from_lists(1.0, [], [0.0]),
+        )
+    )
+    traj = solve_parabolic(net, K, pulse, [0.0, 0.0], SolverConfig(epsilon=0.4, T=0.05))
+    assert traj.diagnostics.shape[0] > 2
+    steady = march_to_steady(net, K, grid, 0.8, 1.0, pulse, [0.5, 0.0])
+    assert np.isfinite(steady.flat).all()
+    with pytest.raises(AssertionError, match="sparse matrix was built"):
+        op.matrix
 
 
 @pytest.mark.filterwarnings("ignore:initial data violates")
