@@ -23,7 +23,7 @@ from starflux import (
     CouplingMatrix,
     ResolventProblem,
     build_network,
-    l1_error_against_state,
+    l1_distance,
     make_grid,
     march_to_steady,
     resolvent_forcing_field,
@@ -51,10 +51,8 @@ print("      h        error      ratio")
 previous = None
 for h in (0.04, 0.02, 0.01, 0.005):
     grid = make_grid(net, h=h)
-    steady = march_to_steady(
-        net, K, grid, epsilon, theta, problem.f, problem.boundary
-    )
-    error = l1_error_against_state(closed, steady, grid)
+    steady = march_to_steady(net, K, grid, epsilon, problem)
+    error = l1_distance(closed, steady, grid)
     ratio = "" if previous is None else f"{previous / error:8.3f}"
     print(f"  {h:7.4f}  {error:.3e}  {ratio}")
     previous = error

@@ -48,13 +48,13 @@ from .hyperbolic import (
     ArcProfile,
     PiecewiseConstantField,
     check_flux_conservation,
+    l1_distance,
     solve_exact,
 )
 from .dataprep import build_compatible
 from .parabolic import (
     ResolventProblem,
     SolverConfig,
-    l1_error_against_state,
     march_to_steady,
     resolvent_forcing_field,
     solve_parabolic,

@@ -22,24 +22,21 @@ experiment
 Malformed JSON is rejected with the decoder's line/column position;
 structurally invalid documents are rejected with the dotted path of the
 offending field (for example ``arcs[2].speed``). Both raise ConfigError.
-It checks structure (fields, types, shapes, finite numbers); the ranges
-of the sweep plan (epsilon ladder, T, h_rule, theta) are checked by
-``harness.ExperimentSpec``.
+It checks structure (fields, types, shapes, finite numbers) and hands
+on only the numbers a document gives: the sweep plan's ranges (epsilon
+ladder, T, h_rule, theta) and defaults belong to ``harness.ExperimentSpec``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
-from .dataprep import DEFAULT_THETA
 from .design import ProportionalTarget, TwoOutTarget
 from .errors import ConfigError, ValidationError, finite_above
-from .grids import DEFAULT_H_RULE
 from .hyperbolic import ArcProfile, PiecewiseConstantField
 from .network import CouplingMatrix, StarNetwork, build_network
 
@@ -217,24 +214,14 @@ def load_design_target(path: str | Path) -> ProportionalTarget | TwoOutTarget:
     return TwoOutTarget(tuple(fractions))
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Parsed viscosity-sweep plan with input paths already resolved.
+def load_experiment(path: str | Path) -> tuple[Path, Path, dict[str, Any]]:
+    """Parse an experiment document into its inputs and its plan.
 
-    Every number is finite; ExperimentSpec checks the ranges. h_rule is
-    the grid rule h = epsilon / h_rule, theta the smoothing exponent.
+    Returns the network and data paths, resolved relative to the
+    document, and the plan's finite numbers keyed by
+    harness.ExperimentSpec field: epsilons and T, plus h_rule and theta
+    when the document gives them.
     """
-
-    network_path: Path
-    data_path: Path
-    epsilons: tuple[float, ...]
-    T: float
-    h_rule: float
-    theta: float
-
-
-def load_experiment(path: str | Path) -> ExperimentConfig:
-    """Parse an experiment document; member paths resolve relative to it."""
     p = Path(path)
     doc = _as_object(_load_document(p), str(p))
     _reject_unknown(doc, {"network", "data", "epsilons", "T", "h_rule", "theta"}, "")
@@ -246,16 +233,10 @@ def load_experiment(path: str | Path) -> ExperimentConfig:
             raise ConfigError(f"{key}: expected a file path string")
 
     eps = _as_number_list(_require(doc, "epsilons", ""), "epsilons", min_len=1)
-    T = _as_number(_require(doc, "T", ""), "T")
-    h_rule = _as_number(doc.get("h_rule", DEFAULT_H_RULE), "h_rule")
-    theta = _as_number(doc.get("theta", DEFAULT_THETA), "theta")
+    plan = {"epsilons": tuple(eps), "T": _as_number(_require(doc, "T", ""), "T")}
+    for key in ("h_rule", "theta"):
+        if key in doc:
+            plan[key] = _as_number(doc[key], key)
 
     base = p.resolve().parent
-    return ExperimentConfig(
-        network_path=(base / network_rel).resolve(),
-        data_path=(base / data_rel).resolve(),
-        epsilons=tuple(eps),
-        T=T,
-        h_rule=h_rule,
-        theta=theta,
-    )
+    return (base / network_rel).resolve(), (base / data_rel).resolve(), plan

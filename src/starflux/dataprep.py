@@ -23,7 +23,7 @@ import numpy as np
 import numpy.polynomial.polynomial as npoly
 
 from .errors import DimensionMismatch, WidthOverflow, finite_above, finite_values
-from .hyperbolic import ArcProfile, PiecewiseConstantField
+from .hyperbolic import ArcProfile, PiecewiseConstantField, check_profile_lengths
 from .network import CouplingMatrix, StarNetwork, alpha_from_k
 
 #: node-interval exponent used when none is requested; any theta > 1 works
@@ -296,13 +296,9 @@ def _node_cubic(
     interior joint and its value at the node; the remaining degree of
     freedom pins epsilon_n times the node slope to the coupling
     balance, so the assembled data satisfies the viscous node condition
-    exactly.
+    exactly; build_compatible has checked that delta_n fits on the arc.
     """
     arc = net.arc(arc_id)
-    if delta_n >= arc.length:
-        raise WidthOverflow(
-            f"arc {arc_id}: node interval {delta_n:.3g} exceeds the arc"
-        )
     node_vals = np.array([p.evaluate(a.node_position) for p, a in zip(w, net.arcs)])
     coupling = float(alpha[arc_id] @ node_vals)
     lam = arc.speed
@@ -398,9 +394,7 @@ def build_compatible(
                 f"{arc.length:.3g}"
             )
 
-    if len(v.arcs) != net.m:
-        raise DimensionMismatch(f"{len(v.arcs)} profiles for {net.m} arcs")
-    v.check_lengths(net, "profiles")
+    check_profile_lengths(v.arcs, net, "profiles")
     core = _smooth(v, net, epsilon_n, delta_n)
     cubics = tuple(
         _node_cubic(core, i, net, alpha, epsilon_n, delta_n) for i in range(net.m)

@@ -166,10 +166,8 @@ def check_on_grid(state: DiscreteState, grid: Grid) -> None:
     )
 
 
-def sample_on_grid(
-    profiles: Sequence[ArcEvaluable], grid: Grid, t: float = 0.0
-) -> DiscreteState:
-    """Pointwise sample per-arc profiles at the grid nodes."""
+def sample_on_grid(profiles: Sequence[ArcEvaluable], grid: Grid) -> DiscreteState:
+    """Pointwise sample per-arc profiles at the grid nodes, at time 0."""
     if len(profiles) != grid.arc_count:
         raise DimensionMismatch(
             f"{len(profiles)} profiles for {grid.arc_count} arcs"
@@ -178,11 +176,11 @@ def sample_on_grid(
         np.asarray(profiles[i].evaluate(grid.nodes(i)), dtype=float)
         for i in range(grid.arc_count)
     ]
-    return new_state(grid, arrays, t)
+    return new_state(grid, arrays)
 
 
-def average_on_grid(profiles: Sequence, grid: Grid, t: float = 0.0) -> DiscreteState:
-    """Average each profile over its grid points' cells.
+def average_on_grid(profiles: Sequence, grid: Grid) -> DiscreteState:
+    """Average each profile over its grid points' cells, at time 0.
 
     A point x of an arc of length L gets the profile's mean over
     [x - h/2, x + h/2] cut to [0, L], the difference of its primitive
@@ -199,7 +197,7 @@ def average_on_grid(profiles: Sequence, grid: Grid, t: float = 0.0) -> DiscreteS
         lo = np.maximum(x - half, 0.0)
         hi = np.minimum(x + half, profile.length)
         arrays.append((profile.primitive(hi) - profile.primitive(lo)) / (hi - lo))
-    return new_state(grid, arrays, t)
+    return new_state(grid, arrays)
 
 
 def discrete_l1_norm(state: DiscreteState, grid: Grid) -> float:

@@ -62,8 +62,8 @@ def _rows_csv(row_type: type, rows: Iterable) -> str:
 class ExperimentSpec:
     """Resolved viscosity-sweep plan: inputs in memory, levels validated.
 
-    The one owner of the plan's ranges, so a bad plan fails here once
-    instead of at every level.
+    The one owner of the plan's ranges and defaults, so a bad plan fails
+    here once instead of at every level.
     """
 
     net: StarNetwork
@@ -93,20 +93,11 @@ class ExperimentSpec:
 
 def load_experiment_spec(path: str | Path) -> ExperimentSpec:
     """Read an experiment document and everything it points at."""
-    cfg = load_experiment(path)
-    net, K = load_network(cfg.network_path)
+    network_path, data_path, plan = load_experiment(path)
+    net, K = load_network(network_path)
     assert K is not None
-    u0, B = load_initial_data(cfg.data_path, net)
-    return ExperimentSpec(
-        net=net,
-        K=K,
-        u0=u0,
-        B=B,
-        epsilons=cfg.epsilons,
-        T=cfg.T,
-        h_rule=cfg.h_rule,
-        theta=cfg.theta,
-    )
+    u0, B = load_initial_data(data_path, net)
+    return ExperimentSpec(net=net, K=K, u0=u0, B=B, **plan)
 
 
 @dataclass(frozen=True)

@@ -130,17 +130,15 @@ class PiecewiseConstantField:
     def total_variation(self) -> float:
         return sum(a.total_variation() for a in self.arcs)
 
-    def check_lengths(self, net: StarNetwork, what: str) -> None:
-        """check_profile_lengths over this field's profiles."""
-        check_profile_lengths(self.arcs, net, what)
-
 
 def check_profile_lengths(profiles: Sequence, net: StarNetwork, what: str) -> None:
-    """Raise DimensionMismatch unless each profile is as long as its arc.
+    """Raise DimensionMismatch unless there is one profile per arc, each
+    as long as its arc; ``what`` names the profiles in the message.
 
-    Expects one profile per arc, each with a ``length``; ``what`` names
-    the profiles in the message.
+    The one profile rule of every entry point; profiles need a ``length``.
     """
+    if len(profiles) != net.m:
+        raise DimensionMismatch(f"{what}: {len(profiles)} profiles for {net.m} arcs")
     for profile, arc in zip(profiles, net.arcs):
         if profile.length != arc.length:
             raise DimensionMismatch(
@@ -275,11 +273,9 @@ def solve_exact(
         if g.min(initial=0.0) < -1e-12:
             raise InvalidGamma("transmission weights must be nonnegative")
         raise InvalidGamma("transmission columns must sum to one")
-    if len(u0.arcs) != net.m:
-        raise DimensionMismatch(f"{len(u0.arcs)} profiles for {net.m} arcs")
     bvals = finite_values(B, net.m)
     T = finite_above(T, "T")
-    u0.check_lengths(net, "profiles")
+    check_profile_lengths(u0.arcs, net, "profiles")
 
     traces = tuple(
         incoming_trace(net, j, u0.arcs[j], float(bvals[j]), T)
@@ -314,7 +310,7 @@ def solve_exact(
 
 
 def _midpoint_values(
-    obj: "HyperbolicSolution | PiecewiseConstantField | DiscreteState",
+    obj: "HyperbolicSolution | ResolventSolution | PiecewiseConstantField | DiscreteState",
     arc_id: int,
     mids: np.ndarray,
     t: float | None,
@@ -328,29 +324,33 @@ def _midpoint_values(
     if isinstance(obj, DiscreteState):
         vals = obj.values[arc_id]
         return 0.5 * (vals[:-1] + vals[1:])
-    raise DimensionMismatch(f"cannot take midpoint values of {type(obj)!r}")
+    return np.asarray(obj.evaluate(arc_id, mids), dtype=float)
 
 
 def l1_distance(
-    a: "HyperbolicSolution | PiecewiseConstantField | DiscreteState",
-    b: "HyperbolicSolution | PiecewiseConstantField | DiscreteState",
+    a: "HyperbolicSolution | ResolventSolution | PiecewiseConstantField | DiscreteState",
+    b: "HyperbolicSolution | ResolventSolution | PiecewiseConstantField | DiscreteState",
     grid: Grid,
     t: float | None = None,
 ) -> float:
     """Composite-midpoint L1 distance between two solution-like objects.
 
     Discrete states are averaged onto cell midpoints; exact solutions are
-    evaluated there (at time t). Summed over all arcs. Raises
-    DimensionMismatch unless both sides have the grid's arcs and every
-    state holds the grid's points.
+    evaluated there, at time t unless steady (a ResolventSolution). Summed
+    over all arcs. Raises DimensionMismatch for other types, and unless
+    both sides have the grid's arcs and every state holds the grid's points.
     """
+    from .parabolic.resolvent import ResolventSolution
+
     for obj in (a, b):
         if isinstance(obj, DiscreteState):
             check_on_grid(obj, grid)
-        elif isinstance(obj, (HyperbolicSolution, PiecewiseConstantField)):
-            arcs = obj.net.m if isinstance(obj, HyperbolicSolution) else len(obj.arcs)
+        elif isinstance(obj, (HyperbolicSolution, ResolventSolution, PiecewiseConstantField)):
+            arcs = len(obj.arcs) if isinstance(obj, PiecewiseConstantField) else obj.net.m
             if arcs != grid.arc_count:
                 raise DimensionMismatch(f"{arcs} arcs for a grid of {grid.arc_count}")
+        else:
+            raise DimensionMismatch(f"cannot take midpoint values of {type(obj)!r}")
     total = 0.0
     for arc_id in range(grid.arc_count):
         mids = grid.midpoints(arc_id)

@@ -8,7 +8,6 @@ from .evolve import (
 )
 from .resolvent import (
     ResolventProblem,
-    l1_error_against_state,
     resolvent_forcing_field,
     solve_resolvent,
 )

@@ -27,6 +27,7 @@ from ..grids import (
 )
 from ..hyperbolic import PiecewiseConstantField, check_profile_lengths
 from ..network import CouplingMatrix, StarNetwork
+from .resolvent import ResolventProblem
 from .scheme import (
     StepOperator,
     advance,
@@ -98,10 +99,8 @@ def _initial_state(
     else:
         field = isinstance(u0_eps, PiecewiseConstantField)
         profiles = u0_eps.arcs if field else list(u0_eps)
-        state = sample_on_grid(profiles, grid)
-        # sampling checked the count; a short profile would have been
-        # extended by its last piece
         check_profile_lengths(profiles, net, "initial profiles")
+        state = sample_on_grid(profiles, grid)
     if state.bounds != grid.offsets:
         raise DimensionMismatch("initial state does not match the grid")
     # inflow Dirichlet values override whatever the data carries there
@@ -179,27 +178,24 @@ def march_to_steady(
     K: CouplingMatrix,
     grid: Grid,
     epsilon: float,
-    theta: float,
-    f: PiecewiseConstantField,
-    boundary: Sequence[float],
+    prob: ResolventProblem,
 ) -> DiscreteState:
-    """Discrete steady resolvent state, at time theta.
+    """Discrete steady state, at time prob.theta, of the problem
+    solve_resolvent solves in closed form.
 
     The steady state satisfies u - theta*(eps*u'' - speed*u') = f in the
-    discrete sense, with Dirichlet values ``boundary`` at the outer ends
+    discrete sense, with Dirichlet values prob.boundary at the outer ends
     and the viscous node coupling at the junction. That is one implicit
     step of length theta started from f's average over each grid
     point's cell [x - h/2, x + h/2], cut at the arc's ends: its interior
     rows read (u - f)/theta = eps*u'' - speed*u', its outer rows keep
-    ``boundary``, and its node rows ignore the start state. Averaging,
-    not sampling, keeps a forcing break inside a cell from adding an
-    O(h) error that depends on where in the cell it falls.
+    the boundary values, and its node rows ignore the start state.
+    Averaging, not sampling, keeps a forcing break inside a cell from
+    adding an O(h) error that depends on where in the cell it falls.
     """
-    theta = finite_above(theta, "theta")
-    bvals = finite_values(boundary, net.m)
     finite_above(epsilon, "epsilon")
-    op = assemble_step_operator(net, K, grid, epsilon, theta)
-    f.check_lengths(net, "forcing profiles")
-    flat = average_on_grid(f.arcs, grid).flat.copy()
-    flat[op.outer] = bvals
+    prob.check(net)
+    op = assemble_step_operator(net, K, grid, epsilon, prob.theta)
+    flat = average_on_grid(prob.f.arcs, grid).flat.copy()
+    flat[op.outer] = prob.boundary
     return advance(adopt_state(grid, flat, 0.0), op)

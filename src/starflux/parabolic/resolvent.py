@@ -26,8 +26,7 @@ from ..errors import (
     finite_above,
     finite_values,
 )
-from ..grids import DiscreteState, Grid, check_on_grid
-from ..hyperbolic import ArcProfile, PiecewiseConstantField
+from ..hyperbolic import ArcProfile, PiecewiseConstantField, check_profile_lengths
 from ..network import CouplingMatrix, StarNetwork, alpha_from_k
 
 #: midpoint samples per arc at which residual_report checks the equation
@@ -46,12 +45,18 @@ class ResolventProblem:
     def build(
         cls, theta: float, f: PiecewiseConstantField, boundary: Sequence[float]
     ) -> "ResolventProblem":
-        finite_above(theta, "theta")
-        # any flat length here; solve_resolvent matches it to the network
+        theta = finite_above(theta, "theta")
+        # any flat length here; check matches it to the network
         b = np.asarray(boundary, dtype=float)
         b = finite_values(b, b.size).copy()
         b.flags.writeable = False
         return cls(theta=theta, f=f, boundary=b)
+
+    def check(self, net: StarNetwork) -> None:
+        """Raise DimensionMismatch unless the problem fits net: the forcing
+        profiles as check_profile_lengths wants, one boundary value per arc."""
+        check_profile_lengths(self.f.arcs, net, "forcing profiles")
+        finite_values(self.boundary, net.m)
 
 
 def _convolutions(
@@ -287,10 +292,7 @@ def solve_resolvent(
     theta = prob.theta
     alpha = alpha_from_k(K)
     m = net.m
-    if len(prob.f.arcs) != m:
-        raise DimensionMismatch(f"{len(prob.f.arcs)} forcing profiles for {m} arcs")
-    finite_values(prob.boundary, m)
-    prob.f.check_lengths(net, "forcing profiles")
+    prob.check(net)
 
     lam = net.speeds()
     L = np.array([arc.length for arc in net.arcs])
@@ -359,26 +361,6 @@ def solve_resolvent(
         h_rhs=rhs,
         dominance_margins=margins,
     )
-
-
-def l1_error_against_state(
-    sol: ResolventSolution, state: DiscreteState, grid: Grid
-) -> float:
-    """Composite-midpoint L1 gap between the closed form and a state.
-
-    Raises DimensionMismatch unless the solution has the grid's arcs and
-    the state holds the grid's points.
-    """
-    if sol.net.m != grid.arc_count:
-        raise DimensionMismatch(f"{sol.net.m} arcs for a grid of {grid.arc_count}")
-    check_on_grid(state, grid)
-    total = 0.0
-    for i, vals in enumerate(state.values):
-        mids = grid.midpoints(i)
-        exact = np.asarray(sol.evaluate(i, mids), dtype=float)
-        approx = 0.5 * (vals[:-1] + vals[1:])
-        total += grid.spacings[i] * float(np.sum(np.abs(exact - approx)))
-    return total
 
 
 def resolvent_forcing_field(

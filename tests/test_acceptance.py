@@ -28,7 +28,7 @@ from starflux import (
     compute_gamma,
     design_proportional,
     design_two_outgoing,
-    l1_error_against_state,
+    l1_distance,
     make_grid,
     march_to_steady,
     proportional_gamma_matrix,
@@ -306,8 +306,8 @@ def _march_ratios(net, K, theta, eps, seed, spacings) -> list[float]:
     errors = []
     for h in spacings:
         grid = make_grid(net, h=h)
-        state = march_to_steady(net, K, grid, eps, theta, prob.f, prob.boundary)
-        errors.append(l1_error_against_state(sol, state, grid))
+        state = march_to_steady(net, K, grid, eps, prob)
+        errors.append(l1_distance(sol, state, grid))
     return [errors[i] / errors[i + 1] for i in range(len(errors) - 1)]
 
 

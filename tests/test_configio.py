@@ -176,13 +176,21 @@ def test_experiment_resolves_paths_relative_to_document(tmp_path):
         "epsilons": [0.08, 0.04],
         "T": 0.5,
     }
-    cfg = load_experiment(write(sub, "exp.json", doc))
-    assert cfg.network_path == (sub / "net.json").resolve()
-    assert cfg.data_path == (sub / "u0.json").resolve()
-    assert cfg.epsilons == (0.08, 0.04)
-    assert cfg.T == 0.5
-    assert cfg.h_rule == 8.0
-    assert cfg.theta == 1.5
+    path = write(sub, "exp.json", doc)
+    network_path, data_path, plan = load_experiment(path)
+    assert network_path == (sub / "net.json").resolve()
+    assert data_path == (sub / "u0.json").resolve()
+    # only what the document gives: the defaults belong to ExperimentSpec
+    assert plan == {"epsilons": (0.08, 0.04), "T": 0.5}
+    write(sub, "net.json", GOOD_NET)
+    write(sub, "u0.json", GOOD_DATA)
+    spec = load_experiment_spec(path)
+    assert spec.epsilons == (0.08, 0.04)
+    assert spec.T == 0.5
+    assert spec.h_rule == 8.0
+    assert spec.theta == 1.5
+    plan = load_experiment(write(sub, "exp.json", {**doc, "h_rule": 16, "theta": 2}))[2]
+    assert plan == {"epsilons": (0.08, 0.04), "T": 0.5, "h_rule": 16.0, "theta": 2.0}
 
 
 GOOD_DATA = {

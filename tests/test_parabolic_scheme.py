@@ -19,6 +19,7 @@ from starflux import (
     DimensionMismatch,
     LinearSolveFailure,
     PiecewiseConstantField,
+    ResolventProblem,
     SolverConfig,
     UnstableConfig,
     discrete_l1_norm,
@@ -571,7 +572,8 @@ def test_march_builds_no_sparse_matrix(monkeypatch):
     )
     traj = solve_parabolic(net, K, pulse, [0.0, 0.0], SolverConfig(epsilon=0.4, T=0.05))
     assert traj.diagnostics.shape[0] > 2
-    steady = march_to_steady(net, K, grid, 0.8, 1.0, pulse, [0.5, 0.0])
+    prob = ResolventProblem.build(1.0, pulse, [0.5, 0.0])
+    steady = march_to_steady(net, K, grid, 0.8, prob)
     assert np.isfinite(steady.flat).all()
     with pytest.raises(AssertionError, match="sparse matrix was built"):
         op.matrix
@@ -627,8 +629,9 @@ def test_march_entry_points_reject_profiles_of_another_length(length):
     with pytest.raises(DimensionMismatch, match=f"^initial profiles: {hint}"):
         solve_parabolic(net, K, field, [0.0, 0.0], SolverConfig(epsilon=0.2, T=0.05))
     grid = make_grid(net, h=0.05)
+    prob = ResolventProblem.build(1.0, field, [0.0, 0.0])
     with pytest.raises(DimensionMismatch, match=f"^forcing profiles: {hint}"):
-        march_to_steady(net, K, grid, 0.2, 1.0, field, [0.0, 0.0])
+        march_to_steady(net, K, grid, 0.2, prob)
 
 
 @pytest.mark.parametrize("kind", ["ArcProfile", "PiecewisePoly"])

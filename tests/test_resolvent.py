@@ -21,7 +21,7 @@ from starflux import (
     NonPositiveParameter,
     PiecewiseConstantField,
     ResolventProblem,
-    l1_error_against_state,
+    l1_distance,
     make_grid,
     march_to_steady,
     resolvent_forcing_field,
@@ -152,16 +152,14 @@ def test_march_fixed_point_matches_closed_form_at_first_order():
     shrink linearly in h: consecutive halvings land in [1.6, 2.4].
     """
     net, K, prob = pair_problem()
-    eps, theta = 0.5, prob.theta
+    eps = 0.5
     sol = solve_resolvent(net, K, eps, prob)
 
     errors = []
     for h in (0.05, 0.025, 0.0125):
         grid = make_grid(net, h=h)
-        state = march_to_steady(
-            net, K, grid, eps, theta, prob.f, prob.boundary
-        )
-        errors.append(l1_error_against_state(sol, state, grid))
+        state = march_to_steady(net, K, grid, eps, prob)
+        errors.append(l1_distance(sol, state, grid))
     ratios = [errors[i] / errors[i + 1] for i in range(len(errors) - 1)]
     assert all(1.6 <= r <= 2.4 for r in ratios), (errors, ratios)
 
@@ -193,7 +191,9 @@ def test_steady_forcing_enters_as_cell_averages():
     np.testing.assert_allclose(means[1], [0.5] * 5 + [1.0] + [1.5] * 5, rtol=1e-14)
 
     left, right = (
-        march_to_steady(net, K, grid, 0.2, 1.0, forcing(b), [0.0, 0.0]).flat
+        march_to_steady(
+            net, K, grid, 0.2, ResolventProblem.build(1.0, forcing(b), [0.0, 0.0])
+        ).flat
         for b in (0.3 - 1e-9, 0.3 + 1e-9)
     )
     assert np.max(np.abs(left - right)) <= 1e-7
@@ -228,7 +228,7 @@ def test_march_to_steady_solves_the_discrete_steady_equations(seed, m):
     """
     net, K, eps, theta, f, boundary = steady_star(seed, m)
     grid = make_grid(net, h=eps / 8.0)
-    state = march_to_steady(net, K, grid, eps, theta, f, boundary)
+    state = march_to_steady(net, K, grid, eps, ResolventProblem.build(theta, f, boundary))
     assert state.t == theta
 
     alpha = alpha_from_k(K)
@@ -467,8 +467,10 @@ def test_evaluate_matches_an_unpadded_one_arc_pass(seed, breaks):
 
 
 def test_l1_error_needs_the_grid_arcs_and_points():
-    """A state with fewer arcs than the solution, or sampled on another
-    grid, is refused instead of compared on the common part."""
+    """l1_distance refuses a state with fewer arcs than the solution, or
+    sampled on another grid, instead of comparing the common part, and
+    any object it cannot evaluate; otherwise it sums h * |v - u| over
+    each arc's midpoints, u the state's midpoint average."""
     net3 = simple_star([1.0], [2.0, 0.5])
     prob = ResolventProblem.build(
         0.8, PiecewiseConstantField.constant(net3, [0.5, 0.0, 0.0]), [0.7, 0.3, 0.1]
@@ -478,11 +480,18 @@ def test_l1_error_needs_the_grid_arcs_and_points():
     grid2, grid3 = make_grid(net2, h=0.1), make_grid(net3, h=0.1)
     state2 = new_state(grid2, [np.full(n + 1, 0.5) for n in grid2.cells])
     with pytest.raises(DimensionMismatch, match="^3 arcs for a grid of 2"):
-        l1_error_against_state(sol, state2, grid2)
+        l1_distance(sol, state2, grid2)
     with pytest.raises(DimensionMismatch, match="^state has 2 arcs, the grid 3"):
-        l1_error_against_state(sol, state2, grid3)
+        l1_distance(sol, state2, grid3)
     fine = make_grid(net3, h=0.05)
     state3 = new_state(fine, [np.zeros(n + 1) for n in fine.cells])
     with pytest.raises(DimensionMismatch, match="^arc 0: state has 21 points for 10 cells"):
-        l1_error_against_state(sol, state3, grid3)
-    assert l1_error_against_state(sol, state3, fine) > 0.0
+        l1_distance(sol, state3, grid3)
+    with pytest.raises(DimensionMismatch, match="^cannot take midpoint values"):
+        l1_distance(sol.problem, state3, fine)
+    state3 = new_state(fine, [np.linspace(0.0, 1.0, n + 1) for n in fine.cells])
+    total = 0.0
+    for i, u in enumerate(state3.values):
+        gap = sol.evaluate(i, fine.midpoints(i)) - 0.5 * (u[:-1] + u[1:])
+        total += fine.spacings[i] * float(np.sum(np.abs(gap)))
+    assert l1_distance(sol, state3, fine) == total > 0.0

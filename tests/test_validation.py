@@ -133,7 +133,7 @@ def test_march_to_steady_theta(bad):
     net, K, u0 = pair()
     grid = make_grid(net, h=0.05)
     with pytest.raises(NonPositiveParameter, match="^theta: must be finite"):
-        march_to_steady(net, K, grid, 0.5, bad, u0, [0.0, 0.0])
+        march_to_steady(net, K, grid, 0.5, ResolventProblem.build(bad, u0, [0.0, 0.0]))
 
 
 @pytest.mark.parametrize(
@@ -142,8 +142,9 @@ def test_march_to_steady_theta(bad):
 def test_march_to_steady_epsilon(bad):
     net, K, u0 = pair()
     grid = make_grid(net, h=0.05)
+    prob = ResolventProblem.build(1.0, u0, [0.0, 0.0])
     with pytest.raises(NonPositiveParameter, match="^epsilon: must be finite"):
-        march_to_steady(net, K, grid, bad, 1.0, u0, [0.0, 0.0])
+        march_to_steady(net, K, grid, bad, prob)
 
 
 @non_finite
@@ -170,16 +171,28 @@ def test_design_targets(bad):
         TwoOutTarget((0.5, bad))
 
 
-@pytest.mark.parametrize("length", [0.5, 3.0])
-def test_profiles_must_match_their_arcs(length):
-    """Unchecked, a profile shorter or longer than its arc would be cut
-    or extended silently, or fail later with an unrelated error."""
+@pytest.mark.parametrize(
+    "count, length",
+    [
+        pytest.param(2, 0.5, id="0.5"),
+        pytest.param(2, 3.0, id="3.0"),
+        pytest.param(1, 1.0, id="one-too-few"),
+        pytest.param(3, 1.0, id="one-too-many"),
+    ],
+)
+def test_profiles_must_match_their_arcs(count, length):
+    """All five entry points that take data arc by arc want one profile
+    per arc, each as long as its arc. Unchecked, a short list would be
+    zipped short, and sampling would stretch the last piece of a short
+    profile over the rest of its arc; a long one would be cut."""
     net, K, u0 = pair()
     gamma = compute_gamma(net, K).gamma
-    off = PiecewiseConstantField(
-        (ArcProfile.from_lists(length, [length / 2], [1.0, 0.0]), u0.arcs[1])
-    )
-    hint = f"arc 0 has length 1.0, its profile {length}"
+    first = ArcProfile.from_lists(length, [length / 2], [1.0, 0.0])
+    off = PiecewiseConstantField((first, u0.arcs[1], u0.arcs[1])[:count])
+    if count == net.m:
+        hint = f"arc 0 has length 1.0, its profile {length}"
+    else:
+        hint = f"{count} profiles for 2 arcs"
     with pytest.raises(DimensionMismatch, match=f"^profiles: {hint}"):
         solve_exact(net, gamma, off, [1.0, 0.0], 0.5)
     with pytest.raises(DimensionMismatch, match=f"^profiles: {hint}"):
@@ -187,3 +200,8 @@ def test_profiles_must_match_their_arcs(length):
     prob = ResolventProblem.build(1.0, off, [0.0, 0.0])
     with pytest.raises(DimensionMismatch, match=f"^forcing profiles: {hint}"):
         solve_resolvent(net, K, 0.1, prob)
+    with pytest.raises(DimensionMismatch, match=f"^forcing profiles: {hint}"):
+        march_to_steady(net, K, make_grid(net, h=0.05), 0.2, prob)
+    cfg = SolverConfig(epsilon=0.2, T=0.05)
+    with pytest.raises(DimensionMismatch, match=f"^initial profiles: {hint}"):
+        solve_parabolic(net, K, off, [0.0, 0.0], cfg)
