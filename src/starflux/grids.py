@@ -209,3 +209,21 @@ def weighted_l1(values: np.ndarray, weights: np.ndarray) -> float:
     """sum(|values| * weights), values and weights in one order."""
     # np.sum, not a BLAS dot: OpenBLAS splits long dots across threads
     return float(np.sum(np.abs(values) * weights))
+
+
+def weighted_l1_and_min(
+    values: np.ndarray, weights: np.ndarray, scratch: np.ndarray
+) -> tuple[float, float]:
+    """weighted_l1(values, weights) and np.min(values), bit for bit, with
+    scratch, an array of values' shape, as the only temporary.
+
+    With no negative value np.abs is skipped: the products then differ
+    from |values| * weights only in the sign of zero, which a sum of
+    nonnegative terms keeps only when it is zero, and adding 0.0 makes
+    that zero +0.0.
+    """
+    lowest = float(np.min(values))
+    if not lowest >= 0.0:
+        return weighted_l1(values, weights), lowest
+    np.multiply(values, weights, out=scratch)
+    return float(np.sum(scratch)) + 0.0, lowest

@@ -23,7 +23,7 @@ from ..grids import (
     discrete_l1_norm,
     make_grid,
     sample_on_grid,
-    weighted_l1,
+    weighted_l1_and_min,
 )
 from ..hyperbolic import PiecewiseConstantField, check_profile_lengths
 from ..network import CouplingMatrix, StarNetwork
@@ -153,6 +153,7 @@ def solve_parabolic(
          flux_residual(initial, op))
     ]
     weights = to_march_order(grid.weights)
+    scratch = np.empty_like(weights)
     stencil = op.lu.stencil
     x = to_march_order(initial.flat)
     t = initial.t
@@ -160,7 +161,8 @@ def solve_parabolic(
     for _ in range(n_steps):
         step(x, op)
         t += op.dt
-        diag_rows.append((t, weighted_l1(x, weights), float(np.min(x)), stencil.residual(x)))
+        l1, lowest = weighted_l1_and_min(x, weights, scratch)
+        diag_rows.append((t, l1, lowest, stencil.residual(x)))
         node_rows.append(x[stencil.node])
 
     return ParabolicTrajectory(

@@ -35,22 +35,31 @@ RESIDUAL_SAMPLES = 400
 
 @dataclass(frozen=True)
 class ResolventProblem:
-    """Relaxation weight, forcing field, and outer Dirichlet values."""
+    """Relaxation weight, forcing field, and outer Dirichlet values.
+
+    Constructing one checks theta and the boundary values once: theta
+    becomes a finite positive float, boundary a read-only copy of finite
+    values.
+    """
 
     theta: float
     f: PiecewiseConstantField
     boundary: np.ndarray
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "theta", finite_above(self.theta, "theta"))
+        # any flat length here; check matches it to the network
+        b = np.asarray(self.boundary, dtype=float)
+        b = finite_values(b, b.size).copy()
+        b.flags.writeable = False
+        object.__setattr__(self, "boundary", b)
+
     @classmethod
     def build(
         cls, theta: float, f: PiecewiseConstantField, boundary: Sequence[float]
     ) -> "ResolventProblem":
-        theta = finite_above(theta, "theta")
-        # any flat length here; check matches it to the network
-        b = np.asarray(boundary, dtype=float)
-        b = finite_values(b, b.size).copy()
-        b.flags.writeable = False
-        return cls(theta=theta, f=f, boundary=b)
+        """The problem in positional form; the constructor checks it."""
+        return cls(theta=theta, f=f, boundary=boundary)
 
     def check(self, net: StarNetwork) -> None:
         """Raise DimensionMismatch unless the problem fits net: the forcing

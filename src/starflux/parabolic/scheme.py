@@ -24,13 +24,15 @@ tridiagonal system (ArcJunctionLU): one tridiagonal solve over every
 arc's interior with the junction values held at zero, an m x m Schur
 system for the junction values, and each arc's precomputed response to
 its junction value added back. The tridiagonal solve eliminates every
-other point first (OddEvenLU), so LAPACK's serial dgttrs runs over half
-the points and the other half are filled in by vector operations.
+other point first (OddEvenLU), and again on the points left while more
+than REDUCE_ROWS remain, so LAPACK's serial dgttrs runs over a half or
+a quarter of the points and vector operations fill in the others.
 
 step works on a vector in march order (to_march_order): every
 even-indexed point of the grid order first, then every odd-indexed
-one. Both halves of the reduction are then contiguous, and a step
-overwrites its vector with no copy and no strided view. advance wraps
+one. Both halves of the first reduction are then contiguous, and a
+step overwrites its vector in place; a deeper reduction gathers its
+even half into a buffer of its own and scatters it back. advance wraps
 it for a DiscreteState, which stays in grid order.
 """
 
@@ -141,9 +143,18 @@ def march_index(k: np.ndarray, size: int) -> np.ndarray:
     return k // 2 + (k % 2) * ((size + 1) // 2)
 
 
+#: OddEvenLU reduces its even half again while that half has more than
+#: this many rows. On one core, a second level took a step on 12,804
+#: points (6,402 even rows) from a median of 244 to 232 us, and one on
+#: 6,404 points from 152 to 164 us; so systems up to about 8,000 points
+#: keep one level
+REDUCE_ROWS = 4096
+
+
 @dataclass(frozen=True)
 class OddEvenLU:
-    """A tridiagonal system with its odd-indexed unknowns eliminated.
+    """A tridiagonal system with its odd-indexed unknowns eliminated,
+    level after level.
 
     Row k reads a_k x[k-1] + b_k x[k] + c_k x[k+1] = f[k]. An odd row
     gives x[k] = (f[k] - a_k x[k-1] - c_k x[k+1]) / b_k, and putting
@@ -151,12 +162,17 @@ class OddEvenLU:
     unknowns, with right-hand side f[j] + fold_lo f[j-1] + fold_up f[j+1],
     fold_lo = -a_j / b_{j-1} and fold_up = -c_j / b_{j+1}. That system is
     a Schur complement, so it is strictly diagonally dominant by rows
-    and by columns when the full one is, and dgttrf then factors it
-    without pivoting; reduced holds its (dl, d, du, du2, ipiv). odd_lo,
-    odd_diag and odd_up are a, b and c on the odd rows. Any number of
-    rows works: the last even or odd row just has no right neighbour.
+    and by columns when the full one is. odd_lo, odd_diag and odd_up are
+    a, b and c on the odd rows. Any number of rows works: the last even
+    or odd row just has no right neighbour.
+
+    While the even half has more than REDUCE_ROWS rows, reduced is that
+    system's own OddEvenLU; otherwise it holds dgttrf's (dl, d, du, du2,
+    ipiv) of it, factored without pivoting by the dominance above.
     solve takes its vector in march order, the even rows first, so that
-    dgttrs overwrites the even half in place.
+    the even half is contiguous. A deeper level gathers it into its own
+    march order in a buffer and scatters the solution back; the bottom
+    dgttrs overwrites its even half in place.
     """
 
     fold_lo: np.ndarray
@@ -164,13 +180,16 @@ class OddEvenLU:
     odd_lo: np.ndarray
     odd_diag: np.ndarray
     odd_up: np.ndarray
-    reduced: tuple
+    reduced: "tuple | OddEvenLU"
 
     @classmethod
-    def factor(cls, dl: np.ndarray, d: np.ndarray, du: np.ndarray) -> "OddEvenLU":
+    def factor(
+        cls, dl: np.ndarray, d: np.ndarray, du: np.ndarray, *, stride: int = 1
+    ) -> "OddEvenLU":
         """Factor the bands dl[k] = A[k+1, k], d[k] = A[k, k], du[k] = A[k, k+1].
 
-        A zero pivot raises LinearSolveFailure naming its 1-based row.
+        A zero pivot raises LinearSolveFailure naming its 1-based row of
+        the full system, whose every stride-th row this system holds.
         """
         n_even = (d.size + 1) // 2
         n_odd = d.size // 2
@@ -179,7 +198,7 @@ class OddEvenLU:
         zero = np.flatnonzero(odd_diag == 0.0)
         if zero.size:
             raise LinearSolveFailure(
-                f"arc factorization failed: zero pivot in row {2 * zero[0] + 2}"
+                f"arc factorization failed: zero pivot in row {(2 * zero[0] + 1) * stride + 1}"
             )
         odd_lo, odd_up = dl[0::2].copy(), du[1::2].copy()
         fold_lo = -dl[1::2] / odd_diag[: n_even - 1]
@@ -189,33 +208,50 @@ class OddEvenLU:
         diag[:n_odd] += fold_up * odd_lo
         lower = fold_lo * odd_lo[: n_even - 1]
         upper = fold_up[: n_even - 1] * odd_up
-        *reduced, info = dgttrf(lower, diag, upper)
-        if info != 0:
-            raise LinearSolveFailure(
-                f"arc factorization failed: zero pivot in row {2 * info - 1}"
-            )
-        return cls(fold_lo, fold_up, odd_lo, odd_diag, odd_up, tuple(reduced))
+        if n_even > REDUCE_ROWS:
+            reduced = cls.factor(lower, diag, upper, stride=2 * stride)
+        else:
+            *reduced, info = dgttrf(lower, diag, upper)
+            if info != 0:
+                raise LinearSolveFailure(
+                    f"arc factorization failed: zero pivot in row {2 * (info - 1) * stride + 1}"
+                )
+            reduced = tuple(reduced)
+        return cls(fold_lo, fold_up, odd_lo, odd_diag, odd_up, reduced)
 
     @property
     def nnz(self) -> int:
-        """Stored entries: the elimination coefficients and the reduced bands."""
+        """Stored entries: every level's elimination coefficients and the
+        bottom level's reduced bands."""
         parts = (self.fold_lo, self.fold_up, self.odd_lo, self.odd_diag, self.odd_up)
-        return int(sum(p.size for p in parts + self.reduced[:4]))
+        own = sum(p.size for p in parts)
+        if isinstance(self.reduced, OddEvenLU):
+            return int(own + self.reduced.nnz)
+        return int(own + sum(p.size for p in self.reduced[:4]))
 
     def solve(self, x: np.ndarray) -> None:
         """Overwrite x, of shape (n,) or (n, k) in march order, with the
         solution against it."""
         # the coefficients run down axis 0, alike for every column of x
         col = (-1,) + (1,) * (x.ndim - 1)
-        n_even = self.reduced[1].size
+        n_even = self.fold_lo.size + 1
         even, odd = x[:n_even], x[n_even:]
         n_odd = odd.shape[0]
         even[1:] += self.fold_lo.reshape(col) * odd[: n_even - 1]
         even[:n_odd] += self.fold_up.reshape(col) * odd
-        g, _ = dgttrs(*self.reduced, even, overwrite_b=True)
-        if g is not even:
-            # f2py solved a copy: even is not contiguous in Fortran order
-            even[...] = g
+        if isinstance(self.reduced, OddEvenLU):
+            # the even half in its own march order, and back
+            half = (n_even + 1) // 2
+            g = np.empty_like(even)
+            g[:half], g[half:] = even[0::2], even[1::2]
+            self.reduced.solve(g)
+            even[0::2], even[1::2] = g[:half], g[half:]
+            g = even
+        else:
+            g, _ = dgttrs(*self.reduced, even, overwrite_b=True)
+            if g is not even:
+                # f2py solved a copy: even is not contiguous in Fortran order
+                even[...] = g
         odd -= self.odd_lo.reshape(col) * g[:n_odd]
         odd[: n_even - 1] -= self.odd_up.reshape(col) * g[1:]
         odd /= self.odd_diag.reshape(col)
@@ -236,9 +272,10 @@ class ArcJunctionLU:
     Each arc's interior rows, from the step's per-arc bands, with unit
     rows at the node and outer ends (the cut points) form one
     tridiagonal system; arcs is its odd-even reduction, so each solve runs
-    dgttrs over half the points. Every index held here is a position in
-    march order (to_march_order): the reduction's even rows first, then
-    its odd ones, so solve works on contiguous halves. The outer values
+    dgttrs over half the points, or fewer on the largest systems. Every
+    index held here is a position in march order (to_march_order): the
+    reduction's even rows first, then its odd ones, so solve works on
+    contiguous halves. The outer values
     are known, so they move to the right-hand side of their neighbour
     rows (outer_row, outer_coef). stencil is the step's JunctionStencil
     with its node and inner indices in march order. response[k] is arc

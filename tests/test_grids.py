@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import simple_star
 from starflux import DimensionMismatch, discrete_l1_norm, make_grid, new_state
+from starflux.grids import weighted_l1, weighted_l1_and_min
 
 
 def small_grid():
@@ -80,3 +83,38 @@ def test_reductions_match_the_per_arc_formulas():
         for a, h in zip(arrays, grid.spacings)
     )
     assert discrete_l1_norm(state, grid) == pytest.approx(trapezoid, rel=1e-15)
+
+
+#: values that decide the fast path's bits: signed zeros, subnormals
+#: of both signs and the smallest normal
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    values=st.lists(
+        st.one_of(
+            st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=True),
+            st.sampled_from(EDGE_VALUES),
+        ),
+        min_size=1,
+        max_size=300,
+    ),
+    weight=st.floats(1e-6, 10.0),
+    nonnegative=st.booleans(),
+)
+@example(values=[-0.0] * 9, weight=0.5, nonnegative=True)
+@example(values=[0.0, -0.0, 0.0], weight=0.5, nonnegative=False)
+@example(values=[-0.0, 5e-324], weight=1e-6, nonnegative=True)
+def test_weighted_l1_and_min_equal_the_plain_reductions(values, weight, nonnegative):
+    """The march's diagnostics skip np.abs when no value is negative; the
+    L1 sum and the minimum still equal weighted_l1 and np.min bit for
+    bit, the sign of a zero sum included."""
+    v = np.asarray(values)
+    if nonnegative:
+        # -0.0 < 0.0 is false, so negative zeros stay
+        v = np.where(v < 0.0, -v, v)
+    w = weight * (1.0 + np.arange(v.size) % 3)
+    scratch = np.full_like(v, np.nan)
+    got = weighted_l1_and_min(v, w, scratch)
+    assert np.array(got).tobytes() == np.array([weighted_l1(v, w), float(np.min(v))]).tobytes()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import warnings
 
@@ -31,6 +32,7 @@ from starflux import (
 )
 from starflux.dataprep import PiecewisePoly, PolynomialPiece
 from starflux.grids import MIN_CELLS
+from starflux.parabolic import scheme
 from starflux.parabolic.scheme import (
     RESPONSE_CUTOFF,
     ArcJunctionLU,
@@ -368,8 +370,33 @@ def with_parity(grid, net, odd_total):
     )
 
 
-def random_star_operator(seed, m, coarse, odd_total):
-    """Step operator of a random m-arc star with the given point-total parity.
+@contextlib.contextmanager
+def reduction_depth(size, depth):
+    """Make OddEvenLU.factor reduce a size-row system depth times, or as
+    often as leaves dgttrf the 3 rows its wrapper needs; yields that count.
+
+    The threshold becomes the row count of the last reduced system.
+    """
+    rows, levels = size, 0
+    while levels < depth and (rows + 1) // 2 >= 3:
+        rows, levels = (rows + 1) // 2, levels + 1
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scheme, "REDUCE_ROWS", rows)
+        yield levels
+
+
+def reduction_levels(lu):
+    """An OddEvenLU's levels, the full system's first, dgttrf's last."""
+    levels = [lu]
+    while isinstance(levels[-1].reduced, OddEvenLU):
+        levels.append(levels[-1].reduced)
+    return levels
+
+
+def random_star_operator(seed, m, coarse, odd_total, depth=1):
+    """Step operator of a random m-arc star with the given point-total
+    parity, its tridiagonal reduced depth times (fewer on the smallest
+    coarse stars, see reduction_depth).
 
     coarse puts MIN_CELLS cells on every arc but possibly one. Random
     step sizes, up to the steady solve's step lengths theta, make the
@@ -385,7 +412,10 @@ def random_star_operator(seed, m, coarse, odd_total):
     if coarse:
         assert min(grid.cells) == MIN_CELLS
     dt = float(10.0 ** rng.uniform(-4.5, 0.5))
-    return rng, assemble_step_operator(net, K, grid, eps, dt)
+    with reduction_depth(grid.offsets[-1], depth) as levels:
+        op = assemble_step_operator(net, K, grid, eps, dt)
+    assert len(reduction_levels(op.lu.arcs)) == levels
+    return rng, op
 
 
 star_draws = given(
@@ -393,23 +423,25 @@ star_draws = given(
     m=st.integers(2, 8),
     coarse=st.booleans(),
     odd_total=st.booleans(),
+    depth=st.integers(1, 3),
 )
 
 
 @pytest.mark.filterwarnings("ignore::starflux.UnstableConfig")
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @star_draws
-def test_arc_junction_lu_matches_dense_solve(seed, m, coarse, odd_total):
+def test_arc_junction_lu_matches_dense_solve(seed, m, coarse, odd_total, depth):
     """op.lu.solve and step, in march order, against dense solves of
-    op.matrix at both parities; gathering into march order and scattering
-    back, and the outer values through a step, are exact. The matrix
-    view's node rows are the stencil's, and it stores three entries per
-    interior point, one per outer end and the node rows' entries."""
-    rng, op = random_star_operator(seed, m, coarse, odd_total)
+    op.matrix at both parities and one to three reduction levels;
+    gathering into march order and scattering back, and the outer values
+    through a step, are exact. The matrix view's node rows are the
+    stencil's, and it stores three entries per interior point, one per
+    outer end and the node rows' entries."""
+    rng, op = random_star_operator(seed, m, coarse, odd_total, depth)
     assert op.size % 2 == odd_total
     # the cut boundary rows leave nothing for dgttrf to pivot
-    ipiv = op.lu.arcs.reduced[4]
-    assert ipiv.tolist() == list(range(1, (op.size + 1) // 2 + 1))
+    dl, d, du, du2, ipiv = reduction_levels(op.lu.arcs)[-1].reduced
+    assert ipiv.tolist() == list(range(1, d.size + 1))
     matrix = op.matrix.toarray()
 
     state = rng.normal(size=op.size)
@@ -465,29 +497,33 @@ def cut_tridiagonal(op):
 
 
 @pytest.mark.filterwarnings("ignore::starflux.UnstableConfig")
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @star_draws
-def test_reduced_system_is_diagonally_dominant(seed, m, coarse, odd_total):
-    """The stability argument for factoring the reduced system unpivoted.
+def test_reduced_system_is_diagonally_dominant(seed, m, coarse, odd_total, depth):
+    """The stability argument for factoring the reduced systems unpivoted.
 
     Eliminating the odd unknowns of the cut tridiagonal leaves the Schur
-    complement over the even ones. It is tridiagonal and strictly
-    diagonally dominant by rows and by columns, and the stored factors
+    complement over the even ones, and each further level does the same
+    to the one before. Each is tridiagonal and strictly diagonally
+    dominant by rows and by columns, and the stored factors of the last
     are its LU factors without row exchanges.
     """
-    _, op = random_star_operator(seed, m, coarse, odd_total)
-    tri = cut_tridiagonal(op)
+    _, op = random_star_operator(seed, m, coarse, odd_total, depth)
+    schur = cut_tridiagonal(op)
     even, odd = slice(0, None, 2), slice(1, None, 2)
-    odd_diag = np.diag(tri[odd, odd])
-    assert (np.diag(odd_diag) == tri[odd, odd]).all()
-    schur = tri[even, even] - tri[even, odd] @ (tri[odd, even] / odd_diag[:, None])
-    assert (np.triu(schur, 2) == 0.0).all() and (np.tril(schur, -2) == 0.0).all()
-    diag = np.abs(np.diag(schur))
-    off = np.abs(schur - np.diag(np.diag(schur)))
-    assert (diag > off.sum(axis=1)).all()
-    assert (diag > off.sum(axis=0)).all()
+    for level in reduction_levels(op.lu.arcs):
+        tri = schur
+        odd_diag = np.diag(tri[odd, odd])
+        assert (np.diag(odd_diag) == tri[odd, odd]).all()
+        np.testing.assert_allclose(level.odd_diag, odd_diag, rtol=1e-13)
+        schur = tri[even, even] - tri[even, odd] @ (tri[odd, even] / odd_diag[:, None])
+        assert (np.triu(schur, 2) == 0.0).all() and (np.tril(schur, -2) == 0.0).all()
+        diag = np.abs(np.diag(schur))
+        off = np.abs(schur - np.diag(np.diag(schur)))
+        assert (diag > off.sum(axis=1)).all()
+        assert (diag > off.sum(axis=0)).all()
 
-    dl, d, du, du2, ipiv = op.lu.arcs.reduced
+    dl, d, du, du2, ipiv = level.reduced
     assert ipiv.tolist() == list(range(1, d.size + 1))
     assert not du2.any()
     lower = np.eye(d.size) + np.diag(dl, -1)
@@ -496,12 +532,13 @@ def test_reduced_system_is_diagonally_dominant(seed, m, coarse, odd_total):
 
 
 @pytest.mark.filterwarnings("ignore::starflux.UnstableConfig")
-@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @star_draws
-def test_junction_responses_are_single_arc_solves(seed, m, coarse, odd_total):
+def test_junction_responses_are_single_arc_solves(seed, m, coarse, odd_total, depth):
     """The responses, solved as one (n, m) block, equal m single solves bit
-    for bit: steps and responses share one solve path, in march order."""
-    _, op = random_star_operator(seed, m, coarse, odd_total)
+    for bit: steps and responses share one solve path, in march order,
+    at every reduction depth."""
+    _, op = random_star_operator(seed, m, coarse, odd_total, depth)
     lu, (lower, _, upper) = op.lu, op.bands
     # an incoming arc's inner point reads the node as its right neighbour
     inner_coef = np.where(op.stencil.beta > 0.0, upper, lower)
@@ -543,6 +580,62 @@ def test_zero_pivot_names_its_row_of_the_full_system(column):
     tri[:, column] = 0.0
     with pytest.raises(LinearSolveFailure, match=f"zero pivot in row {column + 1}$"):
         OddEvenLU.factor(np.diag(tri, -1), np.diag(tri), np.diag(tri, 1))
+
+
+@pytest.mark.parametrize("depth", [2, 3])
+@pytest.mark.parametrize("column", [1, 2, 3, 4, 5, 6, 7, 10, 11, 12, 13, 14, 15, 16])
+def test_zero_pivot_names_its_row_at_any_depth(depth, column):
+    """As above on 18 rows, reduced to 5 or 3: the zero pivot turns up in
+    whichever level's odd rows or bottom system holds row column + 1,
+    and the message still names that row of the full system."""
+    net, K = small_pair()
+    grid = make_grid(net, h=0.125)
+    tri = cut_tridiagonal(assemble_step_operator(net, K, grid, 0.8, 0.1))
+    tri[:, column] = 0.0
+    with reduction_depth(tri.shape[0], depth) as levels:
+        assert levels == depth
+        with pytest.raises(LinearSolveFailure, match=f"zero pivot in row {column + 1}$"):
+            OddEvenLU.factor(np.diag(tri, -1), np.diag(tri), np.diag(tri, 1))
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_nnz_counts_every_level(depth):
+    """nnz adds each level's five coefficient vectors, 3 n_odd + 2 n_even
+    - 2 entries for n rows, to dgttrf's four bands of the last system."""
+    _, op = random_star_operator(7, 3, False, True, depth)
+    assert len(reduction_levels(op.lu.arcs)) == depth
+    rows, expected = op.size, 0
+    for _ in range(depth):
+        n_even, n_odd = (rows + 1) // 2, rows // 2
+        expected += 3 * n_odd + 2 * n_even - 2
+        rows = n_even
+    expected += 3 * rows - 2 + max(rows - 2, 0)
+    assert op.lu.arcs.nnz == expected
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_bottom_dgttrs_overwrites_its_buffer_in_place(depth):
+    """However deep the reduction, the one dgttrs of a step solves its
+    contiguous buffer in place and no copy is written back."""
+    _, op = random_star_operator(11, 4, False, False, depth)
+    levels = reduction_levels(op.lu.arcs)
+    assert len(levels) == depth
+    bottom = levels[-1].reduced[1].size
+    calls = []
+
+    def spy(*args, **kwargs):
+        b = args[-1]
+        g, info = dgttrs(*args, **kwargs)
+        calls.append((b.size, b.flags.c_contiguous, g is b, info))
+        return g, info
+
+    x = np.linspace(1.0, 2.0, op.size)
+    expected = np.linalg.solve(op.matrix.toarray(), to_grid_order(x))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scheme, "dgttrs", spy)
+        op.lu.solve(x)
+    assert calls == [(bottom, True, True, 0)]
+    np.testing.assert_allclose(to_grid_order(x), expected, rtol=1e-12, atol=1e-14)
 
 
 def test_march_builds_no_sparse_matrix(monkeypatch):

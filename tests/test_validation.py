@@ -136,6 +136,47 @@ def test_march_to_steady_theta(bad):
         march_to_steady(net, K, grid, 0.5, ResolventProblem.build(bad, u0, [0.0, 0.0]))
 
 
+@pytest.mark.parametrize("bad", [-1.0, np.nan], ids=["negative", "nan"])
+def test_resolvent_problem_constructor_checks_theta(bad):
+    """The dataclass constructor checks theta itself, so a problem built
+    without build never reaches a march: a negative theta would stamp the
+    steady state t = theta, a NaN one fail as a zero pivot."""
+    net, K, u0 = pair()
+    grid = make_grid(net, h=0.05)
+    with pytest.raises(NonPositiveParameter, match="^theta: must be finite"):
+        march_to_steady(
+            net, K, grid, 0.5, ResolventProblem(theta=bad, f=u0, boundary=np.array([0.7, 0.3]))
+        )
+
+
+@non_finite
+def test_resolvent_problem_constructor_checks_boundary(bad):
+    _, _, u0 = pair()
+    with pytest.raises(NonPositiveParameter, match="need 2 finite boundary"):
+        ResolventProblem(theta=1.0, f=u0, boundary=np.array([0.7, bad]))
+    with pytest.raises(DimensionMismatch):
+        ResolventProblem(theta=1.0, f=u0, boundary=np.zeros((2, 2)))
+
+
+def test_resolvent_problem_checks_once(monkeypatch):
+    """build hands its inputs to the constructor, which checks each once
+    and keeps a read-only copy of the boundary."""
+    import starflux.parabolic.resolvent as resolvent
+
+    calls = []
+    for name in ("finite_above", "finite_values"):
+        original = getattr(resolvent, name)
+        monkeypatch.setattr(
+            resolvent, name, lambda *a, _f=original, _n=name, **k: calls.append(_n) or _f(*a, **k)
+        )
+    _, _, u0 = pair()
+    boundary = [0.7, 0.3]
+    prob = ResolventProblem.build(1, u0, boundary)
+    assert calls == ["finite_above", "finite_values"]
+    assert type(prob.theta) is float and prob.theta == 1.0
+    assert not prob.boundary.flags.writeable and prob.boundary.tolist() == boundary
+
+
 @pytest.mark.parametrize(
     "bad", [np.nan, np.inf, -np.inf, 0.0], ids=["nan", "inf", "-inf", "zero"]
 )
