@@ -24,7 +24,7 @@ import numpy.polynomial.polynomial as npoly
 
 from .errors import DimensionMismatch, WidthOverflow, finite_above, finite_values
 from .hyperbolic import ArcProfile, PiecewiseConstantField, check_profile_lengths
-from .network import CouplingMatrix, StarNetwork, alpha_from_k
+from .network import CouplingMatrix, StarNetwork, alpha_from_k, junction_residual
 
 #: node-interval exponent used when none is requested; any theta > 1 works
 DEFAULT_THETA = 1.5
@@ -413,15 +413,13 @@ def build_compatible(
         assembled.append(PiecewisePoly(arc.length, tuple(pieces)))
 
     ends = [(poly, arc.node_position) for poly, arc in zip(assembled, net.arcs)]
-    node_vals = np.array([poly.evaluate(x) for poly, x in ends])
-    node_slopes = np.array([poly.evaluate(x, 1) for poly, x in ends])
-    membership = 0.0
-    for i, arc in enumerate(net.arcs):
-        beta = 1.0 if arc.incoming else -1.0
-        flux = arc.speed * node_vals[i] - epsilon_n * node_slopes[i]
-        membership = max(
-            membership, abs(beta * flux - float(alpha[i] @ node_vals))
-        )
+    membership = junction_residual(
+        net,
+        alpha,
+        epsilon_n,
+        np.array([poly.evaluate(x) for poly, x in ends]),
+        np.array([poly.evaluate(x, 1) for poly, x in ends]),
+    )
     boundary_defect = max(
         (
             abs(float(assembled[i].evaluate(0.0)) - float(bvals[i]))
@@ -447,7 +445,7 @@ def build_compatible(
     return CompatibleData(
         epsilon_n=epsilon_n,
         arcs=tuple(assembled),
-        membership_residual=float(membership),
+        membership_residual=membership,
         boundary_defect=float(boundary_defect),
         junction_value_defect=float(jv),
         junction_slope_defect=float(js),

@@ -181,6 +181,22 @@ def alpha_from_k(K: CouplingMatrix) -> np.ndarray:
     return alpha
 
 
+def junction_residual(
+    net: StarNetwork, alpha: np.ndarray, epsilon: float, u: np.ndarray, du: np.ndarray
+) -> float:
+    """Worst defect of the viscous transmission conditions at the node,
+    max_i |beta_i * (speed_i * u_i - epsilon * du_i) - alpha[i] @ u|, for
+    each arc's junction value u_i and slope du_i; beta_i is +1 on
+    incoming and -1 on outgoing arcs.
+    """
+    # one dot per row, on a contiguous u: a strided u or alpha @ u as a
+    # whole would round differently
+    u = np.ascontiguousarray(u, dtype=float)
+    coupled = np.array([row @ u for row in alpha])
+    beta = np.array([1.0 if arc.incoming else -1.0 for arc in net.arcs])
+    return float(np.max(np.abs(beta * (net.speeds() * u - epsilon * du) - coupled)))
+
+
 @dataclass(frozen=True)
 class AssumptionReport:
     """Which structural assumptions the pair (network, K) satisfies.

@@ -30,11 +30,8 @@ from ..network import CouplingMatrix, StarNetwork
 from .resolvent import ResolventProblem
 from .scheme import (
     StepOperator,
-    advance,
     assemble_step_operator,
-    compatibility_residual,
     flux_residual,
-    project_node_values,
     step,
     to_grid_order,
     to_march_order,
@@ -87,13 +84,12 @@ class ParabolicTrajectory:
     operator: StepOperator
 
 
-def _initial_state(
+def _initial_values(
     u0_eps: "DiscreteState | PiecewiseConstantField | Sequence",
-    op: StepOperator,
+    grid: Grid,
     net: StarNetwork,
-    B: np.ndarray,
-) -> DiscreteState:
-    grid = op.grid
+) -> tuple[np.ndarray, float]:
+    """The initial data's values on grid, in march order, and its time."""
     if isinstance(u0_eps, DiscreteState):
         state = u0_eps
     else:
@@ -103,11 +99,7 @@ def _initial_state(
         state = sample_on_grid(profiles, grid)
     if state.bounds != grid.offsets:
         raise DimensionMismatch("initial state does not match the grid")
-    # inflow Dirichlet values override whatever the data carries there
-    inflow = list(net.incoming_ids)
-    flat = state.flat.copy()
-    flat[op.outer[inflow]] = B[inflow]
-    return adopt_state(grid, flat, state.t)
+    return to_march_order(state.flat), state.t
 
 
 def solve_parabolic(
@@ -135,28 +127,30 @@ def solve_parabolic(
         dt0 = min(grid.spacings) / (2.0 * float(np.max(net.speeds())))
     n_steps = max(1, int(np.ceil(cfg.T / dt0 - 1e-12)))
     op = assemble_step_operator(net, K, grid, cfg.epsilon, cfg.T / n_steps)
-    state = _initial_state(u0_eps, op, net, bvals)
+    stencil = op.lu.stencil
 
-    defect = compatibility_residual(state, op)
+    # the march runs on one vector in the step's march order, gathered
+    # here once; inflow Dirichlet values override whatever the data
+    # carries there
+    x, t = _initial_values(u0_eps, grid, net)
+    inflow = list(net.incoming_ids)
+    x[op.lu.outer[inflow]] = bvals[inflow]
+    defect = float(np.max(np.abs(stencil.defect(x))))
     if defect > COMPATIBILITY_WARN_TOL:
         warnings.warn(
             f"initial data violates the discrete node conditions by "
             f"{defect:.3e}",
             UserWarning,
         )
-    initial = project_node_values(state, op)
+    stencil.project(x)
+    initial = adopt_state(grid, to_grid_order(x), t)
 
-    # the march runs on one vector in the step's march order; the first
-    # row reads the grid-order start state, every later one the vector
+    # the first row reads the grid-order start state, every later one the vector
     diag_rows = [
-        (initial.t, discrete_l1_norm(initial, grid), initial.min_value(),
-         flux_residual(initial, op))
+        (t, discrete_l1_norm(initial, grid), initial.min_value(), flux_residual(x, op))
     ]
     weights = to_march_order(grid.weights)
     scratch = np.empty_like(weights)
-    stencil = op.lu.stencil
-    x = to_march_order(initial.flat)
-    t = initial.t
     node_rows = [x[stencil.node]]
     for _ in range(n_steps):
         step(x, op)
@@ -198,6 +192,7 @@ def march_to_steady(
     finite_above(epsilon, "epsilon")
     prob.check(net)
     op = assemble_step_operator(net, K, grid, epsilon, prob.theta)
-    flat = average_on_grid(prob.f.arcs, grid).flat.copy()
-    flat[op.outer] = prob.boundary
-    return advance(adopt_state(grid, flat, 0.0), op)
+    x = to_march_order(average_on_grid(prob.f.arcs, grid).flat)
+    x[op.lu.outer] = prob.boundary
+    step(x, op)
+    return adopt_state(grid, to_grid_order(x), prob.theta)

@@ -27,7 +27,7 @@ from ..errors import (
     finite_values,
 )
 from ..hyperbolic import ArcProfile, PiecewiseConstantField, check_profile_lengths
-from ..network import CouplingMatrix, StarNetwork, alpha_from_k
+from ..network import CouplingMatrix, StarNetwork, alpha_from_k, junction_residual
 
 #: midpoint samples per arc at which residual_report checks the equation
 RESIDUAL_SAMPLES = 400
@@ -260,13 +260,7 @@ class ResolventSolution:
         ode_max = float(np.max(np.abs(resid)))
         dir_max = float(np.max(np.abs(v[:, n + 1] - self.problem.boundary)))
 
-        # a contiguous copy: alpha rows times a strided view round differently
-        node_v = v[:, n].copy()
-        # speed*v - eps*v' at the junction end
-        node_flux = speed * node_v - self.epsilon * dv[:, n]
-        beta = np.array([1.0 if edge.incoming else -1.0 for edge in self.net.arcs])
-        coupled = np.array([row @ node_v for row in self.alpha])
-        node_max = float(np.max(np.abs(beta * node_flux - coupled)))
+        node_max = junction_residual(self.net, self.alpha, self.epsilon, v[:, n], dv[:, n])
 
         scale = max(
             1.0,

@@ -28,17 +28,19 @@ other point first (OddEvenLU), and again on the points left while more
 than REDUCE_ROWS remain, so LAPACK's serial dgttrs runs over a half or
 a quarter of the points and vector operations fill in the others.
 
-step works on a vector in march order (to_march_order): every
-even-indexed point of the grid order first, then every odd-indexed
-one. Both halves of the first reduction are then contiguous, and a
-step overwrites its vector in place; a deeper reduction gathers its
-even half into a buffer of its own and scatters it back. advance wraps
-it for a DiscreteState, which stays in grid order.
+Every index the step holds, the stencil's included, is a position in
+march order (to_march_order): every even-indexed point of the grid
+order first, then every odd-indexed one. Both halves of the first
+reduction are then contiguous, and step overwrites its vector in
+place; a deeper reduction gathers its even half into a buffer of its
+own and scatters it back. A DiscreteState stays in grid order, so
+callers gather it into march order once and scatter the result back
+once. Only ArcJunctionLU.factor, which lays the arcs end to end, and
+the StepOperator.matrix view read the grid order.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import warnings
 from dataclasses import dataclass
 
@@ -47,7 +49,7 @@ import scipy.sparse
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from ..errors import AssumptionViolated, LinearSolveFailure, UnstableConfig
-from ..grids import DiscreteState, Grid, adopt_state
+from ..grids import Grid
 from ..network import CouplingMatrix, StarNetwork, alpha_from_k, validate_assumptions
 
 
@@ -55,11 +57,11 @@ from ..network import CouplingMatrix, StarNetwork, alpha_from_k, validate_assump
 class JunctionStencil:
     """The discrete node condition, one row per arc in arc-id order.
 
-    node and inner are indices into a state's flat vector: the
-    junction point of each arc and its neighbour. beta is +1 on incoming
-    and -1 on outgoing arcs, eh is epsilon/h. block collects the node
-    rows' coefficients of the junction values, so the rows read
-    block @ u_node = eh * u_inner.
+    node and inner are positions in a state's march-order vector
+    (to_march_order): the junction point of each arc and its neighbour.
+    beta is +1 on incoming and -1 on outgoing arcs, eh is epsilon/h.
+    block collects the node rows' coefficients of the junction values,
+    so the rows read block @ u_node = eh * u_inner.
     """
 
     node: np.ndarray
@@ -90,32 +92,45 @@ class JunctionStencil:
         block = np.array(alpha, dtype=float)
         np.fill_diagonal(block, (np.diag(alpha) - beta * speed) + eh)
         block.flags.writeable = False
-        return cls(node, inner, beta, speed, h, epsilon, eh, block)
+        size = grid.offsets[-1]
+        return cls(
+            march_index(node, size), march_index(inner, size), beta, speed, h, epsilon, eh, block
+        )
 
-    def defect(self, flat: np.ndarray) -> np.ndarray:
+    def defect(self, x: np.ndarray) -> np.ndarray:
         """The node rows' residuals, block @ u_node - eh * u_inner."""
-        return self.block @ flat[self.node] - self.eh * flat[self.inner]
+        return self.block @ x[self.node] - self.eh * x[self.inner]
 
-    def flux(self, flat: np.ndarray) -> np.ndarray:
+    def flux(self, x: np.ndarray) -> np.ndarray:
         """F_i, the viscous flux at the node along each arc."""
-        u = flat[self.node]
-        du = (u - flat[self.inner]) / self.h
+        u = x[self.node]
+        du = (u - x[self.inner]) / self.h
         return self.speed * u - self.epsilon * self.beta * du
 
-    def residual(self, flat: np.ndarray) -> float:
+    def residual(self, x: np.ndarray) -> float:
         """sum_i beta_i * F_i, summed one arc after another.
 
         np.sum would add eight or more terms pairwise and so round
         differently from the sequential sum the diagnostics record.
         """
         total = 0.0
-        for term in (self.beta * self.flux(flat)).tolist():
+        for term in (self.beta * self.flux(x)).tolist():
             total += term
         return total
 
-    def project(self, flat: np.ndarray) -> np.ndarray:
-        """Junction values solving the node rows with flat's inner values."""
-        return np.linalg.solve(self.block, self.eh * flat[self.inner])
+    def project(self, x: np.ndarray) -> None:
+        """Overwrite x's junction values so the node rows hold exactly.
+
+        Solves the m x m block with x's inner values frozen: the
+        consistent initialization of the algebraic constraints, which
+        leaves every other value untouched.
+        """
+        try:
+            x[self.node] = np.linalg.solve(self.block, self.eh * x[self.inner])
+        except np.linalg.LinAlgError as exc:
+            raise LinearSolveFailure(f"node projection failed: {exc}") from exc
+        if not np.isfinite(x[self.node]).all():
+            raise LinearSolveFailure("node projection produced non-finite values")
 
 
 #: an arc's response to a unit junction value is dropped where it has
@@ -166,9 +181,11 @@ class OddEvenLU:
     a, b and c on the odd rows. Any number of rows works: the last even
     or odd row just has no right neighbour.
 
-    While the even half has more than REDUCE_ROWS rows, reduced is that
-    system's own OddEvenLU; otherwise it holds dgttrf's (dl, d, du, du2,
-    ipiv) of it, factored without pivoting by the dominance above.
+    While the even half has more than REDUCE_ROWS rows, or 2 rows,
+    reduced is that system's own OddEvenLU; otherwise it holds dgttrf's
+    (dl, d, du, du2, ipiv) of it, factored without pivoting by the
+    dominance above, or (d,) for 1 row, since scipy's dgttrf wrapper
+    takes no fewer than 3.
     solve takes its vector in march order, the even rows first, so that
     the even half is contiguous. A deeper level gathers it into its own
     march order in a buffer and scatters the solution back; the bottom
@@ -208,10 +225,15 @@ class OddEvenLU:
         diag[:n_odd] += fold_up * odd_lo
         lower = fold_lo * odd_lo[: n_even - 1]
         upper = fold_up[: n_even - 1] * odd_up
-        if n_even > REDUCE_ROWS:
+        if n_even > REDUCE_ROWS or n_even == 2:
             reduced = cls.factor(lower, diag, upper, stride=2 * stride)
         else:
-            *reduced, info = dgttrf(lower, diag, upper)
+            if n_even > 1:
+                *reduced, info = dgttrf(lower, diag, upper)
+            else:
+                # scipy's dgttrf wrapper takes no fewer than 3 rows; 2 are
+                # reduced once more above, and 1 row is its own pivot
+                reduced, info = [diag], int(diag[0] == 0.0)
             if info != 0:
                 raise LinearSolveFailure(
                     f"arc factorization failed: zero pivot in row {2 * (info - 1) * stride + 1}"
@@ -247,6 +269,9 @@ class OddEvenLU:
             self.reduced.solve(g)
             even[0::2], even[1::2] = g[:half], g[half:]
             g = even
+        elif len(self.reduced) == 1:
+            even /= self.reduced[0]
+            g = even
         else:
             g, _ = dgttrs(*self.reduced, even, overwrite_b=True)
             if g is not even:
@@ -257,11 +282,12 @@ class OddEvenLU:
         odd /= self.odd_diag.reshape(col)
 
 
-def interior_arcs(stencil: JunctionStencil, outer: np.ndarray) -> np.ndarray:
-    """The arc of each point in grid order (arcs lie end to end), -1 at the ends."""
-    first = np.minimum(stencil.node, outer)
-    arc = np.repeat(np.arange(outer.size), np.maximum(stencil.node, outer) - first + 1)
-    arc[np.concatenate([stencil.node, outer])] = -1
+def interior_arcs(node: np.ndarray, outer: np.ndarray) -> np.ndarray:
+    """The arc of each point in grid order (arcs lie end to end), -1 at the
+    ends; node and outer are the arcs' end points in grid order."""
+    first = np.minimum(node, outer)
+    arc = np.repeat(np.arange(outer.size), np.maximum(node, outer) - first + 1)
+    arc[np.concatenate([node, outer])] = -1
     return arc
 
 
@@ -275,14 +301,13 @@ class ArcJunctionLU:
     dgttrs over half the points, or fewer on the largest systems. Every
     index held here is a position in march order (to_march_order): the
     reduction's even rows first, then its odd ones, so solve works on
-    contiguous halves. The outer values
+    contiguous halves. outer holds each arc's outer end. The outer values
     are known, so they move to the right-hand side of their neighbour
-    rows (outer_row, outer_coef). stencil is the step's JunctionStencil
-    with its node and inner indices in march order. response[k] is arc
-    window_arc[k]'s value at point window[k] when its junction value is
-    1 and everything else is 0. Eliminating the interiors leaves the
-    m x m Schur complement of the stencil's node rows,
-    block - diag(eh * response at inner), kept as its inverse.
+    rows (outer_row, outer_coef). stencil is the step's JunctionStencil.
+    response[k] is arc window_arc[k]'s value at point window[k] when its
+    junction value is 1 and everything else is 0. Eliminating the
+    interiors leaves the m x m Schur complement of the stencil's node
+    rows, block - diag(eh * response at inner), kept as its inverse.
     """
 
     arcs: OddEvenLU
@@ -301,16 +326,19 @@ class ArcJunctionLU:
         bands: tuple[np.ndarray, np.ndarray, np.ndarray],
         stencil: JunctionStencil,
         outer: np.ndarray,
+        size: int,
     ) -> "ArcJunctionLU":
-        """Factor the step of bands and stencil; stencil and outer index the grid order."""
+        """Factor the step of bands and stencil over size points; outer
+        holds each arc's outer end in march order."""
         lower, diag, upper = bands
-        node, inner = stencil.node, stencil.inner
-        # an incoming arc runs from its outer end to the node, an outgoing one back
-        outer_row = outer + (node - inner)
-        outer_coef = np.where(node > inner, lower, upper)
-        inner_coef = np.where(node > inner, upper, lower)
+        incoming = stencil.beta > 0.0
+        outer_coef = np.where(incoming, lower, upper)
+        inner_coef = np.where(incoming, upper, lower)
 
-        arc = interior_arcs(stencil, outer)
+        # the cut tridiagonal, in grid order: the grid index of each march position
+        grid_index = to_march_order(np.arange(size))
+        grid_outer = grid_index[outer]
+        arc = interior_arcs(grid_index[stencil.node], grid_outer)
         # dl[k] = A[k+1, k], du[k] = A[k, k+1] couple two points of one interior
         coupled = (arc[:-1] >= 0) & (arc[1:] >= 0)
         arcs = OddEvenLU.factor(
@@ -318,26 +346,23 @@ class ArcJunctionLU:
             np.where(arc >= 0, diag[arc], 1.0),
             np.where(coupled, upper[arc[:-1]], 0.0),
         )
+        # an incoming arc runs from its outer end to the node, an outgoing one back
+        outer_row = march_index(grid_outer + np.where(incoming, 1, -1), size)
 
-        size = arc.size
-        march = dataclasses.replace(
-            stencil, node=march_index(node, size), inner=march_index(inner, size)
-        )
-        m = node.size
-        ids = np.arange(m)
-        pull = np.zeros((size, m), order="F")
-        pull[march.inner, ids] = -inner_coef
+        ids = np.arange(outer.size)
+        pull = np.zeros((size, outer.size), order="F")
+        pull[stencil.inner, ids] = -inner_coef
         arcs.solve(pull)
         window, window_arc = np.nonzero(np.abs(pull) >= RESPONSE_CUTOFF)
         response = pull[window, window_arc]
 
+        schur = stencil.block - np.diag(stencil.eh * pull[stencil.inner, ids])
         try:
-            schur_inv = np.linalg.inv(stencil.block - np.diag(stencil.eh * pull[march.inner, ids]))
+            schur_inv = np.linalg.inv(schur)
         except np.linalg.LinAlgError as exc:
             raise LinearSolveFailure(f"junction Schur complement is singular: {exc}") from exc
         return cls(
-            arcs, march_index(outer, size), march_index(outer_row, size), outer_coef,
-            march, schur_inv, window, window_arc, response,
+            arcs, outer, outer_row, outer_coef, stencil, schur_inv, window, window_arc, response
         )
 
     @property
@@ -362,14 +387,13 @@ class StepOperator:
     """Factorized implicit step, reusable across steps.
 
     bands, each arc's interior coefficients (lower, diag, upper), and
-    stencil, the junction condition of the node rows, define the step;
-    matrix is a sparse view of it, assembled when read. rhs_scale maps
-    the current state to the right-hand side: 1/dt at interior rows, 1
-    at Dirichlet rows (values persist), 0 at node rows. It is in march
-    order, as are lu's indices; outer (each arc's outer end) and stencil
-    index the grid order of a DiscreteState. lu solves the step arc by
-    arc plus an m x m junction system; the outer values pass through it
-    bitwise.
+    lu.stencil, the junction condition of the node rows, define the
+    step; matrix is a sparse view of it, assembled when read. rhs_scale
+    maps the current state to the right-hand side: 1/dt at interior
+    rows, 1 at Dirichlet rows (values persist), 0 at node rows. It is in
+    march order, as are all of lu's indices. lu solves the step arc by
+    arc plus an m x m junction system; the outer values (at lu.outer)
+    pass through it bitwise.
     """
 
     bands: tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -377,8 +401,6 @@ class StepOperator:
     grid: Grid
     dt: float
     rhs_scale: np.ndarray
-    outer: np.ndarray
-    stencil: JunctionStencil
 
     @property
     def size(self) -> int:
@@ -387,13 +409,15 @@ class StepOperator:
     @property
     def matrix(self) -> scipy.sparse.csc_matrix:
         """The step matrix in grid order, assembled anew on each read."""
-        s, arc = self.stencil, interior_arcs(self.stencil, self.outer)
+        s, grid_index = self.lu.stencil, to_march_order(np.arange(self.size))
+        node, inner, outer = grid_index[s.node], grid_index[s.inner], grid_index[self.lu.outer]
+        arc = interior_arcs(node, outer)
         r = np.flatnonzero(arc >= 0)
         # node rows: the block's nonzeros and its whole diagonal, then -eh
-        i, j = np.nonzero((s.block != 0.0) | np.eye(s.node.size, dtype=bool))
-        rows = [r, r, r, self.outer, s.node[i], s.node]
-        cols = [r - 1, r, r + 1, self.outer, s.node[j], s.inner]
-        vals = [b[arc[r]] for b in self.bands] + [np.ones(self.outer.size), s.block[i, j], -s.eh]
+        i, j = np.nonzero((s.block != 0.0) | np.eye(node.size, dtype=bool))
+        rows = [r, r, r, outer, node[i], node]
+        cols = [r - 1, r, r + 1, outer, node[j], inner]
+        vals = [b[arc[r]] for b in self.bands] + [np.ones(outer.size), s.block[i, j], -s.eh]
         return scipy.sparse.csc_matrix(
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
             shape=(self.size, self.size),
@@ -433,19 +457,13 @@ def assemble_step_operator(
 
     # outer ends: identity rows, so the Dirichlet values persist;
     # transmission rows: algebraic, no time derivative (rhs_scale 0)
+    size = grid.offsets[-1]
     outer = np.asarray(grid.offsets[:-1]) + np.where(stencil.beta > 0.0, 0, grid.cells)
-    rhs_scale = np.full(grid.offsets[-1], 1.0 / dt)
-    rhs_scale[outer] = 1.0
+    lu = ArcJunctionLU.factor(bands, stencil, march_index(outer, size), size)
+    rhs_scale = np.full(size, 1.0 / dt)
+    rhs_scale[lu.outer] = 1.0
     rhs_scale[stencil.node] = 0.0
-    return StepOperator(
-        bands=bands,
-        lu=ArcJunctionLU.factor(bands, stencil, outer),
-        grid=grid,
-        dt=dt,
-        rhs_scale=to_march_order(rhs_scale),
-        outer=outer,
-        stencil=stencil,
-    )
+    return StepOperator(bands=bands, lu=lu, grid=grid, dt=dt, rhs_scale=rhs_scale)
 
 
 def step(x: np.ndarray, op: StepOperator) -> None:
@@ -464,39 +482,11 @@ def step(x: np.ndarray, op: StepOperator) -> None:
         raise LinearSolveFailure("implicit solve produced non-finite values")
 
 
-def advance(state: DiscreteState, op: StepOperator) -> DiscreteState:
-    """state one step later: step on its values gathered into march order."""
-    x = to_march_order(state.flat)
-    step(x, op)
-    return adopt_state(op.grid, to_grid_order(x), state.t + op.dt)
-
-
-def flux_residual(state: DiscreteState, op: StepOperator) -> float:
-    """Junction flux imbalance sum_i beta_i * F_i of the node stencil.
+def flux_residual(x: np.ndarray, op: StepOperator) -> float:
+    """Junction flux imbalance sum_i beta_i * F_i of the node stencil, for
+    x in march order.
 
     Incoming fluxes minus outgoing ones; zero for any state satisfying
     the node rows.
     """
-    return op.stencil.residual(state.flat)
-
-
-def compatibility_residual(state: DiscreteState, op: StepOperator) -> float:
-    """Largest defect of the discrete node conditions for this state."""
-    return float(np.max(np.abs(op.stencil.defect(state.flat))))
-
-
-def project_node_values(state: DiscreteState, op: StepOperator) -> DiscreteState:
-    """Overwrite the m junction values so the node rows hold exactly.
-
-    Solves the m x m node block with the neighboring interior values
-    frozen; this is the consistent initialization of the algebraic
-    constraints and leaves every other value untouched.
-    """
-    flat = state.flat.copy()
-    try:
-        flat[op.stencil.node] = op.stencil.project(flat)
-    except np.linalg.LinAlgError as exc:
-        raise LinearSolveFailure(f"node projection failed: {exc}") from exc
-    if not np.isfinite(flat[op.stencil.node]).all():
-        raise LinearSolveFailure("node projection produced non-finite values")
-    return adopt_state(op.grid, flat, state.t)
+    return op.lu.stencil.residual(x)

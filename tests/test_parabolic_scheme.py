@@ -31,18 +31,16 @@ from starflux import (
     solve_parabolic,
 )
 from starflux.dataprep import PiecewisePoly, PolynomialPiece
-from starflux.grids import MIN_CELLS
+from starflux.grids import MIN_CELLS, adopt_state, sample_on_grid
 from starflux.parabolic import scheme
 from starflux.parabolic.scheme import (
     RESPONSE_CUTOFF,
     ArcJunctionLU,
+    JunctionStencil,
     OddEvenLU,
-    advance,
     assemble_step_operator,
-    compatibility_residual,
     flux_residual,
     march_index,
-    project_node_values,
     step,
     to_grid_order,
     to_march_order,
@@ -54,6 +52,24 @@ def small_pair():
     net = simple_star([1.0], [2.0])
     K = CouplingMatrix.from_array([[0.0, 1.5], [1.5, 0.0]], net)
     return net, K
+
+
+def grid_positions(op, index):
+    """The grid-order positions of march-order positions index."""
+    return to_march_order(np.arange(op.size))[index]
+
+
+def node_defect(x, op):
+    """Largest defect of the node rows for x, in march order."""
+    return float(np.max(np.abs(op.lu.stencil.defect(x))))
+
+
+def advance(state, op):
+    """state one step later, the way the march takes it: gathered into
+    march order, stepped in place and scattered back."""
+    x = to_march_order(state.flat)
+    step(x, op)
+    return adopt_state(op.grid, to_grid_order(x), state.t + op.dt)
 
 
 def test_step_matrix_frozen_ten_by_ten():
@@ -89,17 +105,36 @@ def test_step_matrix_frozen_ten_by_ten():
     np.testing.assert_allclose(op.matrix.toarray(), A, atol=1e-13)
     expected_scale = np.array([1.0] + [10.0] * 3 + [0.0, 0.0] + [10.0] * 3 + [1.0])
     np.testing.assert_allclose(to_grid_order(op.rhs_scale), expected_scale)
-    assert op.stencil.node.tolist() == [4, 5]
-    assert op.stencil.inner.tolist() == [3, 6]
-    assert op.stencil.beta.tolist() == [1.0, -1.0]
+    stencil = op.lu.stencil
+    assert grid_positions(op, stencil.node).tolist() == [4, 5]
+    assert grid_positions(op, stencil.inner).tolist() == [3, 6]
+    assert grid_positions(op, op.lu.outer).tolist() == [0, 9]
+    assert stencil.beta.tolist() == [1.0, -1.0]
     # the projection block is the node rows restricted to the junction values
-    np.testing.assert_array_equal(op.stencil.block, A[4:6, 4:6])
+    np.testing.assert_array_equal(stencil.block, A[4:6, 4:6])
     # march order: grid points 0, 2, 4, 6, 8, then 1, 3, 5, 7, 9
     np.testing.assert_allclose(op.rhs_scale, expected_scale[[0, 2, 4, 6, 8, 1, 3, 5, 7, 9]])
-    assert op.lu.stencil.node.tolist() == [2, 7]
-    assert op.lu.stencil.inner.tolist() == [6, 3]
+    assert stencil.node.tolist() == [2, 7]
+    assert stencil.inner.tolist() == [6, 3]
     assert op.lu.outer.tolist() == [0, 9]
     assert op.lu.outer_row.tolist() == [5, 4]
+
+
+def test_operator_holds_one_stencil_and_no_grid_order_indices():
+    """The junction condition is held once, by the factorization, in march
+    order; the operator keeps no grid-order copy of it or of the outer ends."""
+    net, K = small_pair()
+    op = assemble_step_operator(net, K, make_grid(net, h=0.25), 0.8, 0.1)
+
+    def stencils(obj):
+        if isinstance(obj, JunctionStencil):
+            return [obj]
+        if not dataclasses.is_dataclass(obj):
+            return []
+        return [s for f in dataclasses.fields(obj) for s in stencils(getattr(obj, f.name))]
+
+    assert stencils(op) == [op.lu.stencil]
+    assert {f.name for f in dataclasses.fields(op)} == {"bands", "lu", "grid", "dt", "rhs_scale"}
 
 
 def test_step_keeps_dirichlet_values_and_node_rows():
@@ -111,14 +146,15 @@ def test_step_keeps_dirichlet_values_and_node_rows():
     state = new_state(
         grid, [rng.uniform(0.0, 1.0, n + 1) for n in grid.cells], 0.0
     )
-    nxt = advance(state, op)
-    assert nxt.t == pytest.approx(0.02)
+    x = to_march_order(state.flat)
+    step(x, op)
+    nxt = to_grid_order(x)
     # outer values persist through the identity rows
-    assert nxt.values[0][0] == pytest.approx(state.values[0][0])
-    assert nxt.values[1][-1] == pytest.approx(state.values[1][-1])
+    assert nxt[0] == pytest.approx(state.values[0][0])
+    assert nxt[-1] == pytest.approx(state.values[1][-1])
     # node rows are solved exactly, so the junction flux balances
-    assert abs(flux_residual(nxt, op)) <= 1e-12
-    assert compatibility_residual(nxt, op) <= 1e-12
+    assert abs(flux_residual(x, op)) <= 1e-12
+    assert node_defect(x, op) <= 1e-12
 
 
 def test_step_rejects_wrong_size_and_non_finite_solves():
@@ -127,31 +163,42 @@ def test_step_rejects_wrong_size_and_non_finite_solves():
     op = assemble_step_operator(net, K, grid, 0.8, 0.1)
     finer = make_grid(net, h=0.125)
     with pytest.raises(LinearSolveFailure, match="operator expects 10"):
-        advance(new_state(finer, [np.ones(n + 1) for n in finer.cells]), op)
+        step(np.ones(finer.offsets[-1]), op)
     with pytest.raises(LinearSolveFailure, match="operator expects 10"):
         step(np.ones((10, 1)), op)
 
     # infinities meet the cut rows' zero couplings as 0 * inf; that stays
     # quiet, and the one scan after the solve reports it
-    ones = new_state(grid, [np.ones(n + 1) for n in grid.cells])
     blowup = dataclasses.replace(op, rhs_scale=np.full(op.size, np.inf))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(LinearSolveFailure, match="non-finite"):
-            advance(ones, blowup)
+            step(np.ones(op.size), blowup)
 
 
-def test_step_output_is_a_read_only_state_of_its_own():
+def test_march_outputs_are_read_only_states_of_their_own():
+    """step overwrites its vector in place; the states the march and the
+    steady solve hand out are read-only and share no memory."""
     net, K = small_pair()
     grid = make_grid(net, h=0.25)
     op = assemble_step_operator(net, K, grid, 0.8, 0.1)
-    state = project_node_values(
-        new_state(grid, [np.linspace(0.0, 1.0, n + 1) for n in grid.cells]), op
+    x = np.linspace(0.0, 1.0, op.size)
+    before = x.copy()
+    assert step(x, op) is None
+    assert x.tobytes() != before.tobytes()
+
+    pulse = PiecewiseConstantField(
+        (
+            ArcProfile.from_lists(1.0, [0.3, 0.6], [0.0, 1.0, 0.0]),
+            ArcProfile.from_lists(1.0, [], [0.0]),
+        )
     )
-    nxt = advance(state, op)
-    assert not nxt.flat.flags.writeable
-    assert nxt.bounds == grid.offsets
-    assert not np.shares_memory(nxt.flat, state.flat)
+    traj = solve_parabolic(net, K, pulse, [0.0, 0.0], SolverConfig(epsilon=0.8, T=0.05))
+    steady = march_to_steady(net, K, grid, 0.8, ResolventProblem.build(0.1, pulse, [0.5, 0.0]))
+    for state, g in ((traj.initial, traj.grid), (traj.final, traj.grid), (steady, grid)):
+        assert not state.flat.flags.writeable
+        assert state.bounds == g.offsets
+    assert not np.shares_memory(traj.initial.flat, traj.final.flat)
 
 
 def test_flux_residual_of_constant_state():
@@ -159,8 +206,7 @@ def test_flux_residual_of_constant_state():
     net, K = small_pair()
     grid = make_grid(net, h=0.25)
     op = assemble_step_operator(net, K, grid, 0.8, 0.1)
-    ones = new_state(grid, [np.ones(n + 1) for n in grid.cells], 0.0)
-    assert flux_residual(ones, op) == pytest.approx(1.0 - 2.0)
+    assert flux_residual(np.ones(op.size), op) == pytest.approx(1.0 - 2.0)
 
 
 def test_projection_enforces_node_conditions():
@@ -170,12 +216,20 @@ def test_projection_enforces_node_conditions():
     state = new_state(
         grid, [np.linspace(1.0, 2.0, n + 1) for n in grid.cells], 0.0
     )
-    assert compatibility_residual(state, op) > 1e-3
-    fixed = project_node_values(state, op)
-    assert compatibility_residual(fixed, op) <= 1e-13
+    stencil = op.lu.stencil
+    before = to_march_order(state.flat)
+    x = before.copy()
+    assert node_defect(x, op) > 1e-3
+    stencil.project(x)
+    assert node_defect(x, op) <= 1e-13
     # only the two junction values moved
-    np.testing.assert_array_equal(state.values[0][:-1], fixed.values[0][:-1])
-    np.testing.assert_array_equal(state.values[1][1:], fixed.values[1][1:])
+    rest = np.ones(op.size, dtype=bool)
+    rest[stencil.node] = False
+    np.testing.assert_array_equal(x[rest], before[rest])
+    # node rows that only read their inner neighbours cannot be solved for
+    mute = dataclasses.replace(stencil, block=np.zeros((2, 2)))
+    with pytest.raises(LinearSolveFailure, match="node projection failed"):
+        mute.project(x)
 
 
 def test_unresolved_layer_warns():
@@ -195,14 +249,12 @@ def test_positivity_random_states():
         eps = float(rng.uniform(0.3, 1.0))
         grid = make_grid(net, h=eps / (8.0 * max(1.0, lam_max)))
         op = assemble_step_operator(net, K, grid, eps, 0.01)
-        state = new_state(
-            grid, [rng.uniform(0.0, 2.0, n + 1) for n in grid.cells], 0.0
-        )
-        state = project_node_values(state, op)
+        x = rng.uniform(0.0, 2.0, op.size)
+        op.lu.stencil.project(x)
         floor = 0.0
         for _ in range(20):
-            state = advance(state, op)
-            floor = min(floor, state.min_value())
+            step(x, op)
+            floor = min(floor, float(np.min(x)))
         assert floor >= -1e-12
 
 
@@ -249,6 +301,42 @@ def test_solve_parabolic_diagnostics_align_with_norm():
     assert traj.final.t == pytest.approx(0.1)
 
 
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 8))
+def test_march_starts_from_the_sampled_data_with_inflow_and_node_values_set(seed, m):
+    """traj.initial is the sampled data with B written bitwise at the inflow
+    ends and the m junction values moved so the node rows hold; nothing
+    else differs. The warning reports the node defect of the data after
+    the inflow override, before the projection."""
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, m_min=m, m_max=m)
+    K = random_coupling(rng, net)
+    u0 = resolvent_forcing_field(net, rng)
+    B = rng.uniform(0.0, 2.0, m)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        traj = solve_parabolic(net, K, u0, B, SolverConfig(float(rng.uniform(0.3, 1.0)), 0.02))
+    grid, start = traj.grid, traj.initial.flat
+
+    incoming = np.array([arc.incoming for arc in net.arcs])
+    first = np.asarray(grid.offsets[:-1])
+    node = first + np.where(incoming, grid.cells, 0)
+    inflow = first[incoming]
+    data = sample_on_grid(u0.arcs, grid).flat.copy()
+    assert start[inflow].tobytes() == B[incoming].tobytes()
+    data[inflow] = B[incoming]
+    moved = np.flatnonzero(start != data)
+    assert set(moved.tolist()) <= set(node.tolist())
+
+    node_rows = traj.operator.matrix.toarray()[node]
+    rounding = 8 * np.finfo(float).eps * (np.abs(node_rows) @ np.abs(start))
+    assert (np.abs(node_rows @ start) <= rounding).all()
+    defect = float(np.max(np.abs(node_rows @ data)))
+    warned = [str(w.message) for w in caught if "initial data violates" in str(w.message)]
+    assert warned == ([f"initial data violates the discrete node conditions by {defect:.3e}"]
+                      if defect > 1e-8 else [])
+
+
 def loop_flux_residual(state, net, grid, eps):
     """Reference: one-sided junction fluxes arc by arc, summed in arc order."""
     total = 0.0
@@ -276,7 +364,7 @@ def test_node_conditions_hold_after_projection_and_step(seed, m):
     lam_max = float(np.max(net.speeds()))
     grid = make_grid(net, h=eps / (8.0 * max(1.0, lam_max)))
     op = assemble_step_operator(net, K, grid, eps, 0.01)
-    stencil = op.stencil
+    stencil = op.lu.stencil
     row_scale = float(np.max(np.sum(np.abs(stencil.block), axis=1) + stencil.eh))
     top = 2.0
     tol = 1e-12 * row_scale * top
@@ -284,14 +372,15 @@ def test_node_conditions_hold_after_projection_and_step(seed, m):
     state = new_state(
         grid, [rng.uniform(0.0, top, n + 1) for n in grid.cells], 0.0
     )
-    assert flux_residual(state, op) == loop_flux_residual(state, net, grid, eps)
-    projected = project_node_values(state, op)
-    assert compatibility_residual(projected, op) <= tol
-    assert abs(flux_residual(projected, op)) <= tol
+    x = to_march_order(state.flat)
+    assert flux_residual(x, op) == loop_flux_residual(state, net, grid, eps)
+    stencil.project(x)
+    assert node_defect(x, op) <= tol
+    assert abs(flux_residual(x, op)) <= tol
 
-    stepped = advance(projected, op)
-    assert compatibility_residual(stepped, op) <= tol
-    assert abs(flux_residual(stepped, op)) <= tol
+    step(x, op)
+    assert node_defect(x, op) <= tol
+    assert abs(flux_residual(x, op)) <= tol
 
 
 @pytest.mark.filterwarnings("ignore:initial data violates")
@@ -346,16 +435,19 @@ def test_outer_values_persist_bitwise(seed, m):
     h_rule = 8.0 * max(1.0, float(np.max(net.speeds())))
     grid = make_grid(net, epsilon=eps, rule_constant=h_rule)
     op = assemble_step_operator(net, K, grid, eps, 0.01)
-    state = new_state(grid, [rng.uniform(0.0, 2.0, n + 1) for n in grid.cells])
-    assert advance(state, op).flat[op.outer].tolist() == state.flat[op.outer].tolist()
+    outer = op.lu.outer
+    before = rng.uniform(0.0, 2.0, op.size)
+    x = before.copy()
+    step(x, op)
+    assert x[outer].tolist() == before[outer].tolist()
 
     B = rng.uniform(0.0, 2.0, net.m)
-    flat = state.flat.copy()
-    flat[op.outer] = B
+    flat = to_grid_order(before)
+    flat[grid_positions(op, outer)] = B
     u0 = new_state(grid, [flat[a:b] for a, b in zip(grid.offsets, grid.offsets[1:])])
     traj = solve_parabolic(net, K, u0, B, SolverConfig(eps, 0.05, 0.01, h_rule))
     assert traj.diagnostics.shape[0] > 2
-    assert traj.final.flat[traj.operator.outer].tolist() == B.tolist()
+    assert to_march_order(traj.final.flat)[outer].tolist() == B.tolist()
 
 
 def with_parity(grid, net, odd_total):
@@ -444,11 +536,13 @@ def test_arc_junction_lu_matches_dense_solve(seed, m, coarse, odd_total, depth):
     assert ipiv.tolist() == list(range(1, d.size + 1))
     matrix = op.matrix.toarray()
 
+    stencil = op.lu.stencil
     state = rng.normal(size=op.size)
-    node_rows = matrix[op.stencil.node]
+    node_rows = matrix[grid_positions(op, stencil.node)]
     rounding = 8 * np.finfo(float).eps * (np.abs(node_rows) @ np.abs(state))
-    assert (np.abs(node_rows @ state - op.stencil.defect(state)) <= rounding).all()
-    block_nnz = np.count_nonzero((op.stencil.block != 0.0) | np.eye(m, dtype=bool))
+    defect = stencil.defect(to_march_order(state))
+    assert (np.abs(node_rows @ state - defect) <= rounding).all()
+    block_nnz = np.count_nonzero((stencil.block != 0.0) | np.eye(m, dtype=bool))
     assert op.matrix.nnz == 3 * (op.size - 2 * m) + m + block_nnz + m
 
     rhs = rng.normal(size=op.size)
@@ -469,7 +563,8 @@ def test_arc_junction_lu_matches_dense_solve(seed, m, coarse, odd_total, depth):
     step(x, op)
     got = to_grid_order(x)
     np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-10 * np.max(np.abs(expected)))
-    assert got[op.outer].tobytes() == flat[op.outer].tobytes()
+    outer = grid_positions(op, op.lu.outer)
+    assert got[outer].tobytes() == flat[outer].tobytes()
 
 
 def test_dgttrs_overwrites_the_even_half_in_place():
@@ -489,7 +584,7 @@ def cut_tridiagonal(op):
     """The step matrix's three bands with the node and outer rows and
     columns replaced by unit rows, as a dense array."""
     tri = np.triu(np.tril(op.matrix.toarray(), 1), -1)
-    cut = np.concatenate([op.stencil.node, op.outer])
+    cut = grid_positions(op, np.concatenate([op.lu.stencil.node, op.lu.outer]))
     tri[cut, :] = 0.0
     tri[:, cut] = 0.0
     tri[cut, cut] = 1.0
@@ -541,7 +636,7 @@ def test_junction_responses_are_single_arc_solves(seed, m, coarse, odd_total, de
     _, op = random_star_operator(seed, m, coarse, odd_total, depth)
     lu, (lower, _, upper) = op.lu, op.bands
     # an incoming arc's inner point reads the node as its right neighbour
-    inner_coef = np.where(op.stencil.beta > 0.0, upper, lower)
+    inner_coef = np.where(lu.stencil.beta > 0.0, upper, lower)
     for i in range(m):
         pull = np.zeros(op.size)
         pull[lu.stencil.inner[i]] = -inner_coef[i]
@@ -562,11 +657,11 @@ def test_arc_junction_lu_rejects_singular_systems():
     lower, diag, upper = op.bands
     broken = (lower, np.where(np.arange(2) == 0, 0.0, diag), upper)
     with pytest.raises(LinearSolveFailure, match="zero pivot in row 2$"):
-        ArcJunctionLU.factor(broken, op.stencil, op.outer)
+        ArcJunctionLU.factor(broken, op.lu.stencil, op.lu.outer, op.size)
     # node rows that only read their inner neighbours: S = 0
-    mute = dataclasses.replace(op.stencil, block=np.zeros((2, 2)), eh=np.zeros(2))
+    mute = dataclasses.replace(op.lu.stencil, block=np.zeros((2, 2)), eh=np.zeros(2))
     with pytest.raises(LinearSolveFailure, match="Schur complement is singular"):
-        ArcJunctionLU.factor(op.bands, mute, op.outer)
+        ArcJunctionLU.factor(op.bands, mute, op.lu.outer, op.size)
 
 
 @pytest.mark.parametrize("column", [1, 2, 3, 6, 7])
@@ -596,6 +691,56 @@ def test_zero_pivot_names_its_row_at_any_depth(depth, column):
         assert levels == depth
         with pytest.raises(LinearSolveFailure, match=f"zero pivot in row {column + 1}$"):
             OddEvenLU.factor(np.diag(tri, -1), np.diag(tri), np.diag(tri, 1))
+
+
+def dominant_bands(rng, n):
+    """Bands of a random n-row tridiagonal, strictly diagonally dominant
+    by rows and by columns."""
+    dl, du = rng.uniform(-1.0, 1.0, n - 1), rng.uniform(-1.0, 1.0, n - 1)
+    d = rng.choice([-1.0, 1.0], n) * rng.uniform(2.5, 4.0, n)
+    return dl, d, du
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_odd_even_lu_solves_every_size(n):
+    """From 1 row up, with vector and column-block right-hand sides in
+    march order: scipy's dgttrf wrapper takes no fewer than 3 rows, so a
+    1-row bottom system is divided out and a 2-row one reduced again."""
+    rng = np.random.default_rng(n)
+    dl, d, du = dominant_bands(rng, n)
+    dense = np.diag(d) + np.diag(dl, -1) + np.diag(du, 1)
+    lu = OddEvenLU.factor(dl, d, du)
+    levels = reduction_levels(lu)
+    bottom = levels[-1].reduced
+    if n <= 4:
+        assert len(bottom) == 1 and bottom[0].size == 1
+    else:
+        assert len(levels) == 1 and bottom[1].size == (n + 1) // 2
+    b = rng.normal(size=(n, 3))
+    expected = np.linalg.solve(dense, b)
+    x = np.asfortranarray(np.concatenate([b[0::2], b[1::2]]))
+    lu.solve(x)
+    np.testing.assert_allclose(to_grid_order(x), expected, rtol=1e-13, atol=1e-15)
+    x = to_march_order(b[:, 0])
+    lu.solve(x)
+    np.testing.assert_allclose(to_grid_order(x), expected[:, 0], rtol=1e-13, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_zero_pivot_names_its_row_in_every_size(n):
+    """A zeroed column c leaves a zero pivot in 1-based row c + 1, in the
+    tiny systems dgttrf never sees as in the rest."""
+    rng = np.random.default_rng(100 + n)
+    dl, d, du = dominant_bands(rng, n)
+    for c in range(n):
+        bands = dl.copy(), d.copy(), du.copy()
+        bands[1][c] = 0.0
+        if c > 0:
+            bands[2][c - 1] = 0.0
+        if c < n - 1:
+            bands[0][c] = 0.0
+        with pytest.raises(LinearSolveFailure, match=f"zero pivot in row {c + 1}$"):
+            OddEvenLU.factor(*bands)
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3])
@@ -655,8 +800,7 @@ def test_march_builds_no_sparse_matrix(monkeypatch):
     net, K = small_pair()
     grid = make_grid(net, h=0.05)
     op = assemble_step_operator(net, K, grid, 0.8, 0.02)
-    state = new_state(grid, [np.linspace(0.0, 1.0, n + 1) for n in grid.cells])
-    assert compatibility_residual(state, op) > 0.0
+    assert node_defect(np.linspace(0.0, 1.0, op.size), op) > 0.0
     pulse = PiecewiseConstantField(
         (
             ArcProfile.from_lists(1.0, [0.3, 0.6], [0.0, 1.0, 0.0]),
