@@ -207,8 +207,8 @@ def discrete_l1_norm(state: DiscreteState, grid: Grid) -> float:
 
 def weighted_l1(values: np.ndarray, weights: np.ndarray) -> float:
     """sum(|values| * weights), values and weights in one order."""
-    # np.sum, not a BLAS dot: OpenBLAS splits long dots across threads
-    return float(np.sum(np.abs(values) * weights))
+    # a sum, not a BLAS dot: OpenBLAS splits long dots across threads
+    return float((np.abs(values) * weights).sum())
 
 
 def weighted_l1_and_min(
@@ -217,13 +217,18 @@ def weighted_l1_and_min(
     """weighted_l1(values, weights) and np.min(values), bit for bit, with
     scratch, an array of values' shape, as the only temporary.
 
+    Both are the array methods min and sum, the reductions np.min and
+    np.sum call, without their wrappers. With positive weights they also
+    tell whether values are finite: the minimum is NaN on any NaN and
+    -inf on any -inf, the sum +inf on any +inf.
+
     With no negative value np.abs is skipped: the products then differ
     from |values| * weights only in the sign of zero, which a sum of
     nonnegative terms keeps only when it is zero, and adding 0.0 makes
     that zero +0.0.
     """
-    lowest = float(np.min(values))
+    lowest = float(values.min())
     if not lowest >= 0.0:
         return weighted_l1(values, weights), lowest
     np.multiply(values, weights, out=scratch)
-    return float(np.sum(scratch)) + 0.0, lowest
+    return float(scratch.sum()) + 0.0, lowest

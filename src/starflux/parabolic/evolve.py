@@ -7,19 +7,21 @@ equation, which is one implicit step of length theta.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from ..errors import DimensionMismatch, finite_above, finite_values
+from ..errors import LinearSolveFailure, finite_above, finite_values
 from ..grids import (
     DEFAULT_H_RULE,
     DiscreteState,
     Grid,
     adopt_state,
     average_on_grid,
+    check_on_grid,
     discrete_l1_norm,
     make_grid,
     sample_on_grid,
@@ -40,6 +42,9 @@ from .scheme import (
 #: sampled initial data may violate the discrete node conditions by this
 #: much before a warning is issued
 COMPATIBILITY_WARN_TOL = 1e-8
+
+#: what both marches raise when a step leaves inf or NaN behind
+NON_FINITE_STEP = "implicit solve produced non-finite values"
 
 
 @dataclass(frozen=True)
@@ -97,8 +102,7 @@ def _initial_values(
         profiles = u0_eps.arcs if field else list(u0_eps)
         check_profile_lengths(profiles, net, "initial profiles")
         state = sample_on_grid(profiles, grid)
-    if state.bounds != grid.offsets:
-        raise DimensionMismatch("initial state does not match the grid")
+    check_on_grid(state, grid)
     return to_march_order(state.flat), state.t
 
 
@@ -116,6 +120,11 @@ def solve_parabolic(
     against the discrete node conditions is measured and warned about
     beyond COMPATIBILITY_WARN_TOL; the junction values are then
     projected so the algebraic node rows hold from step zero.
+
+    A step that leaves a non-finite value raises LinearSolveFailure,
+    found through the diagnostics about to be recorded: a NaN or -inf
+    makes the minimum non-finite and a +inf the L1 norm. An L1 sum that
+    overflows on finite values counts as well.
     """
     grid = make_grid(net, epsilon=cfg.epsilon, rule_constant=cfg.h_rule)
     bvals = finite_values(B, net.m)
@@ -151,13 +160,18 @@ def solve_parabolic(
     ]
     weights = to_march_order(grid.weights)
     scratch = np.empty_like(weights)
-    node_rows = [x[stencil.node]]
+    node, inner = stencil.node, stencil.inner
+    node_rows = [x[node]]
     for _ in range(n_steps):
         step(x, op)
         t += op.dt
         l1, lowest = weighted_l1_and_min(x, weights, scratch)
-        diag_rows.append((t, l1, lowest, stencil.residual(x)))
-        node_rows.append(x[stencil.node])
+        # the minimum is NaN or -inf and the L1 sum +inf on any such value
+        if not (lowest > -math.inf and l1 < math.inf):
+            raise LinearSolveFailure(NON_FINITE_STEP)
+        u = x[node]
+        diag_rows.append((t, l1, lowest, stencil.residual(u, x[inner])))
+        node_rows.append(u)
 
     return ParabolicTrajectory(
         initial=initial,
@@ -188,6 +202,7 @@ def march_to_steady(
     the boundary values, and its node rows ignore the start state.
     Averaging, not sampling, keeps a forcing break inside a cell from
     adding an O(h) error that depends on where in the cell it falls.
+    A non-finite result raises LinearSolveFailure.
     """
     finite_above(epsilon, "epsilon")
     prob.check(net)
@@ -195,4 +210,6 @@ def march_to_steady(
     x = to_march_order(average_on_grid(prob.f.arcs, grid).flat)
     x[op.lu.outer] = prob.boundary
     step(x, op)
+    if not np.isfinite(x).all():
+        raise LinearSolveFailure(NON_FINITE_STEP)
     return adopt_state(grid, to_grid_order(x), prob.theta)

@@ -37,6 +37,10 @@ own and scatters it back. A DiscreteState stays in grid order, so
 callers gather it into march order once and scatter the result back
 once. Only ArcJunctionLU.factor, which lays the arcs end to end, and
 the StepOperator.matrix view read the grid order.
+
+step does not scan its result: the callers check each state once,
+where they read it (evolve.solve_parabolic through the minimum and L1
+norm it records, evolve.march_to_steady on its one result).
 """
 
 from __future__ import annotations
@@ -101,21 +105,21 @@ class JunctionStencil:
         """The node rows' residuals, block @ u_node - eh * u_inner."""
         return self.block @ x[self.node] - self.eh * x[self.inner]
 
-    def flux(self, x: np.ndarray) -> np.ndarray:
-        """F_i, the viscous flux at the node along each arc."""
-        u = x[self.node]
-        du = (u - x[self.inner]) / self.h
-        return self.speed * u - self.epsilon * self.beta * du
+    def residual(self, u_node: np.ndarray, u_inner: np.ndarray) -> float:
+        """sum_i beta_i * F_i for the junction values u_node and their
+        neighbours u_inner, summed one arc after another.
 
-    def residual(self, x: np.ndarray) -> float:
-        """sum_i beta_i * F_i, summed one arc after another.
-
-        np.sum would add eight or more terms pairwise and so round
-        differently from the sequential sum the diagnostics record.
+        The terms are taken in Python floats: the same IEEE operations,
+        in the same order, as elementwise numpy, without an array per
+        operation. np.sum would add eight or more terms pairwise and so
+        round differently from the sequential sum the diagnostics record.
         """
-        total = 0.0
-        for term in (self.beta * self.flux(x)).tolist():
-            total += term
+        eps, total = self.epsilon, 0.0
+        for u, v, b, s, h in zip(
+            u_node.tolist(), u_inner.tolist(),
+            self.beta.tolist(), self.speed.tolist(), self.h.tolist(),
+        ):
+            total += b * (s * u - eps * b * ((u - v) / h))
         return total
 
     def project(self, x: np.ndarray) -> None:
@@ -252,15 +256,12 @@ class OddEvenLU:
         return int(own + sum(p.size for p in self.reduced[:4]))
 
     def solve(self, x: np.ndarray) -> None:
-        """Overwrite x, of shape (n,) or (n, k) in march order, with the
-        solution against it."""
-        # the coefficients run down axis 0, alike for every column of x
-        col = (-1,) + (1,) * (x.ndim - 1)
+        """Overwrite x, a vector in march order, with the solution against it."""
         n_even = self.fold_lo.size + 1
         even, odd = x[:n_even], x[n_even:]
-        n_odd = odd.shape[0]
-        even[1:] += self.fold_lo.reshape(col) * odd[: n_even - 1]
-        even[:n_odd] += self.fold_up.reshape(col) * odd
+        n_odd = odd.size
+        even[1:] += self.fold_lo * odd[: n_even - 1]
+        even[:n_odd] += self.fold_up * odd
         if isinstance(self.reduced, OddEvenLU):
             # the even half in its own march order, and back
             half = (n_even + 1) // 2
@@ -275,11 +276,11 @@ class OddEvenLU:
         else:
             g, _ = dgttrs(*self.reduced, even, overwrite_b=True)
             if g is not even:
-                # f2py solved a copy: even is not contiguous in Fortran order
+                # f2py solved a copy: x is a strided view
                 even[...] = g
-        odd -= self.odd_lo.reshape(col) * g[:n_odd]
-        odd[: n_even - 1] -= self.odd_up.reshape(col) * g[1:]
-        odd /= self.odd_diag.reshape(col)
+        odd -= self.odd_lo * g[:n_odd]
+        odd[: n_even - 1] -= self.odd_up * g[1:]
+        odd /= self.odd_diag
 
 
 def interior_arcs(node: np.ndarray, outer: np.ndarray) -> np.ndarray:
@@ -352,7 +353,10 @@ class ArcJunctionLU:
         ids = np.arange(outer.size)
         pull = np.zeros((size, outer.size), order="F")
         pull[stencil.inner, ids] = -inner_coef
-        arcs.solve(pull)
+        # one contiguous column at a time: dgttrs solves each column on
+        # its own, so this is bit for bit a block solve
+        for column in pull.T:
+            arcs.solve(column)
         window, window_arc = np.nonzero(np.abs(pull) >= RESPONSE_CUTOFF)
         response = pull[window, window_arc]
 
@@ -469,17 +473,16 @@ def assemble_step_operator(
 def step(x: np.ndarray, op: StepOperator) -> None:
     """Advance x, a state's values in march order, one implicit step in place.
 
-    Raises LinearSolveFailure on a wrong size or a non-finite result.
+    Raises LinearSolveFailure on a wrong size only: an overflow leaves
+    inf or NaN in x quietly, for the caller to find where it reads the
+    state (see the module docstring).
     """
     if x.shape != (op.size,):
         raise LinearSolveFailure(f"state has {x.size} values, operator expects {op.size}")
-    # a non-finite value would meet the cut rows' zero couplings as
-    # 0 * inf; the one scan below reports whatever it left behind
+    # a non-finite value would meet the cut rows' zero couplings as 0 * inf
     with np.errstate(over="ignore", invalid="ignore"):
         x *= op.rhs_scale
         op.lu.solve(x)
-    if not np.isfinite(x).all():
-        raise LinearSolveFailure("implicit solve produced non-finite values")
 
 
 def flux_residual(x: np.ndarray, op: StepOperator) -> float:
@@ -489,4 +492,5 @@ def flux_residual(x: np.ndarray, op: StepOperator) -> float:
     Incoming fluxes minus outgoing ones; zero for any state satisfying
     the node rows.
     """
-    return op.lu.stencil.residual(x)
+    s = op.lu.stencil
+    return s.residual(x[s.node], x[s.inner])

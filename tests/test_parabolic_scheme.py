@@ -31,8 +31,8 @@ from starflux import (
     solve_parabolic,
 )
 from starflux.dataprep import PiecewisePoly, PolynomialPiece
-from starflux.grids import MIN_CELLS, adopt_state, sample_on_grid
-from starflux.parabolic import scheme
+from starflux.grids import MIN_CELLS, adopt_state, sample_on_grid, weighted_l1
+from starflux.parabolic import evolve, scheme
 from starflux.parabolic.scheme import (
     RESPONSE_CUTOFF,
     ArcJunctionLU,
@@ -157,7 +157,13 @@ def test_step_keeps_dirichlet_values_and_node_rows():
     assert node_defect(x, op) <= 1e-12
 
 
-def test_step_rejects_wrong_size_and_non_finite_solves():
+def blowup_operator(op):
+    """op with every right-hand-side scale infinite: its step meets the cut
+    rows' zero couplings as 0 * inf and leaves NaN behind."""
+    return dataclasses.replace(op, rhs_scale=np.full(op.size, np.inf))
+
+
+def test_step_rejects_wrong_size_only():
     net, K = small_pair()
     grid = make_grid(net, h=0.25)
     op = assemble_step_operator(net, K, grid, 0.8, 0.1)
@@ -167,13 +173,63 @@ def test_step_rejects_wrong_size_and_non_finite_solves():
     with pytest.raises(LinearSolveFailure, match="operator expects 10"):
         step(np.ones((10, 1)), op)
 
-    # infinities meet the cut rows' zero couplings as 0 * inf; that stays
-    # quiet, and the one scan after the solve reports it
-    blowup = dataclasses.replace(op, rhs_scale=np.full(op.size, np.inf))
+    # a blow-up stays quiet in step; the marches check the state they read
+    x = np.ones(op.size)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        step(x, blowup_operator(op))
+    assert not np.isfinite(x).all()
+
+
+def test_blowup_stops_both_marches(monkeypatch):
+    """A step that leaves inf or NaN behind ends solve_parabolic (through the
+    minimum and L1 norm it records) and march_to_steady (on its result)
+    with LinearSolveFailure, and no warning on the way."""
+    assemble = evolve.assemble_step_operator
+    monkeypatch.setattr(
+        evolve, "assemble_step_operator", lambda *args: blowup_operator(assemble(*args))
+    )
+    net, K = small_pair()
+    zero = PiecewiseConstantField.constant(net, [0.0, 0.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(LinearSolveFailure, match="non-finite"):
-            step(np.ones(op.size), blowup)
+            solve_parabolic(net, K, zero, [0.0, 0.0], SolverConfig(epsilon=0.4, T=0.05))
+        prob = ResolventProblem.build(1.0, zero, [0.5, 0.0])
+        with pytest.raises(LinearSolveFailure, match="non-finite"):
+            march_to_steady(net, K, make_grid(net, h=0.05), 0.8, prob)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "overflow"])
+def test_march_rejects_every_non_finite_state(monkeypatch, bad):
+    """NaN and -inf show in the recorded minimum, +inf in the L1 norm, and
+    so does an L1 sum that overflows on finite values."""
+    marched = evolve.step
+
+    def spoil(x, op):
+        marched(x, op)
+        if bad == "overflow":
+            x[:] = np.finfo(float).max
+        else:
+            x[op.size // 2] = bad
+
+    monkeypatch.setattr(evolve, "step", spoil)
+    net, K = small_pair()
+    zero = PiecewiseConstantField.constant(net, [0.0, 0.0])
+    cfg = SolverConfig(epsilon=0.4, T=0.05)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error" if bad != "overflow" else "ignore")
+        with pytest.raises(LinearSolveFailure, match="non-finite"):
+            solve_parabolic(net, K, zero, [0.0, 0.0], cfg)
+
+
+def test_solve_parabolic_rejects_a_state_from_another_grid():
+    net, K = small_pair()
+    cfg = SolverConfig(epsilon=0.4, T=0.05)
+    coarse = make_grid(net, h=0.25)
+    state = new_state(coarse, [np.zeros(n + 1) for n in coarse.cells])
+    with pytest.raises(DimensionMismatch, match="^arc 0: state has 5 points for 20 cells$"):
+        solve_parabolic(net, K, state, [0.0, 0.0], cfg)
 
 
 def test_march_outputs_are_read_only_states_of_their_own():
@@ -648,6 +704,59 @@ def test_junction_responses_are_single_arc_solves(seed, m, coarse, odd_total, de
         assert (np.abs(pull[rest]) < RESPONSE_CUTOFF).all()
 
 
+def sequential_residual(x, stencil):
+    """sum_i beta_i * F_i from numpy arrays of the fluxes, summed in arc order."""
+    u = x[stencil.node]
+    du = (u - x[stencil.inner]) / stencil.h
+    flux = stencil.speed * u - stencil.epsilon * stencil.beta * du
+    total = 0.0
+    for term in (stencil.beta * flux).tolist():
+        total += term
+    return total
+
+
+@pytest.mark.filterwarnings("ignore:initial data violates")
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@star_draws
+def test_march_equals_a_plain_step_loop(seed, m, coarse, odd_total, depth):
+    """solve_parabolic's diagnostics, junction history and final state,
+    bit for bit, against a loop of step and the plain reductions over the
+    recorded start and operator, at both parities and one to three
+    reduction levels."""
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, m_min=m, m_max=m)
+    K = random_coupling(rng, net)
+    # coarse: a viscosity so large that every arc gets MIN_CELLS cells
+    eps, h_rule = (10.0, 4.0) if coarse else (float(rng.uniform(0.3, 1.0)), 8.0)
+    grid = with_parity(make_grid(net, epsilon=eps, rule_constant=h_rule), net, odd_total)
+    u0 = resolvent_forcing_field(net, rng)
+    B = rng.uniform(0.0, 2.0, net.m)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evolve, "make_grid", lambda *args, **kwargs: grid)
+        with reduction_depth(grid.offsets[-1], depth) as levels:
+            traj = solve_parabolic(net, K, u0, B, SolverConfig(eps, 0.05, h_rule=h_rule))
+    op = traj.operator
+    assert len(reduction_levels(op.lu.arcs)) == levels
+    stencil = op.lu.stencil
+
+    # the first row reads the start state in grid order, every later one the vector
+    start = traj.initial.flat
+    x = to_march_order(start)
+    weights = to_march_order(grid.weights)
+    t = traj.initial.t
+    rows = [(t, weighted_l1(start, grid.weights), float(np.min(start)),
+             sequential_residual(x, stencil))]
+    nodes = [x[stencil.node]]
+    for _ in range(traj.diagnostics.shape[0] - 1):
+        step(x, op)
+        t += op.dt
+        rows.append((t, weighted_l1(x, weights), float(np.min(x)), sequential_residual(x, stencil)))
+        nodes.append(x[stencil.node])
+    assert traj.diagnostics.tobytes() == np.asarray(rows).tobytes()
+    assert traj.node_history.tobytes() == np.asarray(nodes).tobytes()
+    assert traj.final.flat.tobytes() == to_grid_order(x).tobytes()
+
+
 def test_arc_junction_lu_rejects_singular_systems():
     net, K = small_pair()
     grid = make_grid(net, h=0.25)
@@ -703,9 +812,10 @@ def dominant_bands(rng, n):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_odd_even_lu_solves_every_size(n):
-    """From 1 row up, with vector and column-block right-hand sides in
-    march order: scipy's dgttrf wrapper takes no fewer than 3 rows, so a
-    1-row bottom system is divided out and a 2-row one reduced again."""
+    """From 1 row up, with vector right-hand sides in march order, alone and
+    as the contiguous columns of a block: scipy's dgttrf wrapper takes no
+    fewer than 3 rows, so a 1-row bottom system is divided out and a 2-row
+    one reduced again."""
     rng = np.random.default_rng(n)
     dl, d, du = dominant_bands(rng, n)
     dense = np.diag(d) + np.diag(dl, -1) + np.diag(du, 1)
@@ -718,8 +828,10 @@ def test_odd_even_lu_solves_every_size(n):
         assert len(levels) == 1 and bottom[1].size == (n + 1) // 2
     b = rng.normal(size=(n, 3))
     expected = np.linalg.solve(dense, b)
+    # column by column, as ArcJunctionLU.factor solves its responses
     x = np.asfortranarray(np.concatenate([b[0::2], b[1::2]]))
-    lu.solve(x)
+    for column in x.T:
+        lu.solve(column)
     np.testing.assert_allclose(to_grid_order(x), expected, rtol=1e-13, atol=1e-15)
     x = to_march_order(b[:, 0])
     lu.solve(x)
