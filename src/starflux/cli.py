@@ -321,8 +321,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_converge(args: argparse.Namespace) -> int:
+    if args.workers < 1:
+        raise ConfigError(f"workers: must be at least 1, got {args.workers}")
     spec = load_experiment_spec(args.config)
-    report = run_convergence(spec, workers=max(1, args.workers))
+    report = run_convergence(spec, workers=args.workers)
     manifest = _base_manifest(args)
     manifest["epsilons"] = list(spec.epsilons)
     manifest["T"] = spec.T

@@ -124,7 +124,8 @@ def solve_parabolic(
     A step that leaves a non-finite value raises LinearSolveFailure,
     found through the diagnostics about to be recorded: a NaN or -inf
     makes the minimum non-finite and a +inf the L1 norm. An L1 sum that
-    overflows on finite values counts as well.
+    overflows on finite values counts as well, and raises the same error
+    without numpy's overflow warning.
     """
     grid = make_grid(net, epsilon=cfg.epsilon, rule_constant=cfg.h_rule)
     bvals = finite_values(B, net.m)
@@ -162,16 +163,19 @@ def solve_parabolic(
     scratch = np.empty_like(weights)
     node, inner = stencil.node, stencil.inner
     node_rows = [x[node]]
-    for _ in range(n_steps):
-        step(x, op)
-        t += op.dt
-        l1, lowest = weighted_l1_and_min(x, weights, scratch)
-        # the minimum is NaN or -inf and the L1 sum +inf on any such value
-        if not (lowest > -math.inf and l1 < math.inf):
-            raise LinearSolveFailure(NON_FINITE_STEP)
-        u = x[node]
-        diag_rows.append((t, l1, lowest, stencil.residual(u, x[inner])))
-        node_rows.append(u)
+    # one errstate for the whole loop: an L1 sum that overflows on finite
+    # values reads +inf, quietly, and fails the check below
+    with np.errstate(over="ignore"):
+        for _ in range(n_steps):
+            step(x, op)
+            t += op.dt
+            l1, lowest = weighted_l1_and_min(x, weights, scratch)
+            # the minimum is NaN or -inf and the L1 sum +inf on any such value
+            if not (lowest > -math.inf and l1 < math.inf):
+                raise LinearSolveFailure(NON_FINITE_STEP)
+            u = x[node]
+            diag_rows.append((t, l1, lowest, stencil.residual(u, x[inner])))
+            node_rows.append(u)
 
     return ParabolicTrajectory(
         initial=initial,

@@ -38,6 +38,12 @@ callers gather it into march order once and scatter the result back
 once. Only ArcJunctionLU.factor, which lays the arcs end to end, and
 the StepOperator.matrix view read the grid order.
 
+The tests define the step a second time, independently: a dense
+grid-order matrix built arc by arc (ReferenceStep in tests/conftest.py),
+which one test pins to the StepOperator.matrix view. Nothing else in the
+package reads that view; it stays only while perfbench's tracer counts
+its nonzeros.
+
 step does not scan its result: the callers check each state once,
 where they read it (evolve.solve_parabolic through the minimum and L1
 norm it records, evolve.march_to_steady on its one result).
@@ -392,7 +398,9 @@ class StepOperator:
 
     bands, each arc's interior coefficients (lower, diag, upper), and
     lu.stencil, the junction condition of the node rows, define the
-    step; matrix is a sparse view of it, assembled when read. rhs_scale
+    step; matrix is a sparse view of it, assembled when read, kept only
+    for perfbench's tracer, which counts its nonzeros (the tests build
+    their own reference step and pin this view to it). rhs_scale
     maps the current state to the right-hand side: 1/dt at interior
     rows, 1 at Dirichlet rows (values persist), 0 at node rows. It is in
     march order, as are all of lu's indices. lu solves the step arc by

@@ -1,11 +1,15 @@
-"""Shared builders for networks and admissible couplings."""
+"""Shared builders for networks and admissible couplings, and the
+reference implicit step."""
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
 from starflux import CouplingMatrix, build_network
-from starflux.network import StarNetwork
+from starflux.grids import Grid
+from starflux.network import StarNetwork, alpha_from_k
 
 
 def simple_star(
@@ -93,3 +97,58 @@ def cell_averages(profile, x: np.ndarray, h: float) -> np.ndarray:
     edges = np.concatenate([[0.0], profile.breakpoints, [profile.length]])
     overlap = np.minimum(hi[:, None], edges[1:]) - np.maximum(lo[:, None], edges[:-1])
     return np.clip(overlap, 0.0, None) @ profile.values / (hi - lo)
+
+
+class ReferenceStep:
+    """One implicit step, written out in grid order, arc by arc, from net,
+    alpha_from_k(K), the spacings, eps and dt, and nothing of
+    starflux.parabolic: matrix @ u = rhs_scale * u_old.
+
+    x runs along the flow: an incoming arc ends at the junction, an
+    outgoing one starts there. node, inner and outer are each arc's
+    junction point, its neighbour into the arc and its outer end, as grid
+    positions; beta is +1 on incoming and -1 on outgoing arcs. Interior
+    rows read (u - u_old)/dt + speed*u_x = eps*u_xx, upwind and central;
+    outer rows u = u_old; node rows alpha[i] @ u_node = beta_i * F_i,
+    F_i = speed_i*u_node_i - eps*beta_i*(u_node_i - u_inner_i)/h_i.
+    """
+
+    def __init__(self, net: StarNetwork, K: CouplingMatrix, grid: Grid, eps: float, dt: float):
+        self.net, self.grid, self.eps, self.dt = net, grid, eps, dt
+        self.alpha = alpha_from_k(K)
+        incoming = np.array([arc.incoming for arc in net.arcs])
+        first = np.asarray(grid.offsets[:-1])
+        last = first + np.asarray(grid.cells)
+        self.beta = np.where(incoming, 1.0, -1.0)
+        self.node = np.where(incoming, last, first)
+        self.inner = np.where(incoming, last - 1, first + 1)
+        self.outer = np.where(incoming, first, last)
+        self.rhs_scale = np.full(grid.offsets[-1], 1.0 / dt)
+        self.rhs_scale[self.outer] = 1.0
+        self.rhs_scale[self.node] = 0.0
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense step matrix, built on first read."""
+        A = np.zeros((self.grid.offsets[-1],) * 2)
+        A[self.outer, self.outer] = 1.0
+        for i, arc in enumerate(self.net.arcs):
+            h = self.grid.spacings[i]
+            k = np.arange(self.grid.offsets[i] + 1, self.grid.offsets[i + 1] - 1)
+            adv, dif = arc.speed / h, self.eps / (h * h)
+            A[k, k - 1] = -(adv + dif)
+            A[k, k] = 1.0 / self.dt + adv + 2.0 * dif
+            A[k, k + 1] = -dif
+            eh, row = self.eps / h, self.node[i]
+            A[row, self.node] = self.alpha[i]
+            A[row, row] = (self.alpha[i, i] - self.beta[i] * arc.speed) + eh
+            A[row, self.inner[i]] = -eh
+        return A
+
+    def flux_residual(self, flat: np.ndarray) -> float:
+        """sum_i beta_i * F_i of the grid-order values flat, arc after arc."""
+        total = 0.0
+        for i, arc in enumerate(self.net.arcs):
+            u, v, b = flat[self.node[i]], flat[self.inner[i]], self.beta[i]
+            total += b * (arc.speed * u - self.eps * b * ((u - v) / self.grid.spacings[i]))
+        return float(total)

@@ -47,6 +47,15 @@ def write_json(tmp_path, name, payload):
     return str(path)
 
 
+def write_experiment(tmp_path, epsilons):
+    """An experiment document over PAIR_NET and PAIR_DATA with T = 0.3."""
+    write_json(tmp_path, "net.json", PAIR_NET)
+    write_json(tmp_path, "u0.json", PAIR_DATA)
+    return write_json(tmp_path, "exp.json", {
+        "network": "net.json", "data": "u0.json", "epsilons": epsilons, "T": 0.3,
+    })
+
+
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -147,14 +156,7 @@ def test_simulate_parabolic_writes_snapshot_and_diagnostics(tmp_path, capsys):
 
 
 def test_converge_manifest_and_determinism(tmp_path, capsys):
-    net = write_json(tmp_path, "net.json", PAIR_NET)
-    data = write_json(tmp_path, "u0.json", PAIR_DATA)
-    exp = write_json(tmp_path, "exp.json", {
-        "network": "net.json",
-        "data": "u0.json",
-        "epsilons": [0.08, 0.04],
-        "T": 0.3,
-    })
+    exp = write_experiment(tmp_path, [0.08, 0.04])
     outs = []
     for tag in ("a", "b"):
         out_dir = tmp_path / tag
@@ -179,15 +181,17 @@ def test_converge_manifest_and_determinism(tmp_path, capsys):
         assert a.split(",")[:-1] == b.split(",")[:-1]
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_converge_rejects_workers_below_one(tmp_path, capsys, workers):
+    exp = write_experiment(tmp_path, [0.08])
+    out_dir = tmp_path / "run"
+    assert main(["converge", "--config", exp, "--out", str(out_dir), "--workers", workers]) == 2
+    assert f"error: workers: must be at least 1, got {workers}" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_converge_reports_failed_levels(tmp_path, capsys):
-    net = write_json(tmp_path, "net.json", PAIR_NET)
-    data = write_json(tmp_path, "u0.json", PAIR_DATA)
-    exp = write_json(tmp_path, "exp.json", {
-        "network": "net.json",
-        "data": "u0.json",
-        "epsilons": [0.7, 0.04],
-        "T": 0.3,
-    })
+    exp = write_experiment(tmp_path, [0.7, 0.04])
     out_dir = tmp_path / "run"
     assert main(["converge", "--config", exp, "--out", str(out_dir)]) == 0
     stdout = capsys.readouterr().out

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg.lapack import dgttrs
 
-from conftest import cross_ones_coupling, random_coupling, random_network, simple_star
+from conftest import ReferenceStep, cross_ones_coupling, random_coupling, random_network, simple_star
 from starflux import (
     ArcProfile,
     CouplingMatrix,
@@ -54,9 +54,22 @@ def small_pair():
     return net, K
 
 
-def grid_positions(op, index):
-    """The grid-order positions of march-order positions index."""
-    return to_march_order(np.arange(op.size))[index]
+def ten_point_step():
+    """small_pair on 4 cells per arc, eps 0.8 and dt 0.1, the step worked
+    out by hand below: net, K, its operator and its ReferenceStep."""
+    net, K = small_pair()
+    grid = make_grid(net, h=0.25)
+    op = assemble_step_operator(net, K, grid, 0.8, 0.1)
+    return net, K, op, ReferenceStep(net, K, grid, 0.8, 0.1)
+
+
+#: small_pair's data: a unit pulse on [0.3, 0.6] of arc 0, zero elsewhere
+PULSE = PiecewiseConstantField(
+    (
+        ArcProfile.from_lists(1.0, [0.3, 0.6], [0.0, 1.0, 0.0]),
+        ArcProfile.from_lists(1.0, [], [0.0]),
+    )
+)
 
 
 def node_defect(x, op):
@@ -73,42 +86,34 @@ def advance(state, op):
 
 
 def test_step_matrix_frozen_ten_by_ten():
-    """Full stencil for 4 cells per arc, worked out by hand.
+    """Full stencil for 4 cells per arc, worked out by hand: it pins the
+    reference step, and the operator's indices and node block.
 
     eps=0.8, h=0.25, dt=0.1: interior rows carry 1/dt + speed/h + 2eps/h^2
     on the diagonal, the node rows the one-sided viscous transmission.
     """
-    net, K = small_pair()
-    grid = make_grid(net, h=0.25)
-    op = assemble_step_operator(net, K, grid, 0.8, 0.1)
+    _, _, op, ref = ten_point_step()
 
     A = np.zeros((10, 10))
     A[0, 0] = 1.0
+    # rows r: A[r, r - 1], A[r, r], A[r, r + 1]
     for r in (1, 2, 3):
-        A[r, r] = 10.0 + 4.0 + 25.6
-        A[r, r - 1] = -(4.0 + 12.8)
-        A[r, r + 1] = -12.8
+        A[r, r - 1 : r + 2] = -(4.0 + 12.8), 10.0 + 4.0 + 25.6, -12.8
     # incoming node row at index 4: alpha_00 - speed + eps/h
-    A[4, 4] = 1.5 - 1.0 + 3.2
-    A[4, 3] = -3.2
-    A[4, 5] = -1.5
+    A[4, 3:6] = -3.2, 1.5 - 1.0 + 3.2, -1.5
     # outgoing node row at index 5: alpha_11 + speed + eps/h
-    A[5, 5] = 1.5 + 2.0 + 3.2
-    A[5, 6] = -3.2
-    A[5, 4] = -1.5
+    A[5, 4:7] = -1.5, 1.5 + 2.0 + 3.2, -3.2
     for r in (6, 7, 8):
-        A[r, r] = 10.0 + 8.0 + 25.6
-        A[r, r - 1] = -(8.0 + 12.8)
-        A[r, r + 1] = -12.8
+        A[r, r - 1 : r + 2] = -(8.0 + 12.8), 10.0 + 8.0 + 25.6, -12.8
     A[9, 9] = 1.0
 
-    np.testing.assert_allclose(op.matrix.toarray(), A, atol=1e-13)
+    np.testing.assert_allclose(ref.matrix, A, atol=1e-13)
     expected_scale = np.array([1.0] + [10.0] * 3 + [0.0, 0.0] + [10.0] * 3 + [1.0])
-    np.testing.assert_allclose(to_grid_order(op.rhs_scale), expected_scale)
+    np.testing.assert_allclose(ref.rhs_scale, expected_scale)
+    assert ref.node.tolist() == [4, 5]
+    assert ref.inner.tolist() == [3, 6]
+    assert ref.outer.tolist() == [0, 9]
     stencil = op.lu.stencil
-    assert grid_positions(op, stencil.node).tolist() == [4, 5]
-    assert grid_positions(op, stencil.inner).tolist() == [3, 6]
-    assert grid_positions(op, op.lu.outer).tolist() == [0, 9]
     assert stencil.beta.tolist() == [1.0, -1.0]
     # the projection block is the node rows restricted to the junction values
     np.testing.assert_array_equal(stencil.block, A[4:6, 4:6])
@@ -123,8 +128,7 @@ def test_step_matrix_frozen_ten_by_ten():
 def test_operator_holds_one_stencil_and_no_grid_order_indices():
     """The junction condition is held once, by the factorization, in march
     order; the operator keeps no grid-order copy of it or of the outer ends."""
-    net, K = small_pair()
-    op = assemble_step_operator(net, K, make_grid(net, h=0.25), 0.8, 0.1)
+    op = ten_point_step()[2]
 
     def stencils(obj):
         if isinstance(obj, JunctionStencil):
@@ -137,26 +141,6 @@ def test_operator_holds_one_stencil_and_no_grid_order_indices():
     assert {f.name for f in dataclasses.fields(op)} == {"bands", "lu", "grid", "dt", "rhs_scale"}
 
 
-def test_step_keeps_dirichlet_values_and_node_rows():
-    net, K = small_pair()
-    grid = make_grid(net, h=0.05)
-    op = assemble_step_operator(net, K, grid, 0.8, 0.02)
-
-    rng = np.random.default_rng(2)
-    state = new_state(
-        grid, [rng.uniform(0.0, 1.0, n + 1) for n in grid.cells], 0.0
-    )
-    x = to_march_order(state.flat)
-    step(x, op)
-    nxt = to_grid_order(x)
-    # outer values persist through the identity rows
-    assert nxt[0] == pytest.approx(state.values[0][0])
-    assert nxt[-1] == pytest.approx(state.values[1][-1])
-    # node rows are solved exactly, so the junction flux balances
-    assert abs(flux_residual(x, op)) <= 1e-12
-    assert node_defect(x, op) <= 1e-12
-
-
 def blowup_operator(op):
     """op with every right-hand-side scale infinite: its step meets the cut
     rows' zero couplings as 0 * inf and leaves NaN behind."""
@@ -164,9 +148,7 @@ def blowup_operator(op):
 
 
 def test_step_rejects_wrong_size_only():
-    net, K = small_pair()
-    grid = make_grid(net, h=0.25)
-    op = assemble_step_operator(net, K, grid, 0.8, 0.1)
+    net, _, op, _ = ten_point_step()
     finer = make_grid(net, h=0.125)
     with pytest.raises(LinearSolveFailure, match="operator expects 10"):
         step(np.ones(finer.offsets[-1]), op)
@@ -203,7 +185,8 @@ def test_blowup_stops_both_marches(monkeypatch):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "overflow"])
 def test_march_rejects_every_non_finite_state(monkeypatch, bad):
     """NaN and -inf show in the recorded minimum, +inf in the L1 norm, and
-    so does an L1 sum that overflows on finite values."""
+    so does an L1 sum that overflows on finite values, with no warning on
+    the way."""
     marched = evolve.step
 
     def spoil(x, op):
@@ -218,7 +201,7 @@ def test_march_rejects_every_non_finite_state(monkeypatch, bad):
     zero = PiecewiseConstantField.constant(net, [0.0, 0.0])
     cfg = SolverConfig(epsilon=0.4, T=0.05)
     with warnings.catch_warnings():
-        warnings.simplefilter("error" if bad != "overflow" else "ignore")
+        warnings.simplefilter("error")
         with pytest.raises(LinearSolveFailure, match="non-finite"):
             solve_parabolic(net, K, zero, [0.0, 0.0], cfg)
 
@@ -235,23 +218,15 @@ def test_solve_parabolic_rejects_a_state_from_another_grid():
 def test_march_outputs_are_read_only_states_of_their_own():
     """step overwrites its vector in place; the states the march and the
     steady solve hand out are read-only and share no memory."""
-    net, K = small_pair()
-    grid = make_grid(net, h=0.25)
-    op = assemble_step_operator(net, K, grid, 0.8, 0.1)
+    net, K, op, _ = ten_point_step()
     x = np.linspace(0.0, 1.0, op.size)
     before = x.copy()
     assert step(x, op) is None
     assert x.tobytes() != before.tobytes()
 
-    pulse = PiecewiseConstantField(
-        (
-            ArcProfile.from_lists(1.0, [0.3, 0.6], [0.0, 1.0, 0.0]),
-            ArcProfile.from_lists(1.0, [], [0.0]),
-        )
-    )
-    traj = solve_parabolic(net, K, pulse, [0.0, 0.0], SolverConfig(epsilon=0.8, T=0.05))
-    steady = march_to_steady(net, K, grid, 0.8, ResolventProblem.build(0.1, pulse, [0.5, 0.0]))
-    for state, g in ((traj.initial, traj.grid), (traj.final, traj.grid), (steady, grid)):
+    traj = solve_parabolic(net, K, PULSE, [0.0, 0.0], SolverConfig(epsilon=0.8, T=0.05))
+    steady = march_to_steady(net, K, op.grid, 0.8, ResolventProblem.build(0.1, PULSE, [0.5, 0.0]))
+    for state, g in ((traj.initial, traj.grid), (traj.final, traj.grid), (steady, op.grid)):
         assert not state.flat.flags.writeable
         assert state.bounds == g.offsets
     assert not np.shares_memory(traj.initial.flat, traj.final.flat)
@@ -259,9 +234,7 @@ def test_march_outputs_are_read_only_states_of_their_own():
 
 def test_flux_residual_of_constant_state():
     """All-ones state: imbalance is the speed difference across the node."""
-    net, K = small_pair()
-    grid = make_grid(net, h=0.25)
-    op = assemble_step_operator(net, K, grid, 0.8, 0.1)
+    op = ten_point_step()[2]
     assert flux_residual(np.ones(op.size), op) == pytest.approx(1.0 - 2.0)
 
 
@@ -317,14 +290,8 @@ def test_positivity_random_states():
 def test_solve_parabolic_zero_boundary_pulse_contracts():
     """Compactly supported pulse with zero inflow: L1 norm never grows."""
     net, K = small_pair()
-    u0 = PiecewiseConstantField(
-        (
-            ArcProfile.from_lists(1.0, [0.3, 0.6], [0.0, 1.0, 0.0]),
-            ArcProfile.from_lists(1.0, [], [0.0]),
-        )
-    )
     cfg = SolverConfig(epsilon=0.4, T=0.5, dt=0.01)
-    traj = solve_parabolic(net, K, u0, [0.0, 0.0], cfg)
+    traj = solve_parabolic(net, K, PULSE, [0.0, 0.0], cfg)
     norms = traj.diagnostics[:, 1]
     assert np.max(np.diff(norms)) <= 1e-10
     assert norms[0] > norms[-1]
@@ -369,40 +336,28 @@ def test_march_starts_from_the_sampled_data_with_inflow_and_node_values_set(seed
     K = random_coupling(rng, net)
     u0 = resolvent_forcing_field(net, rng)
     B = rng.uniform(0.0, 2.0, m)
+    eps = float(rng.uniform(0.3, 1.0))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        traj = solve_parabolic(net, K, u0, B, SolverConfig(float(rng.uniform(0.3, 1.0)), 0.02))
+        traj = solve_parabolic(net, K, u0, B, SolverConfig(eps, 0.02))
     grid, start = traj.grid, traj.initial.flat
+    ref = ReferenceStep(net, K, grid, eps, traj.operator.dt)
 
-    incoming = np.array([arc.incoming for arc in net.arcs])
-    first = np.asarray(grid.offsets[:-1])
-    node = first + np.where(incoming, grid.cells, 0)
-    inflow = first[incoming]
+    incoming = ref.beta > 0.0
+    inflow = ref.outer[incoming]
     data = sample_on_grid(u0.arcs, grid).flat.copy()
     assert start[inflow].tobytes() == B[incoming].tobytes()
     data[inflow] = B[incoming]
     moved = np.flatnonzero(start != data)
-    assert set(moved.tolist()) <= set(node.tolist())
+    assert set(moved.tolist()) <= set(ref.node.tolist())
 
-    node_rows = traj.operator.matrix.toarray()[node]
+    node_rows = ref.matrix[ref.node]
     rounding = 8 * np.finfo(float).eps * (np.abs(node_rows) @ np.abs(start))
     assert (np.abs(node_rows @ start) <= rounding).all()
     defect = float(np.max(np.abs(node_rows @ data)))
     warned = [str(w.message) for w in caught if "initial data violates" in str(w.message)]
     assert warned == ([f"initial data violates the discrete node conditions by {defect:.3e}"]
                       if defect > 1e-8 else [])
-
-
-def loop_flux_residual(state, net, grid, eps):
-    """Reference: one-sided junction fluxes arc by arc, summed in arc order."""
-    total = 0.0
-    for i, arc in enumerate(net.arcs):
-        vals, h = state.values[i], grid.spacings[i]
-        if arc.incoming:
-            total += arc.speed * vals[-1] - eps * ((vals[-1] - vals[-2]) / h)
-        else:
-            total -= arc.speed * vals[0] - eps * ((vals[1] - vals[0]) / h)
-    return total
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -429,7 +384,7 @@ def test_node_conditions_hold_after_projection_and_step(seed, m):
         grid, [rng.uniform(0.0, top, n + 1) for n in grid.cells], 0.0
     )
     x = to_march_order(state.flat)
-    assert flux_residual(x, op) == loop_flux_residual(state, net, grid, eps)
+    assert flux_residual(x, op) == ReferenceStep(net, K, grid, eps, 0.01).flux_residual(state.flat)
     stencil.project(x)
     assert node_defect(x, op) <= tol
     assert abs(flux_residual(x, op)) <= tol
@@ -439,6 +394,19 @@ def test_node_conditions_hold_after_projection_and_step(seed, m):
     assert abs(flux_residual(x, op)) <= tol
 
 
+def pairwise_depth(n):
+    """Most roundings a term meets in numpy's pairwise sum of n terms
+    (pairwise_sum in numpy's loops_utils.h.src): one by one below 8; to
+    128, 8 running sums of every 8th term added in 3 levels, then the
+    n % 8 left; above, two halves cut at a multiple of 8."""
+    if n < 8:
+        return n
+    if n <= 128:
+        return n // 8 + 2 + n % 8
+    half = n // 2 - (n // 2) % 8
+    return 1 + max(pairwise_depth(half), pairwise_depth(n - half))
+
+
 @pytest.mark.filterwarnings("ignore:initial data violates")
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 8))
@@ -446,9 +414,16 @@ def test_march_diagnostics_match_per_arc_formulas(seed, m):
     """Every diagnostics row, recomputed arc by arc from its state.
 
     The states come from advance, one step at a time, and must match the
-    march's vector bit for bit. The march sums the trapezoid L1 norm as
-    one weighted sum in march order, which regroups the per-arc sums, so
-    it may differ in the last bits. Everything else is exact.
+    march's vector bit for bit. All but the L1 norm is exact: the march
+    sums it over all n points at once, the per-arc formula regroups it.
+    Both add nonnegative terms, so each is off by at most d*u*S to first
+    order, S the exact sum, u = eps/2 and d the most roundings one term
+    meets (Higham, Accuracy and Stability of Numerical Algorithms, sec.
+    4.2). In the march: the product w*|u|, pairwise_depth(n) and the add
+    to the reduction's start. Per arc: pairwise_depth(cells - 1), the two
+    end halves, the product with h and m adds over the arcs. Allowing eps
+    per rounding covers the higher-order terms and per_arc standing in
+    for S.
     """
     rng = np.random.default_rng(seed)
     net = random_network(rng, m_min=m, m_max=m)
@@ -459,6 +434,9 @@ def test_march_diagnostics_match_per_arc_formulas(seed, m):
     cfg = SolverConfig(epsilon=eps, T=0.05)
     traj = solve_parabolic(net, K, u0, B, cfg)
     grid = traj.grid
+    ref = ReferenceStep(net, K, grid, eps, traj.operator.dt)
+    roundings = pairwise_depth(grid.offsets[-1]) + 2
+    roundings += max(pairwise_depth(n - 1) for n in grid.cells) + 3 + m
 
     # re-march the recorded start on the recorded operator, one state at a time
     state = traj.initial
@@ -467,14 +445,13 @@ def test_march_diagnostics_match_per_arc_formulas(seed, m):
             state = advance(state, traj.operator)
         assert t == state.t
         assert low == min(float(np.min(v)) for v in state.values)
-        assert flux == loop_flux_residual(state, net, grid, eps)
-        ends = [v[-1] if arc.incoming else v[0] for arc, v in zip(net.arcs, state.values)]
-        assert traj.node_history[k].tolist() == ends
+        assert flux == ref.flux_residual(state.flat)
+        assert traj.node_history[k].tolist() == state.flat[ref.node].tolist()
         per_arc = 0.0
         for vals, h in zip(state.values, grid.spacings):
             a = np.abs(vals)
             per_arc += h * (0.5 * a[0] + np.sum(a[1:-1]) + 0.5 * a[-1])
-        assert abs(l1 - per_arc) <= 4 * np.finfo(float).eps * per_arc
+        assert abs(l1 - per_arc) <= roundings * np.finfo(float).eps * per_arc
     assert state.t == traj.final.t
     assert state.flat.tobytes() == traj.final.flat.tobytes()
 
@@ -498,8 +475,8 @@ def test_outer_values_persist_bitwise(seed, m):
     assert x[outer].tolist() == before[outer].tolist()
 
     B = rng.uniform(0.0, 2.0, net.m)
+    before[outer] = B
     flat = to_grid_order(before)
-    flat[grid_positions(op, outer)] = B
     u0 = new_state(grid, [flat[a:b] for a, b in zip(grid.offsets, grid.offsets[1:])])
     traj = solve_parabolic(net, K, u0, B, SolverConfig(eps, 0.05, 0.01, h_rule))
     assert traj.diagnostics.shape[0] > 2
@@ -544,7 +521,7 @@ def reduction_levels(lu):
 def random_star_operator(seed, m, coarse, odd_total, depth=1):
     """Step operator of a random m-arc star with the given point-total
     parity, its tridiagonal reduced depth times (fewer on the smallest
-    coarse stars, see reduction_depth).
+    coarse stars, see reduction_depth), and its ReferenceStep.
 
     coarse puts MIN_CELLS cells on every arc but possibly one. Random
     step sizes, up to the steady solve's step lengths theta, make the
@@ -563,7 +540,7 @@ def random_star_operator(seed, m, coarse, odd_total, depth=1):
     with reduction_depth(grid.offsets[-1], depth) as levels:
         op = assemble_step_operator(net, K, grid, eps, dt)
     assert len(reduction_levels(op.lu.arcs)) == levels
-    return rng, op
+    return rng, op, ReferenceStep(net, K, grid, eps, dt)
 
 
 star_draws = given(
@@ -578,28 +555,43 @@ star_draws = given(
 @pytest.mark.filterwarnings("ignore::starflux.UnstableConfig")
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @star_draws
+def test_step_matrix_view_equals_the_reference(seed, m, coarse, odd_total, depth):
+    """The library's grid-order view of the step, entry for entry, and its
+    junction points, inner neighbours, outer ends and right-hand-side
+    scale, are the reference step's. The view stores three entries per
+    interior point, one per outer end and the node rows' entries."""
+    _, op, ref = random_star_operator(seed, m, coarse, odd_total, depth)
+    view = op.matrix
+    assert (view.toarray() == ref.matrix).all()
+    assert to_grid_order(op.rhs_scale).tobytes() == ref.rhs_scale.tobytes()
+    s = op.lu.stencil
+    ends = np.concatenate([ref.node, ref.inner, ref.outer])
+    assert march_index(ends, op.size).tolist() == [*s.node, *s.inner, *op.lu.outer]
+    block_nnz = np.count_nonzero((s.block != 0.0) | np.eye(m, dtype=bool))
+    assert view.nnz == 3 * (op.size - 2 * m) + m + block_nnz + m
+
+
+@pytest.mark.filterwarnings("ignore::starflux.UnstableConfig")
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@star_draws
 def test_arc_junction_lu_matches_dense_solve(seed, m, coarse, odd_total, depth):
-    """op.lu.solve and step, in march order, against dense solves of
-    op.matrix at both parities and one to three reduction levels;
+    """op.lu.solve and step, in march order, against dense solves of the
+    reference step at both parities and one to three reduction levels;
     gathering into march order and scattering back, and the outer values
-    through a step, are exact. The matrix view's node rows are the
-    stencil's, and it stores three entries per interior point, one per
-    outer end and the node rows' entries."""
-    rng, op = random_star_operator(seed, m, coarse, odd_total, depth)
+    through a step, are exact. The stencil's node-row defect is the
+    reference's node rows."""
+    rng, op, ref = random_star_operator(seed, m, coarse, odd_total, depth)
     assert op.size % 2 == odd_total
     # the cut boundary rows leave nothing for dgttrf to pivot
     dl, d, du, du2, ipiv = reduction_levels(op.lu.arcs)[-1].reduced
     assert ipiv.tolist() == list(range(1, d.size + 1))
-    matrix = op.matrix.toarray()
+    matrix = ref.matrix
 
-    stencil = op.lu.stencil
     state = rng.normal(size=op.size)
-    node_rows = matrix[grid_positions(op, stencil.node)]
+    node_rows = matrix[ref.node]
     rounding = 8 * np.finfo(float).eps * (np.abs(node_rows) @ np.abs(state))
-    defect = stencil.defect(to_march_order(state))
+    defect = op.lu.stencil.defect(to_march_order(state))
     assert (np.abs(node_rows @ state - defect) <= rounding).all()
-    block_nnz = np.count_nonzero((stencil.block != 0.0) | np.eye(m, dtype=bool))
-    assert op.matrix.nnz == 3 * (op.size - 2 * m) + m + block_nnz + m
 
     rhs = rng.normal(size=op.size)
     expected = np.linalg.solve(matrix, rhs)
@@ -615,32 +607,18 @@ def test_arc_junction_lu_matches_dense_solve(seed, m, coarse, odd_total, depth):
     assert to_grid_order(x).tobytes() == flat.tobytes()
     k = np.arange(op.size)
     assert x[march_index(k, op.size)].tobytes() == flat.tobytes()
-    expected = np.linalg.solve(matrix, to_grid_order(op.rhs_scale) * flat)
+    expected = np.linalg.solve(matrix, ref.rhs_scale * flat)
     step(x, op)
     got = to_grid_order(x)
     np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-10 * np.max(np.abs(expected)))
-    outer = grid_positions(op, op.lu.outer)
-    assert got[outer].tobytes() == flat[outer].tobytes()
+    assert got[ref.outer].tobytes() == flat[ref.outer].tobytes()
 
 
-def test_dgttrs_overwrites_the_even_half_in_place():
-    """The step hands dgttrs the contiguous even half of its vector; the
-    solve must come back in that very slice, not in a copy."""
-    net, K = small_pair()
-    op = assemble_step_operator(net, K, make_grid(net, h=0.05), 0.8, 0.02)
-    x = np.linspace(1.0, 2.0, op.size)
-    even = x[: (op.size + 1) // 2]
-    before = even.copy()
-    g, info = dgttrs(*op.lu.arcs.reduced, even, overwrite_b=True)
-    assert info == 0 and g is even
-    assert even.tobytes() != before.tobytes()
-
-
-def cut_tridiagonal(op):
-    """The step matrix's three bands with the node and outer rows and
-    columns replaced by unit rows, as a dense array."""
-    tri = np.triu(np.tril(op.matrix.toarray(), 1), -1)
-    cut = grid_positions(op, np.concatenate([op.lu.stencil.node, op.lu.outer]))
+def cut_tridiagonal(ref):
+    """The reference step matrix's three bands with the node and outer rows
+    and columns replaced by unit rows, as a dense array."""
+    tri = np.triu(np.tril(ref.matrix, 1), -1)
+    cut = np.concatenate([ref.node, ref.outer])
     tri[cut, :] = 0.0
     tri[:, cut] = 0.0
     tri[cut, cut] = 1.0
@@ -659,8 +637,8 @@ def test_reduced_system_is_diagonally_dominant(seed, m, coarse, odd_total, depth
     dominant by rows and by columns, and the stored factors of the last
     are its LU factors without row exchanges.
     """
-    _, op = random_star_operator(seed, m, coarse, odd_total, depth)
-    schur = cut_tridiagonal(op)
+    _, op, ref = random_star_operator(seed, m, coarse, odd_total, depth)
+    schur = cut_tridiagonal(ref)
     even, odd = slice(0, None, 2), slice(1, None, 2)
     for level in reduction_levels(op.lu.arcs):
         tri = schur
@@ -689,7 +667,7 @@ def test_junction_responses_are_single_arc_solves(seed, m, coarse, odd_total, de
     """The responses, solved as one (n, m) block, equal m single solves bit
     for bit: steps and responses share one solve path, in march order,
     at every reduction depth."""
-    _, op = random_star_operator(seed, m, coarse, odd_total, depth)
+    _, op, _ = random_star_operator(seed, m, coarse, odd_total, depth)
     lu, (lower, _, upper) = op.lu, op.bands
     # an incoming arc's inner point reads the node as its right neighbour
     inner_coef = np.where(lu.stencil.beta > 0.0, upper, lower)
@@ -702,17 +680,6 @@ def test_junction_responses_are_single_arc_solves(seed, m, coarse, odd_total, de
         rest = np.ones(op.size, dtype=bool)
         rest[lu.window[mine]] = False
         assert (np.abs(pull[rest]) < RESPONSE_CUTOFF).all()
-
-
-def sequential_residual(x, stencil):
-    """sum_i beta_i * F_i from numpy arrays of the fluxes, summed in arc order."""
-    u = x[stencil.node]
-    du = (u - x[stencil.inner]) / stencil.h
-    flux = stencil.speed * u - stencil.epsilon * stencil.beta * du
-    total = 0.0
-    for term in (stencil.beta * flux).tolist():
-        total += term
-    return total
 
 
 @pytest.mark.filterwarnings("ignore:initial data violates")
@@ -737,30 +704,28 @@ def test_march_equals_a_plain_step_loop(seed, m, coarse, odd_total, depth):
             traj = solve_parabolic(net, K, u0, B, SolverConfig(eps, 0.05, h_rule=h_rule))
     op = traj.operator
     assert len(reduction_levels(op.lu.arcs)) == levels
-    stencil = op.lu.stencil
+    ref = ReferenceStep(net, K, grid, eps, op.dt)
 
     # the first row reads the start state in grid order, every later one the vector
     start = traj.initial.flat
     x = to_march_order(start)
     weights = to_march_order(grid.weights)
     t = traj.initial.t
-    rows = [(t, weighted_l1(start, grid.weights), float(np.min(start)),
-             sequential_residual(x, stencil))]
-    nodes = [x[stencil.node]]
+    rows = [(t, weighted_l1(start, grid.weights), float(np.min(start)), ref.flux_residual(start))]
+    nodes = [start[ref.node]]
     for _ in range(traj.diagnostics.shape[0] - 1):
         step(x, op)
         t += op.dt
-        rows.append((t, weighted_l1(x, weights), float(np.min(x)), sequential_residual(x, stencil)))
-        nodes.append(x[stencil.node])
+        flat = to_grid_order(x)
+        rows.append((t, weighted_l1(x, weights), float(np.min(x)), ref.flux_residual(flat)))
+        nodes.append(flat[ref.node])
     assert traj.diagnostics.tobytes() == np.asarray(rows).tobytes()
     assert traj.node_history.tobytes() == np.asarray(nodes).tobytes()
     assert traj.final.flat.tobytes() == to_grid_order(x).tobytes()
 
 
 def test_arc_junction_lu_rejects_singular_systems():
-    net, K = small_pair()
-    grid = make_grid(net, h=0.25)
-    op = assemble_step_operator(net, K, grid, 0.8, 0.1)
+    op = ten_point_step()[2]
     # a zero diagonal on arc 0 (grid rows 1-3) leaves its first interior
     # row, eliminated by the reduction, an exactly zero pivot
     lower, diag, upper = op.bands
@@ -778,9 +743,7 @@ def test_zero_pivot_names_its_row_of_the_full_system(column):
     """Zeroing interior column c of the cut tridiagonal leaves a zero
     pivot in 1-based row c + 1, whether that row is eliminated (odd c)
     or kept in the reduced system."""
-    net, K = small_pair()
-    grid = make_grid(net, h=0.25)
-    tri = cut_tridiagonal(assemble_step_operator(net, K, grid, 0.8, 0.1))
+    tri = cut_tridiagonal(ten_point_step()[3])
     tri[:, column] = 0.0
     with pytest.raises(LinearSolveFailure, match=f"zero pivot in row {column + 1}$"):
         OddEvenLU.factor(np.diag(tri, -1), np.diag(tri), np.diag(tri, 1))
@@ -794,7 +757,7 @@ def test_zero_pivot_names_its_row_at_any_depth(depth, column):
     and the message still names that row of the full system."""
     net, K = small_pair()
     grid = make_grid(net, h=0.125)
-    tri = cut_tridiagonal(assemble_step_operator(net, K, grid, 0.8, 0.1))
+    tri = cut_tridiagonal(ReferenceStep(net, K, grid, 0.8, 0.1))
     tri[:, column] = 0.0
     with reduction_depth(tri.shape[0], depth) as levels:
         assert levels == depth
@@ -859,7 +822,7 @@ def test_zero_pivot_names_its_row_in_every_size(n):
 def test_nnz_counts_every_level(depth):
     """nnz adds each level's five coefficient vectors, 3 n_odd + 2 n_even
     - 2 entries for n rows, to dgttrf's four bands of the last system."""
-    _, op = random_star_operator(7, 3, False, True, depth)
+    _, op, _ = random_star_operator(7, 3, False, True, depth)
     assert len(reduction_levels(op.lu.arcs)) == depth
     rows, expected = op.size, 0
     for _ in range(depth):
@@ -874,7 +837,7 @@ def test_nnz_counts_every_level(depth):
 def test_bottom_dgttrs_overwrites_its_buffer_in_place(depth):
     """However deep the reduction, the one dgttrs of a step solves its
     contiguous buffer in place and no copy is written back."""
-    _, op = random_star_operator(11, 4, False, False, depth)
+    _, op, ref = random_star_operator(11, 4, False, False, depth)
     levels = reduction_levels(op.lu.arcs)
     assert len(levels) == depth
     bottom = levels[-1].reduced[1].size
@@ -887,7 +850,7 @@ def test_bottom_dgttrs_overwrites_its_buffer_in_place(depth):
         return g, info
 
     x = np.linspace(1.0, 2.0, op.size)
-    expected = np.linalg.solve(op.matrix.toarray(), to_grid_order(x))
+    expected = np.linalg.solve(ref.matrix, to_grid_order(x))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(scheme, "dgttrs", spy)
         op.lu.solve(x)
@@ -913,15 +876,9 @@ def test_march_builds_no_sparse_matrix(monkeypatch):
     grid = make_grid(net, h=0.05)
     op = assemble_step_operator(net, K, grid, 0.8, 0.02)
     assert node_defect(np.linspace(0.0, 1.0, op.size), op) > 0.0
-    pulse = PiecewiseConstantField(
-        (
-            ArcProfile.from_lists(1.0, [0.3, 0.6], [0.0, 1.0, 0.0]),
-            ArcProfile.from_lists(1.0, [], [0.0]),
-        )
-    )
-    traj = solve_parabolic(net, K, pulse, [0.0, 0.0], SolverConfig(epsilon=0.4, T=0.05))
+    traj = solve_parabolic(net, K, PULSE, [0.0, 0.0], SolverConfig(epsilon=0.4, T=0.05))
     assert traj.diagnostics.shape[0] > 2
-    prob = ResolventProblem.build(1.0, pulse, [0.5, 0.0])
+    prob = ResolventProblem.build(1.0, PULSE, [0.5, 0.0])
     steady = march_to_steady(net, K, grid, 0.8, prob)
     assert np.isfinite(steady.flat).all()
     with pytest.raises(AssertionError, match="sparse matrix was built"):

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    ReferenceStep,
     cell_averages,
     cross_ones_coupling,
     random_coupling,
@@ -28,7 +29,6 @@ from starflux import (
     solve_resolvent,
 )
 from starflux.grids import average_on_grid, new_state
-from starflux.network import alpha_from_k
 from starflux.parabolic import resolvent
 from starflux.parabolic.resolvent import (
     RESIDUAL_SAMPLES,
@@ -215,50 +215,28 @@ def steady_star(seed, m):
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 8))
 @example(seed=172, m=6)
 def test_march_to_steady_solves_the_discrete_steady_equations(seed, m):
-    """The steady state, substituted into the stencil written out here.
-
-    Along each arc's direction of travel the interior rows read
-    (u_k - f_k)/theta + speed*(u_k - u_{k-1})/h
-    - eps*(u_{k+1} - 2u_k + u_{k-1})/h^2 = 0, f_k the forcing's mean
-    over [x_k - h/2, x_k + h/2], the node rows
-    alpha[i] @ u_node = beta_i * F_i with the one-sided viscous flux
-    F_i, and the outer values equal the boundary exactly. Each residual
-    is measured against the sum of its terms' sizes. Seed 172 with
-    m = 6 is a star whose discrete steady state grows to about 6e2.
+    """The steady state solves the reference step of length theta, A @ u =
+    rhs_scale * x0, from x0 the forcing's mean over each point's cell
+    [x - h/2, x + h/2] with the boundary values at the outer ends; the
+    outer values equal the boundary exactly. Each row's residual is
+    measured against |A| @ |u| + |rhs|, the sum of its terms' sizes.
+    Seed 172 with m = 6 is a star whose discrete steady state grows to
+    about 6e2.
     """
     net, K, eps, theta, f, boundary = steady_star(seed, m)
     grid = make_grid(net, h=eps / 8.0)
-    state = march_to_steady(net, K, grid, eps, ResolventProblem.build(theta, f, boundary))
-    assert state.t == theta
+    u = march_to_steady(net, K, grid, eps, ResolventProblem.build(theta, f, boundary))
+    assert u.t == theta
 
-    alpha = alpha_from_k(K)
-    u_node, u_inner, outer = [], [], []
-    for arc, u, h in zip(net.arcs, state.values, grid.spacings):
-        fk = cell_averages(f.arcs[arc.id], grid.nodes(arc.id), h)[1:-1]
-        left, mid, right = u[:-2], u[1:-1], u[2:]
-        terms = [
-            (mid - fk) / theta,
-            arc.speed * mid / h,
-            -arc.speed * left / h,
-            -eps * right / h**2,
-            2.0 * eps * mid / h**2,
-            -eps * left / h**2,
-        ]
-        resid = np.abs(sum(terms))
-        assert np.all(resid <= 1e-12 * sum(np.abs(t) for t in terms)), arc.id
-        u_node.append(u[-1] if arc.incoming else u[0])
-        u_inner.append(u[-2] if arc.incoming else u[1])
-        outer.append(u[0] if arc.incoming else u[-1])
-    assert outer == boundary.tolist()
-
-    u_node, u_inner = np.array(u_node), np.array(u_inner)
-    beta = np.array([1.0 if arc.incoming else -1.0 for arc in net.arcs])
-    speed, h = net.speeds(), np.array(grid.spacings)
-    flux = speed * u_node - eps * beta * (u_node - u_inner) / h
-    resid = np.abs(alpha @ u_node - beta * flux)
-    scale = np.abs(alpha) @ np.abs(u_node) + speed * np.abs(u_node)
-    scale += eps * (np.abs(u_node) + np.abs(u_inner)) / h
-    assert np.all(resid <= 1e-12 * scale)
+    ref = ReferenceStep(net, K, grid, eps, theta)
+    assert u.flat[ref.outer].tolist() == boundary.tolist()
+    x0 = np.concatenate(
+        [cell_averages(p, grid.nodes(i), h) for i, (p, h) in enumerate(zip(f.arcs, grid.spacings))]
+    )
+    x0[ref.outer] = boundary
+    rhs = ref.rhs_scale * x0
+    resid = np.abs(ref.matrix @ u.flat - rhs)
+    assert np.all(resid <= 1e-12 * (np.abs(ref.matrix) @ np.abs(u.flat) + np.abs(rhs)))
 
 
 def test_evaluation_is_confined_to_the_arcs():
