@@ -6,47 +6,24 @@ For a fixed 2-in/2-out network, one run per viscosity level:
   to T, solve the zero-viscosity problem exactly, and measure the L1
   gap at the final time plus the gap between junction traces over time.
 
-Halving epsilon four times should drive the final-time error down
-monotonically. The report arrives as CSV because that is exactly what
-the command line front end emits; the last two columns double as health
-checks (junction flux residual, positivity floor).
+The network, data and viscosity ladder are the checked-in documents in
+experiments/pinned_sweep/, the ones `starflux converge --config
+experiments/pinned_sweep/experiment.json` reads. Halving epsilon three
+times should drive the final-time error down monotonically. The report
+arrives as CSV because that is exactly what the command line front end
+emits; the last two columns double as health checks (junction flux
+residual, positivity floor).
 """
 
 from __future__ import annotations
 
-from starflux import (
-    ArcProfile,
-    CouplingMatrix,
-    ExperimentSpec,
-    PiecewiseConstantField,
-    build_network,
-    run_convergence,
-)
+from pathlib import Path
 
-net = build_network(
-    [(1.0, 1.0, "in"), (1.0, 2.0, "in"), (1.0, 1.0, "out"), (1.0, 2.0, "out")]
-)
-K = [[0.0, 0.0, 1.0, 1.0],
-     [0.0, 0.0, 1.0, 1.0],
-     [1.0, 1.0, 0.0, 0.0],
-     [1.0, 1.0, 0.0, 0.0]]
-u0 = PiecewiseConstantField(
-    (
-        ArcProfile.from_lists(1.0, [0.35], [1.0, 0.0]),
-        ArcProfile.from_lists(1.0, [], [0.0]),
-        ArcProfile.from_lists(1.0, [], [0.0]),
-        ArcProfile.from_lists(1.0, [], [0.0]),
-    )
-)
-spec = ExperimentSpec(
-    net=net,
-    K=CouplingMatrix.from_array(K, net),
-    u0=u0,
-    B=(1.0, 0.0, 0.0, 0.0),
-    epsilons=(0.08, 0.04, 0.02, 0.01),
-    T=0.5,
-    h_rule=8.0,
-)
+from starflux import run_convergence
+from starflux.harness import load_experiment_spec
+
+experiment = Path(__file__).resolve().parents[1] / "experiments" / "pinned_sweep"
+spec = load_experiment_spec(experiment / "experiment.json")
 
 report = run_convergence(spec)
 print(report.csv())

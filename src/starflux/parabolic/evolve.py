@@ -125,7 +125,9 @@ def solve_parabolic(
     found through the diagnostics about to be recorded: a NaN or -inf
     makes the minimum non-finite and a +inf the L1 norm. An L1 sum that
     overflows on finite values counts as well, and raises the same error
-    without numpy's overflow warning.
+    without numpy's overflow warning. So does finite data too large to
+    start from: a projection or start L1 norm that overflows raises
+    LinearSolveFailure, with no warning either.
     """
     grid = make_grid(net, epsilon=cfg.epsilon, rule_constant=cfg.h_rule)
     bvals = finite_values(B, net.m)
@@ -145,27 +147,29 @@ def solve_parabolic(
     x, t = _initial_values(u0_eps, grid, net)
     inflow = list(net.incoming_ids)
     x[op.lu.outer[inflow]] = bvals[inflow]
-    defect = float(np.max(np.abs(stencil.defect(x))))
-    if defect > COMPATIBILITY_WARN_TOL:
-        warnings.warn(
-            f"initial data violates the discrete node conditions by "
-            f"{defect:.3e}",
-            UserWarning,
-        )
-    stencil.project(x)
-    initial = adopt_state(grid, to_grid_order(x), t)
-
-    # the first row reads the grid-order start state, every later one the vector
-    diag_rows = [
-        (t, discrete_l1_norm(initial, grid), initial.min_value(), flux_residual(x, op))
-    ]
     weights = to_march_order(grid.weights)
     scratch = np.empty_like(weights)
     node, inner = stencil.node, stencil.inner
-    node_rows = [x[node]]
-    # one errstate for the whole loop: an L1 sum that overflows on finite
-    # values reads +inf, quietly, and fails the check below
-    with np.errstate(over="ignore"):
+    # one errstate for the start and the whole loop: a sum or product that
+    # overflows on finite values reads inf or NaN, quietly, and fails the
+    # projection's check or a row's check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = float(np.max(np.abs(stencil.defect(x))))
+        if defect > COMPATIBILITY_WARN_TOL:
+            warnings.warn(
+                f"initial data violates the discrete node conditions by "
+                f"{defect:.3e}",
+                UserWarning,
+            )
+        stencil.project(x)
+        initial = adopt_state(grid, to_grid_order(x), t)
+
+        # the first row reads the grid-order start state, every later one the vector
+        l1, lowest = discrete_l1_norm(initial, grid), initial.min_value()
+        if not l1 < math.inf:
+            raise LinearSolveFailure("start state has a non-finite L1 norm")
+        diag_rows = [(t, l1, lowest, flux_residual(x, op))]
+        node_rows = [x[node]]
         for _ in range(n_steps):
             step(x, op)
             t += op.dt

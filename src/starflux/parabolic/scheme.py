@@ -410,7 +410,6 @@ class StepOperator:
 
     bands: tuple[np.ndarray, np.ndarray, np.ndarray]
     lu: ArcJunctionLU
-    grid: Grid
     dt: float
     rhs_scale: np.ndarray
 
@@ -475,7 +474,7 @@ def assemble_step_operator(
     rhs_scale = np.full(size, 1.0 / dt)
     rhs_scale[lu.outer] = 1.0
     rhs_scale[stencil.node] = 0.0
-    return StepOperator(bands=bands, lu=lu, grid=grid, dt=dt, rhs_scale=rhs_scale)
+    return StepOperator(bands=bands, lu=lu, dt=dt, rhs_scale=rhs_scale)
 
 
 def step(x: np.ndarray, op: StepOperator) -> None:

@@ -1,15 +1,20 @@
-"""Shared builders for networks and admissible couplings, and the
-reference implicit step."""
+"""Shared builders for networks and admissible couplings, the reference
+implicit step, and where the checked-in experiments live."""
 
 from __future__ import annotations
 
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 
 from starflux import CouplingMatrix, build_network
 from starflux.grids import Grid
 from starflux.network import StarNetwork, alpha_from_k
+
+ROOT = Path(__file__).resolve().parents[1]
+#: the checked-in sweeps, one directory of JSON documents each
+EXPERIMENTS = ROOT / "experiments"
 
 
 def simple_star(

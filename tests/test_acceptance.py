@@ -9,15 +9,15 @@ from __future__ import annotations
 
 import time
 import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
-from conftest import cross_ones_coupling, random_coupling, random_network, simple_star
+from conftest import EXPERIMENTS, cross_ones_coupling, random_coupling, random_network, simple_star
 from starflux import (
     ArcProfile,
     CouplingMatrix,
-    ExperimentSpec,
     PiecewiseConstantField,
     ProportionalTarget,
     ResolventProblem,
@@ -39,11 +39,12 @@ from starflux import (
     solve_resolvent,
     two_out_gamma_matrix,
 )
+from starflux.harness import load_experiment_spec
 
 
 def _report(index: int, label: str, failures: list[str], detail: str) -> None:
     status = "PASS" if not failures else "FAIL"
-    print(f"[{index:2d}/10] {label}: {status} ({detail})")
+    print(f"[{index:2d}/12] {label}: {status} ({detail})")
     assert not failures, f"{label}: " + "; ".join(failures)
 
 
@@ -121,31 +122,18 @@ def pulse_run():
     return solve_parabolic(net, K, pulse, [0.0, 0.0], cfg)
 
 
+def run_experiment(name: str):
+    """A checked-in experiment's plan, its sweep report and its run time."""
+    spec = load_experiment_spec(EXPERIMENTS / name / "experiment.json")
+    start = time.perf_counter()
+    report = run_convergence(spec)
+    return spec, report, time.perf_counter() - start
+
+
 @pytest.fixture(scope="module")
 def viscosity_sweep():
     """The pinned 2-in/2-out sweep against the characteristics oracle."""
-    net = simple_star([1.0, 2.0], [1.0, 2.0])
-    K = cross_ones_coupling(net)
-    u0 = PiecewiseConstantField(
-        (
-            ArcProfile.from_lists(1.0, [0.35], [1.0, 0.0]),
-            ArcProfile.from_lists(1.0, [], [0.0]),
-            ArcProfile.from_lists(1.0, [], [0.0]),
-            ArcProfile.from_lists(1.0, [], [0.0]),
-        )
-    )
-    spec = ExperimentSpec(
-        net=net,
-        K=K,
-        u0=u0,
-        B=(1.0, 0.0, 0.0, 0.0),
-        epsilons=(0.08, 0.04, 0.02, 0.01),
-        T=0.5,
-        h_rule=8.0,
-    )
-    start = time.perf_counter()
-    report = run_convergence(spec)
-    return report, time.perf_counter() - start
+    return run_experiment("pinned_sweep")
 
 
 def test_01_gamma_nonnegative_and_column_stochastic():
@@ -391,7 +379,7 @@ def test_06_implicit_marching_preserves_positivity(positivity_runs):
 def test_07_junction_flux_balances_at_every_recorded_step(
     positivity_runs, pulse_run, viscosity_sweep
 ):
-    report, _ = viscosity_sweep
+    _, report, _ = viscosity_sweep
     worst = max(float(np.max(np.abs(d[:, 3]))) for d in positivity_runs)
     worst = max(worst, float(np.max(np.abs(pulse_run.diagnostics[:, 3]))))
     worst = max(worst, max(row.flux_residual_max for row in report.rows))
@@ -425,12 +413,12 @@ def test_08_pulse_l1_norm_never_grows(pulse_run):
 
 
 def test_09_viscosity_sweep_error_contracts(viscosity_sweep):
-    report, elapsed = viscosity_sweep
+    spec, report, elapsed = viscosity_sweep
     failures = []
     if report.failures:
         failures.append(f"failed levels: {report.failures}")
     errors = [row.l1_error_final_time for row in report.rows]
-    if [row.epsilon for row in report.rows] != [0.08, 0.04, 0.02, 0.01]:
+    if [row.epsilon for row in report.rows] != list(spec.epsilons):
         failures.append("rows not in descending viscosity order")
     if not all(a > b for a, b in zip(errors, errors[1:])):
         failures.append(f"errors not strictly decreasing: {errors}")
@@ -496,4 +484,79 @@ def test_10_smoothed_data_family_obeys_the_pinned_bounds():
         f"final distance {l1_errors[-1]:.1e}, max derivative mass "
         f"{max(deriv_norms):.3f} vs TV {tv:.1f}, spread "
         f"{max(scaled_w21) / min(scaled_w21):.2f}, {elapsed:.2f}s",
+    )
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: the incoming node row is not conservative, and "
+    "the mass it adds lifts the coarse levels' error above the prediction",
+)
+def test_11_pinned_sweep_matches_its_heat_kernel_prediction(viscosity_sweep):
+    """The pinned jump starts at 0.35 on arc 0 and moves at speed 1 to 0.85
+    by T = 0.5, so it never reaches the junction. Each level's L1 error is
+    then the heat-kernel smoothing of a unit jump, 2 sqrt(eps_eff T / pi),
+    with eps_eff = eps (1 + 1/16 + 1/64): at h = eps/8 the upwind flux on
+    arc 0 (speed 1) adds the numerical viscosity h/2 = eps/16, and backward
+    Euler with dt = h/4 (half the spacing over the top speed 2) adds
+    dt/2 = eps/64.
+
+    The tolerance is set at eps 0.08, where the smoothing width sqrt(eps T)
+    = 0.2 exceeds the front's distance 0.15 to the junction, so the arc's
+    ends bend the profile most. There a conservative node row (ROADMAP
+    item 1's prototype A) sits +0.92% from the prediction, prototype B
+    -0.44%, and every finer level closer. The seed scheme sits +3.86%,
+    +3.17% and +1.88% at the three coarsest levels. 1.5% passes A with a
+    margin of more than half its worst deviation and fails the seed.
+    """
+    spec, report, _ = viscosity_sweep
+    tol = 0.015
+    failures = [f"failed levels: {report.failures}"] if report.failures else []
+    if len(report.rows) != len(spec.epsilons):
+        failures.append(f"{len(report.rows)} of {len(spec.epsilons)} levels ran")
+    deviations = []
+    for row in report.rows:
+        eps_eff = row.epsilon * (1.0 + 1.0 / 16.0 + 1.0 / 64.0)
+        predicted = 2.0 * np.sqrt(eps_eff * spec.T / np.pi)
+        deviations.append(row.l1_error_final_time / predicted - 1.0)
+        if not abs(deviations[-1]) <= tol:
+            failures.append(
+                f"eps {row.epsilon}: {deviations[-1]:+.2%} from {predicted:.4f}"
+            )
+    _report(
+        11,
+        "each pinned level's error matches the heat-kernel smoothing of its jump",
+        failures,
+        f"deviations {[f'{d:+.2%}' for d in deviations]}, "
+        f"tolerance {tol:.1%}",
+    )
+
+
+# its sampled data misses the node rows by about 1.5 on every level and is
+# projected onto them, with this notice (ROADMAP item 8)
+@pytest.mark.filterwarnings("ignore:initial data violates the discrete node conditions")
+def test_12_junction_active_sweep_runs_every_level_clean():
+    """The 4-arc sweep whose incoming data reaches the junction before T.
+
+    Its errors are reported, not gated: under ROADMAP item 1's defect they
+    grow as epsilon drops, and at eps 0.02 the march dips to -2.5e-3
+    (item 9), so neither a contraction nor a positivity bound holds yet.
+    """
+    spec, report, elapsed = run_experiment("junction_sweep")
+    failures = [f"failed levels: {report.failures}"] if report.failures else []
+    if [row.epsilon for row in report.rows] != list(spec.epsilons):
+        failures.append(f"levels {[row.epsilon for row in report.rows]}")
+    non_finite = [row.epsilon for row in report.rows if not np.all(np.isfinite(astuple(row)))]
+    if non_finite:
+        failures.append(f"non-finite cells at eps {non_finite}")
+    worst = max((row.flux_residual_max for row in report.rows), default=0.0)
+    if not worst <= 1e-10:
+        failures.append(f"flux residual {worst:.3e}")
+    _report(
+        12,
+        "the junction-active sweep runs every level with a balanced junction",
+        failures,
+        f"L1 errors {[f'{row.l1_error_final_time:.4f}' for row in report.rows]}, "
+        f"node-trace errors {[f'{row.node_trace_l1_error:.4f}' for row in report.rows]}, "
+        f"worst |residual| {worst:.1e}, {elapsed:.1f}s",
     )

@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from conftest import EXPERIMENTS
 from starflux.cli import main
 
 PAIR_NET = {
@@ -15,21 +16,6 @@ PAIR_NET = {
         {"length": 1.0, "speed": 1.0, "orientation": "out"},
     ],
     "K": [[0.0, 0.5], [0.5, 0.0]],
-}
-
-CROSS_NET = {
-    "arcs": [
-        {"length": 1.0, "speed": 1.0, "orientation": "in"},
-        {"length": 1.0, "speed": 2.0, "orientation": "in"},
-        {"length": 1.0, "speed": 1.0, "orientation": "out"},
-        {"length": 1.0, "speed": 2.0, "orientation": "out"},
-    ],
-    "K": [
-        [0.0, 0.0, 1.0, 1.0],
-        [0.0, 0.0, 1.0, 1.0],
-        [1.0, 1.0, 0.0, 0.0],
-        [1.0, 1.0, 0.0, 0.0],
-    ],
 }
 
 PAIR_DATA = {
@@ -89,8 +75,9 @@ def test_schema_violation_exits_2_with_field_path(tmp_path, capsys):
 
 
 def test_design_then_gamma_round_trip(tmp_path, capsys):
-    net_doc = {"arcs": CROSS_NET["arcs"]}
-    net = write_json(tmp_path, "net.json", net_doc)
+    """Design K for the pinned sweep's arcs, then read its weights back."""
+    pinned = json.loads((EXPERIMENTS / "pinned_sweep" / "network.json").read_text())
+    net = write_json(tmp_path, "net.json", {"arcs": pinned["arcs"]})
     target = write_json(tmp_path, "target.json", {"weights": [0.3, 0.7]})
     out_dir = tmp_path / "designed"
     assert main([
@@ -101,7 +88,7 @@ def test_design_then_gamma_round_trip(tmp_path, capsys):
 
     rows = read_csv(out_dir / "coupling.csv")
     k = [[float(row[f"arc_{j}"]) for j in range(4)] for row in rows]
-    full = dict(CROSS_NET, K=k)
+    full = dict(pinned, K=k)
     net_full = write_json(tmp_path, "net_full.json", full)
     gamma_dir = tmp_path / "gamma_out"
     assert main(["gamma", "--config", net_full, "--out", str(gamma_dir)]) == 0

@@ -77,12 +77,12 @@ def node_defect(x, op):
     return float(np.max(np.abs(op.lu.stencil.defect(x))))
 
 
-def advance(state, op):
-    """state one step later, the way the march takes it: gathered into
-    march order, stepped in place and scattered back."""
+def advance(state, op, grid):
+    """state, on grid, one step later, the way the march takes it:
+    gathered into march order, stepped in place and scattered back."""
     x = to_march_order(state.flat)
     step(x, op)
-    return adopt_state(op.grid, to_grid_order(x), state.t + op.dt)
+    return adopt_state(grid, to_grid_order(x), state.t + op.dt)
 
 
 def test_step_matrix_frozen_ten_by_ten():
@@ -138,7 +138,7 @@ def test_operator_holds_one_stencil_and_no_grid_order_indices():
         return [s for f in dataclasses.fields(obj) for s in stencils(getattr(obj, f.name))]
 
     assert stencils(op) == [op.lu.stencil]
-    assert {f.name for f in dataclasses.fields(op)} == {"bands", "lu", "grid", "dt", "rhs_scale"}
+    assert {f.name for f in dataclasses.fields(op)} == {"bands", "lu", "dt", "rhs_scale"}
 
 
 def blowup_operator(op):
@@ -206,6 +206,32 @@ def test_march_rejects_every_non_finite_state(monkeypatch, bad):
             solve_parabolic(net, K, zero, [0.0, 0.0], cfg)
 
 
+@pytest.mark.parametrize("where", ["projection", "start L1 norm"])
+def test_march_rejects_data_too_large_to_start_from(where):
+    """Finite data near the largest double overflows before the first step:
+    in the node projection when it reaches the node, in the start state's
+    L1 sum when it covers 1.5 of a 2-long arc and stays off the node.
+    Either is a LinearSolveFailure, with no warning on the way."""
+    big = 1.7e308
+    if where == "projection":
+        net, K = small_pair()
+        u0, B = PiecewiseConstantField.constant(net, [big, big]), [big, big]
+    else:
+        net = simple_star([1.0], [2.0], in_lengths=[2.0])
+        K = CouplingMatrix.from_array([[0.0, 1.5], [1.5, 0.0]], net)
+        u0 = PiecewiseConstantField(
+            (
+                ArcProfile.from_lists(2.0, [1.5], [big, 0.0]),
+                ArcProfile.from_lists(1.0, [], [0.0]),
+            )
+        )
+        B = [big, 0.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(LinearSolveFailure, match="non-finite"):
+            solve_parabolic(net, K, u0, B, SolverConfig(epsilon=0.4, T=0.05))
+
+
 def test_solve_parabolic_rejects_a_state_from_another_grid():
     net, K = small_pair()
     cfg = SolverConfig(epsilon=0.4, T=0.05)
@@ -218,15 +244,15 @@ def test_solve_parabolic_rejects_a_state_from_another_grid():
 def test_march_outputs_are_read_only_states_of_their_own():
     """step overwrites its vector in place; the states the march and the
     steady solve hand out are read-only and share no memory."""
-    net, K, op, _ = ten_point_step()
+    net, K, op, ref = ten_point_step()
     x = np.linspace(0.0, 1.0, op.size)
     before = x.copy()
     assert step(x, op) is None
     assert x.tobytes() != before.tobytes()
 
     traj = solve_parabolic(net, K, PULSE, [0.0, 0.0], SolverConfig(epsilon=0.8, T=0.05))
-    steady = march_to_steady(net, K, op.grid, 0.8, ResolventProblem.build(0.1, PULSE, [0.5, 0.0]))
-    for state, g in ((traj.initial, traj.grid), (traj.final, traj.grid), (steady, op.grid)):
+    steady = march_to_steady(net, K, ref.grid, 0.8, ResolventProblem.build(0.1, PULSE, [0.5, 0.0]))
+    for state, g in ((traj.initial, traj.grid), (traj.final, traj.grid), (steady, ref.grid)):
         assert not state.flat.flags.writeable
         assert state.bounds == g.offsets
     assert not np.shares_memory(traj.initial.flat, traj.final.flat)
@@ -442,7 +468,7 @@ def test_march_diagnostics_match_per_arc_formulas(seed, m):
     state = traj.initial
     for k, (t, l1, low, flux) in enumerate(traj.diagnostics):
         if k:
-            state = advance(state, traj.operator)
+            state = advance(state, traj.operator, grid)
         assert t == state.t
         assert low == min(float(np.min(v)) for v in state.values)
         assert flux == ref.flux_residual(state.flat)

@@ -14,9 +14,8 @@ import types
 from pathlib import Path
 
 import starflux
+from conftest import ROOT
 from starflux import errors
-
-ROOT = Path(__file__).resolve().parents[1]
 
 
 def _readme_names() -> set[str]:
