@@ -25,8 +25,11 @@ arc's interior with the junction values held at zero, an m x m Schur
 system for the junction values, and each arc's precomputed response to
 its junction value added back. The tridiagonal solve eliminates every
 other point first (OddEvenLU), and again on the points left while more
-than REDUCE_ROWS remain, so LAPACK's serial dgttrs runs over a half or
-a quarter of the points and vector operations fill in the others.
+than REDUCE_ROWS remain, so the serial part, two unit-bidiagonal sweeps
+(BLAS dtbsv) of the last reduced system's dgttrf factors, runs over a
+half or a quarter of the points and vector operations fill in the
+others. Neither sweep divides: the pivots are divided out between them
+in one vector operation.
 
 Every index the step holds, the stencil's included, is a position in
 march order (to_march_order): every even-indexed point of the grid
@@ -56,7 +59,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.blas import dtbsv
+from scipy.linalg.lapack import dgttrf
 
 from ..errors import AssumptionViolated, LinearSolveFailure, UnstableConfig
 from ..grids import Grid
@@ -169,11 +173,48 @@ def march_index(k: np.ndarray, size: int) -> np.ndarray:
 
 
 #: OddEvenLU reduces its even half again while that half has more than
-#: this many rows. On one core, a second level took a step on 12,804
-#: points (6,402 even rows) from a median of 244 to 232 us, and one on
-#: 6,404 points from 152 to 164 us; so systems up to about 8,000 points
-#: keep one level
+#: this many rows. With the dtbsv sweeps at the bottom, in three runs of
+#: 25 interleaved repetitions on 2 cores, a second level moved the median
+#: step on 12,804 points (6,402 even rows, 117-190 us) by -3%, +3% and
+#: -3%, and slowed one on 6,404 points by 4-6%; so systems up to about
+#: 8,000 points keep one level, and the largest keep a second, no slower
 REDUCE_ROWS = 4096
+
+
+def bidiagonal_factors(
+    dl: np.ndarray, d: np.ndarray, du: np.ndarray, *, stride: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """dgttrf's factors of the bands dl, d, du (as in OddEvenLU.factor)
+    of 1 or at least 3 rows, as (lower, pivots, upper): A = L @
+    diag(pivots) @ V, with L unit lower and V unit upper bidiagonal.
+
+    lower and upper are BLAS band storage for dtbsv, k = 1: lower[1, :-1]
+    is L's subdiagonal, dgttrf's multipliers, and upper[0, 1:] is V's
+    superdiagonal, du / pivots[:-1]; their unit diagonals are not stored.
+    The factors are right only without row exchanges, so an exchange
+    raises LinearSolveFailure, as a zero pivot does, naming its 1-based
+    row of the full system, whose every stride-th row this system holds.
+    """
+    if d.size > 1:
+        dl, d, du, _, ipiv, info = dgttrf(dl, d, du)
+    else:
+        # scipy's dgttrf wrapper takes no fewer than 3 rows (OddEvenLU
+        # reduces 2 once more), and 1 row is its own pivot
+        ipiv, info = np.ones(1), int(d[0] == 0.0)
+    if info != 0:
+        raise LinearSolveFailure(
+            f"arc factorization failed: zero pivot in row {(info - 1) * stride + 1}"
+        )
+    exchange = np.flatnonzero(ipiv != np.arange(1, d.size + 1))
+    if exchange.size:
+        raise LinearSolveFailure(
+            f"arc factorization failed: row exchange at row {exchange[0] * stride + 1}"
+        )
+    lower = np.zeros((2, d.size), order="F")
+    upper = np.zeros((2, d.size), order="F")
+    lower[1, :-1] = dl
+    upper[0, 1:] = du / d[:-1]
+    return lower, d, upper
 
 
 @dataclass(frozen=True)
@@ -192,14 +233,14 @@ class OddEvenLU:
     or odd row just has no right neighbour.
 
     While the even half has more than REDUCE_ROWS rows, or 2 rows,
-    reduced is that system's own OddEvenLU; otherwise it holds dgttrf's
-    (dl, d, du, du2, ipiv) of it, factored without pivoting by the
-    dominance above, or (d,) for 1 row, since scipy's dgttrf wrapper
-    takes no fewer than 3.
+    reduced is that system's own OddEvenLU; otherwise it holds that
+    system's bidiagonal_factors (lower, pivots, upper), which need no
+    pivoting by the dominance above.
     solve takes its vector in march order, the even rows first, so that
     the even half is contiguous. A deeper level gathers it into its own
-    march order in a buffer and scatters the solution back; the bottom
-    dgttrs overwrites its even half in place.
+    march order in a buffer and scatters the solution back; at the bottom
+    the two dtbsv sweeps overwrite the even half in place, with the
+    division by the pivots between them.
     """
 
     fold_lo: np.ndarray
@@ -215,8 +256,9 @@ class OddEvenLU:
     ) -> "OddEvenLU":
         """Factor the bands dl[k] = A[k+1, k], d[k] = A[k, k], du[k] = A[k, k+1].
 
-        A zero pivot raises LinearSolveFailure naming its 1-based row of
-        the full system, whose every stride-th row this system holds.
+        A zero pivot, or a row exchange in the bottom system, raises
+        LinearSolveFailure naming its 1-based row of the full system,
+        whose every stride-th row this system holds.
         """
         n_even = (d.size + 1) // 2
         n_odd = d.size // 2
@@ -238,28 +280,19 @@ class OddEvenLU:
         if n_even > REDUCE_ROWS or n_even == 2:
             reduced = cls.factor(lower, diag, upper, stride=2 * stride)
         else:
-            if n_even > 1:
-                *reduced, info = dgttrf(lower, diag, upper)
-            else:
-                # scipy's dgttrf wrapper takes no fewer than 3 rows; 2 are
-                # reduced once more above, and 1 row is its own pivot
-                reduced, info = [diag], int(diag[0] == 0.0)
-            if info != 0:
-                raise LinearSolveFailure(
-                    f"arc factorization failed: zero pivot in row {2 * (info - 1) * stride + 1}"
-                )
-            reduced = tuple(reduced)
+            reduced = bidiagonal_factors(lower, diag, upper, stride=2 * stride)
         return cls(fold_lo, fold_up, odd_lo, odd_diag, odd_up, reduced)
 
     @property
     def nnz(self) -> int:
         """Stored entries: every level's elimination coefficients and the
-        bottom level's reduced bands."""
+        bottom level's bidiagonal factors, n pivots and n - 1 entries each
+        in L and V."""
         parts = (self.fold_lo, self.fold_up, self.odd_lo, self.odd_diag, self.odd_up)
         own = sum(p.size for p in parts)
         if isinstance(self.reduced, OddEvenLU):
             return int(own + self.reduced.nnz)
-        return int(own + sum(p.size for p in self.reduced[:4]))
+        return int(own + 3 * self.reduced[1].size - 2)
 
     def solve(self, x: np.ndarray) -> None:
         """Overwrite x, a vector in march order, with the solution against it."""
@@ -276,11 +309,11 @@ class OddEvenLU:
             self.reduced.solve(g)
             even[0::2], even[1::2] = g[:half], g[half:]
             g = even
-        elif len(self.reduced) == 1:
-            even /= self.reduced[0]
-            g = even
         else:
-            g, _ = dgttrs(*self.reduced, even, overwrite_b=True)
+            lower, pivots, upper = self.reduced
+            g = dtbsv(1, lower, even, lower=1, diag=1, overwrite_x=1)
+            g /= pivots
+            g = dtbsv(1, upper, g, diag=1, overwrite_x=1)
             if g is not even:
                 # f2py solved a copy: x is a strided view
                 even[...] = g
@@ -305,12 +338,12 @@ class ArcJunctionLU:
     Each arc's interior rows, from the step's per-arc bands, with unit
     rows at the node and outer ends (the cut points) form one
     tridiagonal system; arcs is its odd-even reduction, so each solve runs
-    dgttrs over half the points, or fewer on the largest systems. Every
-    index held here is a position in march order (to_march_order): the
-    reduction's even rows first, then its odd ones, so solve works on
-    contiguous halves. outer holds each arc's outer end. The outer values
-    are known, so they move to the right-hand side of their neighbour
-    rows (outer_row, outer_coef). stencil is the step's JunctionStencil.
+    its two serial bidiagonal sweeps over half the points, or fewer on
+    the largest systems. Every index held here is a position in march
+    order (to_march_order): the reduction's even rows first, then its
+    odd ones, so solve works on contiguous halves. outer holds each
+    arc's outer end. The outer values are known, so they move to the
+    right-hand side of their neighbour rows (outer_row, outer_coef). stencil is the step's JunctionStencil.
     response[k] is arc window_arc[k]'s value at point window[k] when its
     junction value is 1 and everything else is 0. Eliminating the
     interiors leaves the m x m Schur complement of the stencil's node
@@ -359,8 +392,8 @@ class ArcJunctionLU:
         ids = np.arange(outer.size)
         pull = np.zeros((size, outer.size), order="F")
         pull[stencil.inner, ids] = -inner_coef
-        # one contiguous column at a time: dgttrs solves each column on
-        # its own, so this is bit for bit a block solve
+        # one contiguous column at a time: the dtbsv sweeps solve each
+        # column on its own, so this is bit for bit a block solve
         for column in pull.T:
             arcs.solve(column)
         window, window_arc = np.nonzero(np.abs(pull) >= RESPONSE_CUTOFF)
@@ -418,6 +451,30 @@ class StepOperator:
         return self.rhs_scale.size
 
     @property
+    def schur_inv_min(self) -> float:
+        """The smallest entry of lu.schur_inv, the junction Schur
+        complement's inverse: nonnegative exactly when positive holds."""
+        return float(self.lu.schur_inv.min())
+
+    @property
+    def positive(self) -> bool:
+        """Whether the step matrix's inverse is entrywise nonnegative, so
+        that a step maps a nonnegative state and boundary values to a
+        nonnegative state.
+
+        The step matrix is a Z-matrix: the interior bands' off-diagonals
+        are -(adv + dif) and -dif, the block's are -K, and a node row
+        reads its inner neighbour as -eh. Its inverse is then nonnegative
+        exactly when it is a nonsingular M-matrix. The cut tridiagonal is
+        one, being strictly diagonally dominant, so that holds exactly
+        when the Schur complement left after eliminating it, also a
+        Z-matrix, is one too: when schur_inv >= 0 entrywise (Berman and
+        Plemmons, Nonnegative Matrices in the Mathematical Sciences, 1994,
+        ch. 6).
+        """
+        return self.schur_inv_min >= 0.0
+
+    @property
     def matrix(self) -> scipy.sparse.csc_matrix:
         """The step matrix in grid order, assembled anew on each read."""
         s, grid_index = self.lu.stencil, to_march_order(np.arange(self.size))
@@ -446,7 +503,8 @@ def assemble_step_operator(
 
     epsilon and dt are taken as given: callers check them. Warns
     UnstableConfig when any spacing exceeds epsilon/2, the point where
-    the boundary layer is no longer resolved.
+    the boundary layer is no longer resolved, and when the step does not
+    preserve positivity (StepOperator.positive).
     """
     report = validate_assumptions(net, K)
     if not report.holds_sign_symmetry or not report.holds_incoming_linked:
@@ -474,7 +532,14 @@ def assemble_step_operator(
     rhs_scale = np.full(size, 1.0 / dt)
     rhs_scale[lu.outer] = 1.0
     rhs_scale[stencil.node] = 0.0
-    return StepOperator(bands=bands, lu=lu, dt=dt, rhs_scale=rhs_scale)
+    op = StepOperator(bands=bands, lu=lu, dt=dt, rhs_scale=rhs_scale)
+    if not op.positive:
+        warnings.warn(
+            f"the junction Schur complement's inverse has an entry {op.schur_inv_min:.3e} "
+            "< 0; a step may turn nonnegative data negative",
+            UnstableConfig,
+        )
+    return op
 
 
 def step(x: np.ndarray, op: StepOperator) -> None:

@@ -11,7 +11,7 @@ import pytest
 import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg.lapack import dgttrs
+from scipy.linalg.blas import dtbsv
 
 from conftest import ReferenceStep, cross_ones_coupling, random_coupling, random_network, simple_star
 from starflux import (
@@ -433,6 +433,7 @@ def pairwise_depth(n):
     return 1 + max(pairwise_depth(half), pairwise_depth(n - half))
 
 
+@pytest.mark.filterwarnings("ignore:the junction Schur complement")
 @pytest.mark.filterwarnings("ignore:initial data violates")
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 8))
@@ -537,7 +538,8 @@ def reduction_depth(size, depth):
 
 
 def reduction_levels(lu):
-    """An OddEvenLU's levels, the full system's first, dgttrf's last."""
+    """An OddEvenLU's levels, the full system's first, the one holding the
+    bidiagonal factors last."""
     levels = [lu]
     while isinstance(levels[-1].reduced, OddEvenLU):
         levels.append(levels[-1].reduced)
@@ -608,9 +610,8 @@ def test_arc_junction_lu_matches_dense_solve(seed, m, coarse, odd_total, depth):
     reference's node rows."""
     rng, op, ref = random_star_operator(seed, m, coarse, odd_total, depth)
     assert op.size % 2 == odd_total
-    # the cut boundary rows leave nothing for dgttrf to pivot
-    dl, d, du, du2, ipiv = reduction_levels(op.lu.arcs)[-1].reduced
-    assert ipiv.tolist() == list(range(1, d.size + 1))
+    # the cut boundary rows leave nothing for dgttrf to pivot: the factor
+    # refuses a row exchange, so reaching here shows there was none
     matrix = ref.matrix
 
     state = rng.normal(size=op.size)
@@ -640,6 +641,42 @@ def test_arc_junction_lu_matches_dense_solve(seed, m, coarse, odd_total, depth):
     assert got[ref.outer].tobytes() == flat[ref.outer].tobytes()
 
 
+def inverse_rounding(matrix, inverse):
+    """A componentwise bound on the rounding in inverse, matrix's inverse
+    as computed.
+
+    inverse - inv(matrix) = inv(matrix) @ r exactly, with r = matrix @
+    inverse - I, so to first order |inverse - inv(matrix)| <= |inverse| @
+    |r|. Computing r adds at most (n + 1) eps (|matrix| @ |inverse| + I)
+    to it, and the bound is doubled for the terms of second order.
+    """
+    n = matrix.shape[0]
+    r = matrix @ inverse - np.eye(n)
+    slack = (n + 1) * np.finfo(float).eps * (np.abs(matrix) @ np.abs(inverse) + np.eye(n))
+    return 2.0 * np.abs(inverse) @ (np.abs(r) + slack)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@star_draws
+def test_positivity_certificate_matches_the_dense_inverse(seed, m, coarse, odd_total, depth):
+    """op.positive holds exactly when the reference step's dense inverse
+    has no entry below its rounding (inverse_rounding), and
+    assemble_step_operator warns exactly when it fails. That inverse's
+    block at the junction points is lu.schur_inv, so a failing
+    certificate shows in it at full size, far beyond rounding."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UnstableConfig)
+        _, op, ref = random_star_operator(seed, m, coarse, odd_total, depth)
+    warned = any("Schur complement's inverse" in str(w.message) for w in caught)
+    inverse = np.linalg.inv(ref.matrix)
+    assert op.positive == (op.schur_inv_min >= 0.0) == (not warned)
+    assert op.positive == bool((inverse >= -inverse_rounding(ref.matrix, inverse)).all())
+    np.testing.assert_allclose(
+        inverse[np.ix_(ref.node, ref.node)], op.lu.schur_inv,
+        rtol=0.0, atol=1e-10 * np.abs(op.lu.schur_inv).max(),
+    )
+
+
 def cut_tridiagonal(ref):
     """The reference step matrix's three bands with the node and outer rows
     and columns replaced by unit rows, as a dense array."""
@@ -660,8 +697,9 @@ def test_reduced_system_is_diagonally_dominant(seed, m, coarse, odd_total, depth
     Eliminating the odd unknowns of the cut tridiagonal leaves the Schur
     complement over the even ones, and each further level does the same
     to the one before. Each is tridiagonal and strictly diagonally
-    dominant by rows and by columns, and the stored factors of the last
-    are its LU factors without row exchanges.
+    dominant by rows and by columns, and the stored factors of the last,
+    unit lower bidiagonal L, pivots D and unit upper bidiagonal V in BLAS
+    band rows with their unit diagonals unstored, multiply back to it.
     """
     _, op, ref = random_star_operator(seed, m, coarse, odd_total, depth)
     schur = cut_tridiagonal(ref)
@@ -678,12 +716,14 @@ def test_reduced_system_is_diagonally_dominant(seed, m, coarse, odd_total, depth
         assert (diag > off.sum(axis=1)).all()
         assert (diag > off.sum(axis=0)).all()
 
-    dl, d, du, du2, ipiv = level.reduced
-    assert ipiv.tolist() == list(range(1, d.size + 1))
-    assert not du2.any()
-    lower = np.eye(d.size) + np.diag(dl, -1)
-    upper = np.diag(d) + np.diag(du, 1)
-    np.testing.assert_allclose(lower @ upper, schur, rtol=0.0, atol=1e-13 * diag.max())
+    lower, pivots, upper = level.reduced
+    assert lower.shape == upper.shape == (2, pivots.size)
+    assert not lower[0].any() and not lower[1, -1] and not upper[1].any() and not upper[0, 0]
+    unit_lower = np.eye(pivots.size) + np.diag(lower[1, :-1], -1)
+    unit_upper = np.eye(pivots.size) + np.diag(upper[0, 1:], 1)
+    np.testing.assert_allclose(
+        unit_lower @ np.diag(pivots) @ unit_upper, schur, rtol=0.0, atol=1e-13 * diag.max()
+    )
 
 
 @pytest.mark.filterwarnings("ignore::starflux.UnstableConfig")
@@ -708,6 +748,7 @@ def test_junction_responses_are_single_arc_solves(seed, m, coarse, odd_total, de
         assert (np.abs(pull[rest]) < RESPONSE_CUTOFF).all()
 
 
+@pytest.mark.filterwarnings("ignore:the junction Schur complement")
 @pytest.mark.filterwarnings("ignore:initial data violates")
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @star_draws
@@ -803,18 +844,18 @@ def dominant_bands(rng, n):
 def test_odd_even_lu_solves_every_size(n):
     """From 1 row up, with vector right-hand sides in march order, alone and
     as the contiguous columns of a block: scipy's dgttrf wrapper takes no
-    fewer than 3 rows, so a 1-row bottom system is divided out and a 2-row
-    one reduced again."""
+    fewer than 3 rows, so a 1-row bottom system is its own pivot and a
+    2-row one is reduced again."""
     rng = np.random.default_rng(n)
     dl, d, du = dominant_bands(rng, n)
     dense = np.diag(d) + np.diag(dl, -1) + np.diag(du, 1)
     lu = OddEvenLU.factor(dl, d, du)
     levels = reduction_levels(lu)
-    bottom = levels[-1].reduced
+    pivots = levels[-1].reduced[1]
     if n <= 4:
-        assert len(bottom) == 1 and bottom[0].size == 1
+        assert pivots.size == 1
     else:
-        assert len(levels) == 1 and bottom[1].size == (n + 1) // 2
+        assert len(levels) == 1 and pivots.size == (n + 1) // 2
     b = rng.normal(size=(n, 3))
     expected = np.linalg.solve(dense, b)
     # column by column, as ArcJunctionLU.factor solves its responses
@@ -844,10 +885,27 @@ def test_zero_pivot_names_its_row_in_every_size(n):
             OddEvenLU.factor(*bands)
 
 
+@pytest.mark.parametrize("n", range(5, 9))
+def test_row_exchange_names_its_row_of_the_full_system(n):
+    """On a tridiagonal whose subdiagonal outweighs its diagonal, reduced
+    once, dgttrf would exchange rows of the bottom system; the bidiagonal
+    factors would then be wrong, so factor refuses them and names the row
+    of the full system. Column j of the reduced system (full row 2 j + 1,
+    1-based) has a diagonal of at most 1 in magnitude and -dl[2j] dl[2j+1]
+    below it: -0.25, or -4 where those two subdiagonal entries are 2, which
+    makes j the first column whose rows would be exchanged."""
+    for j in range((n + 1) // 2 - 1):
+        dl, d, du = np.full(n - 1, 0.5), np.ones(n), np.full(n - 1, 0.1)
+        dl[2 * j: 2 * j + 2] = 2.0
+        with pytest.raises(LinearSolveFailure, match=f"row exchange at row {2 * j + 1}$"):
+            OddEvenLU.factor(dl, d, du)
+
+
 @pytest.mark.parametrize("depth", [1, 2, 3])
 def test_nnz_counts_every_level(depth):
     """nnz adds each level's five coefficient vectors, 3 n_odd + 2 n_even
-    - 2 entries for n rows, to dgttrf's four bands of the last system."""
+    - 2 entries for n rows, to the last system's bidiagonal factors: n
+    pivots and n - 1 off-diagonal entries each in L and V."""
     _, op, _ = random_star_operator(7, 3, False, True, depth)
     assert len(reduction_levels(op.lu.arcs)) == depth
     rows, expected = op.size, 0
@@ -855,32 +913,45 @@ def test_nnz_counts_every_level(depth):
         n_even, n_odd = (rows + 1) // 2, rows // 2
         expected += 3 * n_odd + 2 * n_even - 2
         rows = n_even
-    expected += 3 * rows - 2 + max(rows - 2, 0)
+    expected += 3 * rows - 2
     assert op.lu.arcs.nnz == expected
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3])
-def test_bottom_dgttrs_overwrites_its_buffer_in_place(depth):
-    """However deep the reduction, the one dgttrs of a step solves its
-    contiguous buffer in place and no copy is written back."""
+def test_bottom_sweeps_overwrite_their_buffer_in_place(depth):
+    """However deep the reduction, a step's bottom solve is two dtbsv
+    sweeps, unit lower then unit upper, on one contiguous buffer, each
+    overwriting it in place. On a strided vector f2py sweeps a copy,
+    which is written back: the solution is the contiguous one, bit for
+    bit."""
     _, op, ref = random_star_operator(11, 4, False, False, depth)
     levels = reduction_levels(op.lu.arcs)
     assert len(levels) == depth
-    bottom = levels[-1].reduced[1].size
+    lower, pivots, upper = levels[-1].reduced
+    assert lower.flags.f_contiguous and upper.flags.f_contiguous
     calls = []
 
-    def spy(*args, **kwargs):
-        b = args[-1]
-        g, info = dgttrs(*args, **kwargs)
-        calls.append((b.size, b.flags.c_contiguous, g is b, info))
-        return g, info
+    def spy(k, a, x, **kwargs):
+        out = dtbsv(k, a, x, **kwargs)
+        calls.append((a, x, out))
+        return out
 
     x = np.linspace(1.0, 2.0, op.size)
+    strided = np.zeros((op.size, 2))[:, 0]
+    strided[...] = x
     expected = np.linalg.solve(ref.matrix, to_grid_order(x))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(scheme, "dgttrs", spy)
+        patch.setattr(scheme, "dtbsv", spy)
         op.lu.solve(x)
-    assert calls == [(bottom, True, True, 0)]
+        (a1, x1, out1), (a2, x2, out2) = calls
+        assert a1 is lower and a2 is upper
+        assert x1 is out1 is x2 is out2
+        assert x1.size == pivots.size and x1.flags.c_contiguous
+        calls.clear()
+        op.lu.solve(strided)
+    # only the first level's even half is a view of the vector solved
+    assert (calls[0][2] is calls[0][1]) == (depth > 1)
+    assert strided.tobytes() == x.tobytes()
     np.testing.assert_allclose(to_grid_order(x), expected, rtol=1e-12, atol=1e-14)
 
 
@@ -911,6 +982,7 @@ def test_march_builds_no_sparse_matrix(monkeypatch):
         op.matrix
 
 
+@pytest.mark.filterwarnings("ignore:the junction Schur complement")
 @pytest.mark.filterwarnings("ignore:initial data violates")
 @pytest.mark.xfail(
     strict=True,
