@@ -16,7 +16,9 @@ Five subcommands cover the package's capabilities:
     --epsilon E``) with its final snapshot and per-step diagnostics.
 ``converge``
     The vanishing-viscosity sweep described by an experiment document;
-    emits the convergence table.
+    emits the convergence table. The manifest lists each level's
+    warnings and positivity certificate, and the summary names the
+    warnings.
 ``approx-data``
     The admissible-data construction swept over smoothing levels
     epsilon_n = 2^-n.
@@ -333,9 +335,15 @@ def _cmd_converge(args: argparse.Namespace) -> int:
     manifest["failures"] = [
         {"epsilon": eps, "reason": reason} for eps, reason in report.failures
     ]
+    manifest["levels"] = [level.manifest_entry() for level in report.levels]
     summary = [f"{len(report.rows)} rows, {len(report.failures)} failures"]
     summary.extend(
         f"failed epsilon={eps:g}: {reason}" for eps, reason in report.failures
+    )
+    summary.extend(
+        f"warning at epsilon={level.epsilon:g}: {category}: {message}"
+        for level in report.levels
+        for category, message in level.warnings
     )
     _emit(args, {"convergence.csv": report.csv()}, manifest, summary)
     return 0

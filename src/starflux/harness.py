@@ -5,7 +5,9 @@ rough data into admissible form, march the viscous scheme, solve the
 inviscid problem exactly from the transmission weights, and tabulate the
 L1 gaps. Rows are independent, so the sweep can fan out over a bounded
 process pool; a failure in one row is recorded with its reason and never
-disturbs the others.
+disturbs the others. Each level also records the warnings it raised and
+its step's positivity certificate (LevelRecord), in the worker that ran
+it, for the run manifest.
 
 The module also hosts the thin runners behind the other subcommands
 (gamma/design/simulate/approx-data) and the CSV formatting used by all
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import json
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, fields
 from functools import partial
@@ -115,8 +118,32 @@ class ConvergenceRow:
 
 
 @dataclass(frozen=True)
+class LevelRecord:
+    """What one viscosity level reported besides its row.
+
+    warnings holds each warning the level raised, as (category name,
+    message), in order, as far as the active filters let it through;
+    schur_inv_min is its step's positivity certificate
+    (StepOperator.schur_inv_min), None when the level failed before its
+    march returned.
+    """
+
+    epsilon: float
+    warnings: tuple[tuple[str, str], ...]
+    schur_inv_min: float | None
+
+    def manifest_entry(self) -> dict:
+        return {
+            "epsilon": self.epsilon,
+            "schur_inv_min": self.schur_inv_min,
+            "warnings": [{"category": c, "message": m} for c, m in self.warnings],
+        }
+
+
+@dataclass(frozen=True)
 class ConvergenceReport:
-    """Sweep outcome: rows sorted by viscosity descending, plus failures.
+    """Sweep outcome: rows sorted by viscosity descending, plus failures
+    and one LevelRecord per level, in the plan's order.
 
     failures pairs each aborted viscosity level with the reason string;
     an aborted level never removes or corrupts the successful rows.
@@ -124,6 +151,7 @@ class ConvergenceReport:
 
     rows: tuple[ConvergenceRow, ...]
     failures: tuple[tuple[float, str], ...]
+    levels: tuple[LevelRecord, ...]
 
     def csv(self) -> str:
         return _rows_csv(ConvergenceRow, self.rows)
@@ -159,36 +187,44 @@ def node_trace_error(
 
 def _sweep_row(
     payload: tuple[ExperimentSpec, HyperbolicSolution], epsilon: float
-) -> ConvergenceRow | str:
+) -> tuple[ConvergenceRow | str, LevelRecord]:
     """Run one viscosity level against the sweep's exact solution.
 
     payload is (spec, exact); returns the level's row, or the reason
-    string when the level failed.
+    string when the level failed, with the level's LevelRecord. The
+    warnings are recorded under the filters in force, so one that would
+    print is recorded instead, and one that is an error still fails the
+    level.
     """
     spec, exact = payload
-    try:
-        start = time.perf_counter()
-        net, K, B, T = spec.net, spec.K, spec.B, spec.T
-        compat = build_compatible(spec.u0, B, net, K, epsilon, spec.theta)
-        cfg = SolverConfig(epsilon=epsilon, T=T, h_rule=spec.h_rule)
-        trajectory = solve_parabolic(net, K, compat.arcs, B, cfg)
-        final_error = l1_distance(
-            trajectory.final, exact, trajectory.grid, t=T
-        )
-        trace_error = node_trace_error(trajectory, exact)
-        times = trajectory.diagnostics[:, 0]
-        return ConvergenceRow(
-            epsilon=float(epsilon),
-            h=float(max(trajectory.grid.spacings)),
-            dt=float(times[1] - times[0]),
-            l1_error_final_time=float(final_error),
-            node_trace_l1_error=float(trace_error),
-            flux_residual_max=float(np.max(np.abs(trajectory.diagnostics[:, 3]))),
-            min_value=float(np.min(trajectory.diagnostics[:, 2])),
-            wall_time=time.perf_counter() - start,
-        )
-    except Exception as exc:  # crash isolation: one level must not kill the sweep
-        return f"{type(exc).__name__}: {exc}"
+    schur_inv_min = None
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            start = time.perf_counter()
+            net, K, B, T = spec.net, spec.K, spec.B, spec.T
+            compat = build_compatible(spec.u0, B, net, K, epsilon, spec.theta)
+            cfg = SolverConfig(epsilon=epsilon, T=T, h_rule=spec.h_rule)
+            trajectory = solve_parabolic(net, K, compat.arcs, B, cfg)
+            schur_inv_min = trajectory.operator.schur_inv_min
+            final_error = l1_distance(
+                trajectory.final, exact, trajectory.grid, t=T
+            )
+            trace_error = node_trace_error(trajectory, exact)
+            times = trajectory.diagnostics[:, 0]
+            outcome = ConvergenceRow(
+                epsilon=float(epsilon),
+                h=float(max(trajectory.grid.spacings)),
+                dt=float(times[1] - times[0]),
+                l1_error_final_time=float(final_error),
+                node_trace_l1_error=float(trace_error),
+                flux_residual_max=float(np.max(np.abs(trajectory.diagnostics[:, 3]))),
+                min_value=float(np.min(trajectory.diagnostics[:, 2])),
+                wall_time=time.perf_counter() - start,
+            )
+        except Exception as exc:  # crash isolation: one level must not kill the sweep
+            outcome = f"{type(exc).__name__}: {exc}"
+    raised = tuple((w.category.__name__, str(w.message)) for w in caught)
+    return outcome, LevelRecord(float(epsilon), raised, schur_inv_min)
 
 
 def run_convergence(spec: ExperimentSpec, workers: int = 1) -> ConvergenceReport:
@@ -199,7 +235,8 @@ def run_convergence(spec: ExperimentSpec, workers: int = 1) -> ConvergenceReport
     compute_gamma also checks the coupling assumptions (raising on
     violation). Per-level work then runs inline or on a bounded process
     pool when workers > 1. Rows come back sorted by viscosity
-    descending, failed levels in the failures list with their reasons.
+    descending, failed levels in the failures list with their reasons,
+    and every level's LevelRecord in the plan's order.
     """
     system = compute_gamma(spec.net, spec.K)
     exact = solve_exact(spec.net, system.gamma, spec.u0, spec.B, spec.T)
@@ -213,10 +250,16 @@ def run_convergence(spec: ExperimentSpec, workers: int = 1) -> ConvergenceReport
         ) as pool:
             outcomes = list(pool.map(partial(_sweep_row, payload), spec.epsilons))
 
-    rows = [r for r in outcomes if isinstance(r, ConvergenceRow)]
+    rows = [r for r, _ in outcomes if isinstance(r, ConvergenceRow)]
     rows.sort(key=lambda r: -r.epsilon)
-    failures = [(float(e), r) for e, r in zip(spec.epsilons, outcomes) if isinstance(r, str)]
-    return ConvergenceReport(rows=tuple(rows), failures=tuple(failures))
+    failures = [
+        (float(e), r) for e, (r, _) in zip(spec.epsilons, outcomes) if isinstance(r, str)
+    ]
+    return ConvergenceReport(
+        rows=tuple(rows),
+        failures=tuple(failures),
+        levels=tuple(level for _, level in outcomes),
+    )
 
 
 def gamma_csv(system: TransmissionSystem) -> str:

@@ -28,8 +28,11 @@ other point first (OddEvenLU), and again on the points left while more
 than REDUCE_ROWS remain, so the serial part, two unit-bidiagonal sweeps
 (BLAS dtbsv) of the last reduced system's dgttrf factors, runs over a
 half or a quarter of the points and vector operations fill in the
-others. Neither sweep divides: the pivots are divided out between them
-in one vector operation.
+others. Nothing in a step divides: each row is divided by exactly one
+pivot on its way through the solve, so its reciprocal, the row scale
+sigma, is folded into the right-hand side once, together with the
+step's rhs_scale (ArcJunctionLU.state_scale), and every stored
+coefficient is pre-scaled to match at factor time.
 
 Every index the step holds, the stencil's included, is a position in
 march order (to_march_order): every even-indexed point of the grid
@@ -173,11 +176,12 @@ def march_index(k: np.ndarray, size: int) -> np.ndarray:
 
 
 #: OddEvenLU reduces its even half again while that half has more than
-#: this many rows. With the dtbsv sweeps at the bottom, in three runs of
-#: 25 interleaved repetitions on 2 cores, a second level moved the median
-#: step on 12,804 points (6,402 even rows, 117-190 us) by -3%, +3% and
-#: -3%, and slowed one on 6,404 points by 4-6%; so systems up to about
-#: 8,000 points keep one level, and the largest keep a second, no slower
+#: this many rows. With the pivots folded into the factors, in three
+#: single-threaded runs of 25 interleaved repetitions of 300 steps on 2
+#: cores, a second level moved the median step on 12,804 points (6,402
+#: even rows, 93-100 us) by -1.4%, 0.0% and -0.8%, and slowed one on
+#: 6,404 points by 5-10%; so systems up to about 8,000 points keep one
+#: level, and the largest keep a second, no slower
 REDUCE_ROWS = 4096
 
 
@@ -185,22 +189,27 @@ def bidiagonal_factors(
     dl: np.ndarray, d: np.ndarray, du: np.ndarray, *, stride: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """dgttrf's factors of the bands dl, d, du (as in OddEvenLU.factor)
-    of 1 or at least 3 rows, as (lower, pivots, upper): A = L @
-    diag(pivots) @ V, with L unit lower and V unit upper bidiagonal.
+    of 1 or at least 3 rows, with the pivots D folded into the lower one,
+    as (lower, pivots, upper): A = D @ (inv(D) @ L @ D) @ V, with L unit
+    lower and V unit upper bidiagonal.
 
-    lower and upper are BLAS band storage for dtbsv, k = 1: lower[1, :-1]
-    is L's subdiagonal, dgttrf's multipliers, and upper[0, 1:] is V's
-    superdiagonal, du / pivots[:-1]; their unit diagonals are not stored.
+    lower and upper are BLAS band storage for dtbsv, k = 1, of two unit
+    bidiagonals: lower[1, :-1] is inv(D) @ L @ D's subdiagonal, dgttrf's
+    multipliers times pivots[:-1] / pivots[1:], that is dl / pivots[1:],
+    and upper[0, 1:] is V's superdiagonal, du / pivots[:-1]; their unit
+    diagonals are not stored. So with each row of the right-hand side
+    divided by its pivot beforehand (OddEvenLU.scale), the two sweeps
+    solve A with no division between them.
     The factors are right only without row exchanges, so an exchange
     raises LinearSolveFailure, as a zero pivot does, naming its 1-based
     row of the full system, whose every stride-th row this system holds.
     """
     if d.size > 1:
-        dl, d, du, _, ipiv, info = dgttrf(dl, d, du)
+        _, pivots, _, _, ipiv, info = dgttrf(dl, d, du)
     else:
         # scipy's dgttrf wrapper takes no fewer than 3 rows (OddEvenLU
         # reduces 2 once more), and 1 row is its own pivot
-        ipiv, info = np.ones(1), int(d[0] == 0.0)
+        pivots, ipiv, info = d, np.ones(1), int(d[0] == 0.0)
     if info != 0:
         raise LinearSolveFailure(
             f"arc factorization failed: zero pivot in row {(info - 1) * stride + 1}"
@@ -212,43 +221,51 @@ def bidiagonal_factors(
         )
     lower = np.zeros((2, d.size), order="F")
     upper = np.zeros((2, d.size), order="F")
-    lower[1, :-1] = dl
-    upper[0, 1:] = du / d[:-1]
-    return lower, d, upper
+    lower[1, :-1] = dl / pivots[1:]
+    upper[0, 1:] = du / pivots[:-1]
+    return lower, pivots, upper
 
 
 @dataclass(frozen=True)
 class OddEvenLU:
     """A tridiagonal system with its odd-indexed unknowns eliminated,
-    level after level.
+    level after level, and every pivot folded into a row scale.
 
     Row k reads a_k x[k-1] + b_k x[k] + c_k x[k+1] = f[k]. An odd row
     gives x[k] = (f[k] - a_k x[k-1] - c_k x[k+1]) / b_k, and putting
     that into the even rows leaves a tridiagonal system over the even
-    unknowns, with right-hand side f[j] + fold_lo f[j-1] + fold_up f[j+1],
-    fold_lo = -a_j / b_{j-1} and fold_up = -c_j / b_{j+1}. That system is
-    a Schur complement, so it is strictly diagonally dominant by rows
-    and by columns when the full one is. odd_lo, odd_diag and odd_up are
-    a, b and c on the odd rows. Any number of rows works: the last even
-    or odd row just has no right neighbour.
+    unknowns, with right-hand side f[j] - a_j f[j-1] / b_{j-1} - c_j
+    f[j+1] / b_{j+1}. That system is a Schur complement, so it is
+    strictly diagonally dominant by rows and by columns when the full
+    one is. While the even half has more than REDUCE_ROWS rows, or 2
+    rows, reduced is that system's own OddEvenLU; otherwise it holds
+    that system's bidiagonal_factors (lower, upper), which need no
+    pivoting by the dominance above. Any number of rows works: the last
+    even or odd row just has no right neighbour.
 
-    While the even half has more than REDUCE_ROWS rows, or 2 rows,
-    reduced is that system's own OddEvenLU; otherwise it holds that
-    system's bidiagonal_factors (lower, pivots, upper), which need no
-    pivoting by the dominance above.
+    Every row is divided by exactly one pivot on its way through: an odd
+    row by its b_k, a row that reaches the bottom by its dgttrf pivot.
+    scale holds those reciprocals, sigma, in march order, and solve reads
+    a right-hand side already multiplied by it, so it divides nothing:
+    fold_lo = -a_j sigma_j and fold_up = -c_j sigma_j add the scaled odd
+    rows into the scaled even row j; odd_lo = a / b and odd_up = c / b
+    on the odd rows fill in their unknowns; the bottom's lower factor has
+    its pivots folded in. On a step's cut tridiagonal, an M-matrix, every
+    pivot and so every sigma is positive, and each of these keeps the
+    sign of the band entry it is made from.
+
     solve takes its vector in march order, the even rows first, so that
     the even half is contiguous. A deeper level gathers it into its own
     march order in a buffer and scatters the solution back; at the bottom
-    the two dtbsv sweeps overwrite the even half in place, with the
-    division by the pivots between them.
+    the two dtbsv sweeps overwrite the even half in place.
     """
 
     fold_lo: np.ndarray
     fold_up: np.ndarray
     odd_lo: np.ndarray
-    odd_diag: np.ndarray
     odd_up: np.ndarray
-    reduced: "tuple | OddEvenLU"
+    scale: np.ndarray
+    reduced: "tuple[np.ndarray, np.ndarray] | OddEvenLU"
 
     @classmethod
     def factor(
@@ -262,40 +279,61 @@ class OddEvenLU:
         """
         n_even = (d.size + 1) // 2
         n_odd = d.size // 2
-        # copies, so that the full-length bands are not kept alive
-        odd_diag = d[1::2].copy()
+        odd_diag = d[1::2]
         zero = np.flatnonzero(odd_diag == 0.0)
         if zero.size:
             raise LinearSolveFailure(
                 f"arc factorization failed: zero pivot in row {(2 * zero[0] + 1) * stride + 1}"
             )
-        odd_lo, odd_up = dl[0::2].copy(), du[1::2].copy()
-        fold_lo = -dl[1::2] / odd_diag[: n_even - 1]
-        fold_up = -du[0::2] / odd_diag
+        a_even, c_even = dl[1::2], du[0::2]
+        a_odd, c_odd = dl[0::2], du[1::2]
+        # the even rows' system, from the unscaled elimination coefficients
+        elim_lo = -a_even / odd_diag[: n_even - 1]
+        elim_up = -c_even / odd_diag
         diag = d[0::2].copy()
-        diag[1:] += fold_lo * odd_up
-        diag[:n_odd] += fold_up * odd_lo
-        lower = fold_lo * odd_lo[: n_even - 1]
-        upper = fold_up[: n_even - 1] * odd_up
+        diag[1:] += elim_lo * c_odd
+        diag[:n_odd] += elim_up * a_odd
+        lower = elim_lo * a_odd[: n_even - 1]
+        upper = elim_up[: n_even - 1] * c_odd
+        # sigma written in place: a peak RSS of the finest junction_sweep
+        # level read about 0.2 MB higher with concatenated temporaries
+        scale = np.empty(d.size)
+        even_scale = scale[:n_even]
         if n_even > REDUCE_ROWS or n_even == 2:
             reduced = cls.factor(lower, diag, upper, stride=2 * stride)
+            # the even half's sigma, from the reduced system's march order
+            half = (n_even + 1) // 2
+            even_scale[0::2], even_scale[1::2] = reduced.scale[:half], reduced.scale[half:]
         else:
-            reduced = bidiagonal_factors(lower, diag, upper, stride=2 * stride)
-        return cls(fold_lo, fold_up, odd_lo, odd_diag, odd_up, reduced)
+            bottom_lower, pivots, bottom_upper = bidiagonal_factors(
+                lower, diag, upper, stride=2 * stride
+            )
+            reduced = (bottom_lower, bottom_upper)
+            np.divide(1.0, pivots, out=even_scale)
+        np.divide(1.0, odd_diag, out=scale[n_even:])
+        return cls(
+            -a_even * even_scale[1:],
+            -c_even * even_scale[:n_odd],
+            a_odd / odd_diag,
+            c_odd / odd_diag[: n_even - 1],
+            scale,
+            reduced,
+        )
 
     @property
     def nnz(self) -> int:
-        """Stored entries: every level's elimination coefficients and the
-        bottom level's bidiagonal factors, n pivots and n - 1 entries each
-        in L and V."""
-        parts = (self.fold_lo, self.fold_up, self.odd_lo, self.odd_diag, self.odd_up)
+        """Stored entries: every level's four coefficient vectors and row
+        scale, and the bottom level's two unit bidiagonals, n - 1 entries
+        each."""
+        parts = (self.fold_lo, self.fold_up, self.odd_lo, self.odd_up, self.scale)
         own = sum(p.size for p in parts)
         if isinstance(self.reduced, OddEvenLU):
             return int(own + self.reduced.nnz)
-        return int(own + 3 * self.reduced[1].size - 2)
+        return int(own + 2 * (self.reduced[0].shape[1] - 1))
 
     def solve(self, x: np.ndarray) -> None:
-        """Overwrite x, a vector in march order, with the solution against it."""
+        """Overwrite x, a right-hand side in march order multiplied by
+        scale, with the solution against the unscaled one."""
         n_even = self.fold_lo.size + 1
         even, odd = x[:n_even], x[n_even:]
         n_odd = odd.size
@@ -310,16 +348,14 @@ class OddEvenLU:
             even[0::2], even[1::2] = g[:half], g[half:]
             g = even
         else:
-            lower, pivots, upper = self.reduced
+            lower, upper = self.reduced
             g = dtbsv(1, lower, even, lower=1, diag=1, overwrite_x=1)
-            g /= pivots
             g = dtbsv(1, upper, g, diag=1, overwrite_x=1)
             if g is not even:
                 # f2py solved a copy: x is a strided view
                 even[...] = g
         odd -= self.odd_lo * g[:n_odd]
         odd[: n_even - 1] -= self.odd_up * g[1:]
-        odd /= self.odd_diag
 
 
 def interior_arcs(node: np.ndarray, outer: np.ndarray) -> np.ndarray:
@@ -343,7 +379,16 @@ class ArcJunctionLU:
     order (to_march_order): the reduction's even rows first, then its
     odd ones, so solve works on contiguous halves. outer holds each
     arc's outer end. The outer values are known, so they move to the
-    right-hand side of their neighbour rows (outer_row, outer_coef). stencil is the step's JunctionStencil.
+    right-hand side of their neighbour rows (outer_row, outer_coef).
+    stencil is the step's JunctionStencil.
+
+    solve reads its right-hand side multiplied row by row by arcs.scale,
+    sigma, the reciprocal pivot each row is divided by, so that nothing
+    in it divides; outer_coef is the outer coupling times sigma at
+    outer_row. A cut row's pivot is exactly 1, so the outer and node
+    values pass through unscaled. state_scale is the step's rhs_scale
+    times sigma: a step multiplies the state by it once, and solves.
+
     response[k] is arc window_arc[k]'s value at point window[k] when its
     junction value is 1 and everything else is 0. Eliminating the
     interiors leaves the m x m Schur complement of the stencil's node
@@ -351,6 +396,7 @@ class ArcJunctionLU:
     """
 
     arcs: OddEvenLU
+    state_scale: np.ndarray
     outer: np.ndarray
     outer_row: np.ndarray
     outer_coef: np.ndarray
@@ -366,14 +412,14 @@ class ArcJunctionLU:
         bands: tuple[np.ndarray, np.ndarray, np.ndarray],
         stencil: JunctionStencil,
         outer: np.ndarray,
-        size: int,
+        rhs_scale: np.ndarray,
     ) -> "ArcJunctionLU":
-        """Factor the step of bands and stencil over size points; outer
-        holds each arc's outer end in march order."""
+        """Factor the step of bands and stencil, whose right-hand side is
+        rhs_scale times the state; outer holds each arc's outer end in
+        march order."""
         lower, diag, upper = bands
         incoming = stencil.beta > 0.0
-        outer_coef = np.where(incoming, lower, upper)
-        inner_coef = np.where(incoming, upper, lower)
+        size = rhs_scale.size
 
         # the cut tridiagonal, in grid order: the grid index of each march position
         grid_index = to_march_order(np.arange(size))
@@ -386,12 +432,15 @@ class ArcJunctionLU:
             np.where(arc >= 0, diag[arc], 1.0),
             np.where(coupled, upper[arc[:-1]], 0.0),
         )
+        sigma = arcs.scale
         # an incoming arc runs from its outer end to the node, an outgoing one back
         outer_row = march_index(grid_outer + np.where(incoming, 1, -1), size)
+        outer_coef = np.where(incoming, lower, upper) * sigma[outer_row]
+        inner_coef = np.where(incoming, upper, lower)
 
         ids = np.arange(outer.size)
         pull = np.zeros((size, outer.size), order="F")
-        pull[stencil.inner, ids] = -inner_coef
+        pull[stencil.inner, ids] = -inner_coef * sigma[stencil.inner]
         # one contiguous column at a time: the dtbsv sweeps solve each
         # column on its own, so this is bit for bit a block solve
         for column in pull.T:
@@ -405,16 +454,22 @@ class ArcJunctionLU:
         except np.linalg.LinAlgError as exc:
             raise LinearSolveFailure(f"junction Schur complement is singular: {exc}") from exc
         return cls(
-            arcs, outer, outer_row, outer_coef, stencil, schur_inv, window, window_arc, response
+            arcs, rhs_scale * sigma, outer, outer_row, outer_coef, stencil, schur_inv,
+            window, window_arc, response,
         )
 
     @property
     def nnz(self) -> int:
-        """Stored factor entries: the arc factors, the responses and the Schur inverse."""
-        return self.arcs.nnz + self.response.size + self.schur_inv.size
+        """Stored factor entries: the arc factors, the state scale, the
+        responses and the Schur inverse."""
+        return (
+            self.arcs.nnz + self.state_scale.size + self.response.size + self.schur_inv.size
+        )
 
     def solve(self, x: np.ndarray) -> None:
-        """Overwrite x, in march order, with the step matrix's solution against it."""
+        """Overwrite x, in march order, with the step matrix's solution
+        against a right-hand side whose rows x holds multiplied by
+        arcs.scale."""
         x[self.outer_row] -= self.outer_coef * x[self.outer]
         self.arcs.solve(x)
         # the cut node rows left x[node] = rhs[node]
@@ -436,9 +491,11 @@ class StepOperator:
     their own reference step and pin this view to it). rhs_scale
     maps the current state to the right-hand side: 1/dt at interior
     rows, 1 at Dirichlet rows (values persist), 0 at node rows. It is in
-    march order, as are all of lu's indices. lu solves the step arc by
-    arc plus an m x m junction system; the outer values (at lu.outer)
-    pass through it bitwise.
+    march order, as are all of lu's indices. It defines the step, but a
+    step multiplies by lu.state_scale, rhs_scale times the row scale
+    sigma of lu's pre-scaled factors. lu solves the step arc by arc plus
+    an m x m junction system; the outer values (at lu.outer) pass
+    through it bitwise.
     """
 
     bands: tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -527,11 +584,13 @@ def assemble_step_operator(
     # outer ends: identity rows, so the Dirichlet values persist;
     # transmission rows: algebraic, no time derivative (rhs_scale 0)
     size = grid.offsets[-1]
-    outer = np.asarray(grid.offsets[:-1]) + np.where(stencil.beta > 0.0, 0, grid.cells)
-    lu = ArcJunctionLU.factor(bands, stencil, march_index(outer, size), size)
+    outer = march_index(
+        np.asarray(grid.offsets[:-1]) + np.where(stencil.beta > 0.0, 0, grid.cells), size
+    )
     rhs_scale = np.full(size, 1.0 / dt)
-    rhs_scale[lu.outer] = 1.0
+    rhs_scale[outer] = 1.0
     rhs_scale[stencil.node] = 0.0
+    lu = ArcJunctionLU.factor(bands, stencil, outer, rhs_scale)
     op = StepOperator(bands=bands, lu=lu, dt=dt, rhs_scale=rhs_scale)
     if not op.positive:
         warnings.warn(
@@ -553,7 +612,7 @@ def step(x: np.ndarray, op: StepOperator) -> None:
         raise LinearSolveFailure(f"state has {x.size} values, operator expects {op.size}")
     # a non-finite value would meet the cut rows' zero couplings as 0 * inf
     with np.errstate(over="ignore", invalid="ignore"):
-        x *= op.rhs_scale
+        x *= op.lu.state_scale
         op.lu.solve(x)
 
 

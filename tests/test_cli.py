@@ -168,6 +168,31 @@ def test_converge_manifest_and_determinism(tmp_path, capsys):
         assert a.split(",")[:-1] == b.split(",")[:-1]
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_converge_records_each_levels_warnings_and_certificate(tmp_path, capsys, workers):
+    """The junction-active sweep's data violates the node conditions at
+    every level; each level's warning and positivity certificate reach
+    manifest.json and the summary, from worker processes too."""
+    source = EXPERIMENTS / "junction_sweep"
+    exp = write_json(tmp_path, "exp.json", {
+        "network": str(source / "network.json"), "data": str(source / "data.json"),
+        "epsilons": [0.04, 0.02], "T": 0.5,
+    })
+    out_dir = tmp_path / "run"
+    assert main(["converge", "--config", exp, "--out", str(out_dir), "--workers", workers]) == 0
+    stdout = capsys.readouterr().out
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest["failures"] == []
+    assert [level["epsilon"] for level in manifest["levels"]] == [0.04, 0.02]
+    for level in manifest["levels"]:
+        assert level["schur_inv_min"] > 0.0
+        (warning,) = level["warnings"]
+        assert warning["category"] == "UserWarning"
+        assert warning["message"].startswith("initial data violates the discrete node conditions")
+        line = f"warning at epsilon={level['epsilon']:g}: UserWarning: {warning['message']}"
+        assert line in stdout.splitlines()
+
+
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_converge_rejects_workers_below_one(tmp_path, capsys, workers):
     exp = write_experiment(tmp_path, [0.08])

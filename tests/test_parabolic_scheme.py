@@ -2,18 +2,28 @@
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import dataclasses
+import inspect
+import textwrap
 import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg.blas import dtbsv
 
-from conftest import ReferenceStep, cross_ones_coupling, random_coupling, random_network, simple_star
+from conftest import (
+    ReferenceStep,
+    cross_ones_coupling,
+    ignore_uncertified_step,
+    random_coupling,
+    random_network,
+    simple_star,
+)
 from starflux import (
     ArcProfile,
     CouplingMatrix,
@@ -142,9 +152,11 @@ def test_operator_holds_one_stencil_and_no_grid_order_indices():
 
 
 def blowup_operator(op):
-    """op with every right-hand-side scale infinite: its step meets the cut
-    rows' zero couplings as 0 * inf and leaves NaN behind."""
-    return dataclasses.replace(op, rhs_scale=np.full(op.size, np.inf))
+    """op with every entry of the scale its step multiplies the state by
+    (lu.state_scale) infinite: its step meets the cut rows' zero couplings
+    as 0 * inf and leaves NaN behind."""
+    blowup = np.full(op.size, np.inf)
+    return dataclasses.replace(op, lu=dataclasses.replace(op.lu, state_scale=blowup))
 
 
 def test_step_rejects_wrong_size_only():
@@ -433,7 +445,7 @@ def pairwise_depth(n):
     return 1 + max(pairwise_depth(half), pairwise_depth(n - half))
 
 
-@pytest.mark.filterwarnings("ignore:the junction Schur complement")
+@ignore_uncertified_step
 @pytest.mark.filterwarnings("ignore:initial data violates")
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 8))
@@ -603,16 +615,18 @@ def test_step_matrix_view_equals_the_reference(seed, m, coarse, odd_total, depth
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @star_draws
 def test_arc_junction_lu_matches_dense_solve(seed, m, coarse, odd_total, depth):
-    """op.lu.solve and step, in march order, against dense solves of the
-    reference step at both parities and one to three reduction levels;
-    gathering into march order and scattering back, and the outer values
-    through a step, are exact. The stencil's node-row defect is the
-    reference's node rows."""
+    """op.lu.solve, on a right-hand side multiplied by its row scale, and
+    step, in march order, against dense solves of the reference step at
+    both parities and one to three reduction levels; gathering into march
+    order and scattering back, and the outer values through a step, are
+    exact. The stencil's node-row defect is the reference's node rows."""
     rng, op, ref = random_star_operator(seed, m, coarse, odd_total, depth)
     assert op.size % 2 == odd_total
     # the cut boundary rows leave nothing for dgttrf to pivot: the factor
     # refuses a row exchange, so reaching here shows there was none
     matrix = ref.matrix
+    # a step multiplies by the right-hand-side scale and the row scale at once
+    assert op.lu.state_scale.tobytes() == (op.rhs_scale * op.lu.arcs.scale).tobytes()
 
     state = rng.normal(size=op.size)
     node_rows = matrix[ref.node]
@@ -622,7 +636,7 @@ def test_arc_junction_lu_matches_dense_solve(seed, m, coarse, odd_total, depth):
 
     rhs = rng.normal(size=op.size)
     expected = np.linalg.solve(matrix, rhs)
-    x = to_march_order(rhs)
+    x = to_march_order(rhs) * op.lu.arcs.scale
     op.lu.solve(x)
     np.testing.assert_allclose(
         to_grid_order(x), expected, rtol=0.0, atol=1e-10 * np.max(np.abs(expected))
@@ -677,6 +691,49 @@ def test_positivity_certificate_matches_the_dense_inverse(seed, m, coarse, odd_t
     )
 
 
+@ignore_uncertified_step
+@pytest.mark.filterwarnings("ignore:coarsest spacing")
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@star_draws
+def test_certified_step_keeps_nonnegative_states_nonnegative(seed, m, coarse, odd_total, depth):
+    """Whenever op.positive holds, step maps every nonnegative march vector
+    to a nonnegative one, exactly, not just up to rounding.
+
+    The step is sums of products of nonnegative numbers, each of which
+    rounds to a nonnegative number. The state is multiplied by
+    state_scale >= 0, rhs_scale times sigma > 0: the cut tridiagonal is
+    an M-matrix, so every pivot is positive. Every stored coefficient
+    then keeps its raw band's sign, and the bands' off-diagonals are <= 0:
+    outer_coef and the bottom's inv(D) @ L @ D and V are <= 0 and are
+    subtracted, the folds -a sigma and -c sigma are >= 0 and are added,
+    and odd_lo = a / b and odd_up = c / b are <= 0 and are subtracted.
+    The responses solve the same way from -inner_coef * sigma >= 0, so
+    they are >= 0; schur_inv >= 0 is the certificate itself, and it
+    multiplies x[node] + eh * x[inner] >= 0. Exact zeros and negative
+    zeros pass through as zeros.
+    """
+    rng, op, _ = random_star_operator(seed, m, coarse, odd_total, depth)
+    assume(op.positive)
+    x = rng.uniform(0.0, 2.0, op.size)
+    x[rng.random(op.size) < 0.5] = 0.0
+    step(x, op)
+    assert x.min() >= 0.0
+
+
+def test_step_solve_divides_nothing():
+    """Every pivot is folded into the stored factors at factor time: the
+    source of step, ArcJunctionLU.solve and OddEvenLU.solve holds no
+    true division, in place or not, and calls no numpy division. (Integer
+    // halves an index, not a vector.)"""
+    for fn in (step, ArcJunctionLU.solve, OddEvenLU.solve):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)):
+                assert not isinstance(node.op, ast.Div), fn.__qualname__
+            if isinstance(node, ast.Attribute):
+                assert node.attr not in {"divide", "true_divide", "reciprocal"}, fn.__qualname__
+
+
 def cut_tridiagonal(ref):
     """The reference step matrix's three bands with the node and outer rows
     and columns replaced by unit rows, as a dense array."""
@@ -697,9 +754,11 @@ def test_reduced_system_is_diagonally_dominant(seed, m, coarse, odd_total, depth
     Eliminating the odd unknowns of the cut tridiagonal leaves the Schur
     complement over the even ones, and each further level does the same
     to the one before. Each is tridiagonal and strictly diagonally
-    dominant by rows and by columns, and the stored factors of the last,
-    unit lower bidiagonal L, pivots D and unit upper bidiagonal V in BLAS
-    band rows with their unit diagonals unstored, multiply back to it.
+    dominant by rows and by columns. Each level's row scale holds the
+    reciprocals of its odd rows' diagonal, and the stored factors of the
+    last, the unit lower bidiagonal inv(D) @ L @ D and unit upper
+    bidiagonal V in BLAS band rows with their unit diagonals unstored,
+    multiply back to it with D, the reciprocals of its row scale.
     """
     _, op, ref = random_star_operator(seed, m, coarse, odd_total, depth)
     schur = cut_tridiagonal(ref)
@@ -708,7 +767,8 @@ def test_reduced_system_is_diagonally_dominant(seed, m, coarse, odd_total, depth
         tri = schur
         odd_diag = np.diag(tri[odd, odd])
         assert (np.diag(odd_diag) == tri[odd, odd]).all()
-        np.testing.assert_allclose(level.odd_diag, odd_diag, rtol=1e-13)
+        n_even = level.fold_lo.size + 1
+        np.testing.assert_allclose(level.scale[n_even:], 1.0 / odd_diag, rtol=1e-13)
         schur = tri[even, even] - tri[even, odd] @ (tri[odd, even] / odd_diag[:, None])
         assert (np.triu(schur, 2) == 0.0).all() and (np.tril(schur, -2) == 0.0).all()
         diag = np.abs(np.diag(schur))
@@ -716,13 +776,14 @@ def test_reduced_system_is_diagonally_dominant(seed, m, coarse, odd_total, depth
         assert (diag > off.sum(axis=1)).all()
         assert (diag > off.sum(axis=0)).all()
 
-    lower, pivots, upper = level.reduced
+    lower, upper = level.reduced
+    pivots = 1.0 / level.scale[:n_even]
     assert lower.shape == upper.shape == (2, pivots.size)
     assert not lower[0].any() and not lower[1, -1] and not upper[1].any() and not upper[0, 0]
     unit_lower = np.eye(pivots.size) + np.diag(lower[1, :-1], -1)
     unit_upper = np.eye(pivots.size) + np.diag(upper[0, 1:], 1)
     np.testing.assert_allclose(
-        unit_lower @ np.diag(pivots) @ unit_upper, schur, rtol=0.0, atol=1e-13 * diag.max()
+        np.diag(pivots) @ unit_lower @ unit_upper, schur, rtol=0.0, atol=1e-13 * diag.max()
     )
 
 
@@ -732,14 +793,15 @@ def test_reduced_system_is_diagonally_dominant(seed, m, coarse, odd_total, depth
 def test_junction_responses_are_single_arc_solves(seed, m, coarse, odd_total, depth):
     """The responses, solved as one (n, m) block, equal m single solves bit
     for bit: steps and responses share one solve path, in march order,
-    at every reduction depth."""
+    at every reduction depth, each right-hand side multiplied by the row
+    scale first."""
     _, op, _ = random_star_operator(seed, m, coarse, odd_total, depth)
     lu, (lower, _, upper) = op.lu, op.bands
     # an incoming arc's inner point reads the node as its right neighbour
     inner_coef = np.where(lu.stencil.beta > 0.0, upper, lower)
     for i in range(m):
         pull = np.zeros(op.size)
-        pull[lu.stencil.inner[i]] = -inner_coef[i]
+        pull[lu.stencil.inner[i]] = -inner_coef[i] * lu.arcs.scale[lu.stencil.inner[i]]
         lu.arcs.solve(pull)
         mine = lu.window_arc == i
         assert lu.response[mine].tolist() == pull[lu.window[mine]].tolist()
@@ -748,7 +810,7 @@ def test_junction_responses_are_single_arc_solves(seed, m, coarse, odd_total, de
         assert (np.abs(pull[rest]) < RESPONSE_CUTOFF).all()
 
 
-@pytest.mark.filterwarnings("ignore:the junction Schur complement")
+@ignore_uncertified_step
 @pytest.mark.filterwarnings("ignore:initial data violates")
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @star_draws
@@ -798,11 +860,11 @@ def test_arc_junction_lu_rejects_singular_systems():
     lower, diag, upper = op.bands
     broken = (lower, np.where(np.arange(2) == 0, 0.0, diag), upper)
     with pytest.raises(LinearSolveFailure, match="zero pivot in row 2$"):
-        ArcJunctionLU.factor(broken, op.lu.stencil, op.lu.outer, op.size)
+        ArcJunctionLU.factor(broken, op.lu.stencil, op.lu.outer, op.rhs_scale)
     # node rows that only read their inner neighbours: S = 0
     mute = dataclasses.replace(op.lu.stencil, block=np.zeros((2, 2)), eh=np.zeros(2))
     with pytest.raises(LinearSolveFailure, match="Schur complement is singular"):
-        ArcJunctionLU.factor(op.bands, mute, op.lu.outer, op.size)
+        ArcJunctionLU.factor(op.bands, mute, op.lu.outer, op.rhs_scale)
 
 
 @pytest.mark.parametrize("column", [1, 2, 3, 6, 7])
@@ -842,28 +904,29 @@ def dominant_bands(rng, n):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_odd_even_lu_solves_every_size(n):
-    """From 1 row up, with vector right-hand sides in march order, alone and
-    as the contiguous columns of a block: scipy's dgttrf wrapper takes no
-    fewer than 3 rows, so a 1-row bottom system is its own pivot and a
-    2-row one is reduced again."""
+    """From 1 row up, with vector right-hand sides in march order, each
+    multiplied by the row scale, alone and as the contiguous columns of a
+    block: scipy's dgttrf wrapper takes no fewer than 3 rows, so a 1-row
+    bottom system is its own pivot and a 2-row one is reduced again."""
     rng = np.random.default_rng(n)
     dl, d, du = dominant_bands(rng, n)
     dense = np.diag(d) + np.diag(dl, -1) + np.diag(du, 1)
     lu = OddEvenLU.factor(dl, d, du)
     levels = reduction_levels(lu)
-    pivots = levels[-1].reduced[1]
+    bottom = levels[-1].reduced[0].shape[1]
     if n <= 4:
-        assert pivots.size == 1
+        assert bottom == 1
     else:
-        assert len(levels) == 1 and pivots.size == (n + 1) // 2
+        assert len(levels) == 1 and bottom == (n + 1) // 2
+    assert lu.scale.shape == (n,)
     b = rng.normal(size=(n, 3))
     expected = np.linalg.solve(dense, b)
     # column by column, as ArcJunctionLU.factor solves its responses
-    x = np.asfortranarray(np.concatenate([b[0::2], b[1::2]]))
+    x = np.asfortranarray(np.concatenate([b[0::2], b[1::2]]) * lu.scale[:, None])
     for column in x.T:
         lu.solve(column)
     np.testing.assert_allclose(to_grid_order(x), expected, rtol=1e-13, atol=1e-15)
-    x = to_march_order(b[:, 0])
+    x = to_march_order(b[:, 0]) * lu.scale
     lu.solve(x)
     np.testing.assert_allclose(to_grid_order(x), expected[:, 0], rtol=1e-13, atol=1e-15)
 
@@ -903,31 +966,35 @@ def test_row_exchange_names_its_row_of_the_full_system(n):
 
 @pytest.mark.parametrize("depth", [1, 2, 3])
 def test_nnz_counts_every_level(depth):
-    """nnz adds each level's five coefficient vectors, 3 n_odd + 2 n_even
-    - 2 entries for n rows, to the last system's bidiagonal factors: n
-    pivots and n - 1 off-diagonal entries each in L and V."""
+    """nnz adds each level's four coefficient vectors, 2 n_odd + 2 n_even
+    - 2 entries for n rows, and its n-entry row scale, to the last
+    system's bidiagonal factors: n - 1 off-diagonal entries each in its
+    two unit bidiagonals. The step's nnz adds its state scale, the
+    responses and the Schur inverse."""
     _, op, _ = random_star_operator(7, 3, False, True, depth)
     assert len(reduction_levels(op.lu.arcs)) == depth
     rows, expected = op.size, 0
     for _ in range(depth):
         n_even, n_odd = (rows + 1) // 2, rows // 2
-        expected += 3 * n_odd + 2 * n_even - 2
+        expected += 2 * n_odd + 2 * n_even - 2 + rows
         rows = n_even
-    expected += 3 * rows - 2
+    expected += 2 * (rows - 1)
     assert op.lu.arcs.nnz == expected
+    m = 3
+    assert op.lu.nnz == expected + op.size + op.lu.response.size + m * m
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3])
 def test_bottom_sweeps_overwrite_their_buffer_in_place(depth):
     """However deep the reduction, a step's bottom solve is two dtbsv
     sweeps, unit lower then unit upper, on one contiguous buffer, each
-    overwriting it in place. On a strided vector f2py sweeps a copy,
-    which is written back: the solution is the contiguous one, bit for
-    bit."""
+    overwriting it in place, with nothing between them. On a strided
+    vector f2py sweeps a copy, which is written back: the solution is the
+    contiguous one, bit for bit."""
     _, op, ref = random_star_operator(11, 4, False, False, depth)
     levels = reduction_levels(op.lu.arcs)
     assert len(levels) == depth
-    lower, pivots, upper = levels[-1].reduced
+    lower, upper = levels[-1].reduced
     assert lower.flags.f_contiguous and upper.flags.f_contiguous
     calls = []
 
@@ -936,17 +1003,18 @@ def test_bottom_sweeps_overwrite_their_buffer_in_place(depth):
         calls.append((a, x, out))
         return out
 
-    x = np.linspace(1.0, 2.0, op.size)
+    rhs = np.linspace(1.0, 2.0, op.size)
+    x = rhs * op.lu.arcs.scale
     strided = np.zeros((op.size, 2))[:, 0]
     strided[...] = x
-    expected = np.linalg.solve(ref.matrix, to_grid_order(x))
+    expected = np.linalg.solve(ref.matrix, to_grid_order(rhs))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(scheme, "dtbsv", spy)
         op.lu.solve(x)
         (a1, x1, out1), (a2, x2, out2) = calls
         assert a1 is lower and a2 is upper
         assert x1 is out1 is x2 is out2
-        assert x1.size == pivots.size and x1.flags.c_contiguous
+        assert x1.size == lower.shape[1] and x1.flags.c_contiguous
         calls.clear()
         op.lu.solve(strided)
     # only the first level's even half is a view of the vector solved
@@ -982,7 +1050,7 @@ def test_march_builds_no_sparse_matrix(monkeypatch):
         op.matrix
 
 
-@pytest.mark.filterwarnings("ignore:the junction Schur complement")
+@ignore_uncertified_step
 @pytest.mark.filterwarnings("ignore:initial data violates")
 @pytest.mark.xfail(
     strict=True,

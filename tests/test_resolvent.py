@@ -11,6 +11,7 @@ from conftest import (
     ReferenceStep,
     cell_averages,
     cross_ones_coupling,
+    ignore_uncertified_step,
     random_coupling,
     random_network,
     simple_star,
@@ -211,7 +212,7 @@ def steady_star(seed, m):
     return net, K, eps, theta, f, boundary
 
 
-@pytest.mark.filterwarnings("ignore:the junction Schur complement")
+@ignore_uncertified_step
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 8))
 @example(seed=172, m=6)
