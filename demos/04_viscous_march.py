@@ -4,13 +4,15 @@ The implicit scheme treats each arc as an advection-diffusion equation
 and ties the arcs together with the discrete junction conditions. Three
 quantities are recorded after every step and act as health checks:
 
-  l1_norm        total variation-free size of the state, should only
-                 shrink once inflow stops feeding it
-  min_value      on this pair, as on the acceptance cases, the scheme
-                 keeps the state nonnegative, so this should never drop
-                 below a machine-scale floor; it is not yet
-                 positivity-preserving on every star (ROADMAP item 1,
-                 test_march_stays_nonnegative_and_bounded_on_random_stars)
+  l1_norm        composite-trapezoid L1 norm of the state, which for a
+                 nonnegative state is its mass; it should only shrink
+                 once inflow stops feeding it
+  min_value      this pair's step is certified positive
+                 (StepOperator.positive: the junction Schur system's
+                 inverse is entrywise nonnegative), so this should never
+                 drop below a machine-scale floor; where the certificate
+                 fails, assemble_step_operator warns UnstableConfig and
+                 converge's manifest.json shows schur_inv_min < 0
   flux_residual  imbalance of the junction fluxes, enforced by the
                  linear solve itself, so it sits at solver precision
 

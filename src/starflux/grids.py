@@ -26,6 +26,25 @@ MAX_CELLS = 10**6
 DEFAULT_H_RULE = 8.0
 
 
+def to_march_order(flat: np.ndarray) -> np.ndarray:
+    """flat's even-indexed rows, then its odd-indexed ones, as a new array."""
+    return np.concatenate([flat[0::2], flat[1::2]])
+
+
+def to_grid_order(x: np.ndarray) -> np.ndarray:
+    """The inverse of to_march_order, as a new array."""
+    flat = np.empty_like(x)
+    n_even = (x.shape[0] + 1) // 2
+    flat[0::2] = x[:n_even]
+    flat[1::2] = x[n_even:]
+    return flat
+
+
+def march_index(k: np.ndarray, size: int) -> np.ndarray:
+    """Positions in march order of grid-order indices k into size rows."""
+    return k // 2 + (k % 2) * ((size + 1) // 2)
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform grid per arc: cells[i] intervals of width spacings[i]."""
@@ -43,14 +62,17 @@ class Grid:
         return tuple(accumulate((n + 1 for n in self.cells), initial=0))
 
     @cached_property
-    def weights(self) -> np.ndarray:
-        """Composite-trapezoid weights of a flat state, read-only."""
-        w = np.repeat(self.spacings, np.asarray(self.cells) + 1)
-        ends = np.asarray(self.offsets)
-        w[ends[:-1]] *= 0.5
-        w[ends[1:] - 1] *= 0.5
-        w.flags.writeable = False
-        return w
+    def march_runs(self) -> np.ndarray:
+        """Where each arc's even-indexed points start in march order, then
+        each arc's odd-indexed ones: sorted starts of 2 * arc_count runs."""
+        first = np.asarray(self.offsets[:-1])
+        return np.concatenate([(first + 1) // 2, first // 2 + (self.offsets[-1] + 1) // 2])
+
+    @cached_property
+    def march_ends(self) -> np.ndarray:
+        """Each arc's first point, then each arc's last one, in march order."""
+        b = np.asarray(self.offsets)
+        return march_index(np.concatenate([b[:-1], b[1:] - 1]), b[-1])
 
     def nodes(self, arc_id: int) -> np.ndarray:
         n = self.cells[arc_id]
@@ -201,34 +223,27 @@ def average_on_grid(profiles: Sequence, grid: Grid) -> DiscreteState:
 
 
 def discrete_l1_norm(state: DiscreteState, grid: Grid) -> float:
-    """Composite-trapezoid L1 norm of |state| summed over arcs."""
-    return weighted_l1(state.flat, grid.weights)
+    """Composite-trapezoid L1 norm of |state|: march_l1_and_min's, in march order."""
+    return march_l1_and_min(to_march_order(state.flat), grid)[0]
 
 
-def weighted_l1(values: np.ndarray, weights: np.ndarray) -> float:
-    """sum(|values| * weights), values and weights in one order."""
-    # a sum, not a BLAS dot: OpenBLAS splits long dots across threads
-    return float((np.abs(values) * weights).sum())
+def march_l1_and_min(x: np.ndarray, grid: Grid) -> tuple[float, float]:
+    """The composite-trapezoid L1 norm and the minimum of x, a state on
+    grid in march order (to_march_order).
 
-
-def weighted_l1_and_min(
-    values: np.ndarray, weights: np.ndarray, scratch: np.ndarray
-) -> tuple[float, float]:
-    """weighted_l1(values, weights) and np.min(values), bit for bit, with
-    scratch, an array of values' shape, as the only temporary.
-
-    Both are the array methods min and sum, the reductions np.min and
-    np.sum call, without their wrappers. With positive weights they also
-    tell whether values are finite: the minimum is NaN on any NaN and
-    -inf on any -inf, the sum +inf on any +inf.
-
-    With no negative value np.abs is skipped: the products then differ
-    from |values| * weights only in the sign of zero, which a sum of
-    nonnegative terms keeps only when it is zero, and adding 0.0 makes
-    that zero +0.0.
+    Arc a adds h_a * ((S_even + S_odd) - 0.5 * (|u_first| + |u_last|)) to
+    +0.0 in arc order, in Python floats; S_even and S_odd sum |u| over its
+    even- and odd-indexed points, contiguous runs that np.add.reduceat
+    adds as their first value plus the pairwise sum of the rest. No BLAS
+    dot or einsum: their sum orders follow thread count or SIMD dispatch.
+    The minimum is NaN on any NaN and -inf on any -inf, the norm +inf or
+    NaN on any +inf. Skipping np.abs when no value is negative changes
+    only the sign of a zero run sum, which the add to +0.0 makes +0.0.
     """
-    lowest = float(values.min())
-    if not lowest >= 0.0:
-        return weighted_l1(values, weights), lowest
-    np.multiply(values, weights, out=scratch)
-    return float(scratch.sum()) + 0.0, lowest
+    lowest = float(x.min())
+    runs = np.add.reduceat(x if lowest >= 0.0 else np.abs(x), grid.march_runs).tolist()
+    ends = x[grid.march_ends].tolist()
+    m, total = grid.arc_count, 0.0
+    for h, even, odd, first, last in zip(grid.spacings, runs, runs[m:], ends, ends[m:]):
+        total += h * ((even + odd) - 0.5 * (abs(first) + abs(last)))
+    return total, lowest

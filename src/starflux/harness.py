@@ -21,7 +21,7 @@ import json
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import astuple, dataclass, fields
+from dataclasses import asdict, astuple, dataclass, fields
 from functools import partial
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -125,19 +125,20 @@ class LevelRecord:
     message), in order, as far as the active filters let it through;
     schur_inv_min is its step's positivity certificate
     (StepOperator.schur_inv_min), None when the level failed before its
-    march returned.
+    march returned. seconds times its phases "compat" (build_compatible),
+    "march" (solve_parabolic) and "compare" (l1_distance and
+    node_trace_error), steps counts its march's steps; None on a failure.
     """
 
     epsilon: float
     warnings: tuple[tuple[str, str], ...]
     schur_inv_min: float | None
+    seconds: dict[str, float] | None
+    steps: int | None
 
     def manifest_entry(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "schur_inv_min": self.schur_inv_min,
-            "warnings": [{"category": c, "message": m} for c, m in self.warnings],
-        }
+        warned = [{"category": c, "message": m} for c, m in self.warnings]
+        return {**asdict(self), "warnings": warned}
 
 
 @dataclass(frozen=True)
@@ -197,19 +198,22 @@ def _sweep_row(
     level.
     """
     spec, exact = payload
-    schur_inv_min = None
+    schur_inv_min = seconds = steps = None
     with warnings.catch_warnings(record=True) as caught:
         try:
-            start = time.perf_counter()
+            marks = [time.perf_counter()]
             net, K, B, T = spec.net, spec.K, spec.B, spec.T
             compat = build_compatible(spec.u0, B, net, K, epsilon, spec.theta)
+            marks.append(time.perf_counter())
             cfg = SolverConfig(epsilon=epsilon, T=T, h_rule=spec.h_rule)
             trajectory = solve_parabolic(net, K, compat.arcs, B, cfg)
+            marks.append(time.perf_counter())
             schur_inv_min = trajectory.operator.schur_inv_min
             final_error = l1_distance(
                 trajectory.final, exact, trajectory.grid, t=T
             )
             trace_error = node_trace_error(trajectory, exact)
+            marks.append(time.perf_counter())
             times = trajectory.diagnostics[:, 0]
             outcome = ConvergenceRow(
                 epsilon=float(epsilon),
@@ -219,12 +223,14 @@ def _sweep_row(
                 node_trace_l1_error=float(trace_error),
                 flux_residual_max=float(np.max(np.abs(trajectory.diagnostics[:, 3]))),
                 min_value=float(np.min(trajectory.diagnostics[:, 2])),
-                wall_time=time.perf_counter() - start,
+                wall_time=time.perf_counter() - marks[0],
             )
+            seconds = dict(zip(("compat", "march", "compare"), np.diff(marks).tolist()))
+            steps = times.size - 1
         except Exception as exc:  # crash isolation: one level must not kill the sweep
             outcome = f"{type(exc).__name__}: {exc}"
     raised = tuple((w.category.__name__, str(w.message)) for w in caught)
-    return outcome, LevelRecord(float(epsilon), raised, schur_inv_min)
+    return outcome, LevelRecord(float(epsilon), raised, schur_inv_min, seconds, steps)
 
 
 def run_convergence(spec: ExperimentSpec, workers: int = 1) -> ConvergenceReport:

@@ -3,6 +3,11 @@
 solve_parabolic integrates the viscous problem to a horizon with
 per-step diagnostics; march_to_steady solves the steady resolvent
 equation, which is one implicit step of length theta.
+
+solve_parabolic calls step, discrete_l1_norm, flux_residual and
+assemble_step_operator through this module's names, each time it runs
+them: perfbench's probe and tracer wrap them here (and read
+StepOperator.matrix), so bypassing one changes what they time.
 """
 
 from __future__ import annotations
@@ -24,20 +29,15 @@ from ..grids import (
     check_on_grid,
     discrete_l1_norm,
     make_grid,
+    march_l1_and_min,
     sample_on_grid,
-    weighted_l1_and_min,
+    to_grid_order,
+    to_march_order,
 )
 from ..hyperbolic import PiecewiseConstantField, check_profile_lengths
 from ..network import CouplingMatrix, StarNetwork
 from .resolvent import ResolventProblem
-from .scheme import (
-    StepOperator,
-    assemble_step_operator,
-    flux_residual,
-    step,
-    to_grid_order,
-    to_march_order,
-)
+from .scheme import StepOperator, assemble_step_operator, flux_residual, step
 
 #: sampled initial data may violate the discrete node conditions by this
 #: much before a warning is issued
@@ -123,7 +123,7 @@ def solve_parabolic(
 
     A step that leaves a non-finite value raises LinearSolveFailure,
     found through the diagnostics about to be recorded: a NaN or -inf
-    makes the minimum non-finite and a +inf the L1 norm. An L1 sum that
+    makes the minimum non-finite and a +inf the L1 norm. An L1 norm that
     overflows on finite values counts as well, and raises the same error
     without numpy's overflow warning. So does finite data too large to
     start from: a projection or start L1 norm that overflows raises
@@ -147,8 +147,6 @@ def solve_parabolic(
     x, t = _initial_values(u0_eps, grid, net)
     inflow = list(net.incoming_ids)
     x[op.lu.outer[inflow]] = bvals[inflow]
-    weights = to_march_order(grid.weights)
-    scratch = np.empty_like(weights)
     node, inner = stencil.node, stencil.inner
     # one errstate for the start and the whole loop: a sum or product that
     # overflows on finite values reads inf or NaN, quietly, and fails the
@@ -173,8 +171,8 @@ def solve_parabolic(
         for _ in range(n_steps):
             step(x, op)
             t += op.dt
-            l1, lowest = weighted_l1_and_min(x, weights, scratch)
-            # the minimum is NaN or -inf and the L1 sum +inf on any such value
+            l1, lowest = march_l1_and_min(x, grid)
+            # the minimum is NaN or -inf and the L1 norm +inf or NaN on any such value
             if not (lowest > -math.inf and l1 < math.inf):
                 raise LinearSolveFailure(NON_FINITE_STEP)
             u = x[node]

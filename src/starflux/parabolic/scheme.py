@@ -66,7 +66,7 @@ from scipy.linalg.blas import dtbsv
 from scipy.linalg.lapack import dgttrf
 
 from ..errors import AssumptionViolated, LinearSolveFailure, UnstableConfig
-from ..grids import Grid
+from ..grids import Grid, march_index, to_march_order
 from ..network import CouplingMatrix, StarNetwork, alpha_from_k, validate_assumptions
 
 
@@ -154,25 +154,6 @@ class JunctionStencil:
 #: decayed below this: far below the rounding of the junction value it
 #: scales, and adding it back writes no subnormal tails
 RESPONSE_CUTOFF = np.finfo(float).eps ** 2
-
-
-def to_march_order(flat: np.ndarray) -> np.ndarray:
-    """flat's even-indexed rows, then its odd-indexed ones, as a new array."""
-    return np.concatenate([flat[0::2], flat[1::2]])
-
-
-def to_grid_order(x: np.ndarray) -> np.ndarray:
-    """The inverse of to_march_order, as a new array."""
-    flat = np.empty_like(x)
-    n_even = (x.shape[0] + 1) // 2
-    flat[0::2] = x[:n_even]
-    flat[1::2] = x[n_even:]
-    return flat
-
-
-def march_index(k: np.ndarray, size: int) -> np.ndarray:
-    """Positions in march order of grid-order indices k into size rows."""
-    return k // 2 + (k % 2) * ((size + 1) // 2)
 
 
 #: OddEvenLU reduces its even half again while that half has more than

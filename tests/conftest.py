@@ -1,5 +1,6 @@
 """Shared builders for networks and admissible couplings, the reference
-implicit step, and where the checked-in experiments live."""
+implicit step, numpy's pairwise summation depth, and where the
+checked-in experiments live."""
 
 from __future__ import annotations
 
@@ -22,6 +23,19 @@ EXPERIMENTS = ROOT / "experiments"
 #: random_coupling's stars draw often; the tests that march or solve on
 #: such stars do not depend on positivity
 ignore_uncertified_step = pytest.mark.filterwarnings("ignore:the junction Schur complement")
+
+
+def pairwise_depth(n):
+    """Most roundings a term meets in numpy's pairwise sum of n terms
+    (pairwise_sum in numpy's loops_utils.h.src): one by one below 8; to
+    128, 8 running sums of every 8th term added in 3 levels, then the
+    n % 8 left; above, two halves cut at a multiple of 8."""
+    if n < 8:
+        return n
+    if n <= 128:
+        return n // 8 + 2 + n % 8
+    half = n // 2 - (n // 2) % 8
+    return 1 + max(pairwise_depth(half), pairwise_depth(n - half))
 
 
 def simple_star(

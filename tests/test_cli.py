@@ -172,7 +172,8 @@ def test_converge_manifest_and_determinism(tmp_path, capsys):
 def test_converge_records_each_levels_warnings_and_certificate(tmp_path, capsys, workers):
     """The junction-active sweep's data violates the node conditions at
     every level; each level's warning and positivity certificate reach
-    manifest.json and the summary, from worker processes too."""
+    manifest.json and the summary, from worker processes too, and so do
+    its step count and its time split into phases, within its wall_time."""
     source = EXPERIMENTS / "junction_sweep"
     exp = write_json(tmp_path, "exp.json", {
         "network": str(source / "network.json"), "data": str(source / "data.json"),
@@ -184,8 +185,14 @@ def test_converge_records_each_levels_warnings_and_certificate(tmp_path, capsys,
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert manifest["failures"] == []
     assert [level["epsilon"] for level in manifest["levels"]] == [0.04, 0.02]
-    for level in manifest["levels"]:
+    walls = [float(row["wall_time"]) for row in read_csv(out_dir / "convergence.csv")]
+    for level, wall_time in zip(manifest["levels"], walls, strict=True):
         assert level["schur_inv_min"] > 0.0
+        assert level["steps"] > 0
+        seconds = level["seconds"]
+        assert sorted(seconds) == ["compare", "compat", "march"]
+        assert min(seconds.values()) >= 0.0
+        assert sum(seconds.values()) <= wall_time
         (warning,) = level["warnings"]
         assert warning["category"] == "UserWarning"
         assert warning["message"].startswith("initial data violates the discrete node conditions")
@@ -211,6 +218,9 @@ def test_converge_reports_failed_levels(tmp_path, capsys):
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert manifest["failures"][0]["epsilon"] == 0.7
     assert "WidthOverflow" in manifest["failures"][0]["reason"]
+    failed, ran = manifest["levels"]
+    assert failed["seconds"] is None and failed["steps"] is None
+    assert ran["steps"] > 0 and ran["seconds"]["march"] > 0.0
     rows = read_csv(out_dir / "convergence.csv")
     assert len(rows) == 1
 

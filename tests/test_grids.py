@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import simple_star
-from starflux import DimensionMismatch, discrete_l1_norm, make_grid, new_state
-from starflux.grids import weighted_l1, weighted_l1_and_min
+from conftest import pairwise_depth, simple_star
+from starflux import DimensionMismatch, Grid, discrete_l1_norm, make_grid, new_state
+from starflux.grids import MIN_CELLS, adopt_state, march_l1_and_min, to_march_order
 
 
 def small_grid():
@@ -22,13 +24,7 @@ def test_offsets_and_weights_follow_the_cells():
     # the short arc is held at MIN_CELLS = 4 cells of 0.125
     assert grid.cells == (4, 4, 6)
     assert grid.offsets == (0, 5, 10, 17)
-    w = grid.weights
-    np.testing.assert_array_equal(w[:5], [0.125, 0.25, 0.25, 0.25, 0.125])
-    np.testing.assert_array_equal(w[5:10], [0.0625, 0.125, 0.125, 0.125, 0.0625])
-    assert w.sum() == pytest.approx(3.0)
-    assert not w.flags.writeable
     # computed once per grid
-    assert grid.weights is w
     assert grid.offsets is grid.offsets
 
 
@@ -90,31 +86,75 @@ def test_reductions_match_the_per_arc_formulas():
 EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308]
 
 
+def bits(value):
+    return np.float64(value).tobytes()
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(
+    cells=st.lists(
+        st.one_of(st.just(MIN_CELLS), st.integers(MIN_CELLS, 300)), min_size=2, max_size=8
+    ),
     values=st.lists(
         st.one_of(
             st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=True),
             st.sampled_from(EDGE_VALUES),
         ),
         min_size=1,
-        max_size=300,
+        max_size=64,
     ),
     weight=st.floats(1e-6, 10.0),
     nonnegative=st.booleans(),
 )
-@example(values=[-0.0] * 9, weight=0.5, nonnegative=True)
-@example(values=[0.0, -0.0, 0.0], weight=0.5, nonnegative=False)
-@example(values=[-0.0, 5e-324], weight=1e-6, nonnegative=True)
-def test_weighted_l1_and_min_equal_the_plain_reductions(values, weight, nonnegative):
-    """The march's diagnostics skip np.abs when no value is negative; the
-    L1 sum and the minimum still equal weighted_l1 and np.min bit for
-    bit, the sign of a zero sum included."""
-    v = np.asarray(values)
+@example(cells=[4, 4], values=[-0.0], weight=0.5, nonnegative=True)
+@example(cells=[4, 5, 4], values=[0.0, -0.0, 0.0], weight=0.5, nonnegative=False)
+@example(cells=[5, 4], values=[-0.0, 5e-324], weight=1e-6, nonnegative=True)
+def test_march_l1_is_one_trapezoid_rule(cells, values, weight, nonnegative):
+    """The L1 norm every diagnostics row records, on random grids.
+
+    values, repeated to the grid's size, is the state in grid order. Its
+    norm is the same bits from grid order (discrete_l1_norm, the start
+    row) and march order (march_l1_and_min, every later row), and the
+    same bits with np.abs skipped, as it is when no value is negative, as
+    with it, signed zeros included; the minimum is np.min's.
+
+    Against math.fsum of the trapezoid terms h*|u| (0.5*h*|u| at the
+    ends), each rounded once, so within u = eps/2 of the exact sum S:
+    np.add.reduceat adds each run's first value to the pairwise sum of
+    the rest, d = 1 + pairwise_depth(n - 1) roundings for the longest run
+    of n. The two runs' add makes d + 1; subtracting the half ends, at
+    most half of the arc's share s of S, at most doubles that error
+    relative to s, and the ends' add, the subtraction and the product
+    with h add one each, m - 1 adds over the arcs after: 2d + 4 + m
+    roundings, 2d + 6 + m with the reference's two, to first order
+    (Higham, Accuracy and Stability of Numerical Algorithms, sec. 4.2).
+    d + m + 4 eps, twice that, covers the higher-order terms. A rounding
+    in the subnormal range is off by at most half the smallest subnormal
+    instead, scaled by h after the ends' halving: one per product of the
+    reference and two per arc.
+    """
+    m = len(cells)
+    grid = Grid(tuple(cells), tuple(weight * (1 + i % 3) for i in range(m)))
+    size = grid.offsets[-1]
+    flat = np.resize(np.asarray(values, dtype=float), size)
     if nonnegative:
         # -0.0 < 0.0 is false, so negative zeros stay
-        v = np.where(v < 0.0, -v, v)
-    w = weight * (1.0 + np.arange(v.size) % 3)
-    scratch = np.full_like(v, np.nan)
-    got = weighted_l1_and_min(v, w, scratch)
-    assert np.array(got).tobytes() == np.array([weighted_l1(v, w), float(np.min(v))]).tobytes()
+        flat = np.where(flat < 0.0, -flat, flat)
+    x = to_march_order(flat)
+    runs = np.diff([*grid.march_runs, size])
+    # np.add.reduceat returns x[i] for an empty run starting at i
+    assert (runs > 0).all()
+
+    l1, lowest = march_l1_and_min(x, grid)
+    assert bits(lowest) == bits(np.min(x))
+    assert bits(discrete_l1_norm(adopt_state(grid, flat.copy(), 0.0), grid)) == bits(l1)
+    assert bits(march_l1_and_min(np.abs(x), grid)[0]) == bits(l1)
+
+    terms = []
+    for i, h in enumerate(grid.spacings):
+        a = np.abs(flat[grid.offsets[i] : grid.offsets[i + 1]])
+        terms += [0.5 * h * a[0], *(h * a[1:-1]), 0.5 * h * a[-1]]
+    exact = math.fsum(terms)
+    d = max(1 + pairwise_depth(n - 1) for n in runs)
+    tiny = np.finfo(float).smallest_subnormal * (size + 2 * m * max(1.0, *grid.spacings))
+    assert abs(l1 - exact) <= (d + m + 4) * np.finfo(float).eps * exact + tiny

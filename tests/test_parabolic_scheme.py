@@ -20,6 +20,7 @@ from conftest import (
     ReferenceStep,
     cross_ones_coupling,
     ignore_uncertified_step,
+    pairwise_depth,
     random_coupling,
     random_network,
     simple_star,
@@ -41,7 +42,14 @@ from starflux import (
     solve_parabolic,
 )
 from starflux.dataprep import PiecewisePoly, PolynomialPiece
-from starflux.grids import MIN_CELLS, adopt_state, sample_on_grid, weighted_l1
+from starflux.grids import (
+    MIN_CELLS,
+    adopt_state,
+    march_index,
+    sample_on_grid,
+    to_grid_order,
+    to_march_order,
+)
 from starflux.parabolic import evolve, scheme
 from starflux.parabolic.scheme import (
     RESPONSE_CUTOFF,
@@ -50,10 +58,7 @@ from starflux.parabolic.scheme import (
     OddEvenLU,
     assemble_step_operator,
     flux_residual,
-    march_index,
     step,
-    to_grid_order,
-    to_march_order,
 )
 
 
@@ -432,19 +437,6 @@ def test_node_conditions_hold_after_projection_and_step(seed, m):
     assert abs(flux_residual(x, op)) <= tol
 
 
-def pairwise_depth(n):
-    """Most roundings a term meets in numpy's pairwise sum of n terms
-    (pairwise_sum in numpy's loops_utils.h.src): one by one below 8; to
-    128, 8 running sums of every 8th term added in 3 levels, then the
-    n % 8 left; above, two halves cut at a multiple of 8."""
-    if n < 8:
-        return n
-    if n <= 128:
-        return n // 8 + 2 + n % 8
-    half = n // 2 - (n // 2) % 8
-    return 1 + max(pairwise_depth(half), pairwise_depth(n - half))
-
-
 @ignore_uncertified_step
 @pytest.mark.filterwarnings("ignore:initial data violates")
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -454,15 +446,19 @@ def test_march_diagnostics_match_per_arc_formulas(seed, m):
 
     The states come from advance, one step at a time, and must match the
     march's vector bit for bit. All but the L1 norm is exact: the march
-    sums it over all n points at once, the per-arc formula regroups it.
-    Both add nonnegative terms, so each is off by at most d*u*S to first
-    order, S the exact sum, u = eps/2 and d the most roundings one term
-    meets (Higham, Accuracy and Stability of Numerical Algorithms, sec.
-    4.2). In the march: the product w*|u|, pairwise_depth(n) and the add
-    to the reduction's start. Per arc: pairwise_depth(cells - 1), the two
-    end halves, the product with h and m adds over the arcs. Allowing eps
-    per rounding covers the higher-order terms and per_arc standing in
-    for S.
+    sums each arc's even- and odd-indexed points as two runs, the per-arc
+    formula its inner points at once. Each is off from the exact sum S by
+    at most r*u*S to first order, u = eps/2 and r the most roundings one
+    term meets, weighted as below (Higham, Accuracy and Stability of
+    Numerical Algorithms, sec. 4.2). In the march (as in test_grids'
+    test_march_l1_is_one_trapezoid_rule): d = 1 + pairwise_depth(n - 1)
+    for the longest run of n and the runs' add; subtracting the half
+    ends, at most half of the arc's share s of S, at most doubles that
+    error relative to s; the ends' add, the subtraction, the product with
+    h and m - 1 adds over the arcs: r = 2d + 4 + m. Per arc:
+    pairwise_depth(cells - 1), the two end halves, the product with h
+    and m adds. Half their sum, rounded up, plus one, in eps = 2u, covers
+    the higher-order terms and per_arc standing in for S.
     """
     rng = np.random.default_rng(seed)
     net = random_network(rng, m_min=m, m_max=m)
@@ -474,8 +470,9 @@ def test_march_diagnostics_match_per_arc_formulas(seed, m):
     traj = solve_parabolic(net, K, u0, B, cfg)
     grid = traj.grid
     ref = ReferenceStep(net, K, grid, eps, traj.operator.dt)
-    roundings = pairwise_depth(grid.offsets[-1]) + 2
-    roundings += max(pairwise_depth(n - 1) for n in grid.cells) + 3 + m
+    runs = np.diff([*grid.march_runs, grid.offsets[-1]])
+    roundings = max(1 + pairwise_depth(n - 1) for n in runs) + m
+    roundings += (max(pairwise_depth(n - 1) for n in grid.cells) + 9) // 2
 
     # re-march the recorded start on the recorded operator, one state at a time
     state = traj.initial
@@ -810,15 +807,29 @@ def test_junction_responses_are_single_arc_solves(seed, m, coarse, odd_total, de
         assert (np.abs(pull[rest]) < RESPONSE_CUTOFF).all()
 
 
+def trapezoid_l1(flat, grid):
+    """The diagnostics' L1 norm of the grid-order values flat, arc by arc:
+    h * ((S_even + S_odd) - 0.5 * (|u_first| + |u_last|)), S_even and
+    S_odd each a sum of |u| over the arc's even- and odd-indexed points,
+    as np.add.reduceat adds a run, summed over the arcs from +0.0."""
+    a, total = np.abs(flat), 0.0
+    for i, h in enumerate(grid.spacings):
+        lo, hi = grid.offsets[i], grid.offsets[i + 1]
+        even, odd = a[lo + lo % 2 : hi : 2], a[lo + 1 - lo % 2 : hi : 2]
+        sums = np.add.reduceat(even, [0])[0] + np.add.reduceat(odd, [0])[0]
+        total += h * (sums - 0.5 * (a[lo] + a[hi - 1]))
+    return float(total)
+
+
 @ignore_uncertified_step
 @pytest.mark.filterwarnings("ignore:initial data violates")
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @star_draws
 def test_march_equals_a_plain_step_loop(seed, m, coarse, odd_total, depth):
     """solve_parabolic's diagnostics, junction history and final state,
-    bit for bit, against a loop of step and the plain reductions over the
-    recorded start and operator, at both parities and one to three
-    reduction levels."""
+    bit for bit, against a loop of step, trapezoid_l1, np.min and the
+    reference flux over the recorded start and operator, at both
+    parities and one to three reduction levels."""
     rng = np.random.default_rng(seed)
     net = random_network(rng, m_min=m, m_max=m)
     K = random_coupling(rng, net)
@@ -838,19 +849,39 @@ def test_march_equals_a_plain_step_loop(seed, m, coarse, odd_total, depth):
     # the first row reads the start state in grid order, every later one the vector
     start = traj.initial.flat
     x = to_march_order(start)
-    weights = to_march_order(grid.weights)
     t = traj.initial.t
-    rows = [(t, weighted_l1(start, grid.weights), float(np.min(start)), ref.flux_residual(start))]
+    rows = [(t, trapezoid_l1(start, grid), float(np.min(start)), ref.flux_residual(start))]
     nodes = [start[ref.node]]
     for _ in range(traj.diagnostics.shape[0] - 1):
         step(x, op)
         t += op.dt
         flat = to_grid_order(x)
-        rows.append((t, weighted_l1(x, weights), float(np.min(x)), ref.flux_residual(flat)))
+        rows.append((t, trapezoid_l1(flat, grid), float(np.min(x)), ref.flux_residual(flat)))
         nodes.append(flat[ref.node])
     assert traj.diagnostics.tobytes() == np.asarray(rows).tobytes()
     assert traj.node_history.tobytes() == np.asarray(nodes).tobytes()
     assert traj.final.flat.tobytes() == to_grid_order(x).tobytes()
+
+
+def test_march_calls_the_benchmarks_hooks_by_name(monkeypatch):
+    """perfbench's speed probe wraps evolve.step and its tracer evolve's
+    step, discrete_l1_norm, flux_residual and assemble_step_operator, so
+    solve_parabolic reaches each through that name: step once a step, the
+    others once a march."""
+    calls = dict.fromkeys(["step", "discrete_l1_norm", "flux_residual", "assemble_step_operator"], 0)
+    for name in calls:
+        def counted(*args, _name=name, _inner=getattr(evolve, name), **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(evolve, name, counted)
+    net, K = small_pair()
+    traj = solve_parabolic(net, K, PULSE, [0.0, 0.0], SolverConfig(epsilon=0.8, T=0.05))
+    n_steps = traj.diagnostics.shape[0] - 1
+    assert n_steps > 1
+    assert calls == {
+        "step": n_steps, "discrete_l1_norm": 1, "flux_residual": 1, "assemble_step_operator": 1
+    }
 
 
 def test_arc_junction_lu_rejects_singular_systems():
