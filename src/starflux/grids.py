@@ -24,6 +24,8 @@ MIN_CELLS = 4
 MAX_CELLS = 10**6
 #: default grid rule: target spacing epsilon / DEFAULT_H_RULE
 DEFAULT_H_RULE = 8.0
+#: smallest admissible grid rule: coarser grids leave the layer unresolved
+MIN_H_RULE = 4.0
 
 
 def to_march_order(flat: np.ndarray) -> np.ndarray:
@@ -93,15 +95,15 @@ def make_grid(
 
     Exactly one of ``h`` and ``epsilon`` must be given; with ``epsilon``
     the target spacing is epsilon / rule_constant, which resolves the
-    boundary layer as long as rule_constant >= 4. Cell counts are
-    rounded up, clipped to [MIN_CELLS, MAX_CELLS], and the spacing is
-    recomputed so cells exactly tile each arc.
+    boundary layer as long as rule_constant >= MIN_H_RULE. Cell counts
+    are rounded up, clipped to [MIN_CELLS, MAX_CELLS], and the spacing
+    is recomputed so cells exactly tile each arc.
     """
     if (h is None) == (epsilon is None):
         raise DimensionMismatch("give exactly one of h and epsilon")
     if epsilon is not None:
         h = finite_above(epsilon, "epsilon") / finite_above(
-            rule_constant, "rule_constant", 4.0, inclusive=True
+            rule_constant, "rule_constant", MIN_H_RULE, inclusive=True
         )
     h = finite_above(h, "h")
 

@@ -5,9 +5,9 @@ rough data into admissible form, march the viscous scheme, solve the
 inviscid problem exactly from the transmission weights, and tabulate the
 L1 gaps. Rows are independent, so the sweep can fan out over a bounded
 process pool; a failure in one row is recorded with its reason and never
-disturbs the others. Each level also records the warnings it raised and
-its step's positivity certificate (LevelRecord), in the worker that ran
-it, for the run manifest.
+disturbs the others. Each level also records the warnings it raised, its
+step's positivity certificate and its data's node defect (LevelRecord),
+in the worker that ran it, for the run manifest.
 
 The module also hosts the thin runners behind the other subcommands
 (gamma/design/simulate/approx-data) and the CSV formatting used by all
@@ -31,7 +31,7 @@ import numpy as np
 from .configio import load_experiment, load_initial_data, load_network
 from .dataprep import DEFAULT_THETA, build_compatible
 from .errors import ConfigError, ValidationError, finite_above, finite_values
-from .grids import DEFAULT_H_RULE
+from .grids import DEFAULT_H_RULE, MIN_H_RULE
 from .hyperbolic import (
     HyperbolicSolution,
     PiecewiseConstantField,
@@ -86,7 +86,7 @@ class ExperimentSpec:
         if any(b >= a for a, b in zip(self.epsilons, self.epsilons[1:])):
             raise ConfigError("epsilons: must be strictly decreasing")
         finite_above(self.T, "T", error=ConfigError)
-        finite_above(self.h_rule, "h_rule", 4.0, inclusive=True, error=ConfigError)
+        finite_above(self.h_rule, "h_rule", MIN_H_RULE, inclusive=True, error=ConfigError)
         finite_above(self.theta, "theta", 1.0, error=ConfigError)
         try:
             finite_values(self.B, self.net.m)
@@ -124,15 +124,18 @@ class LevelRecord:
     warnings holds each warning the level raised, as (category name,
     message), in order, as far as the active filters let it through;
     schur_inv_min is its step's positivity certificate
-    (StepOperator.schur_inv_min), None when the level failed before its
-    march returned. seconds times its phases "compat" (build_compatible),
-    "march" (solve_parabolic) and "compare" (l1_distance and
-    node_trace_error), steps counts its march's steps; None on a failure.
+    (StepOperator.schur_inv_min) and node_defect the node defect of its
+    data before the projection (ParabolicTrajectory.node_defect), both
+    None when the level failed before its march returned. seconds times
+    its phases "compat" (build_compatible), "march" (solve_parabolic)
+    and "compare" (l1_distance and node_trace_error), steps counts its
+    march's steps; None on a failure.
     """
 
     epsilon: float
     warnings: tuple[tuple[str, str], ...]
     schur_inv_min: float | None
+    node_defect: float | None
     seconds: dict[str, float] | None
     steps: int | None
 
@@ -198,7 +201,7 @@ def _sweep_row(
     level.
     """
     spec, exact = payload
-    schur_inv_min = seconds = steps = None
+    schur_inv_min = node_defect = seconds = steps = None
     with warnings.catch_warnings(record=True) as caught:
         try:
             marks = [time.perf_counter()]
@@ -209,6 +212,7 @@ def _sweep_row(
             trajectory = solve_parabolic(net, K, compat.arcs, B, cfg)
             marks.append(time.perf_counter())
             schur_inv_min = trajectory.operator.schur_inv_min
+            node_defect = trajectory.node_defect
             final_error = l1_distance(
                 trajectory.final, exact, trajectory.grid, t=T
             )
@@ -230,7 +234,9 @@ def _sweep_row(
         except Exception as exc:  # crash isolation: one level must not kill the sweep
             outcome = f"{type(exc).__name__}: {exc}"
     raised = tuple((w.category.__name__, str(w.message)) for w in caught)
-    return outcome, LevelRecord(float(epsilon), raised, schur_inv_min, seconds, steps)
+    return outcome, LevelRecord(
+        float(epsilon), raised, schur_inv_min, node_defect, seconds, steps
+    )
 
 
 def run_convergence(spec: ExperimentSpec, workers: int = 1) -> ConvergenceReport:

@@ -22,6 +22,7 @@ import numpy as np
 from ..errors import LinearSolveFailure, finite_above, finite_values
 from ..grids import (
     DEFAULT_H_RULE,
+    MIN_H_RULE,
     DiscreteState,
     Grid,
     adopt_state,
@@ -65,7 +66,7 @@ class SolverConfig:
         finite_above(self.T, "T")
         if self.dt is not None:
             finite_above(self.dt, "dt")
-        finite_above(self.h_rule, "h_rule", 4.0, inclusive=True)
+        finite_above(self.h_rule, "h_rule", MIN_H_RULE, inclusive=True)
 
 
 @dataclass(frozen=True)
@@ -79,6 +80,9 @@ class ParabolicTrajectory:
     the initial state and one after every step. node_history row k
     gives each arc's junction-end value at diagnostics time k, so the
     junction trace survives although intermediate states are dropped.
+    node_defect is the largest node-row defect of the data before the
+    projection, the number the warning beyond COMPATIBILITY_WARN_TOL
+    reports.
     """
 
     initial: DiscreteState
@@ -87,6 +91,7 @@ class ParabolicTrajectory:
     node_history: np.ndarray
     grid: Grid
     operator: StepOperator
+    node_defect: float
 
 
 def _initial_values(
@@ -186,6 +191,7 @@ def solve_parabolic(
         node_history=np.asarray(node_rows),
         grid=grid,
         operator=op,
+        node_defect=defect,
     )
 
 

@@ -1,23 +1,29 @@
 """Implicit viscous step operator with algebraic node coupling.
 
-One backward-Euler step solves a linear system whose rows are: upwind
-transport plus central diffusion at interior points, identities at the
-outer Dirichlet points (so boundary values persist from the current
-state), and the viscous transmission conditions at the junction. The
-interior rows' per-arc bands and the stencil below define the step.
+One backward-Euler step solves a linear system: a cell balance at each
+interior point, an identity at each outer Dirichlet point (so boundary
+values persist), and the viscous transmission condition at the junction.
 
-The node condition is defined once, in JunctionStencil. Let beta_i be +1
-on incoming and -1 on outgoing arcs, u_node_i the junction value of arc
-i and u_inner_i its neighbour one spacing h_i into the arc. Row i reads
+Every row reads one flux rule. x runs along the flow on every arc, and
+the flux speed*u - eps*u_x through the interface between points k and
+k+1 is, by upwind transport plus central diffusion,
 
-    alpha[i] @ u_node = beta_i * F_i,
-    F_i = speed_i * u_node_i - eps * beta_i * (u_node_i - u_inner_i) / h_i,
+    F_{k+1/2} = p * u_k - q * u_{k+1},   p = speed + eps/h,   q = eps/h.
 
-so F_i is the viscous flux speed*u - eps*u_x at the node, written with a
-one-sided difference. The node rows carry no time derivative; they are
-algebraic constraints enforced at every level. The columns of alpha sum
-to zero, so the junction flux balance sum_i beta_i * F_i = 0 holds to
-solver precision after each step.
+An interior row reads (u_k - u_old_k)/dt + (F_{k+1/2} - F_{k-1/2})/h = 0,
+so each arc's bands are (-p/h, 1/dt + (p + q)/h, -q/h). With beta_i +1
+on incoming and -1 on outgoing arcs, node row i reads alpha[i] @ u_node
+= beta_i * G_i. G_i is the flux through arc i's node-side interface,
+between its junction value u_node_i and its neighbour u_inner_i, plus,
+on an incoming arc, the junction source speed_i * (u_node_i -
+u_inner_i): that node row reads speed*u_node where the interface reads
+speed*u_inner (ROADMAP item 1 deletes the term). So beta_i * G_i =
+node_coef_i * u_node_i + inner_coef_i * u_inner_i, and the rows read
+block @ u_node = inner_coef * u_inner, block = alpha - diag(node_coef)
+(JunctionStencil). They carry no time derivative: algebraic
+constraints, enforced at every level. The columns of alpha sum to zero,
+so the junction flux balance sum_i beta_i * G_i = 0 holds to solver
+precision after each step.
 
 Only the m node rows couple the arcs, so a step is solved as a bordered
 tridiagonal system (ArcJunctionLU): one tridiagonal solve over every
@@ -44,11 +50,11 @@ callers gather it into march order once and scatter the result back
 once. Only ArcJunctionLU.factor, which lays the arcs end to end, and
 the StepOperator.matrix view read the grid order.
 
-The tests define the step a second time, independently: a dense
-grid-order matrix built arc by arc (ReferenceStep in tests/conftest.py),
-which one test pins to the StepOperator.matrix view. Nothing else in the
-package reads that view; it stays only while perfbench's tracer counts
-its nonzeros.
+The tests define the step a second time, independently, from their own
+copy of the flux rule: a dense grid-order matrix built arc by arc
+(ReferenceStep in tests/conftest.py), which one test pins to the
+StepOperator.matrix view. Nothing else in the package reads that view;
+it stays only while perfbench's tracer counts its nonzeros.
 
 step does not scan its result: the callers check each state once,
 where they read it (evolve.solve_parabolic through the minimum and L1
@@ -76,50 +82,25 @@ class JunctionStencil:
 
     node and inner are positions in a state's march-order vector
     (to_march_order): the junction point of each arc and its neighbour.
-    beta is +1 on incoming and -1 on outgoing arcs, eh is epsilon/h.
-    block collects the node rows' coefficients of the junction values,
-    so the rows read block @ u_node = eh * u_inner.
+    incoming flags the incoming arcs. node_coef and inner_coef are the
+    coefficients of u_node and u_inner in beta_i * G_i, the flux each
+    arc hands the junction (module docstring), and block = alpha -
+    diag(node_coef), so the rows read block @ u_node = inner_coef * u_inner.
     """
 
     node: np.ndarray
     inner: np.ndarray
-    beta: np.ndarray
-    speed: np.ndarray
-    h: np.ndarray
-    epsilon: float
-    eh: np.ndarray
+    incoming: np.ndarray
+    node_coef: np.ndarray
+    inner_coef: np.ndarray
     block: np.ndarray
 
-    @classmethod
-    def build(
-        cls,
-        net: StarNetwork,
-        alpha: np.ndarray,
-        grid: Grid,
-        epsilon: float,
-    ) -> "JunctionStencil":
-        incoming = np.array([arc.incoming for arc in net.arcs])
-        node = np.asarray(grid.offsets[:-1]) + np.where(incoming, grid.cells, 0)
-        inner = node + np.where(incoming, -1, 1)
-        beta = np.where(incoming, 1.0, -1.0)
-        speed = net.speeds()
-        h = np.asarray(grid.spacings)
-        eh = epsilon / h
-        # alpha[i] @ u_node - beta_i * F_i with the u_node_i terms gathered
-        block = np.array(alpha, dtype=float)
-        np.fill_diagonal(block, (np.diag(alpha) - beta * speed) + eh)
-        block.flags.writeable = False
-        size = grid.offsets[-1]
-        return cls(
-            march_index(node, size), march_index(inner, size), beta, speed, h, epsilon, eh, block
-        )
-
     def defect(self, x: np.ndarray) -> np.ndarray:
-        """The node rows' residuals, block @ u_node - eh * u_inner."""
-        return self.block @ x[self.node] - self.eh * x[self.inner]
+        """The node rows' residuals, block @ u_node - inner_coef * u_inner."""
+        return self.block @ x[self.node] - self.inner_coef * x[self.inner]
 
     def residual(self, u_node: np.ndarray, u_inner: np.ndarray) -> float:
-        """sum_i beta_i * F_i for the junction values u_node and their
+        """sum_i beta_i * G_i for the junction values u_node and their
         neighbours u_inner, summed one arc after another.
 
         The terms are taken in Python floats: the same IEEE operations,
@@ -127,12 +108,11 @@ class JunctionStencil:
         operation. np.sum would add eight or more terms pairwise and so
         round differently from the sequential sum the diagnostics record.
         """
-        eps, total = self.epsilon, 0.0
-        for u, v, b, s, h in zip(
-            u_node.tolist(), u_inner.tolist(),
-            self.beta.tolist(), self.speed.tolist(), self.h.tolist(),
+        total = 0.0
+        for a, u, b, v in zip(
+            self.node_coef.tolist(), u_node.tolist(), self.inner_coef.tolist(), u_inner.tolist()
         ):
-            total += b * (s * u - eps * b * ((u - v) / h))
+            total += a * u + b * v
         return total
 
     def project(self, x: np.ndarray) -> None:
@@ -143,7 +123,7 @@ class JunctionStencil:
         leaves every other value untouched.
         """
         try:
-            x[self.node] = np.linalg.solve(self.block, self.eh * x[self.inner])
+            x[self.node] = np.linalg.solve(self.block, self.inner_coef * x[self.inner])
         except np.linalg.LinAlgError as exc:
             raise LinearSolveFailure(f"node projection failed: {exc}") from exc
         if not np.isfinite(x[self.node]).all():
@@ -373,7 +353,7 @@ class ArcJunctionLU:
     response[k] is arc window_arc[k]'s value at point window[k] when its
     junction value is 1 and everything else is 0. Eliminating the
     interiors leaves the m x m Schur complement of the stencil's node
-    rows, block - diag(eh * response at inner), kept as its inverse.
+    rows, block - diag(inner_coef * response at inner), kept as its inverse.
     """
 
     arcs: OddEvenLU
@@ -399,7 +379,7 @@ class ArcJunctionLU:
         rhs_scale times the state; outer holds each arc's outer end in
         march order."""
         lower, diag, upper = bands
-        incoming = stencil.beta > 0.0
+        incoming = stencil.incoming
         size = rhs_scale.size
 
         # the cut tridiagonal, in grid order: the grid index of each march position
@@ -417,11 +397,12 @@ class ArcJunctionLU:
         # an incoming arc runs from its outer end to the node, an outgoing one back
         outer_row = march_index(grid_outer + np.where(incoming, 1, -1), size)
         outer_coef = np.where(incoming, lower, upper) * sigma[outer_row]
-        inner_coef = np.where(incoming, upper, lower)
+        # an incoming arc's inner point reads the node as its right neighbour
+        node_band = np.where(incoming, upper, lower)
 
         ids = np.arange(outer.size)
         pull = np.zeros((size, outer.size), order="F")
-        pull[stencil.inner, ids] = -inner_coef * sigma[stencil.inner]
+        pull[stencil.inner, ids] = -node_band * sigma[stencil.inner]
         # one contiguous column at a time: the dtbsv sweeps solve each
         # column on its own, so this is bit for bit a block solve
         for column in pull.T:
@@ -429,7 +410,7 @@ class ArcJunctionLU:
         window, window_arc = np.nonzero(np.abs(pull) >= RESPONSE_CUTOFF)
         response = pull[window, window_arc]
 
-        schur = stencil.block - np.diag(stencil.eh * pull[stencil.inner, ids])
+        schur = stencil.block - np.diag(stencil.inner_coef * pull[stencil.inner, ids])
         try:
             schur_inv = np.linalg.inv(schur)
         except np.linalg.LinAlgError as exc:
@@ -456,7 +437,7 @@ class ArcJunctionLU:
         # the cut node rows left x[node] = rhs[node]
         stencil = self.stencil
         node = stencil.node
-        u = self.schur_inv @ (x[node] + stencil.eh * x[stencil.inner])
+        u = self.schur_inv @ (x[node] + stencil.inner_coef * x[stencil.inner])
         x[node] = u
         x[self.window] += self.response * u[self.window_arc]
 
@@ -501,8 +482,8 @@ class StepOperator:
         nonnegative state.
 
         The step matrix is a Z-matrix: the interior bands' off-diagonals
-        are -(adv + dif) and -dif, the block's are -K, and a node row
-        reads its inner neighbour as -eh. Its inverse is then nonnegative
+        are -p/h and -q/h, the block's are -K, and a node row reads its
+        inner neighbour as -inner_coef <= 0. Its inverse is then nonnegative
         exactly when it is a nonsingular M-matrix. The cut tridiagonal is
         one, being strictly diagonally dominant, so that holds exactly
         when the Schur complement left after eliminating it, also a
@@ -519,11 +500,12 @@ class StepOperator:
         node, inner, outer = grid_index[s.node], grid_index[s.inner], grid_index[self.lu.outer]
         arc = interior_arcs(node, outer)
         r = np.flatnonzero(arc >= 0)
-        # node rows: the block's nonzeros and its whole diagonal, then -eh
+        # node rows: the block's nonzeros and its whole diagonal, then -inner_coef
         i, j = np.nonzero((s.block != 0.0) | np.eye(node.size, dtype=bool))
         rows = [r, r, r, outer, node[i], node]
         cols = [r - 1, r, r + 1, outer, node[j], inner]
-        vals = [b[arc[r]] for b in self.bands] + [np.ones(outer.size), s.block[i, j], -s.eh]
+        ends = [np.ones(outer.size), s.block[i, j], -s.inner_coef]
+        vals = [b[arc[r]] for b in self.bands] + ends
         return scipy.sparse.csc_matrix(
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
             shape=(self.size, self.size),
@@ -556,21 +538,37 @@ def assemble_step_operator(
             UnstableConfig,
         )
 
-    stencil = JunctionStencil.build(net, alpha, grid, epsilon)
-    # interior rows: upwind transport plus central diffusion, per arc
-    adv = stencil.speed / stencil.h
-    dif = epsilon / (stencil.h * stencil.h)
-    bands = (-(adv + dif), 1.0 / dt + adv + 2.0 * dif, -dif)
+    # each arc's ends in grid order: an incoming arc ends at the junction
+    incoming = np.array([arc.incoming for arc in net.arcs])
+    first = np.asarray(grid.offsets[:-1])
+    last = first + np.asarray(grid.cells)
+    node = np.where(incoming, last, first)
+    inner = node + np.where(incoming, -1, 1)
+    outer = np.where(incoming, first, last)
+
+    # the flux rule F_{k+1/2} = p * u_k - q * u_{k+1} and the cell balances
+    speed, h = net.speeds(), np.asarray(grid.spacings)
+    q = epsilon / h
+    p = speed + q
+    bands = (-p / h, 1.0 / dt + (p + q) / h, -q / h)
+    # beta_i * G_i: the node-side interface's flux, p * u_inner - q * u_node
+    # out of an incoming arc and p * u_node - q * u_inner into an outgoing
+    # one, plus the junction source speed * (u_node - u_inner) on incoming
+    # arcs, the term ROADMAP item 1 deletes
+    junction_source = np.where(incoming, speed, 0.0)
+    node_coef = np.where(incoming, -q, -p) + junction_source
+    inner_coef = np.where(incoming, p, q) - junction_source
+    block = alpha - np.diag(node_coef)
+    block.flags.writeable = False
 
     # outer ends: identity rows, so the Dirichlet values persist;
     # transmission rows: algebraic, no time derivative (rhs_scale 0)
     size = grid.offsets[-1]
-    outer = march_index(
-        np.asarray(grid.offsets[:-1]) + np.where(stencil.beta > 0.0, 0, grid.cells), size
-    )
+    node, inner, outer = (march_index(k, size) for k in (node, inner, outer))
+    stencil = JunctionStencil(node, inner, incoming, node_coef, inner_coef, block)
     rhs_scale = np.full(size, 1.0 / dt)
     rhs_scale[outer] = 1.0
-    rhs_scale[stencil.node] = 0.0
+    rhs_scale[node] = 0.0
     lu = ArcJunctionLU.factor(bands, stencil, outer, rhs_scale)
     op = StepOperator(bands=bands, lu=lu, dt=dt, rhs_scale=rhs_scale)
     if not op.positive:
@@ -598,7 +596,7 @@ def step(x: np.ndarray, op: StepOperator) -> None:
 
 
 def flux_residual(x: np.ndarray, op: StepOperator) -> float:
-    """Junction flux imbalance sum_i beta_i * F_i of the node stencil, for
+    """Junction flux imbalance sum_i beta_i * G_i of the node stencil, for
     x in march order.
 
     Incoming fluxes minus outgoing ones; zero for any state satisfying

@@ -133,48 +133,73 @@ class ReferenceStep:
     x runs along the flow: an incoming arc ends at the junction, an
     outgoing one starts there. node, inner and outer are each arc's
     junction point, its neighbour into the arc and its outer end, as grid
-    positions; beta is +1 on incoming and -1 on outgoing arcs. Interior
-    rows read (u - u_old)/dt + speed*u_x = eps*u_xx, upwind and central;
-    outer rows u = u_old; node rows alpha[i] @ u_node = beta_i * F_i,
-    F_i = speed_i*u_node_i - eps*beta_i*(u_node_i - u_inner_i)/h_i.
+    positions; incoming flags the incoming arcs. Every row reads one
+    flux rule: through the interface between points k and k+1 of arc i,
+    flux(i, u_k, u_k1) = p*u_k - q*u_k1, p = speed + eps/h, q = eps/h.
+    Interior rows read (u_k - u_old_k)/dt + (F_{k+1/2} - F_{k-1/2})/h = 0;
+    outer rows u = u_old; node rows alpha[i] @ u_node = beta_i * G_i
+    (node_coefficients).
     """
 
     def __init__(self, net: StarNetwork, K: CouplingMatrix, grid: Grid, eps: float, dt: float):
         self.net, self.grid, self.eps, self.dt = net, grid, eps, dt
         self.alpha = alpha_from_k(K)
-        incoming = np.array([arc.incoming for arc in net.arcs])
+        self.incoming = np.array([arc.incoming for arc in net.arcs])
         first = np.asarray(grid.offsets[:-1])
         last = first + np.asarray(grid.cells)
-        self.beta = np.where(incoming, 1.0, -1.0)
-        self.node = np.where(incoming, last, first)
-        self.inner = np.where(incoming, last - 1, first + 1)
-        self.outer = np.where(incoming, first, last)
+        self.node = np.where(self.incoming, last, first)
+        self.inner = np.where(self.incoming, last - 1, first + 1)
+        self.outer = np.where(self.incoming, first, last)
         self.rhs_scale = np.full(grid.offsets[-1], 1.0 / dt)
         self.rhs_scale[self.outer] = 1.0
         self.rhs_scale[self.node] = 0.0
+
+    def pq(self, i: int) -> tuple[float, float]:
+        """Arc i's flux coefficients: upwind transport plus central diffusion."""
+        q = self.eps / self.grid.spacings[i]
+        return self.net.arcs[i].speed + q, q
+
+    def flux(self, i: int, u_k: float, u_k1: float) -> float:
+        """The flux through an interface of arc i whose upstream point
+        holds u_k and whose downstream one holds u_k1."""
+        p, q = self.pq(i)
+        return p * u_k - q * u_k1
+
+    def node_coefficients(self, i: int) -> tuple[float, float]:
+        """beta_i * G_i's coefficients of u_node_i and u_inner_i: the flux
+        through arc i's node-side interface, out of an incoming arc (beta
+        +1) and into an outgoing one (beta -1), plus on an incoming arc
+        the junction source speed_i * (u_node_i - u_inner_i)."""
+        (p, q), speed = self.pq(i), self.net.arcs[i].speed
+        if self.incoming[i]:
+            # flux(i, u_inner, u_node) + speed * (u_node - u_inner)
+            return -q + speed, p - speed
+        # -flux(i, u_node, u_inner)
+        return -p, q
 
     @cached_property
     def matrix(self) -> np.ndarray:
         """The dense step matrix, built on first read."""
         A = np.zeros((self.grid.offsets[-1],) * 2)
         A[self.outer, self.outer] = 1.0
-        for i, arc in enumerate(self.net.arcs):
+        for i in range(self.net.m):
             h = self.grid.spacings[i]
+            p, q = self.pq(i)
             k = np.arange(self.grid.offsets[i] + 1, self.grid.offsets[i + 1] - 1)
-            adv, dif = arc.speed / h, self.eps / (h * h)
-            A[k, k - 1] = -(adv + dif)
-            A[k, k] = 1.0 / self.dt + adv + 2.0 * dif
-            A[k, k + 1] = -dif
-            eh, row = self.eps / h, self.node[i]
+            A[k, k - 1] = -p / h
+            A[k, k] = 1.0 / self.dt + (p + q) / h
+            A[k, k + 1] = -q / h
+            node_coef, inner_coef = self.node_coefficients(i)
+            row = self.node[i]
             A[row, self.node] = self.alpha[i]
-            A[row, row] = (self.alpha[i, i] - self.beta[i] * arc.speed) + eh
-            A[row, self.inner[i]] = -eh
+            A[row, row] = self.alpha[i, i] - node_coef
+            A[row, self.inner[i]] = -inner_coef
         return A
 
     def flux_residual(self, flat: np.ndarray) -> float:
-        """sum_i beta_i * F_i of the grid-order values flat, arc after arc."""
+        """sum_i beta_i * G_i of the grid-order values flat, arc after arc."""
         total = 0.0
-        for i, arc in enumerate(self.net.arcs):
-            u, v, b = flat[self.node[i]], flat[self.inner[i]], self.beta[i]
-            total += b * (arc.speed * u - self.eps * b * ((u - v) / self.grid.spacings[i]))
+        for i in range(self.net.m):
+            node_coef, inner_coef = self.node_coefficients(i)
+            total += node_coef * flat[self.node[i]] + inner_coef * flat[self.inner[i]]
         return float(total)

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import EXPERIMENTS
 from starflux.cli import main
+from starflux.parabolic.evolve import COMPATIBILITY_WARN_TOL
 
 PAIR_NET = {
     "arcs": [
@@ -171,9 +172,11 @@ def test_converge_manifest_and_determinism(tmp_path, capsys):
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_converge_records_each_levels_warnings_and_certificate(tmp_path, capsys, workers):
     """The junction-active sweep's data violates the node conditions at
-    every level; each level's warning and positivity certificate reach
-    manifest.json and the summary, from worker processes too, and so do
-    its step count and its time split into phases, within its wall_time."""
+    every level; each level's warning, node defect and positivity
+    certificate reach manifest.json and the summary, from worker
+    processes too, and so do its step count and its time split into
+    phases, within its wall_time. The node defect is the number the
+    warning prints."""
     source = EXPERIMENTS / "junction_sweep"
     exp = write_json(tmp_path, "exp.json", {
         "network": str(source / "network.json"), "data": str(source / "data.json"),
@@ -195,7 +198,10 @@ def test_converge_records_each_levels_warnings_and_certificate(tmp_path, capsys,
         assert sum(seconds.values()) <= wall_time
         (warning,) = level["warnings"]
         assert warning["category"] == "UserWarning"
-        assert warning["message"].startswith("initial data violates the discrete node conditions")
+        assert level["node_defect"] > COMPATIBILITY_WARN_TOL
+        assert warning["message"] == (
+            f"initial data violates the discrete node conditions by {level['node_defect']:.3e}"
+        )
         line = f"warning at epsilon={level['epsilon']:g}: UserWarning: {warning['message']}"
         assert line in stdout.splitlines()
 
@@ -220,6 +226,7 @@ def test_converge_reports_failed_levels(tmp_path, capsys):
     assert "WidthOverflow" in manifest["failures"][0]["reason"]
     failed, ran = manifest["levels"]
     assert failed["seconds"] is None and failed["steps"] is None
+    assert failed["node_defect"] is None
     assert ran["steps"] > 0 and ran["seconds"]["march"] > 0.0
     rows = read_csv(out_dir / "convergence.csv")
     assert len(rows) == 1

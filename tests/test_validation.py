@@ -33,6 +33,7 @@ from starflux import (
     solve_parabolic,
     solve_resolvent,
 )
+from starflux.grids import MIN_H_RULE
 from starflux.hyperbolic import incoming_trace
 
 non_finite = pytest.mark.parametrize(
@@ -91,6 +92,22 @@ def test_experiment_spec_rejects_a_bad_plan_at_construction(field, value, rule):
     # rejected once at construction, not again at every level of the sweep
     with pytest.raises(ConfigError, match=f"^{field}: must be finite and {rule}"):
         spec(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda rule: SolverConfig(0.1, 0.5, h_rule=rule), "h_rule"),
+        (lambda rule: make_grid(pair()[0], epsilon=0.1, rule_constant=rule), "rule_constant"),
+    ],
+    ids=["SolverConfig", "make_grid"],
+)
+def test_solver_and_grid_hold_the_plans_h_rule_floor(build, name):
+    """SolverConfig and make_grid hold ExperimentSpec's floor, MIN_H_RULE:
+    the floor itself passes, anything below it fails."""
+    build(MIN_H_RULE)
+    with pytest.raises(NonPositiveParameter, match=f"^{name}: must be finite and at least 4"):
+        build(3.99)
 
 
 @non_finite
