@@ -24,7 +24,7 @@ import numpy.polynomial.polynomial as npoly
 
 from .errors import DimensionMismatch, WidthOverflow, finite_above, finite_values
 from .hyperbolic import ArcProfile, PiecewiseConstantField, check_profile_lengths
-from .network import CouplingMatrix, StarNetwork, alpha_from_k, junction_residual
+from .network import CouplingMatrix, StarNetwork, _as_square, alpha_from_k, junction_residual
 
 #: node-interval exponent used when none is requested; any theta > 1 works
 DEFAULT_THETA = 1.5
@@ -377,12 +377,14 @@ def build_compatible(
 
     Smooths the jumps, overlays the node cubic on every arc and the
     inflow quadratic on incoming arcs, and reports exact membership and
-    norm diagnostics. Raises WidthOverflow when the reserved intervals
-    do not fit on an arc at this epsilon_n.
+    norm diagnostics. Raises DimensionMismatch unless K fits net, and
+    WidthOverflow when the reserved intervals do not fit on an arc at
+    this epsilon_n.
     """
     finite_above(epsilon_n, "epsilon_n")
     finite_above(theta, "theta", 1.0)
     bvals = finite_values(B, net.m)
+    _as_square(K.k, net.m)
     alpha = alpha_from_k(K)
     delta_n = epsilon_n**theta
 

@@ -125,7 +125,7 @@ class CouplingMatrix:
 
     Only shape and finiteness are enforced at construction; sign,
     symmetry, and connectivity are the business of validate_assumptions,
-    so a report can still be produced for a bad matrix.
+    so a matrix that breaks them can still be built and checked.
     """
 
     k: np.ndarray
@@ -197,47 +197,18 @@ def junction_residual(
     return float(np.max(np.abs(beta * (net.speeds() * u - epsilon * du) - coupled)))
 
 
-@dataclass(frozen=True)
-class AssumptionReport:
-    """Which structural assumptions the pair (network, K) satisfies.
+def validate_assumptions(net: StarNetwork, K: CouplingMatrix) -> None:
+    """Raise unless (net, K) meets the paper's hypotheses on the coupling.
 
-    holds_sign_symmetry: K is componentwise nonnegative, symmetric, zero
-        diagonal.
-    holds_incoming_linked: every incoming arc has positive coupling to at
-        least one outgoing arc (needed for well-posed node weights).
-    holds_outgoing_linked: every outgoing arc has positive coupling to at
-        least one incoming arc (needed for nonzero outflow).
+    K must fit net (DimensionMismatch otherwise), keep the sign rules
+    and couple every incoming arc to an outgoing one. Every breach found
+    is named in one AssumptionViolated message, joined by "; ".
     """
-
-    holds_sign_symmetry: bool
-    holds_incoming_linked: bool
-    holds_outgoing_linked: bool
-    messages: tuple[str, ...] = ()
-
-
-def validate_assumptions(net: StarNetwork, K: CouplingMatrix) -> AssumptionReport:
-    """Check sign/symmetry and the two cross-side connectivity conditions."""
     k = _as_square(K.k, net.m)
     messages = _coupling_defects(k)
-    sign_ok = not messages
-
     inc = np.array(net.incoming_ids)
-    out = np.array(net.outgoing_ids)
-    linked = k > 0.0
-    inc_ok = linked[inc][:, out].any(axis=1)
-    out_ok = linked[out][:, inc].any(axis=1)
-    incoming_linked = bool(inc_ok.all())
-    if not incoming_linked:
-        bad = inc[~inc_ok].tolist()
-        messages.append(f"incoming arcs {bad} have no outgoing coupling")
-    outgoing_linked = bool(out_ok.all())
-    if not outgoing_linked:
-        bad = out[~out_ok].tolist()
-        messages.append(f"outgoing arcs {bad} have no incoming coupling")
-
-    return AssumptionReport(
-        holds_sign_symmetry=sign_ok,
-        holds_incoming_linked=incoming_linked,
-        holds_outgoing_linked=outgoing_linked,
-        messages=tuple(messages),
-    )
+    linked = (k[inc][:, np.array(net.outgoing_ids)] > 0.0).any(axis=1)
+    if not linked.all():
+        messages.append(f"incoming arcs {inc[~linked].tolist()} have no outgoing coupling")
+    if messages:
+        raise AssumptionViolated("; ".join(messages))

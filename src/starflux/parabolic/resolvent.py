@@ -27,7 +27,7 @@ from ..errors import (
     finite_values,
 )
 from ..hyperbolic import ArcProfile, PiecewiseConstantField, check_profile_lengths
-from ..network import CouplingMatrix, StarNetwork, alpha_from_k, junction_residual
+from ..network import CouplingMatrix, StarNetwork, _as_square, alpha_from_k, junction_residual
 
 #: midpoint samples per arc at which residual_report checks the equation
 RESIDUAL_SAMPLES = 400
@@ -293,6 +293,7 @@ def solve_resolvent(
     """
     finite_above(epsilon, "epsilon")
     theta = prob.theta
+    _as_square(K.k, net.m)
     alpha = alpha_from_k(K)
     m = net.m
     prob.check(net)

@@ -71,7 +71,7 @@ import scipy.sparse
 from scipy.linalg.blas import dtbsv
 from scipy.linalg.lapack import dgttrf
 
-from ..errors import AssumptionViolated, LinearSolveFailure, UnstableConfig
+from ..errors import DimensionMismatch, LinearSolveFailure, UnstableConfig
 from ..grids import Grid, march_index, to_march_order
 from ..network import CouplingMatrix, StarNetwork, alpha_from_k, validate_assumptions
 
@@ -521,14 +521,16 @@ def assemble_step_operator(
 ) -> StepOperator:
     """Build and factorize the implicit step matrix.
 
+    Raises what validate_assumptions raises on (net, K), and
+    DimensionMismatch when grid has another number of arcs than net.
     epsilon and dt are taken as given: callers check them. Warns
     UnstableConfig when any spacing exceeds epsilon/2, the point where
     the boundary layer is no longer resolved, and when the step does not
     preserve positivity (StepOperator.positive).
     """
-    report = validate_assumptions(net, K)
-    if not report.holds_sign_symmetry or not report.holds_incoming_linked:
-        raise AssumptionViolated("; ".join(report.messages) or "assumptions fail")
+    validate_assumptions(net, K)
+    if grid.arc_count != net.m:
+        raise DimensionMismatch(f"grid has {grid.arc_count} arcs but the network has {net.m}")
     alpha = alpha_from_k(K)
 
     if any(h > epsilon / 2.0 for h in grid.spacings):

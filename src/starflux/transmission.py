@@ -16,12 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg.lapack
 
-from .errors import (
-    AssumptionViolated,
-    DimensionMismatch,
-    InvalidGamma,
-    SingularMatrix,
-)
+from .errors import DimensionMismatch, InvalidGamma, SingularMatrix
 from .network import CouplingMatrix, StarNetwork, alpha_from_k, validate_assumptions
 
 #: relative pivot threshold for node-system factorizations
@@ -131,7 +126,6 @@ class MCertificate:
     every_block_strict: bool
     det: float
     inverse_nonneg: bool
-    min_inverse_entry: float
     inverse: np.ndarray
 
     @property
@@ -175,9 +169,8 @@ def certify_m_matrix(q: np.ndarray) -> MCertificate:
         inverse[block] = sub_inv
         det *= sub_det
 
-    min_entry = float(inverse.min())
     inv_scale = max(float(np.abs(inverse).max()), 1e-300)
-    inverse_nonneg = min_entry >= -1e-12 * inv_scale
+    inverse_nonneg = float(inverse.min()) >= -1e-12 * inv_scale
     inverse.flags.writeable = False
     return MCertificate(
         irreducible=len(comps) == 1,
@@ -186,7 +179,6 @@ def certify_m_matrix(q: np.ndarray) -> MCertificate:
         every_block_strict=every_block_strict,
         det=det,
         inverse_nonneg=inverse_nonneg,
-        min_inverse_entry=min_entry,
         inverse=inverse,
     )
 
@@ -212,16 +204,13 @@ class TransmissionSystem:
 def compute_gamma(net: StarNetwork, K: CouplingMatrix) -> TransmissionSystem:
     """Full pipeline from coupling matrix to transmission weights.
 
-    Validates assumptions (raising AssumptionViolated when the sign or
-    incoming-side connectivity conditions fail), assembles and certifies
-    the node matrix, and returns the solved system. Gamma entries are
-    checked nonnegative and column-stochastic; negative noise within
-    GAMMA_NEG_TOL is clamped to zero, anything worse raises InvalidGamma.
+    Checks (net, K) with validate_assumptions, which raises on a breach,
+    assembles and certifies the node matrix, and returns the solved
+    system. Gamma entries are checked nonnegative and column-stochastic;
+    negative noise within GAMMA_NEG_TOL is clamped to zero, anything
+    worse raises InvalidGamma.
     """
-    report = validate_assumptions(net, K)
-    if not report.holds_sign_symmetry or not report.holds_incoming_linked:
-        raise AssumptionViolated("; ".join(report.messages) or "assumptions fail")
-
+    validate_assumptions(net, K)
     q = assemble_q(net, alpha_from_k(K))
     cert = certify_m_matrix(q)
     if not cert.m_matrix_ok:

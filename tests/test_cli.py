@@ -75,6 +75,32 @@ def test_schema_violation_exits_2_with_field_path(tmp_path, capsys):
     assert "arcs[1].speed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["gamma", "converge"])
+def test_coupling_breach_exits_2_naming_it(tmp_path, capsys, command):
+    """Incoming arc 0 couples only to the other incoming arc."""
+    write_json(tmp_path, "net.json", {
+        "arcs": [
+            {"length": 1.0, "speed": 1.0, "orientation": "in"},
+            {"length": 1.0, "speed": 1.0, "orientation": "in"},
+            {"length": 1.0, "speed": 1.0, "orientation": "out"},
+        ],
+        "K": [[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]],
+    })
+    write_json(tmp_path, "u0.json", {
+        "arcs": [{"breaks": [], "values": [0.0]}] * 3, "boundary": [0.0] * 3,
+    })
+    config = str(tmp_path / "net.json")
+    if command == "converge":
+        config = write_json(tmp_path, "exp.json", {
+            "network": "net.json", "data": "u0.json", "epsilons": [0.08], "T": 0.3,
+        })
+    out_dir = tmp_path / "run"
+    assert main([command, "--config", config, "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: incoming arcs [0] have no outgoing coupling\n"
+    assert not out_dir.exists()
+
+
 def test_design_then_gamma_round_trip(tmp_path, capsys):
     """Design K for the pinned sweep's arcs, then read its weights back."""
     pinned = json.loads((EXPERIMENTS / "pinned_sweep" / "network.json").read_text())

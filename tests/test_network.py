@@ -12,9 +12,15 @@ from starflux import (
     DimensionMismatch,
     EmptySide,
     NonPositiveParameter,
+    PiecewiseConstantField,
+    ResolventProblem,
+    SolverConfig,
     alpha_from_k,
+    build_compatible,
     build_network,
     compute_gamma,
+    solve_parabolic,
+    solve_resolvent,
     validate_assumptions,
 )
 
@@ -98,18 +104,16 @@ def test_symmetry_rule_is_relative_to_the_scale_of_k(scale):
     near = CouplingMatrix.from_array(
         [[0.0, scale], [scale * (1.0 + 1e-15), 0.0]], net
     )
-    assert validate_assumptions(net, near).holds_sign_symmetry
+    validate_assumptions(net, near)
     alpha_from_k(near)
     assert compute_gamma(net, near).gamma[0, 0] == pytest.approx(1.0, abs=1e-14)
 
     skewed = CouplingMatrix.from_array([[0.0, scale], [3.0 * scale, 0.0]], net)
-    report = validate_assumptions(net, skewed)
-    assert not report.holds_sign_symmetry
-    assert any("asymmetry" in msg for msg in report.messages)
+    for check in (validate_assumptions, compute_gamma):
+        with pytest.raises(AssumptionViolated, match=r"^asymmetry .* times max\|K\|$"):
+            check(net, skewed)
     with pytest.raises(AssumptionViolated, match="asymmetry"):
         alpha_from_k(skewed)
-    with pytest.raises(AssumptionViolated, match="asymmetry"):
-        compute_gamma(net, skewed)
 
 
 def test_coupling_matrix_shape_validation():
@@ -122,55 +126,74 @@ def test_coupling_matrix_shape_validation():
         CouplingMatrix.from_array([[0.0, np.nan], [np.nan, 0.0]])
 
 
+def _zero_data(net):
+    return PiecewiseConstantField.constant(net, [0.0] * net.m), [0.0] * net.m
+
+
+ENTRY_POINTS = {
+    "compute_gamma": compute_gamma,
+    "solve_parabolic": lambda net, K: solve_parabolic(
+        net, K, *_zero_data(net), SolverConfig(epsilon=0.1, T=0.1)
+    ),
+    "solve_resolvent": lambda net, K: solve_resolvent(
+        net, K, 0.5, ResolventProblem.build(0.8, *_zero_data(net))
+    ),
+    "build_compatible": lambda net, K: build_compatible(
+        *_zero_data(net), net, K, epsilon_n=0.125
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
+def test_entry_points_reject_a_coupling_sized_for_another_network(entry):
+    net = simple_star([1.0], [1.0, 1.0])
+    K = CouplingMatrix.from_array([[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(
+        DimensionMismatch, match="^matrix is 2x2 but the network has 3 arcs$"
+    ):
+        entry(net, K)
+
+
 def test_validate_assumptions_all_hold():
     rng = np.random.default_rng(11)
     net = random_network(rng)
-    K = random_coupling(rng, net)
-    report = validate_assumptions(net, K)
-    assert report.holds_sign_symmetry
-    assert report.holds_incoming_linked
-    assert report.holds_outgoing_linked
-    assert report.messages == ()
+    assert validate_assumptions(net, random_coupling(rng, net)) is None
+
+    # an isolated outgoing arc takes no flux, but the weights stay well posed
+    net2 = simple_star([1.0], [1.0, 1.0])
+    K2 = CouplingMatrix.from_array(
+        [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], net2
+    )
+    validate_assumptions(net2, K2)
 
 
-def test_validate_assumptions_flags_unlinked_sides():
+def test_validate_assumptions_rejects_unlinked_incoming_arcs():
     # arc 0 incoming couples only within its side: incoming link missing
     net = simple_star([1.0, 1.0], [1.0])
     K = CouplingMatrix.from_array(
         [[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]], net
     )
-    report = validate_assumptions(net, K)
-    assert report.holds_sign_symmetry
-    assert not report.holds_incoming_linked
-    assert report.holds_outgoing_linked
+    with pytest.raises(
+        AssumptionViolated, match=r"^incoming arcs \[0\] have no outgoing coupling$"
+    ):
+        validate_assumptions(net, K)
 
-    # outgoing arc 2 isolated instead
-    net2 = simple_star([1.0], [1.0, 1.0])
-    K2 = CouplingMatrix.from_array(
-        [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], net2
-    )
-    report2 = validate_assumptions(net2, K2)
-    assert report2.holds_incoming_linked
-    assert not report2.holds_outgoing_linked
-    assert report2.messages == ("outgoing arcs [2] have no incoming coupling",)
-
-    # an asymmetric K: each side is judged by its own rows
+    # an asymmetric K: the links are read off the incoming rows, and the
+    # message names every breach
     K3 = CouplingMatrix.from_array(
         [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]], net
     )
-    report3 = validate_assumptions(net, K3)
-    assert not report3.holds_incoming_linked
-    assert not report3.holds_outgoing_linked
-    assert report3.messages[1:] == (
-        "incoming arcs [1] have no outgoing coupling",
-        "outgoing arcs [2] have no incoming coupling",
-    )
+    with pytest.raises(AssumptionViolated) as info:
+        validate_assumptions(net, K3)
+    asymmetry, unlinked = str(info.value).split("; ")
+    assert asymmetry.startswith("asymmetry ")
+    assert unlinked == "incoming arcs [1] have no outgoing coupling"
 
 
-def test_validate_assumptions_flags_sign_breaks():
+def test_validate_assumptions_rejects_sign_breaks():
     net = simple_star([1.0], [1.0])
-    report = validate_assumptions(
-        net, CouplingMatrix.from_array([[0.0, -0.5], [-0.5, 0.0]], net)
-    )
-    assert not report.holds_sign_symmetry
-    assert any("negative" in msg for msg in report.messages)
+    # a negative entry is no link either
+    with pytest.raises(AssumptionViolated, match="^negative coupling entries; incoming"):
+        validate_assumptions(
+            net, CouplingMatrix.from_array([[0.0, -0.5], [-0.5, 0.0]], net)
+        )

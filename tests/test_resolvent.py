@@ -31,6 +31,7 @@ from starflux import (
 )
 from starflux.grids import average_on_grid, new_state
 from starflux.parabolic import resolvent
+from starflux.parabolic.scheme import assemble_step_operator
 from starflux.parabolic.resolvent import (
     RESIDUAL_SAMPLES,
     _convolutions,
@@ -266,6 +267,18 @@ def test_resolvent_validation():
     bad = ResolventProblem.build(0.8, zero, [0.0, 0.0, 0.0])
     with pytest.raises(DimensionMismatch):
         solve_resolvent(net, K, 0.5, bad)
+
+
+def test_march_to_steady_rejects_a_grid_built_for_another_network():
+    net = simple_star([1.0], [1.0, 1.0])
+    K = cross_ones_coupling(net)
+    grid = make_grid(simple_star([1.0], [1.0]), h=0.1)
+    zero = [0.0] * net.m
+    prob = ResolventProblem.build(0.8, PiecewiseConstantField.constant(net, zero), zero)
+    with pytest.raises(DimensionMismatch, match="^grid has 2 arcs but the network has 3$"):
+        march_to_steady(net, K, grid, 0.5, prob)
+    with pytest.raises(DimensionMismatch, match="^grid has 2 arcs"):
+        assemble_step_operator(net, K, grid, 0.5, 0.8)
 
 
 def random_solution(seed, m, uneven=False):

@@ -99,7 +99,6 @@ def certify_reference(q):
         every_block_strict=all(np.any(margins[np.asarray(c)] > tol) for c in comps),
         det=det,
         inverse_nonneg=min_entry >= -1e-12 * inv_scale,
-        min_inverse_entry=min_entry,
         inverse=inverse,
     )
 
