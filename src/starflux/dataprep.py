@@ -29,9 +29,6 @@ from .network import CouplingMatrix, StarNetwork, _as_square, alpha_from_k, junc
 #: node-interval exponent used when none is requested; any theta > 1 works
 DEFAULT_THETA = 1.5
 
-#: value/derivative agreement required where polynomial pieces meet
-JUNCTION_TOL = 1e-10
-
 
 def _shifted(coeffs: np.ndarray, s: float) -> np.ndarray:
     """Coefficients of p(xi + s) for ascending-power coefficients."""
@@ -351,13 +348,7 @@ class CompatibleData:
     junction_slope_defect: float
     l1_error: float
     deriv_norms: np.ndarray
-    tv_norms: np.ndarray
     w21_norms: np.ndarray
-
-    @property
-    def tv_excess(self) -> float:
-        """Largest per-arc overshoot of ||v_n'||_1 beyond TV(v)."""
-        return float(np.max(self.deriv_norms - self.tv_norms))
 
     @property
     def scaled_w21(self) -> float:
@@ -434,14 +425,12 @@ def build_compatible(
     js = 0.0
     l1_err = 0.0
     deriv_norms = np.empty(net.m)
-    tv_norms = np.empty(net.m)
     w21_norms = np.empty(net.m)
     for i in range(net.m):
         dv, ds = assembled[i].junction_defects()
         jv, js = max(jv, dv), max(js, ds)
         l1_err += l1_distance_to_profile(assembled[i], v.arcs[i])
         deriv_norms[i] = assembled[i].l1_norm(1)
-        tv_norms[i] = v.arcs[i].total_variation()
         w21_norms[i] = assembled[i].w21_norm()
 
     return CompatibleData(
@@ -453,6 +442,5 @@ def build_compatible(
         junction_slope_defect=float(js),
         l1_error=float(l1_err),
         deriv_norms=deriv_norms,
-        tv_norms=tv_norms,
         w21_norms=w21_norms,
     )

@@ -27,7 +27,8 @@ class EmptySide(ValidationError):
 
 
 class NonPositiveParameter(ValidationError):
-    """Lengths, speeds, viscosities, widths and steps must be positive."""
+    """Lengths, speeds, viscosities, widths and steps must be positive,
+    and every run parameter and boundary value finite."""
 
 
 class DimensionMismatch(ValidationError):
@@ -67,11 +68,15 @@ class WidthOverflow(NumericalError):
 
 
 class LinearSolveFailure(NumericalError):
-    """Sparse solve returned non-finite values."""
+    """The implicit step cannot be factored or solved: a state of the
+    wrong size, a zero pivot or row exchange in an arc's factorization,
+    a singular junction Schur complement, a failed node projection or a
+    non-finite march state."""
 
 
 class UnstableConfig(UserWarning):
-    """Grid too coarse for the requested viscosity; results may smear."""
+    """Grid too coarse for the requested viscosity, so results may smear,
+    or a step that fails its positivity certificate."""
 
 
 def finite_above(

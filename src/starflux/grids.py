@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from typing import Protocol, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -117,12 +117,6 @@ def make_grid(
     return Grid(cells=tuple(cells), spacings=tuple(spacings))
 
 
-class ArcEvaluable(Protocol):
-    """Anything that can be evaluated pointwise along one arc."""
-
-    def evaluate(self, x: np.ndarray | float) -> np.ndarray | float: ...
-
-
 @dataclass(frozen=True)
 class DiscreteState:
     """Grid values of every arc at one time, in one read-only vector.
@@ -190,7 +184,7 @@ def check_on_grid(state: DiscreteState, grid: Grid) -> None:
     )
 
 
-def sample_on_grid(profiles: Sequence[ArcEvaluable], grid: Grid) -> DiscreteState:
+def sample_on_grid(profiles: Sequence, grid: Grid) -> DiscreteState:
     """Pointwise sample per-arc profiles at the grid nodes, at time 0."""
     if len(profiles) != grid.arc_count:
         raise DimensionMismatch(

@@ -246,9 +246,10 @@ def run_convergence(spec: ExperimentSpec, workers: int = 1) -> ConvergenceReport
     epsilon, so both are computed once per sweep, before any level runs:
     compute_gamma also checks the coupling assumptions (raising on
     violation). Per-level work then runs inline or on a bounded process
-    pool when workers > 1. Rows come back sorted by viscosity
-    descending, failed levels in the failures list with their reasons,
-    and every level's LevelRecord in the plan's order.
+    pool when workers > 1. Rows come back in the plan's order, which
+    ExperimentSpec keeps strictly decreasing in viscosity, failed levels
+    in the failures list with their reasons, and every level's
+    LevelRecord in the plan's order.
     """
     system = compute_gamma(spec.net, spec.K)
     exact = solve_exact(spec.net, system.gamma, spec.u0, spec.B, spec.T)
@@ -263,7 +264,6 @@ def run_convergence(spec: ExperimentSpec, workers: int = 1) -> ConvergenceReport
             outcomes = list(pool.map(partial(_sweep_row, payload), spec.epsilons))
 
     rows = [r for r, _ in outcomes if isinstance(r, ConvergenceRow)]
-    rows.sort(key=lambda r: -r.epsilon)
     failures = [
         (float(e), r) for e, (r, _) in zip(spec.epsilons, outcomes) if isinstance(r, str)
     ]

@@ -190,7 +190,6 @@ class HyperbolicSolution:
     """
 
     net: StarNetwork
-    gamma: np.ndarray
     B: np.ndarray
     u0: PiecewiseConstantField
     T: float
@@ -295,13 +294,10 @@ def solve_exact(
     for pos, arc_id in enumerate(net.outgoing_ids):
         junction[arc_id] = ArcProfile.from_lists(T, breaks, node_vals[:, pos])
 
-    g = g.copy()
-    g.flags.writeable = False
     bvals = bvals.copy()
     bvals.flags.writeable = False
     return HyperbolicSolution(
         net=net,
-        gamma=g,
         B=bvals,
         u0=u0,
         T=float(T),

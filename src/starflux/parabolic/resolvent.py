@@ -368,13 +368,13 @@ def solve_resolvent(
 
 
 def resolvent_forcing_field(
-    net: StarNetwork, rng: np.random.Generator, pieces: int = 3, amplitude: float = 1.0
+    net: StarNetwork, rng: np.random.Generator, pieces: int = 3
 ) -> PiecewiseConstantField:
     """Random piecewise-constant forcing, handy for consistency checks."""
     profiles = []
     for arc in net.arcs:
         n_b = int(rng.integers(0, pieces))
         breaks = np.sort(rng.uniform(0.1 * arc.length, 0.9 * arc.length, n_b))
-        vals = rng.uniform(-amplitude, amplitude, n_b + 1)
+        vals = rng.uniform(-1.0, 1.0, n_b + 1)
         profiles.append(ArcProfile.from_lists(arc.length, breaks, vals))
     return PiecewiseConstantField(tuple(profiles))

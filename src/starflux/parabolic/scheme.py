@@ -522,15 +522,21 @@ def assemble_step_operator(
     """Build and factorize the implicit step matrix.
 
     Raises what validate_assumptions raises on (net, K), and
-    DimensionMismatch when grid has another number of arcs than net.
-    epsilon and dt are taken as given: callers check them. Warns
-    UnstableConfig when any spacing exceeds epsilon/2, the point where
-    the boundary layer is no longer resolved, and when the step does not
-    preserve positivity (StepOperator.positive).
+    DimensionMismatch when grid has another number of arcs than net or
+    an arc whose span (cells times spacing) is not the arc's length to
+    rounding (relative 1e-12). epsilon and dt are taken as given:
+    callers check them. Warns UnstableConfig when any spacing exceeds
+    epsilon/2, the point where the boundary layer is no longer resolved,
+    and when the step does not preserve positivity (StepOperator.positive).
     """
     validate_assumptions(net, K)
     if grid.arc_count != net.m:
         raise DimensionMismatch(f"grid has {grid.arc_count} arcs but the network has {net.m}")
+    for arc, n, h in zip(net.arcs, grid.cells, grid.spacings):
+        if abs(n * h - arc.length) > 1e-12 * arc.length:
+            raise DimensionMismatch(
+                f"arc {arc.id}: the grid spans {n * h:g} but the arc is {arc.length:g} long"
+            )
     alpha = alpha_from_k(K)
 
     if any(h > epsilon / 2.0 for h in grid.spacings):

@@ -74,16 +74,6 @@ def _components(reach: np.ndarray) -> list[np.ndarray]:
     return [np.flatnonzero(reach[v]) for v in leaders]
 
 
-def connected_components(q: np.ndarray) -> list[list[int]]:
-    """Connected components of the off-diagonal coupling pattern.
-
-    The pattern is symmetrized first, so for the symmetric node matrix
-    this is exactly the partition into irreducible diagonal blocks.
-    Components come in order of their smallest member, each sorted.
-    """
-    return [comp.tolist() for comp in _components(_same_block(q))]
-
-
 def _lu_invert(sub: np.ndarray) -> tuple[np.ndarray, float]:
     """Invert a principal block by LU with partial pivoting.
 

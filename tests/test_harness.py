@@ -59,7 +59,6 @@ def hand_solution(net, breakpoints, values, T: float) -> HyperbolicSolution:
     """Minimal exact-solution shell carrying a prescribed outgoing trace."""
     return HyperbolicSolution(
         net=net,
-        gamma=np.array([[1.0]]),
         B=np.zeros(net.m),
         u0=PiecewiseConstantField.constant(net, np.zeros(net.m)),
         T=T,

@@ -270,15 +270,25 @@ def test_resolvent_validation():
 
 
 def test_march_to_steady_rejects_a_grid_built_for_another_network():
+    """A grid with another arc count, or with the same count but arcs of
+    another length, is refused before anything is assembled."""
     net = simple_star([1.0], [1.0, 1.0])
     K = cross_ones_coupling(net)
-    grid = make_grid(simple_star([1.0], [1.0]), h=0.1)
     zero = [0.0] * net.m
     prob = ResolventProblem.build(0.8, PiecewiseConstantField.constant(net, zero), zero)
-    with pytest.raises(DimensionMismatch, match="^grid has 2 arcs but the network has 3$"):
-        march_to_steady(net, K, grid, 0.5, prob)
-    with pytest.raises(DimensionMismatch, match="^grid has 2 arcs"):
-        assemble_step_operator(net, K, grid, 0.5, 0.8)
+    cases = [
+        (simple_star([1.0], [1.0]), "^grid has 2 arcs but the network has 3$"),
+        (
+            simple_star([1.0], [1.0, 1.0], [2.0], [2.0, 2.0]),
+            "^arc 0: the grid spans 2 but the arc is 1 long$",
+        ),
+    ]
+    for other, message in cases:
+        grid = make_grid(other, h=0.1)
+        with pytest.raises(DimensionMismatch, match=message):
+            march_to_steady(net, K, grid, 0.5, prob)
+        with pytest.raises(DimensionMismatch, match=message):
+            assemble_step_operator(net, K, grid, 0.5, 0.8)
 
 
 def random_solution(seed, m, uneven=False):

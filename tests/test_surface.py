@@ -1,9 +1,11 @@
-"""The package's surface: what ``import starflux`` exposes, and no dead imports.
+"""The package's surface: what ``import starflux`` exposes, no dead
+imports and no dead definitions.
 
 The top-level namespace holds the documented API and the error classes;
 every other name is reached through its module. Every file's top-level
 imports are used, so an import is never the only thing that keeps a name
-alive.
+alive, and every top-level definition in src/ is named by the package,
+a demo, the README or the benchmark, so none is kept only for tests.
 """
 
 from __future__ import annotations
@@ -75,3 +77,39 @@ def test_no_unused_top_level_imports():
     files += sorted((ROOT / "tests").glob("*.py"))
     unused = [entry for path in files for entry in _unused_imports(path)]
     assert not unused, unused
+
+
+def _top_level_names(path: Path):
+    """(name, line) of each function, class and assigned name at top level."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id, node.lineno
+
+
+def test_every_top_level_definition_is_named_elsewhere():
+    """A src/ definition named only on its own line, or only by tests, is
+    dead; the package's __init__.py re-exports do not count as a use."""
+    src = [p for p in sorted((ROOT / "src").rglob("*.py")) if p.name != "__init__.py"]
+    readers = src + sorted((ROOT / "demos").glob("*.py"))
+    readers += sorted((ROOT / "perfbench").glob("*.py")) + [ROOT / "README.md"]
+    lines = [
+        (path, number, line)
+        for path in readers
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+    ]
+    dead = []
+    for path in src:
+        for name, line in _top_level_names(path):
+            word = re.compile(rf"\b{name}\b")
+            elsewhere = (
+                text for where, number, text in lines if (where, number) != (path, line)
+            )
+            if not any(word.search(text) for text in elsewhere):
+                dead.append(f"{path.relative_to(ROOT)}:{line} {name}")
+    assert not dead, dead

@@ -26,9 +26,15 @@ from starflux import (
 from starflux.transmission import (
     PIVOT_RTOL,
     MCertificate,
+    _components,
     _lu_invert,
-    connected_components,
+    _same_block,
 )
+
+
+def connected_components(q):
+    """compute_gamma's components of q's pattern, as sorted index lists."""
+    return [comp.tolist() for comp in _components(_same_block(q))]
 
 
 def lu_reference(sub):
