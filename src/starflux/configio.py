@@ -53,6 +53,8 @@ def _load_document(path: str | Path) -> Any:
         raise ConfigError(
             f"{p}:{exc.lineno}:{exc.colno}: invalid JSON ({exc.msg})"
         ) from None
+    except ValueError as exc:  # an integer beyond the interpreter's digit limit
+        raise ConfigError(f"{p}: invalid JSON ({exc})") from None
 
 
 def _as_object(value: Any, where: str) -> dict:
@@ -89,7 +91,10 @@ def _as_number(value: Any, where: str, positive: bool = False) -> float:
     # bool is an int subclass; reject it explicitly
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}: expected a number")
-    x = float(value)
+    try:
+        x = float(value)
+    except OverflowError:
+        raise ConfigError(f"{where}: must be finite, got an integer too large") from None
     if positive:
         return finite_above(x, where, error=ConfigError)
     if not np.isfinite(x):

@@ -142,18 +142,6 @@ class PiecewisePoly:
         """L1 norms of the function and its first two derivatives."""
         return self.l1_norm(0) + self.l1_norm(1) + self.l1_norm(2)
 
-    def junction_defects(self) -> tuple[float, float]:
-        """Largest value and slope mismatch where pieces meet."""
-        val = 0.0
-        slope = 0.0
-        for left, right in zip(self.pieces[:-1], self.pieces[1:]):
-            val = max(val, abs(left.evaluate(left.hi) - right.evaluate(right.lo)))
-            slope = max(
-                slope,
-                abs(left.evaluate(left.hi, 1) - right.evaluate(right.lo, 1)),
-            )
-        return val, slope
-
     def restricted(self, a: float, b: float) -> list[PolynomialPiece]:
         """Pieces covering [a, b], trimmed and re-anchored at their lo."""
         out = []
@@ -336,16 +324,14 @@ def fit_boundary_quadratic(
 class CompatibleData:
     """C^1 polynomial data admissible for the viscous problem.
 
-    arcs holds the assembled per-arc functions. The remaining fields are
-    exact diagnostics of the lemma-level properties.
+    arcs holds the per-arc functions, C^1 at every joint and equal to B
+    at each inflow end by construction. The other fields are exact
+    diagnostics: the node-condition residual, the L1 error and norms.
     """
 
     epsilon_n: float
     arcs: tuple[PiecewisePoly, ...]
     membership_residual: float
-    boundary_defect: float
-    junction_value_defect: float
-    junction_slope_defect: float
     l1_error: float
     deriv_norms: np.ndarray
     w21_norms: np.ndarray
@@ -413,22 +399,11 @@ def build_compatible(
         np.array([poly.evaluate(x) for poly, x in ends]),
         np.array([poly.evaluate(x, 1) for poly, x in ends]),
     )
-    boundary_defect = max(
-        (
-            abs(float(assembled[i].evaluate(0.0)) - float(bvals[i]))
-            for i in net.incoming_ids
-        ),
-        default=0.0,
-    )
 
-    jv = 0.0
-    js = 0.0
     l1_err = 0.0
     deriv_norms = np.empty(net.m)
     w21_norms = np.empty(net.m)
     for i in range(net.m):
-        dv, ds = assembled[i].junction_defects()
-        jv, js = max(jv, dv), max(js, ds)
         l1_err += l1_distance_to_profile(assembled[i], v.arcs[i])
         deriv_norms[i] = assembled[i].l1_norm(1)
         w21_norms[i] = assembled[i].w21_norm()
@@ -437,9 +412,6 @@ def build_compatible(
         epsilon_n=epsilon_n,
         arcs=tuple(assembled),
         membership_residual=membership,
-        boundary_defect=float(boundary_defect),
-        junction_value_defect=float(jv),
-        junction_slope_defect=float(js),
         l1_error=float(l1_err),
         deriv_norms=deriv_norms,
         w21_norms=w21_norms,

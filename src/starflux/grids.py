@@ -110,8 +110,8 @@ def make_grid(
     cells = []
     spacings = []
     for arc in net.arcs:
-        n = int(np.ceil(arc.length / h))
-        n = min(max(n, MIN_CELLS), MAX_CELLS)
+        # clipped as a float: a subnormal h makes the ratio inf
+        n = int(np.clip(np.ceil(arc.length / h), MIN_CELLS, MAX_CELLS))
         cells.append(n)
         spacings.append(arc.length / n)
     return Grid(cells=tuple(cells), spacings=tuple(spacings))

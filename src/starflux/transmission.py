@@ -175,17 +175,16 @@ def certify_m_matrix(q: np.ndarray) -> MCertificate:
 
 @dataclass(frozen=True)
 class TransmissionSystem:
-    """Solved node system: matrix Q, certificates, and transmission weights.
+    """Solved node system: certificates and transmission weights.
 
-    The inverse and determinant of Q live in ``certificates``. gamma has
-    one row per outgoing arc and one column per incoming arc, both in
-    arc-id order; gamma[l, j] is the fraction of incoming flux j that
-    leaves through outgoing arc l. Every column sums to one.
-    condition_indicator is max|Q| * max|Q^-1|, reported but never asserted.
+    The inverse and determinant of the node matrix Q (assemble_q) live
+    in ``certificates``. gamma has one row per outgoing arc and one column
+    per incoming arc, both in arc-id order; gamma[l, j] is the fraction
+    of incoming flux j that leaves through outgoing arc l. Every column
+    sums to one. condition_indicator is max|Q| * max|Q^-1|, never asserted.
     """
 
     net: StarNetwork
-    q: np.ndarray
     gamma: np.ndarray
     certificates: MCertificate
     condition_indicator: float
@@ -225,7 +224,5 @@ def compute_gamma(net: StarNetwork, K: CouplingMatrix) -> TransmissionSystem:
 
     gamma.flags.writeable = False
     cond = float(np.abs(q).max() * np.abs(z).max())
-    return TransmissionSystem(
-        net=net, q=q, gamma=gamma, certificates=cert, condition_indicator=cond
-    )
+    return TransmissionSystem(net=net, gamma=gamma, certificates=cert, condition_indicator=cond)
 

@@ -75,6 +75,18 @@ def test_schema_violation_exits_2_with_field_path(tmp_path, capsys):
     assert "arcs[1].speed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "digits, name",
+    [(400, "error: arcs[0].length: must be finite"), (5000, "net.json: invalid JSON")],
+    ids=["too-large-for-a-float", "beyond-the-digit-limit"],
+)
+def test_huge_json_integer_exits_2_naming_where(tmp_path, capsys, digits, name):
+    net = tmp_path / "net.json"
+    net.write_text(json.dumps(PAIR_NET).replace("1.0", "1" + "0" * digits, 1))
+    assert main(["gamma", "--config", str(net)]) == 2
+    assert name in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["gamma", "converge"])
 def test_coupling_breach_exits_2_naming_it(tmp_path, capsys, command):
     """Incoming arc 0 couples only to the other incoming arc."""

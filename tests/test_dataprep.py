@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import simple_star
+from conftest import random_coupling, random_network, simple_star
 from starflux import (
     ArcProfile,
     CouplingMatrix,
@@ -49,6 +53,27 @@ def one_jump_field(net, jump_at=0.5, low=0.0, high=1.0, out_value=0.4):
             ArcProfile.from_lists(1.0, [], [out_value]),
         )
     )
+
+
+def assert_joints_and_inflow(cd, B, net):
+    """Each arc of cd is C^1 at every internal joint and takes B exactly
+    at each incoming arc's outer end.
+
+    A joint's value or slope gap may be as large as the rounding of the
+    two pieces' evaluations there: a few ulps of the sum of their terms'
+    magnitudes, which for the slope is about the slope scale at the joint.
+    """
+    tol = 16 * np.finfo(float).eps
+    for i, poly in enumerate(cd.arcs):
+        for left, right in zip(poly.pieces[:-1], poly.pieces[1:]):
+            size_left = dataclasses.replace(left, coeffs=np.abs(left.coeffs))
+            size_right = dataclasses.replace(right, coeffs=np.abs(right.coeffs))
+            for order in (0, 1):
+                gap = abs(left.evaluate(left.hi, order) - right.evaluate(right.lo, order))
+                scale = size_left.evaluate(left.hi, order) + size_right.evaluate(right.lo, order)
+                assert gap <= tol * scale, (i, left.hi, order, gap, scale)
+        if net.arc(i).incoming:
+            assert poly.evaluate(0.0) == B[i], (i, poly.evaluate(0.0), B[i])
 
 
 def test_piece_l1_norm_splits_at_roots():
@@ -194,10 +219,7 @@ def test_build_compatible_membership_and_joints():
     v = one_jump_field(net)
     cd = build_compatible(v, [0.0, 0.0], net, K, epsilon_n=0.125)
     assert cd.membership_residual <= 1e-9
-    assert cd.boundary_defect <= 1e-12
-    assert cd.junction_value_defect <= 1e-10
-    assert cd.junction_slope_defect <= 1e-10
-    assert cd.arcs[0].evaluate(0.0) == pytest.approx(0.0)
+    assert_joints_and_inflow(cd, [0.0, 0.0], net)
     # the node cubic carries the imposed slope on each side
     alpha_row = np.array([[0.7, -0.7], [-0.7, 0.7]])
     node_vals = np.array([cd.arcs[0].evaluate(1.0), cd.arcs[1].evaluate(0.0)])
@@ -220,8 +242,7 @@ def test_sweep_converges_with_bounded_regularity():
     for n in range(3, 9):
         cd = build_compatible(v, [0.7, 0.0], net, K, epsilon_n=2.0**-n)
         assert cd.membership_residual <= 1e-9
-        assert cd.junction_value_defect <= 1e-10
-        assert cd.junction_slope_defect <= 1e-10
+        assert_joints_and_inflow(cd, [0.7, 0.0], net)
         errors.append(cd.l1_error)
         tv = [profile.total_variation() for profile in v.arcs]
         excesses.append(float(np.max(cd.deriv_norms - tv)))
@@ -230,6 +251,23 @@ def test_sweep_converges_with_bounded_regularity():
     assert max(scaled) / min(scaled) <= 10.0, scaled
     # the slope-mass overshoot settles to its boundary-layer constant
     assert abs(excesses[-1] - excesses[-2]) <= 0.05 * (1.0 + excesses[-1])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 8), n=st.integers(3, 8))
+def test_compatible_arcs_are_c1_and_take_the_inflow_value(seed, m, n):
+    """Random 2-8-arc stars with up to two jumps per arc, at eps 2^-n."""
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, m_min=m, m_max=m)
+    K = random_coupling(rng, net)
+    arcs = []
+    for arc in net.arcs:
+        pieces = int(rng.integers(1, 4))
+        breaks = np.sort(rng.uniform(0.3 * arc.length, 0.7 * arc.length, pieces - 1))
+        arcs.append(ArcProfile.from_lists(arc.length, breaks, rng.uniform(-2.0, 2.0, pieces)))
+    B = rng.uniform(-2.0, 2.0, m)
+    cd = build_compatible(PiecewiseConstantField(tuple(arcs)), B, net, K, 2.0**-n)
+    assert_joints_and_inflow(cd, B, net)
 
 
 def test_compatible_data_feeds_the_grid_sampler():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import pairwise_depth, simple_star
 from starflux import DimensionMismatch, Grid, discrete_l1_norm, make_grid, new_state
-from starflux.grids import MIN_CELLS, adopt_state, march_l1_and_min, to_march_order
+from starflux.grids import MAX_CELLS, MIN_CELLS, adopt_state, march_l1_and_min, to_march_order
 
 
 def small_grid():
@@ -26,6 +26,16 @@ def test_offsets_and_weights_follow_the_cells():
     assert grid.offsets == (0, 5, 10, 17)
     # computed once per grid
     assert grid.offsets is grid.offsets
+
+
+@pytest.mark.parametrize("target", [{"h": 1e-320}, {"epsilon": 1e-320}, {"h": 1e-9}])
+def test_a_target_finer_than_max_cells_gets_max_cells(target):
+    """A subnormal target spacing overflows the cell count to inf, which
+    is clipped like any other count above MAX_CELLS."""
+    net = simple_star([1.0], [2.0], in_lengths=[1.0], out_lengths=[0.5])
+    grid = make_grid(net, **target)
+    assert grid.cells == (MAX_CELLS, MAX_CELLS)
+    assert grid.spacings == (1.0 / MAX_CELLS, 0.5 / MAX_CELLS)
 
 
 def test_new_state_copies_the_callers_arrays():

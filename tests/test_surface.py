@@ -5,7 +5,8 @@ The top-level namespace holds the documented API and the error classes;
 every other name is reached through its module. Every file's top-level
 imports are used, so an import is never the only thing that keeps a name
 alive, and every top-level definition in src/ is named by the package,
-a demo, the README or the benchmark, so none is kept only for tests.
+a demo, the README or the benchmark, so none is kept only for tests; nor
+is any class's field, property or method.
 """
 
 from __future__ import annotations
@@ -113,3 +114,64 @@ def test_every_top_level_definition_is_named_elsewhere():
             if not any(word.search(text) for text in elsewhere):
                 dead.append(f"{path.relative_to(ROOT)}:{line} {name}")
     assert not dead, dead
+
+
+def _class_members(path: Path):
+    """(class, member) of each annotated field, property and non-dunder
+    method of every class in the file."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                yield node.name, item.target.id
+            elif isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if not (item.name.startswith("__") and item.name.endswith("__")):
+                    yield node.name, item.name
+
+
+def _written_whole(tree: ast.AST) -> set[str]:
+    """Dataclasses whose fields are all written out at once: a class
+    handed to harness._rows_csv (a CSV row), and a class whose own method
+    hands self to asdict (a manifest entry)."""
+    writers = {"_rows_csv", "asdict"}
+
+    def handed(node: ast.AST) -> set[str]:
+        return {
+            call.args[0].id
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Name)
+            and call.func.id in writers
+            and call.args
+            and isinstance(call.args[0], ast.Name)
+        }
+
+    classes = (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef))
+    return handed(tree) | {cls.name for cls in classes if "self" in handed(cls)}
+
+
+def test_every_class_member_is_read_outside_tests():
+    """Each member of a src/ class is read as ``.name`` by the package, a
+    demo, the benchmark or the README, or its class is written out whole
+    (the CSV rows, the manifest's level records)."""
+    src = sorted((ROOT / "src").rglob("*.py"))
+    readers = src + sorted((ROOT / "demos").glob("*.py"))
+    readers += sorted((ROOT / "perfbench").glob("*.py"))
+    read = set(re.findall(r"\.([A-Za-z_]\w*)", (ROOT / "README.md").read_text()))
+    whole = set()
+    for path in readers:
+        tree = ast.parse(path.read_text())
+        whole |= _written_whole(tree)
+        read |= {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store)
+        }
+    unread = [
+        f"{cls}.{name}"
+        for path in src
+        for cls, name in _class_members(path)
+        if cls not in whole and name not in read
+    ]
+    assert not unread, unread
