@@ -39,7 +39,7 @@ epsilon = 0.05
 cfg = SolverConfig(epsilon=epsilon, T=4.0, dt=0.02)
 traj = solve_parabolic(net, K, u0, [1.0, 0.0], cfg)
 
-print(f"epsilon = {epsilon}, grid spacing = {max(traj.grid.spacings):.4f}")
+print(f"epsilon = {epsilon}, grid spacing = {max(traj.final.grid.spacings):.4f}")
 print()
 print("   t     l1_norm    min_value   flux_residual")
 for k in range(0, traj.diagnostics.shape[0], 20):
@@ -50,7 +50,7 @@ for k in range(0, traj.diagnostics.shape[0], 20):
 # value ~1 has to fold down inside a layer of width O(epsilon)
 final = traj.final
 out_vals = final.values[1]
-nodes = traj.grid.nodes(1)
+nodes = final.grid.nodes(1)
 print("\noutgoing arc approaching its outer end (every 4th node):")
 for x, v in zip(nodes[-33::4], out_vals[-33::4]):
     bar = "#" * int(round(40 * max(v, 0.0)))

@@ -52,7 +52,7 @@ previous = None
 for h in (0.04, 0.02, 0.01, 0.005):
     grid = make_grid(net, h=h)
     steady = march_to_steady(net, K, grid, epsilon, problem)
-    error = l1_distance(closed, steady, grid)
+    error = l1_distance(steady, closed)
     ratio = "" if previous is None else f"{previous / error:8.3f}"
     print(f"  {h:7.4f}  {error:.3e}  {ratio}")
     previous = error

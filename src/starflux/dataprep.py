@@ -40,11 +40,10 @@ def _shifted(coeffs: np.ndarray, s: float) -> np.ndarray:
 
 
 def _real_roots_inside(coeffs: np.ndarray, width: float) -> list[float]:
-    """Real roots strictly inside (0, width), for sign-splitting."""
+    """Real roots strictly inside (0, width) of a polynomial with a nonzero
+    coefficient, for sign-splitting."""
     c = np.asarray(coeffs, dtype=float)
-    top = float(np.max(np.abs(c))) if c.size else 0.0
-    if top == 0.0:
-        return []
+    top = float(np.max(np.abs(c)))
     # drop negligible leading coefficients so the companion matrix of
     # a numerically lower-degree polynomial is not ill-posed
     keep = c.size
@@ -166,8 +165,6 @@ def l1_distance_to_profile(poly: PiecewisePoly, profile: ArcProfile) -> float:
     )
     total = 0.0
     for a, b in zip(cuts[:-1], cuts[1:]):
-        if b - a <= 0.0:
-            continue
         piece = poly.pieces[int(poly.piece_index(np.asarray((a + b) / 2.0)))]
         coeffs = _shifted(piece.coeffs, a - piece.lo).copy()
         coeffs[0] -= float(profile.evaluate((a + b) / 2.0))

@@ -32,7 +32,8 @@ class NonPositiveParameter(ValidationError):
 
 
 class DimensionMismatch(ValidationError):
-    """Array shape does not match the network layout."""
+    """Array shape or grid does not match the network layout, or a march
+    would be too large to run."""
 
 
 class AssumptionViolated(ValidationError):

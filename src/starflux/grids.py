@@ -3,7 +3,7 @@
 Each arc gets its own uniform grid with at least four cells so a
 boundary layer and an interior always coexist. A discrete state keeps
 one value per grid point in a single flat vector, arc after arc, plus
-the time stamp.
+the grid it lives on and the time stamp.
 """
 
 from __future__ import annotations
@@ -122,17 +122,17 @@ class DiscreteState:
     """Grid values of every arc at one time, in one read-only vector.
 
     flat holds the arcs one after another; arc i is
-    flat[bounds[i]:bounds[i + 1]], and values hands out those slices as
-    read-only views. Build states with new_state or sample_on_grid.
+    flat[grid.offsets[i]:grid.offsets[i + 1]], and values hands out those
+    slices as read-only views. Build states with new_state or sample_on_grid.
     """
 
     flat: np.ndarray
-    bounds: tuple[int, ...]
+    grid: Grid
     t: float
 
     @property
     def values(self) -> tuple[np.ndarray, ...]:
-        b = self.bounds
+        b = self.grid.offsets
         return tuple(self.flat[b[i] : b[i + 1]] for i in range(len(b) - 1))
 
     def min_value(self) -> float:
@@ -166,22 +166,7 @@ def adopt_state(grid: Grid, flat: np.ndarray, t: float) -> DiscreteState:
     if flat.shape != (grid.offsets[-1],):
         raise DimensionMismatch(f"{flat.size} values for {grid.offsets[-1]} points")
     flat.flags.writeable = False
-    return DiscreteState(flat, grid.offsets, float(t))
-
-
-def check_on_grid(state: DiscreteState, grid: Grid) -> None:
-    """Raise DimensionMismatch unless state holds grid's points, arc by arc."""
-    if state.bounds == grid.offsets:
-        return
-    if len(state.bounds) != len(grid.offsets):
-        raise DimensionMismatch(
-            f"state has {len(state.bounds) - 1} arcs, the grid {grid.arc_count}"
-        )
-    points = np.diff(state.bounds)
-    arc = int(np.argmax(points != np.asarray(grid.cells) + 1))
-    raise DimensionMismatch(
-        f"arc {arc}: state has {points[arc]} points for {grid.cells[arc]} cells"
-    )
+    return DiscreteState(flat, grid, float(t))
 
 
 def sample_on_grid(profiles: Sequence, grid: Grid) -> DiscreteState:
@@ -218,9 +203,9 @@ def average_on_grid(profiles: Sequence, grid: Grid) -> DiscreteState:
     return new_state(grid, arrays)
 
 
-def discrete_l1_norm(state: DiscreteState, grid: Grid) -> float:
+def discrete_l1_norm(state: DiscreteState) -> float:
     """Composite-trapezoid L1 norm of |state|: march_l1_and_min's, in march order."""
-    return march_l1_and_min(to_march_order(state.flat), grid)[0]
+    return march_l1_and_min(to_march_order(state.flat), state.grid)[0]
 
 
 def march_l1_and_min(x: np.ndarray, grid: Grid) -> tuple[float, float]:

@@ -213,15 +213,13 @@ def _sweep_row(
             marks.append(time.perf_counter())
             schur_inv_min = trajectory.operator.schur_inv_min
             node_defect = trajectory.node_defect
-            final_error = l1_distance(
-                trajectory.final, exact, trajectory.grid, t=T
-            )
+            final_error = l1_distance(trajectory.final, exact, t=T)
             trace_error = node_trace_error(trajectory, exact)
             marks.append(time.perf_counter())
             times = trajectory.diagnostics[:, 0]
             outcome = ConvergenceRow(
                 epsilon=float(epsilon),
-                h=float(max(trajectory.grid.spacings)),
+                h=float(max(trajectory.final.grid.spacings)),
                 dt=float(times[1] - times[0]),
                 l1_error_final_time=float(final_error),
                 node_trace_l1_error=float(trace_error),
@@ -355,7 +353,7 @@ def run_parabolic_simulation(
     trajectory = solve_parabolic(net, K, u0, B, cfg)
     snapshot = []
     for arc in net.arcs:
-        xs = trajectory.grid.nodes(arc.id)
+        xs = trajectory.final.grid.nodes(arc.id)
         vals = trajectory.final.values[arc.id]
         snapshot.extend(
             (arc.id, float(x), float(T), float(u)) for x, u in zip(xs, vals)

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidGamma, finite_above, finite_values
-from .grids import DiscreteState, Grid, check_on_grid
+from .grids import DiscreteState
 from .network import StarNetwork
 
 #: input transmission matrices may deviate from column sums 1 by this much
@@ -305,54 +305,37 @@ def solve_exact(
     )
 
 
-def _midpoint_values(
-    obj: "HyperbolicSolution | ResolventSolution | PiecewiseConstantField | DiscreteState",
-    arc_id: int,
-    mids: np.ndarray,
-    t: float | None,
-) -> np.ndarray:
-    if isinstance(obj, HyperbolicSolution):
-        if t is None:
-            raise DimensionMismatch("comparing a solution needs a time t")
-        return np.asarray(obj.evaluate(arc_id, mids, t), dtype=float)
-    if isinstance(obj, PiecewiseConstantField):
-        return np.asarray(obj.arcs[arc_id].evaluate(mids), dtype=float)
-    if isinstance(obj, DiscreteState):
-        vals = obj.values[arc_id]
-        return 0.5 * (vals[:-1] + vals[1:])
-    return np.asarray(obj.evaluate(arc_id, mids), dtype=float)
-
-
 def l1_distance(
-    a: "HyperbolicSolution | ResolventSolution | PiecewiseConstantField | DiscreteState",
-    b: "HyperbolicSolution | ResolventSolution | PiecewiseConstantField | DiscreteState",
-    grid: Grid,
+    state: DiscreteState,
+    exact: "HyperbolicSolution | ResolventSolution",
     t: float | None = None,
 ) -> float:
-    """Composite-midpoint L1 distance between two solution-like objects.
+    """Composite-midpoint L1 distance between a grid state and an exact
+    solution, summed over all arcs.
 
-    Discrete states are averaged onto cell midpoints; exact solutions are
-    evaluated there, at time t unless steady (a ResolventSolution). Summed
-    over all arcs. Raises DimensionMismatch for other types, and unless
-    both sides have the grid's arcs and every state holds the grid's points.
+    The state is averaged onto its grid's cell midpoints, and the exact
+    solution is evaluated there: a HyperbolicSolution at time t, a
+    steady ResolventSolution as it is. Raises DimensionMismatch for any
+    other exact side, a HyperbolicSolution without t, and an exact
+    solution on another number of arcs than the state.
     """
     from .parabolic.resolvent import ResolventSolution
 
-    for obj in (a, b):
-        if isinstance(obj, DiscreteState):
-            check_on_grid(obj, grid)
-        elif isinstance(obj, (HyperbolicSolution, ResolventSolution, PiecewiseConstantField)):
-            arcs = len(obj.arcs) if isinstance(obj, PiecewiseConstantField) else obj.net.m
-            if arcs != grid.arc_count:
-                raise DimensionMismatch(f"{arcs} arcs for a grid of {grid.arc_count}")
-        else:
-            raise DimensionMismatch(f"cannot take midpoint values of {type(obj)!r}")
+    if isinstance(exact, HyperbolicSolution):
+        if t is None:
+            raise DimensionMismatch("comparing a solution needs a time t")
+        at = (t,)
+    elif isinstance(exact, ResolventSolution):
+        at = ()
+    else:
+        raise DimensionMismatch(f"cannot take midpoint values of {type(exact)!r}")
+    grid = state.grid
+    if exact.net.m != grid.arc_count:
+        raise DimensionMismatch(f"{exact.net.m} arcs for a grid of {grid.arc_count}")
     total = 0.0
-    for arc_id in range(grid.arc_count):
-        mids = grid.midpoints(arc_id)
-        va = _midpoint_values(a, arc_id, mids, t)
-        vb = _midpoint_values(b, arc_id, mids, t)
-        total += grid.spacings[arc_id] * float(np.sum(np.abs(va - vb)))
+    for arc_id, u in enumerate(state.values):
+        v = np.asarray(exact.evaluate(arc_id, grid.midpoints(arc_id), *at), dtype=float)
+        total += grid.spacings[arc_id] * float(np.sum(np.abs(0.5 * (u[:-1] + u[1:]) - v)))
     return total
 
 

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import LinearSolveFailure, finite_above, finite_values
+from ..errors import DimensionMismatch, LinearSolveFailure, finite_above, finite_values
 from ..grids import (
     DEFAULT_H_RULE,
     MIN_H_RULE,
@@ -27,7 +27,6 @@ from ..grids import (
     Grid,
     adopt_state,
     average_on_grid,
-    check_on_grid,
     discrete_l1_norm,
     make_grid,
     march_l1_and_min,
@@ -46,6 +45,12 @@ COMPATIBILITY_WARN_TOL = 1e-8
 
 #: what both marches raise when a step leaves inf or NaN behind
 NON_FINITE_STEP = "implicit solve produced non-finite values"
+
+#: largest march solve_parabolic starts, in grid points times steps. The
+#: finest junction_sweep level marches 8.2e7 in about a second on 2
+#: cores; this allows some 120 times that, a couple of minutes, and
+#: refuses the 4e12 of a grid clipped to MAX_CELLS cells per arc
+MAX_MARCH_WORK = 10**10
 
 
 @dataclass(frozen=True)
@@ -75,9 +80,10 @@ class ParabolicTrajectory:
 
     initial is the state the march started from: the data after the
     inflow values were imposed and the junction values projected, so
-    it records that repair. final is the state at the horizon.
-    diagnostics rows are (t, l1_norm, min_value, flux_residual), one for
-    the initial state and one after every step. node_history row k
+    it records that repair. final is the state at the horizon. Both
+    carry the march's grid, h = epsilon/h_rule (final.grid). diagnostics
+    rows are (t, l1_norm, min_value, flux_residual), one for the
+    initial state and one after every step. node_history row k
     gives each arc's junction-end value at diagnostics time k, so the
     junction trace survives although intermediate states are dropped.
     node_defect is the largest node-row defect of the data before the
@@ -89,39 +95,23 @@ class ParabolicTrajectory:
     final: DiscreteState
     diagnostics: np.ndarray
     node_history: np.ndarray
-    grid: Grid
     operator: StepOperator
     node_defect: float
-
-
-def _initial_values(
-    u0_eps: "DiscreteState | PiecewiseConstantField | Sequence",
-    grid: Grid,
-    net: StarNetwork,
-) -> tuple[np.ndarray, float]:
-    """The initial data's values on grid, in march order, and its time."""
-    if isinstance(u0_eps, DiscreteState):
-        state = u0_eps
-    else:
-        field = isinstance(u0_eps, PiecewiseConstantField)
-        profiles = u0_eps.arcs if field else list(u0_eps)
-        check_profile_lengths(profiles, net, "initial profiles")
-        state = sample_on_grid(profiles, grid)
-    check_on_grid(state, grid)
-    return to_march_order(state.flat), state.t
 
 
 def solve_parabolic(
     net: StarNetwork,
     K: CouplingMatrix,
-    u0_eps: "DiscreteState | PiecewiseConstantField | Sequence",
+    u0_eps: "PiecewiseConstantField | Sequence",
     B: Sequence[float],
     cfg: SolverConfig,
 ) -> ParabolicTrajectory:
     """March the viscous problem from u0_eps to time T.
 
-    The grid follows cfg's rule h = epsilon/h_rule. The initial data may
-    be a state on that grid or anything samplable per arc. Its defect
+    The grid follows cfg's rule h = epsilon/h_rule. The initial data, a
+    PiecewiseConstantField or one profile per arc, is sampled at the grid
+    points. A march of more than MAX_MARCH_WORK grid points times steps
+    raises DimensionMismatch before anything is assembled. Its defect
     against the discrete node conditions is measured and warned about
     beyond COMPATIBILITY_WARN_TOL; the junction values are then
     projected so the algebraic node rows hold from step zero.
@@ -142,14 +132,23 @@ def solve_parabolic(
     dt0 = cfg.dt
     if dt0 is None:
         dt0 = min(grid.spacings) / (2.0 * float(np.max(net.speeds())))
-    n_steps = max(1, int(np.ceil(cfg.T / dt0 - 1e-12)))
+    # checked as a float: a subnormal dt makes the count inf
+    steps = float(np.ceil(cfg.T / dt0 - 1e-12))
+    if grid.offsets[-1] * steps > MAX_MARCH_WORK:
+        raise DimensionMismatch(
+            f"the march would take {grid.offsets[-1]} grid points times {steps:.3g} "
+            f"steps, more than MAX_MARCH_WORK = {MAX_MARCH_WORK:.0e}"
+        )
+    n_steps = max(1, int(steps))
     op = assemble_step_operator(net, K, grid, cfg.epsilon, cfg.T / n_steps)
     stencil = op.lu.stencil
 
     # the march runs on one vector in the step's march order, gathered
     # here once; inflow Dirichlet values override whatever the data
     # carries there
-    x, t = _initial_values(u0_eps, grid, net)
+    profiles = u0_eps.arcs if isinstance(u0_eps, PiecewiseConstantField) else list(u0_eps)
+    check_profile_lengths(profiles, net, "initial profiles")
+    x, t = to_march_order(sample_on_grid(profiles, grid).flat), 0.0
     inflow = list(net.incoming_ids)
     x[op.lu.outer[inflow]] = bvals[inflow]
     node, inner = stencil.node, stencil.inner
@@ -168,7 +167,7 @@ def solve_parabolic(
         initial = adopt_state(grid, to_grid_order(x), t)
 
         # the first row reads the grid-order start state, every later one the vector
-        l1, lowest = discrete_l1_norm(initial, grid), initial.min_value()
+        l1, lowest = discrete_l1_norm(initial), initial.min_value()
         if not l1 < math.inf:
             raise LinearSolveFailure("start state has a non-finite L1 norm")
         diag_rows = [(t, l1, lowest, flux_residual(x, op))]
@@ -189,7 +188,6 @@ def solve_parabolic(
         final=adopt_state(grid, to_grid_order(x), t),
         diagnostics=np.asarray(diag_rows),
         node_history=np.asarray(node_rows),
-        grid=grid,
         operator=op,
         node_defect=defect,
     )

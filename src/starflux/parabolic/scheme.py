@@ -72,7 +72,7 @@ from scipy.linalg.blas import dtbsv
 from scipy.linalg.lapack import dgttrf
 
 from ..errors import DimensionMismatch, LinearSolveFailure, UnstableConfig
-from ..grids import Grid, march_index, to_march_order
+from ..grids import MIN_CELLS, Grid, march_index, to_march_order
 from ..network import CouplingMatrix, StarNetwork, alpha_from_k, validate_assumptions
 
 
@@ -150,7 +150,7 @@ def bidiagonal_factors(
     dl: np.ndarray, d: np.ndarray, du: np.ndarray, *, stride: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """dgttrf's factors of the bands dl, d, du (as in OddEvenLU.factor)
-    of 1 or at least 3 rows, with the pivots D folded into the lower one,
+    of at least 3 rows, with the pivots D folded into the lower one,
     as (lower, pivots, upper): A = D @ (inv(D) @ L @ D) @ V, with L unit
     lower and V unit upper bidiagonal.
 
@@ -165,12 +165,7 @@ def bidiagonal_factors(
     raises LinearSolveFailure, as a zero pivot does, naming its 1-based
     row of the full system, whose every stride-th row this system holds.
     """
-    if d.size > 1:
-        _, pivots, _, _, ipiv, info = dgttrf(dl, d, du)
-    else:
-        # scipy's dgttrf wrapper takes no fewer than 3 rows (OddEvenLU
-        # reduces 2 once more), and 1 row is its own pivot
-        pivots, ipiv, info = d, np.ones(1), int(d[0] == 0.0)
+    _, pivots, _, _, ipiv, info = dgttrf(dl, d, du)
     if info != 0:
         raise LinearSolveFailure(
             f"arc factorization failed: zero pivot in row {(info - 1) * stride + 1}"
@@ -198,11 +193,13 @@ class OddEvenLU:
     unknowns, with right-hand side f[j] - a_j f[j-1] / b_{j-1} - c_j
     f[j+1] / b_{j+1}. That system is a Schur complement, so it is
     strictly diagonally dominant by rows and by columns when the full
-    one is. While the even half has more than REDUCE_ROWS rows, or 2
-    rows, reduced is that system's own OddEvenLU; otherwise it holds
-    that system's bidiagonal_factors (lower, upper), which need no
-    pivoting by the dominance above. Any number of rows works: the last
-    even or odd row just has no right neighbour.
+    one is. While the even half has more than REDUCE_ROWS rows, reduced
+    is that system's own OddEvenLU; otherwise it holds that system's
+    bidiagonal_factors (lower, upper), which need no pivoting by the
+    dominance above. It takes 5 rows or more, which leave the bottom
+    system the 3 rows scipy's dgttrf wrapper takes at least (a step has
+    10 or more: MIN_CELLS + 1 points on each of at least two arcs); the
+    last even or odd row just has no right neighbour.
 
     Every row is divided by exactly one pivot on its way through: an odd
     row by its b_k, a row that reaches the bottom by its dgttrf pivot.
@@ -260,7 +257,7 @@ class OddEvenLU:
         # level read about 0.2 MB higher with concatenated temporaries
         scale = np.empty(d.size)
         even_scale = scale[:n_even]
-        if n_even > REDUCE_ROWS or n_even == 2:
+        if n_even > REDUCE_ROWS:
             reduced = cls.factor(lower, diag, upper, stride=2 * stride)
             # the even half's sigma, from the reduced system's march order
             half = (n_even + 1) // 2
@@ -522,9 +519,10 @@ def assemble_step_operator(
     """Build and factorize the implicit step matrix.
 
     Raises what validate_assumptions raises on (net, K), and
-    DimensionMismatch when grid has another number of arcs than net or
-    an arc whose span (cells times spacing) is not the arc's length to
-    rounding (relative 1e-12). epsilon and dt are taken as given:
+    DimensionMismatch when grid has another number of arcs than net, an
+    arc with fewer than MIN_CELLS cells or an arc whose span (cells
+    times spacing) is not the arc's length to rounding (relative
+    1e-12). epsilon and dt are taken as given:
     callers check them. Warns UnstableConfig when any spacing exceeds
     epsilon/2, the point where the boundary layer is no longer resolved,
     and when the step does not preserve positivity (StepOperator.positive).
@@ -533,6 +531,10 @@ def assemble_step_operator(
     if grid.arc_count != net.m:
         raise DimensionMismatch(f"grid has {grid.arc_count} arcs but the network has {net.m}")
     for arc, n, h in zip(net.arcs, grid.cells, grid.spacings):
+        if n < MIN_CELLS:
+            raise DimensionMismatch(
+                f"arc {arc.id}: {n} cells, fewer than MIN_CELLS = {MIN_CELLS}"
+            )
         if abs(n * h - arc.length) > 1e-12 * arc.length:
             raise DimensionMismatch(
                 f"arc {arc.id}: the grid spans {n * h:g} but the arc is {arc.length:g} long"

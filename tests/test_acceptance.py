@@ -295,7 +295,7 @@ def _march_ratios(net, K, theta, eps, seed, spacings) -> list[float]:
     for h in spacings:
         grid = make_grid(net, h=h)
         state = march_to_steady(net, K, grid, eps, prob)
-        errors.append(l1_distance(sol, state, grid))
+        errors.append(l1_distance(state, sol))
     return [errors[i] / errors[i + 1] for i in range(len(errors) - 1)]
 
 

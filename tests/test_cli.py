@@ -9,6 +9,7 @@ import pytest
 
 from conftest import EXPERIMENTS
 from starflux.cli import main
+from starflux.parabolic import evolve
 from starflux.parabolic.evolve import COMPATIBILITY_WARN_TOL
 
 PAIR_NET = {
@@ -159,6 +160,23 @@ def test_simulate_parabolic_requires_epsilon(tmp_path, capsys):
         "--mode", "parabolic", "--T", "0.1",
     ]) == 2
     assert "--epsilon" in capsys.readouterr().err
+
+
+def test_simulate_parabolic_too_large_to_march_exits_2(tmp_path, capsys, monkeypatch):
+    """A subnormal epsilon clips the grid to MAX_CELLS cells per arc; the
+    march's work bound refuses it before anything is assembled."""
+
+    def unreachable(*args):
+        raise AssertionError("assembled a march beyond the work bound")
+
+    monkeypatch.setattr(evolve, "assemble_step_operator", unreachable)
+    net = write_json(tmp_path, "net.json", PAIR_NET)
+    data = write_json(tmp_path, "u0.json", PAIR_DATA)
+    assert main([
+        "simulate", "--config", net, "--data", data, "--mode", "parabolic",
+        "--epsilon", "1e-320", "--T", "0.5", "--out", str(tmp_path / "run"),
+    ]) == 2
+    assert "MAX_MARCH_WORK" in capsys.readouterr().err
 
 
 def test_simulate_parabolic_writes_snapshot_and_diagnostics(tmp_path, capsys):

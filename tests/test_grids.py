@@ -47,18 +47,24 @@ def test_new_state_copies_the_callers_arrays():
     np.testing.assert_array_equal(state.values[0], np.arange(5.0))
     np.testing.assert_array_equal(state.values[2], np.arange(7.0))
     assert state.t == 0.5
-    assert state.bounds == grid.offsets
+    assert state.grid is grid
 
 
 def test_flat_and_views_are_read_only_and_shared():
+    """Arc i's values are the view flat[offsets[i]:offsets[i + 1]] of the
+    state's own grid."""
     grid = small_grid()
-    state = new_state(grid, [np.ones(n + 1) for n in grid.cells])
+    state = new_state(grid, [np.full(n + 1, float(i)) for i, n in enumerate(grid.cells)])
     assert state.flat.flags.c_contiguous
     assert not state.flat.flags.writeable
     with pytest.raises(ValueError):
         state.flat[0] = 2.0
+    b = state.grid.offsets
+    assert len(state.values) == grid.arc_count
     for i, view in enumerate(state.values):
         assert view.shape == (grid.cells[i] + 1,)
+        assert (view == float(i)).all()
+        assert view.tobytes() == state.flat[b[i] : b[i + 1]].tobytes()
         assert not view.flags.writeable
         assert np.shares_memory(view, state.flat)
         with pytest.raises(ValueError):
@@ -88,7 +94,7 @@ def test_reductions_match_the_per_arc_formulas():
         h * (0.5 * abs(a[0]) + np.sum(np.abs(a[1:-1])) + 0.5 * abs(a[-1]))
         for a, h in zip(arrays, grid.spacings)
     )
-    assert discrete_l1_norm(state, grid) == pytest.approx(trapezoid, rel=1e-15)
+    assert discrete_l1_norm(state) == pytest.approx(trapezoid, rel=1e-15)
 
 
 #: values that decide the fast path's bits: signed zeros, subnormals
@@ -157,7 +163,7 @@ def test_march_l1_is_one_trapezoid_rule(cells, values, weight, nonnegative):
 
     l1, lowest = march_l1_and_min(x, grid)
     assert bits(lowest) == bits(np.min(x))
-    assert bits(discrete_l1_norm(adopt_state(grid, flat.copy(), 0.0), grid)) == bits(l1)
+    assert bits(discrete_l1_norm(adopt_state(grid, flat.copy(), 0.0))) == bits(l1)
     assert bits(march_l1_and_min(np.abs(x), grid)[0]) == bits(l1)
 
     terms = []

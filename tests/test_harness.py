@@ -78,7 +78,7 @@ def hand_trajectory(step_times, outgoing_values) -> ParabolicTrajectory:
     history[:, 1] = outgoing_values
     return ParabolicTrajectory(
         initial=None, final=None, diagnostics=diagnostics,
-        node_history=history, grid=None, operator=None, node_defect=0.0,
+        node_history=history, operator=None, node_defect=0.0,
     )
 
 

@@ -276,7 +276,11 @@ def test_solution_restarted_from_snapshot_matches():
     restarted = solve_exact(net, ts.gamma, sol.snapshot(t1), B, T=1.0 - t1)
 
     grid = make_grid(net, h=1e-3)
-    gap = l1_distance(sol.snapshot(t2), restarted.snapshot(t2 - t1), grid)
+    a, b = sol.snapshot(t2), restarted.snapshot(t2 - t1)
+    gap = 0.0
+    for i, h in enumerate(grid.spacings):
+        mids = grid.midpoints(i)
+        gap += h * float(np.sum(np.abs(a.arcs[i].evaluate(mids) - b.arcs[i].evaluate(mids))))
     assert gap <= 1e-12
 
 
@@ -412,12 +416,17 @@ def test_flux_check_rejects_bad_sample_times():
 
 
 def test_l1_distance_between_constant_fields():
+    """A constant state against a transport solution that stays 1: each
+    arc adds its length times the gap."""
     net = simple_star([1.0], [1.0], [2.0], [1.0])
-    a = PiecewiseConstantField.constant(net, [1.0, 1.0])
-    b = PiecewiseConstantField.constant(net, [0.0, 3.0])
+    ts = compute_gamma(net, cross_ones_coupling(net))
+    ones_field = PiecewiseConstantField.constant(net, [1.0, 1.0])
+    sol = solve_exact(net, ts.gamma, ones_field, [1.0, 1.0], 1.0)
     grid = make_grid(net, h=0.01)
-    assert l1_distance(a, b, grid) == pytest.approx(2.0 * 1.0 + 1.0 * 2.0)
-    assert l1_distance(a, a, grid) == 0.0
+    state = new_state(grid, [np.full(n + 1, v) for n, v in zip(grid.cells, [0.0, 3.0])])
+    assert l1_distance(state, sol, t=0.0) == pytest.approx(2.0 * 1.0 + 1.0 * 2.0)
+    ones = new_state(grid, [np.ones(n + 1) for n in grid.cells])
+    assert l1_distance(ones, sol, t=0.5) == 0.0
 
 
 def test_solve_exact_validation():
@@ -432,8 +441,10 @@ def test_solve_exact_validation():
 
 
 def test_l1_distance_needs_the_grid_arcs_and_points():
-    """A side with other arcs than the grid, or a state sampled on
-    another grid, is refused instead of compared on the common part."""
+    """An exact solution on another number of arcs than the state's grid
+    is refused instead of compared on the common part, and so are a
+    transport solution without a time and an exact side that is neither
+    solution."""
     net2 = simple_star([1.0], [2.0])
     net3 = simple_star([1.0], [2.0, 0.5])
     grid2, grid3 = make_grid(net2, h=0.1), make_grid(net3, h=0.1)
@@ -441,13 +452,12 @@ def test_l1_distance_needs_the_grid_arcs_and_points():
     gamma = compute_gamma(net3, cross_ones_coupling(net3)).gamma
     oracle = solve_exact(net3, gamma, u0, [1.0, 0.0, 0.0], 1.0)
     state2 = new_state(grid2, [np.full(n + 1, 0.5) for n in grid2.cells])
-    with pytest.raises(DimensionMismatch, match="^3 arcs for a grid of 2"):
-        l1_distance(oracle, state2, grid2, 0.5)
-    with pytest.raises(DimensionMismatch, match="^3 arcs for a grid of 2"):
-        l1_distance(state2, u0, grid2)
-    with pytest.raises(DimensionMismatch, match="^state has 2 arcs, the grid 3"):
-        l1_distance(oracle, state2, grid3, 0.5)
-    coarse = make_grid(net2, h=0.25)
-    with pytest.raises(DimensionMismatch, match="^arc 0: state has 11 points for 4 cells"):
-        l1_distance(PiecewiseConstantField.constant(net2, [0.0, 0.0]), state2, coarse)
-    assert l1_distance(state2, state2, grid2) == 0.0
+    with pytest.raises(DimensionMismatch, match="^3 arcs for a grid of 2$"):
+        l1_distance(state2, oracle, t=0.5)
+    state3 = new_state(grid3, [np.full(n + 1, 0.5) for n in grid3.cells])
+    with pytest.raises(DimensionMismatch, match="^comparing a solution needs a time t$"):
+        l1_distance(state3, oracle)
+    with pytest.raises(DimensionMismatch, match="^cannot take midpoint values"):
+        l1_distance(state3, u0)
+    # at t = 0 the oracle is u0, 0.5 away from the state on every arc
+    assert l1_distance(state3, oracle, t=0.0) == pytest.approx(0.5 * 3.0)

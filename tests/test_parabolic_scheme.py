@@ -29,6 +29,7 @@ from starflux import (
     ArcProfile,
     CouplingMatrix,
     DimensionMismatch,
+    Grid,
     LinearSolveFailure,
     PiecewiseConstantField,
     ResolventProblem,
@@ -92,12 +93,12 @@ def node_defect(x, op):
     return float(np.max(np.abs(op.lu.stencil.defect(x))))
 
 
-def advance(state, op, grid):
-    """state, on grid, one step later, the way the march takes it:
-    gathered into march order, stepped in place and scattered back."""
+def advance(state, op):
+    """state one step later, the way the march takes it: gathered into
+    march order, stepped in place and scattered back."""
     x = to_march_order(state.flat)
     step(x, op)
-    return adopt_state(grid, to_grid_order(x), state.t + op.dt)
+    return adopt_state(state.grid, to_grid_order(x), state.t + op.dt)
 
 
 def test_step_matrix_frozen_ten_by_ten():
@@ -261,15 +262,6 @@ def test_march_rejects_data_too_large_to_start_from(where):
             solve_parabolic(net, K, u0, B, SolverConfig(epsilon=0.4, T=0.05))
 
 
-def test_solve_parabolic_rejects_a_state_from_another_grid():
-    net, K = small_pair()
-    cfg = SolverConfig(epsilon=0.4, T=0.05)
-    coarse = make_grid(net, h=0.25)
-    state = new_state(coarse, [np.zeros(n + 1) for n in coarse.cells])
-    with pytest.raises(DimensionMismatch, match="^arc 0: state has 5 points for 20 cells$"):
-        solve_parabolic(net, K, state, [0.0, 0.0], cfg)
-
-
 def test_march_outputs_are_read_only_states_of_their_own():
     """step overwrites its vector in place; the states the march and the
     steady solve hand out are read-only and share no memory."""
@@ -281,9 +273,11 @@ def test_march_outputs_are_read_only_states_of_their_own():
 
     traj = solve_parabolic(net, K, PULSE, [0.0, 0.0], SolverConfig(epsilon=0.8, T=0.05))
     steady = march_to_steady(net, K, ref.grid, 0.8, ResolventProblem.build(0.1, PULSE, [0.5, 0.0]))
-    for state, g in ((traj.initial, traj.grid), (traj.final, traj.grid), (steady, ref.grid)):
+    # the march's grid follows the default rule h = epsilon / DEFAULT_H_RULE
+    grid = make_grid(net, epsilon=0.8)
+    for state, g in ((traj.initial, grid), (traj.final, grid), (steady, ref.grid)):
         assert not state.flat.flags.writeable
-        assert state.bounds == g.offsets
+        assert state.grid == g
     assert not np.shares_memory(traj.initial.flat, traj.final.flat)
 
 
@@ -374,7 +368,7 @@ def test_solve_parabolic_diagnostics_align_with_norm():
     with pytest.warns(UserWarning, match="node conditions"):
         traj = solve_parabolic(net, K, u0, [1.0, 1.0, 0.0, 0.0], cfg)
     assert traj.diagnostics[0, 1] == pytest.approx(
-        discrete_l1_norm(traj.initial, traj.grid)
+        discrete_l1_norm(traj.initial)
     )
     assert traj.final.t == pytest.approx(0.1)
 
@@ -395,7 +389,7 @@ def test_march_starts_from_the_sampled_data_with_inflow_and_node_values_set(seed
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         traj = solve_parabolic(net, K, u0, B, SolverConfig(eps, 0.02))
-    grid, start = traj.grid, traj.initial.flat
+    grid, start = traj.initial.grid, traj.initial.flat
     ref = ReferenceStep(net, K, grid, eps, traj.operator.dt)
 
     incoming = ref.incoming
@@ -541,7 +535,7 @@ def test_march_diagnostics_match_per_arc_formulas(seed, m):
     B = rng.uniform(0.0, 2.0, net.m)
     cfg = SolverConfig(epsilon=eps, T=0.05)
     traj = solve_parabolic(net, K, u0, B, cfg)
-    grid = traj.grid
+    grid = traj.final.grid
     ref = ReferenceStep(net, K, grid, eps, traj.operator.dt)
     runs = np.diff([*grid.march_runs, grid.offsets[-1]])
     roundings = max(1 + pairwise_depth(n - 1) for n in runs) + m
@@ -551,7 +545,7 @@ def test_march_diagnostics_match_per_arc_formulas(seed, m):
     state = traj.initial
     for k, (t, l1, low, flux) in enumerate(traj.diagnostics):
         if k:
-            state = advance(state, traj.operator, grid)
+            state = advance(state, traj.operator)
         assert t == state.t
         assert low == min(float(np.min(v)) for v in state.values)
         assert flux == ref.flux_residual(state.flat)
@@ -569,7 +563,9 @@ def test_march_diagnostics_match_per_arc_formulas(seed, m):
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 8))
 def test_outer_values_persist_bitwise(seed, m):
-    """A step copies every outer Dirichlet value, and a march keeps B there."""
+    """A step copies every outer Dirichlet value, and a march keeps B
+    there: written at the inflow ends, sampled from the data at the
+    outflow ends."""
     rng = np.random.default_rng(seed)
     net = random_network(rng, m_min=m, m_max=m)
     K = random_coupling(rng, net)
@@ -584,9 +580,11 @@ def test_outer_values_persist_bitwise(seed, m):
     assert x[outer].tolist() == before[outer].tolist()
 
     B = rng.uniform(0.0, 2.0, net.m)
-    before[outer] = B
-    flat = to_grid_order(before)
-    u0 = new_state(grid, [flat[a:b] for a, b in zip(grid.offsets, grid.offsets[1:])])
+    # each profile's last piece holds B, the value at an outgoing arc's outer end
+    u0 = [
+        ArcProfile.from_lists(arc.length, [0.5 * arc.length], [rng.uniform(0.0, 2.0), B[arc.id]])
+        for arc in net.arcs
+    ]
     traj = solve_parabolic(net, K, u0, B, SolverConfig(eps, 0.05, 0.01, h_rule))
     assert traj.diagnostics.shape[0] > 2
     assert to_march_order(traj.final.flat)[outer].tolist() == B.tolist()
@@ -957,6 +955,48 @@ def test_march_calls_the_benchmarks_hooks_by_name(monkeypatch):
     }
 
 
+def test_an_arc_below_min_cells_is_refused():
+    """A hand-built grid with fewer than MIN_CELLS cells on an arc is
+    refused by the step and the steady march alike, so OddEvenLU never
+    factors fewer than 10 rows."""
+    net, K = small_pair()
+    prob = ResolventProblem.build(0.8, PULSE, [0.5, 0.0])
+    for cells in ((MIN_CELLS - 1, MIN_CELLS), (1, 1)):
+        grid = Grid(cells, tuple(1.0 / n for n in cells))
+        message = f"^arc 0: {cells[0]} cells, fewer than MIN_CELLS = {MIN_CELLS}$"
+        with pytest.raises(DimensionMismatch, match=message):
+            assemble_step_operator(net, K, grid, 0.5, 0.1)
+        with pytest.raises(DimensionMismatch, match=message):
+            march_to_steady(net, K, grid, 0.5, prob)
+
+
+def test_march_work_beyond_the_bound_is_refused_before_assembly(monkeypatch):
+    """solve_parabolic refuses more than MAX_MARCH_WORK grid points times
+    steps before it assembles anything: a subnormal epsilon, whose grid is
+    clipped to MAX_CELLS cells per arc, a subnormal dt, whose step count
+    is inf, and a bound one below a small march's work."""
+    net, K = small_pair()
+    cfg = SolverConfig(epsilon=0.4, T=0.05)
+    traj = solve_parabolic(net, K, PULSE, [0.0, 0.0], cfg)
+    work = traj.final.flat.size * (traj.diagnostics.shape[0] - 1)
+
+    def unreachable(*args):
+        raise AssertionError("assembled a march beyond the work bound")
+
+    monkeypatch.setattr(evolve, "assemble_step_operator", unreachable)
+    for bad in (SolverConfig(epsilon=1e-320, T=0.05), SolverConfig(0.4, 0.05, dt=1e-320)):
+        with pytest.raises(DimensionMismatch, match="MAX_MARCH_WORK = 1e"):
+            solve_parabolic(net, K, PULSE, [0.0, 0.0], bad)
+    monkeypatch.setattr(evolve, "MAX_MARCH_WORK", work - 1)
+    with pytest.raises(DimensionMismatch, match="MAX_MARCH_WORK"):
+        solve_parabolic(net, K, PULSE, [0.0, 0.0], cfg)
+    monkeypatch.undo()
+    monkeypatch.setattr(evolve, "MAX_MARCH_WORK", work)
+    assert solve_parabolic(net, K, PULSE, [0.0, 0.0], cfg).final.flat.tobytes() == (
+        traj.final.flat.tobytes()
+    )
+
+
 def test_arc_junction_lu_rejects_singular_systems():
     op = ten_point_step()[2]
     # a zero diagonal on arc 0 (grid rows 1-3) leaves its first interior
@@ -1006,22 +1046,18 @@ def dominant_bands(rng, n):
     return dl, d, du
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("n", range(5, 9))
 def test_odd_even_lu_solves_every_size(n):
-    """From 1 row up, with vector right-hand sides in march order, each
-    multiplied by the row scale, alone and as the contiguous columns of a
-    block: scipy's dgttrf wrapper takes no fewer than 3 rows, so a 1-row
-    bottom system is its own pivot and a 2-row one is reduced again."""
+    """From 5 rows up, the fewest that leave scipy's dgttrf wrapper the 3
+    rows it takes at least (a step has 10 or more), with vector
+    right-hand sides in march order, each multiplied by the row scale,
+    alone and as the contiguous columns of a block."""
     rng = np.random.default_rng(n)
     dl, d, du = dominant_bands(rng, n)
     dense = np.diag(d) + np.diag(dl, -1) + np.diag(du, 1)
     lu = OddEvenLU.factor(dl, d, du)
     levels = reduction_levels(lu)
-    bottom = levels[-1].reduced[0].shape[1]
-    if n <= 4:
-        assert bottom == 1
-    else:
-        assert len(levels) == 1 and bottom == (n + 1) // 2
+    assert len(levels) == 1 and levels[0].reduced[0].shape[1] == (n + 1) // 2
     assert lu.scale.shape == (n,)
     b = rng.normal(size=(n, 3))
     expected = np.linalg.solve(dense, b)
@@ -1035,10 +1071,11 @@ def test_odd_even_lu_solves_every_size(n):
     np.testing.assert_allclose(to_grid_order(x), expected[:, 0], rtol=1e-13, atol=1e-15)
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("n", range(5, 9))
 def test_zero_pivot_names_its_row_in_every_size(n):
-    """A zeroed column c leaves a zero pivot in 1-based row c + 1, in the
-    tiny systems dgttrf never sees as in the rest."""
+    """A zeroed column c leaves a zero pivot in 1-based row c + 1, among
+    the odd rows as in the bottom system, from the 5 rows OddEvenLU
+    takes at least."""
     rng = np.random.default_rng(100 + n)
     dl, d, du = dominant_bands(rng, n)
     for c in range(n):
