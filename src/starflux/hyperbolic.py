@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidGamma, finite_above, finite_values
 from .grids import DiscreteState
-from .network import StarNetwork
+from .network import Arc, StarNetwork
 
 #: input transmission matrices may deviate from column sums 1 by this much
 GAMMA_INPUT_TOL = 1e-8
@@ -205,25 +205,38 @@ class HyperbolicSolution:
         no longer describe the solution.
         """
         arc = self.net.arc(arc_id)
-        if not 0.0 <= t <= self.T:
-            raise DimensionMismatch(f"t = {t} lies outside [0, {self.T}]")
+        self._check_time(t)
         xs = np.asarray(x, dtype=float)
         if not ((xs >= 0.0) & (xs <= arc.length)).all():
             raise DimensionMismatch(f"arc {arc_id}: x outside [0, {arc.length}]")
-        shift = xs - arc.speed * t
-        from_data = self.u0.arcs[arc_id].evaluate(shift)
-        if arc.incoming:
-            out = np.where(shift > 0.0, from_data, self.B[arc_id])
-        else:
-            s = t - xs / arc.speed
-            from_node = self.junction[arc_id].evaluate(np.maximum(s, 0.0))
-            out = np.where(s > 0.0, from_node, from_data)
+        out = self._values(arc, xs, t)
         if np.isscalar(x):
             return float(out)
         return out
 
+    def _check_time(self, t: float) -> None:
+        if not 0.0 <= t <= self.T:
+            raise DimensionMismatch(f"t = {t} lies outside [0, {self.T}]")
+
+    def _values(self, arc: Arc, xs: np.ndarray, t: float) -> np.ndarray:
+        """The solution on ``arc`` at checked points xs and time t."""
+        shift = xs - arc.speed * t
+        from_data = self.u0.arcs[arc.id].evaluate(shift)
+        if arc.incoming:
+            return np.where(shift > 0.0, from_data, self.B[arc.id])
+        s = t - xs / arc.speed
+        from_node = self.junction[arc.id].evaluate(np.maximum(s, 0.0))
+        return np.where(s > 0.0, from_node, from_data)
+
     def snapshot(self, t: float) -> PiecewiseConstantField:
-        """Exact piecewise-constant spatial profile at time t in [0, T]."""
+        """Exact piecewise-constant spatial profile at time t in [0, T].
+
+        Raises DimensionMismatch for t outside [0, T], NaN included. t is
+        checked once and each profile is valid by construction, so none
+        passes from_lists: its breakpoints are np.unique's, cut to (0,
+        length), its values read-only copies of checked data.
+        """
+        self._check_time(t)
         profiles = []
         for arc in self.net.arcs:
             lam, L = arc.speed, arc.length
@@ -233,9 +246,10 @@ class HyperbolicSolution:
             cand = np.concatenate(parts)
             breaks = np.unique(cand[(cand > 0.0) & (cand < L)])
             edges = np.concatenate([[0.0], breaks, [L]])
-            mids = 0.5 * (edges[:-1] + edges[1:])
-            vals = np.asarray(self.evaluate(arc.id, mids, t), dtype=float)
-            profiles.append(ArcProfile.from_lists(L, breaks, vals))
+            vals = self._values(arc, 0.5 * (edges[:-1] + edges[1:]), t)
+            breaks.flags.writeable = False
+            vals.flags.writeable = False
+            profiles.append(ArcProfile(length=L, breakpoints=breaks, values=vals))
         return PiecewiseConstantField(tuple(profiles))
 
 

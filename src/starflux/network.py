@@ -11,6 +11,7 @@ the traces of arcs i and j.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -60,11 +61,12 @@ class StarNetwork:
     def m(self) -> int:
         return len(self.arcs)
 
-    @property
+    # once per network; == and hash read the fields only
+    @cached_property
     def incoming_ids(self) -> tuple[int, ...]:
         return tuple(a.id for a in self.arcs if a.incoming)
 
-    @property
+    @cached_property
     def outgoing_ids(self) -> tuple[int, ...]:
         return tuple(a.id for a in self.arcs if not a.incoming)
 

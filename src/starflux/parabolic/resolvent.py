@@ -79,7 +79,10 @@ def _convolutions(
     g(s) over [x, L]; every exponent is nonpositive, so both are bounded
     by |g| over the mode scale. All arcs and pieces form one
     (arcs, pieces, points) array, and the pieces are summed as a running
-    total from zero, in piece order.
+    total from +0.0, in piece order. No mask is needed: an empty side of
+    a piece gets width +0.0, so its term is a signed zero that leaves the
+    sum's bits as they are, and anchored at min(hi, x) or max(lo, x) every
+    exponent stays nonpositive, so nothing overflows.
     """
     a1 = a1[:, np.newaxis, np.newaxis]
     a2 = a2[:, np.newaxis, np.newaxis]
@@ -89,22 +92,12 @@ def _convolutions(
     xs = x[:, np.newaxis, :]
     # left part of each piece, [lo, min(hi, x)]
     hi_l = np.minimum(hi, xs)
-    w = hi_l - lo
-    mask = w > 0.0
-    w = np.where(mask, w, 0.0)
-    anchor = np.where(mask, hi_l, xs)
-    t1 = np.where(
-        mask, g * np.exp(a1 * (xs - anchor)) * np.expm1(a1 * w) / a1, 0.0
-    )
+    w = np.maximum(hi_l - lo, 0.0)
+    t1 = g * np.exp(a1 * (xs - hi_l)) * np.expm1(a1 * w) / a1
     # right part of each piece, [max(lo, x), hi]
     lo_r = np.maximum(lo, xs)
-    w = hi - lo_r
-    mask = w > 0.0
-    w = np.where(mask, w, 0.0)
-    anchor = np.where(mask, lo_r, xs)
-    t2 = np.where(
-        mask, -g * np.exp(a2 * (xs - anchor)) * np.expm1(-a2 * w) / a2, 0.0
-    )
+    w = np.maximum(hi - lo_r, 0.0)
+    t2 = -g * np.exp(a2 * (xs - lo_r)) * np.expm1(-a2 * w) / a2
     i1 = np.zeros_like(x)
     i2 = np.zeros_like(x)
     for r in range(t1.shape[1]):
@@ -115,20 +108,21 @@ def _convolutions(
 
 def _particular(
     a1: np.ndarray, a2: np.ndarray, edges: np.ndarray, g: np.ndarray, x: np.ndarray
-) -> np.ndarray:
-    """Rows p, p', p'' of the bounded particular part, (3, arcs, points)."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows p, p', p'' of the bounded particular part, each (arcs, points);
+    p'' reads g on each point's piece, found one inner edge at a time."""
     i1, i2 = _convolutions(a1, a2, edges, g, x)
     a1 = a1[:, np.newaxis]
     a2 = a2[:, np.newaxis]
     gap = a2 - a1
-    # the piece holding each point: how many inner edges lie below it
-    idx = np.sum(edges[:, np.newaxis, 1:-1] < x[:, :, np.newaxis], axis=2)
-    return np.stack(
-        [
-            -(i1 + i2) / gap,
-            -(a1 * i1 + a2 * i2) / gap,
-            np.take_along_axis(g, idx, axis=1) - (a1 * a1 * i1 + a2 * a2 * i2) / gap,
-        ]
+    idx = np.zeros(x.shape, dtype=np.intp)
+    for r in range(1, g.shape[1]):
+        idx += edges[:, r : r + 1] < x
+    idx += g.shape[1] * np.arange(g.shape[0])[:, np.newaxis]
+    return (
+        -(i1 + i2) / gap,
+        -(a1 * i1 + a2 * i2) / gap,
+        g.ravel()[idx] - (a1 * a1 * i1 + a2 * a2 * i2) / gap,
     )
 
 
@@ -154,8 +148,8 @@ def _pad_pieces(
 def _derivatives(
     a1: np.ndarray, a2: np.ndarray, edges: np.ndarray, g: np.ndarray,
     c: np.ndarray, d: np.ndarray, x: np.ndarray,
-) -> np.ndarray:
-    """Rows v, v', v'' of every arc at its row of points, (3, arcs, points).
+) -> list[np.ndarray]:
+    """Rows v, v', v'' of every arc at its row of points, each (arcs, points).
 
     Row i of x lies on arc i, where v(x) = c*exp(a1*x) + d*exp(a2*(x - L))
     + p(x): both homogeneous modes have nonpositive exponents on [0, L],
@@ -174,7 +168,7 @@ def _derivatives(
         # an underflowed mode contributes nothing even when the a2^k
         # prefactor has overflowed, so keep 0*inf out of the product
         rows.append(c_k * mode1 + np.where(live, d_k * mode2, 0.0) + p[k])
-    return np.stack(rows)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -214,7 +208,7 @@ class ResolventSolution:
     h_rhs: np.ndarray
     dominance_margins: np.ndarray
 
-    def _rows(self, rows: "slice | list[int]", x: np.ndarray) -> np.ndarray:
+    def _rows(self, rows: "slice | list[int]", x: np.ndarray) -> list[np.ndarray]:
         """Rows v, v', v'' of the arcs ``rows`` picks, at their rows of x."""
         return _derivatives(
             self.a1[rows], self.a2[rows], self.edges[rows], self.g[rows],
@@ -232,7 +226,7 @@ class ResolventSolution:
         xs = np.asarray(x, dtype=float)
         if not np.all((xs >= 0.0) & (xs <= length)):
             raise DimensionMismatch(f"x outside [0, {length}]")
-        out = self._rows([arc_id], xs.reshape(1, -1))[order, 0].reshape(xs.shape)
+        out = self._rows([arc_id], xs.reshape(1, -1))[order][0].reshape(xs.shape)
         if np.isscalar(x):
             return float(out)
         return out
@@ -320,7 +314,7 @@ def solve_resolvent(
     # particular part and its slope at both ends of every arc, read off
     # before the mode weights c and d are known
     ends = np.stack([np.zeros(m), L], axis=1)
-    (p0, pL), (dp0, dpL), _ = _particular(a1, a2, edges, g, ends).transpose(0, 2, 1)
+    (p0, pL), (dp0, dpL), _ = (row.T for row in _particular(a1, a2, edges, g, ends))
 
     b = prob.boundary
     # node value of each arc splits as unknown*(1 - E) + t

@@ -254,8 +254,9 @@ def test_evaluation_is_confined_to_the_horizon_and_the_arcs():
     for x in (-0.1, 1.1, np.nan, np.array([0.5, 1.5])):
         with pytest.raises(DimensionMismatch, match="outside"):
             sol.evaluate(0, x, 0.2)
-    with pytest.raises(DimensionMismatch, match="outside"):
-        sol.snapshot(1.5)
+    for t in (1.5, -0.1, np.nan):
+        with pytest.raises(DimensionMismatch, match="outside"):
+            sol.snapshot(t)
 
 
 def test_solution_restarted_from_snapshot_matches():
@@ -398,6 +399,33 @@ def test_snapshot_matches_pointwise_candidates_on_random_stars(seed):
         for got, (breaks, values) in zip(snap.arcs, snapshot_reference(sol, t)):
             assert got.breakpoints.tobytes() == breaks.tobytes()
             assert got.values.tobytes() == values.tobytes()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    when=st.sampled_from(["start", "horizon", "drawn"]),
+    fraction=st.floats(0.0, 1.0),
+)
+def test_snapshot_profiles_are_valid_by_construction(seed, when, fraction):
+    """snapshot builds its profiles without from_lists; each one still
+    passes from_lists unchanged, is read-only, and equals, bit for bit,
+    evaluate at the midpoints of its pieces, at 0, T and a drawn time."""
+    rng = np.random.default_rng(seed)
+    sol = random_solution(rng)
+    t = {"start": 0.0, "horizon": sol.T, "drawn": fraction * sol.T}[when]
+    snap = sol.snapshot(t)
+    for arc, got, (breaks, values) in zip(
+        sol.net.arcs, snap.arcs, snapshot_reference(sol, t)
+    ):
+        assert got.length == arc.length
+        checked = ArcProfile.from_lists(got.length, got.breakpoints, got.values)
+        assert checked.breakpoints.tobytes() == got.breakpoints.tobytes()
+        assert checked.values.tobytes() == got.values.tobytes()
+        assert not got.breakpoints.flags.writeable
+        assert not got.values.flags.writeable
+        assert got.breakpoints.tobytes() == breaks.tobytes()
+        assert got.values.tobytes() == values.tobytes()
 
 
 def test_flux_check_rejects_bad_sample_times():

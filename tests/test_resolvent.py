@@ -367,9 +367,12 @@ def own_pass(sol, i, x):
     """Arc i's rows v, v', v'' from a one-arc pass without padding."""
     edges, g = own_pieces(sol, i)
     a1, a2, c, d = sol.a1[i], sol.a2[i], sol.c[i], sol.d[i]
-    p = _particular(
-        np.array([a1]), np.array([a2]), edges[np.newaxis], g[np.newaxis], x[np.newaxis]
-    )[:, 0]
+    p = [
+        row[0]
+        for row in _particular(
+            np.array([a1]), np.array([a2]), edges[np.newaxis], g[np.newaxis], x[np.newaxis]
+        )
+    ]
     mode1 = np.exp(a1 * x)
     mode2 = np.exp(a2 * (x - edges[-1]))
     return np.stack(
@@ -393,13 +396,15 @@ def test_one_pass_matches_scalar_and_per_piece_evaluation(seed, m, uneven):
     sol = random_solution(seed, m, uneven)
     assert sol.residual_report().worst_scaled <= 1e-9
     points = np.stack([arc_points(sol, i) for i in range(m)])
-    stacked = _derivatives(sol.a1, sol.a2, sol.edges, sol.g, sol.c, sol.d, points)
+    stacked = np.stack(_derivatives(sol.a1, sol.a2, sol.edges, sol.g, sol.c, sol.d, points))
     i1, i2 = _convolutions(sol.a1, sol.a2, sol.edges, sol.g, points)
     for i, xs in enumerate(points):
         edges, g = own_pieces(sol, i)
-        rows = _derivatives(
-            sol.a1[[i]], sol.a2[[i]], edges[np.newaxis], g[np.newaxis],
-            sol.c[[i]], sol.d[[i]], xs[np.newaxis],
+        rows = np.stack(
+            _derivatives(
+                sol.a1[[i]], sol.a2[[i]], edges[np.newaxis], g[np.newaxis],
+                sol.c[[i]], sol.d[[i]], xs[np.newaxis],
+            )
         )[:, 0]
         assert stacked[:, i].tobytes() == rows.tobytes()
         for order in range(3):
@@ -409,6 +414,85 @@ def test_one_pass_matches_scalar_and_per_piece_evaluation(seed, m, uneven):
         want1, want2 = loop_convolutions(sol, i, xs)
         assert i1[i].tobytes() == want1.tobytes()
         assert i2[i].tobytes() == want2.tobytes()
+
+
+def masked_particular(a1, a2, edges, g, x):
+    """_particular's rows the masked way, over all arcs and padded pieces:
+    each term zeroed by np.where where its part of a piece is empty, and
+    each point's piece from a boolean sum over the inner edges."""
+    a1 = a1[:, np.newaxis]
+    a2 = a2[:, np.newaxis]
+    e1, e2 = a1[:, :, np.newaxis], a2[:, :, np.newaxis]
+    lo, hi = edges[:, :-1, np.newaxis], edges[:, 1:, np.newaxis]
+    gs, xs = g[:, :, np.newaxis], x[:, np.newaxis, :]
+    hi_l = np.minimum(hi, xs)
+    mask = hi_l - lo > 0.0
+    w = np.where(mask, hi_l - lo, 0.0)
+    anchor = np.where(mask, hi_l, xs)
+    t1 = np.where(mask, gs * np.exp(e1 * (xs - anchor)) * np.expm1(e1 * w) / e1, 0.0)
+    lo_r = np.maximum(lo, xs)
+    mask = hi - lo_r > 0.0
+    w = np.where(mask, hi - lo_r, 0.0)
+    anchor = np.where(mask, lo_r, xs)
+    t2 = np.where(mask, -gs * np.exp(e2 * (xs - anchor)) * np.expm1(-e2 * w) / e2, 0.0)
+    i1 = np.zeros_like(x)
+    i2 = np.zeros_like(x)
+    for r in range(g.shape[1]):
+        i1 = i1 + t1[:, r]
+        i2 = i2 + t2[:, r]
+    gap = a2 - a1
+    idx = np.sum(edges[:, np.newaxis, 1:-1] < x[:, :, np.newaxis], axis=2)
+    return np.stack(
+        [
+            -(i1 + i2) / gap,
+            -(a1 * i1 + a2 * i2) / gap,
+            np.take_along_axis(g, idx, axis=1) - (a1 * a1 * i1 + a2 * a2 * i2) / gap,
+        ]
+    )
+
+
+def edge_points(sol):
+    """Each arc's inner forcing edges, one ulp either side of them, and
+    both ends; shorter rows are filled up with the arc's length."""
+    rows = []
+    for f in sol.problem.f.arcs:
+        b = f.breakpoints
+        rows.append(
+            [0.0, *b, *np.nextafter(b, -np.inf), *np.nextafter(b, np.inf), f.length]
+        )
+    width = max(len(row) for row in rows)
+    return np.array([row + [row[-1]] * (width - len(row)) for row in rows])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 8))
+def test_unmasked_pass_matches_the_masked_form_at_the_piece_edges(seed, m):
+    """Where a point sits on a forcing edge, one ulp beside it or at an
+    end, one side of a piece is empty or one ulp wide, and the zero-width
+    pads of uneven stars are empty on both sides: there the convolutions
+    equal the per-piece masked loop, the rows of the particular part and
+    the residual report equal the masked form, all bit for bit, and no
+    step overflows, divides by zero or makes a NaN."""
+    sol = random_solution(seed, m, uneven=True)
+    x = edge_points(sol)
+    args = (sol.a1, sol.a2, sol.edges, sol.g)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        i1, i2 = _convolutions(*args, x)
+        for i in range(m):
+            want1, want2 = loop_convolutions(sol, i, x[i])
+            assert i1[i].tobytes() == want1.tobytes()
+            assert i2[i].tobytes() == want2.tobytes()
+        want = masked_particular(*args, x)
+        for k, row in enumerate(_particular(*args, x)):
+            assert row.tobytes() == want[k].tobytes()
+        report = sol.residual_report()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(resolvent, "_particular", masked_particular)
+            masked = sol.residual_report()
+    for field in ("ode_max", "dirichlet_max", "node_max", "scale"):
+        assert np.float64(getattr(report, field)).tobytes() == np.float64(
+            getattr(masked, field)
+        ).tobytes()
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
