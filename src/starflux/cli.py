@@ -207,8 +207,8 @@ def _emit(
 
     Without --out the first entry of ``outputs`` goes to stdout and any
     further files are skipped with a note on stderr; with --out every
-    file lands in the directory together with manifest.json. Summary
-    lines print to stdout either way.
+    file lands in the directory main made, together with manifest.json.
+    Summary lines print to stdout either way.
     """
     if args.out is None:
         names = list(outputs)
@@ -217,7 +217,6 @@ def _emit(
             print(f"note: pass --out DIR to also write {skipped}", file=sys.stderr)
     else:
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
         for name, text in outputs.items():
             (out_dir / name).write_text(text)
         manifest["outputs"] = sorted(outputs)
@@ -372,16 +371,38 @@ _COMMANDS = {
 }
 
 
+def _make_out_dir(out: str | None) -> list[Path]:
+    """Create --out's directory, so that a path that cannot be one fails
+    before the command runs, as a ConfigError; return the directories
+    made, deepest first, for main to remove if the command fails."""
+    if out is None:
+        return []
+    path = Path(out)
+    made = [p for p in (path, *path.parents) if not p.exists()]
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out: cannot create directory {out!r}: {exc.strerror}") from None
+    return made
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    made: list[Path] = []
     try:
-        return _COMMANDS[args.command](args)
+        made = _make_out_dir(args.out)
+        status = _COMMANDS[args.command](args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        status = 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
+        status = 3
+    if status:
+        # a failed command leaves no output directory behind
+        for path in made:
+            path.rmdir()
+    return status
 
 
 if __name__ == "__main__":

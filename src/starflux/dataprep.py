@@ -26,7 +26,8 @@ from .errors import DimensionMismatch, WidthOverflow, finite_above, finite_value
 from .hyperbolic import ArcProfile, PiecewiseConstantField, check_profile_lengths
 from .network import CouplingMatrix, StarNetwork, _as_square, alpha_from_k, junction_residual
 
-#: node-interval exponent used when none is requested; any theta > 1 works
+#: node-interval exponent of the CLI and of an experiment document that
+#: names none; any theta > 1 works
 DEFAULT_THETA = 1.5
 
 
@@ -86,7 +87,7 @@ class PolynomialPiece:
             return float(val)
         return val
 
-    def l1_norm(self, order: int = 0) -> float:
+    def l1_norm(self, order: int) -> float:
         """Exact integral of |derivative of given order| over the piece.
 
         The antiderivative is evaluated between consecutive sign
@@ -134,7 +135,7 @@ class PiecewisePoly:
             return float(out[0])
         return out
 
-    def l1_norm(self, order: int = 0) -> float:
+    def l1_norm(self, order: int) -> float:
         return sum(p.l1_norm(order) for p in self.pieces)
 
     def w21_norm(self) -> float:
@@ -345,7 +346,7 @@ def build_compatible(
     net: StarNetwork,
     K: CouplingMatrix,
     epsilon_n: float,
-    theta: float = DEFAULT_THETA,
+    theta: float,
 ) -> CompatibleData:
     """Assemble the compatible replacement of rough data.
 

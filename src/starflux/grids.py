@@ -3,7 +3,8 @@
 Each arc gets its own uniform grid with at least four cells so a
 boundary layer and an interior always coexist. A discrete state keeps
 one value per grid point in a single flat vector, arc after arc, plus
-the grid it lives on and the time stamp.
+the grid it lives on; it carries no time, which its producer knows (a
+march's last diagnostics row, for one).
 """
 
 from __future__ import annotations
@@ -119,7 +120,7 @@ def make_grid(
 
 @dataclass(frozen=True)
 class DiscreteState:
-    """Grid values of every arc at one time, in one read-only vector.
+    """Grid values of every arc, in one read-only vector.
 
     flat holds the arcs one after another; arc i is
     flat[grid.offsets[i]:grid.offsets[i + 1]], and values hands out those
@@ -128,7 +129,6 @@ class DiscreteState:
 
     flat: np.ndarray
     grid: Grid
-    t: float
 
     @property
     def values(self) -> tuple[np.ndarray, ...]:
@@ -139,9 +139,7 @@ class DiscreteState:
         return float(np.min(self.flat))
 
 
-def new_state(
-    grid: Grid, arrays: Sequence[np.ndarray], t: float = 0.0
-) -> DiscreteState:
+def new_state(grid: Grid, arrays: Sequence[np.ndarray]) -> DiscreteState:
     """Validate array lengths against the grid and copy them into one state."""
     if len(arrays) != grid.arc_count:
         raise DimensionMismatch(
@@ -158,19 +156,19 @@ def new_state(
     if not finite.all():
         arc = int(np.searchsorted(grid.offsets, np.argmin(finite), side="right")) - 1
         raise DimensionMismatch(f"arc {arc}: non-finite state values")
-    return adopt_state(grid, flat, t)
+    return adopt_state(grid, flat)
 
 
-def adopt_state(grid: Grid, flat: np.ndarray, t: float) -> DiscreteState:
+def adopt_state(grid: Grid, flat: np.ndarray) -> DiscreteState:
     """Freeze a finite vector nobody else holds into a state, without a copy."""
     if flat.shape != (grid.offsets[-1],):
         raise DimensionMismatch(f"{flat.size} values for {grid.offsets[-1]} points")
     flat.flags.writeable = False
-    return DiscreteState(flat, grid, float(t))
+    return DiscreteState(flat, grid)
 
 
 def sample_on_grid(profiles: Sequence, grid: Grid) -> DiscreteState:
-    """Pointwise sample per-arc profiles at the grid nodes, at time 0."""
+    """Pointwise sample per-arc profiles at the grid nodes."""
     if len(profiles) != grid.arc_count:
         raise DimensionMismatch(
             f"{len(profiles)} profiles for {grid.arc_count} arcs"
@@ -183,7 +181,7 @@ def sample_on_grid(profiles: Sequence, grid: Grid) -> DiscreteState:
 
 
 def average_on_grid(profiles: Sequence, grid: Grid) -> DiscreteState:
-    """Average each profile over its grid points' cells, at time 0.
+    """Average each profile over its grid points' cells.
 
     A point x of an arc of length L gets the profile's mean over
     [x - h/2, x + h/2] cut to [0, L], the difference of its primitive

@@ -10,9 +10,10 @@ step's positivity certificate and its data's node defect (LevelRecord),
 in the worker that ran it, for the run manifest.
 
 The module also hosts the thin runners behind the other subcommands
-(gamma/design/simulate/approx-data) and the CSV formatting used by all
-of them: fixed 17-significant-digit scientific notation, so emitted
-doubles round-trip exactly and runs can be diffed byte for byte.
+(gamma/design/simulate/approx-data), which take every setting from the
+command line, and the CSV formatting used by all of them: fixed
+17-significant-digit scientific notation, so emitted doubles round-trip
+exactly and runs can be diffed byte for byte.
 """
 
 from __future__ import annotations
@@ -41,6 +42,12 @@ from .hyperbolic import (
 from .network import CouplingMatrix, StarNetwork
 from .parabolic import ParabolicTrajectory, SolverConfig, solve_parabolic
 from .transmission import TransmissionSystem, compute_gamma
+
+
+#: most rows sample_hyperbolic builds, times x points x arcs: each is one
+#: Python tuple and a CSV line of some 71 bytes, 0.7 GB at the bound; a
+#: larger lattice is refused before anything is solved
+MAX_LATTICE_ROWS = 10**7
 
 
 def _fmt(x: float) -> str:
@@ -314,12 +321,22 @@ def sample_hyperbolic(
     u0: PiecewiseConstantField,
     B: np.ndarray,
     T: float,
-    times: int = 9,
-    points: int = 201,
+    times: int,
+    points: int,
 ) -> list[tuple[int, float, float, float]]:
-    """Exact transport solution sampled on a uniform space-time lattice."""
+    """Exact transport solution sampled on a uniform space-time lattice.
+
+    Raises ConfigError for fewer than 1 time or 2 points, or for a
+    lattice of more than MAX_LATTICE_ROWS rows.
+    """
     if times < 1 or points < 2:
         raise ConfigError("need at least 1 time and 2 sample points")
+    rows = times * points * net.m
+    if rows > MAX_LATTICE_ROWS:
+        raise ConfigError(
+            f"{times} times x {points} points x {net.m} arcs is {rows} rows, "
+            f"more than MAX_LATTICE_ROWS = {MAX_LATTICE_ROWS:.0e}"
+        )
     system = compute_gamma(net, K)
     sol = solve_exact(net, system.gamma, u0, B, T)
     t_grid = np.linspace(0.0, T, times) if times > 1 else np.array([T])
@@ -341,7 +358,7 @@ def run_parabolic_simulation(
     B: np.ndarray,
     epsilon: float,
     T: float,
-    h_rule: float = DEFAULT_H_RULE,
+    h_rule: float,
 ) -> tuple[list[tuple[int, float, float, float]], np.ndarray]:
     """March the viscous scheme; final snapshot plus per-step diagnostics.
 
@@ -379,7 +396,7 @@ def run_approx(
     u0: PiecewiseConstantField,
     B: np.ndarray,
     n_range: tuple[int, int],
-    theta: float = DEFAULT_THETA,
+    theta: float,
 ) -> tuple[ApproxRow, ...]:
     """Build compatible data at epsilon_n = 2^-n for n over the range."""
     lo, hi = n_range

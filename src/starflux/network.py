@@ -108,11 +108,11 @@ def build_network(arc_specs: Iterable[Sequence[object]]) -> StarNetwork:
     return net
 
 
-def _as_square(matrix: np.ndarray | Sequence[Sequence[float]], m: int | None) -> np.ndarray:
+def _as_square(matrix: np.ndarray | Sequence[Sequence[float]], m: int) -> np.ndarray:
     arr = np.asarray(matrix, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {arr.shape}")
-    if m is not None and arr.shape[0] != m:
+    if arr.shape[0] != m:
         raise DimensionMismatch(
             f"matrix is {arr.shape[0]}x{arr.shape[0]} but the network has {m} arcs"
         )
@@ -125,19 +125,19 @@ def _as_square(matrix: np.ndarray | Sequence[Sequence[float]], m: int | None) ->
 class CouplingMatrix:
     """Junction exchange coefficients K.
 
-    Only shape and finiteness are enforced at construction; sign,
-    symmetry, and connectivity are the business of validate_assumptions,
-    so a matrix that breaks them can still be built and checked.
+    from_array enforces only shape (one row and column per arc of the
+    network) and finiteness; sign, symmetry, and connectivity are the
+    business of validate_assumptions, so a matrix that breaks them can
+    still be built and checked.
     """
 
     k: np.ndarray
 
     @classmethod
     def from_array(
-        cls, matrix: np.ndarray | Sequence[Sequence[float]], net: StarNetwork | None = None
+        cls, matrix: np.ndarray | Sequence[Sequence[float]], net: StarNetwork
     ) -> "CouplingMatrix":
-        arr = _as_square(matrix, net.m if net is not None else None)
-        arr = arr.copy()
+        arr = _as_square(matrix, net.m).copy()
         arr.flags.writeable = False
         return cls(arr)
 

@@ -2,7 +2,9 @@
 
 solve_parabolic integrates the viscous problem to a horizon with
 per-step diagnostics; march_to_steady solves the steady resolvent
-equation, which is one implicit step of length theta.
+equation, which is one implicit step of length theta. States carry no
+time: a march's times are its diagnostics' first column, and the last
+row's is the horizon up to the rounding of adding dt once a step.
 
 solve_parabolic calls step, discrete_l1_norm, flux_residual and
 assemble_step_operator through this module's names, each time it runs
@@ -80,15 +82,15 @@ class ParabolicTrajectory:
 
     initial is the state the march started from: the data after the
     inflow values were imposed and the junction values projected, so
-    it records that repair. final is the state at the horizon. Both
-    carry the march's grid, h = epsilon/h_rule (final.grid). diagnostics
-    rows are (t, l1_norm, min_value, flux_residual), one for the
-    initial state and one after every step. node_history row k
-    gives each arc's junction-end value at diagnostics time k, so the
-    junction trace survives although intermediate states are dropped.
-    node_defect is the largest node-row defect of the data before the
-    projection, the number the warning beyond COMPATIBILITY_WARN_TOL
-    reports.
+    it records that repair. final is the state at the horizon, time
+    diagnostics[-1, 0]. Both carry the march's grid, h = epsilon/h_rule
+    (final.grid). diagnostics rows are (t, l1_norm, min_value,
+    flux_residual), one for the initial state and one after every step.
+    node_history row k gives each arc's junction-end value at diagnostics
+    time k, so the junction trace survives although intermediate states
+    are dropped. node_defect is the largest node-row defect of the data
+    before the projection, the number the warning beyond
+    COMPATIBILITY_WARN_TOL reports.
     """
 
     initial: DiscreteState
@@ -164,7 +166,7 @@ def solve_parabolic(
                 UserWarning,
             )
         stencil.project(x)
-        initial = adopt_state(grid, to_grid_order(x), t)
+        initial = adopt_state(grid, to_grid_order(x))
 
         # the first row reads the grid-order start state, every later one the vector
         l1, lowest = discrete_l1_norm(initial), initial.min_value()
@@ -185,7 +187,7 @@ def solve_parabolic(
 
     return ParabolicTrajectory(
         initial=initial,
-        final=adopt_state(grid, to_grid_order(x), t),
+        final=adopt_state(grid, to_grid_order(x)),
         diagnostics=np.asarray(diag_rows),
         node_history=np.asarray(node_rows),
         operator=op,
@@ -200,8 +202,8 @@ def march_to_steady(
     epsilon: float,
     prob: ResolventProblem,
 ) -> DiscreteState:
-    """Discrete steady state, at time prob.theta, of the problem
-    solve_resolvent solves in closed form.
+    """Discrete steady state of the problem solve_resolvent solves in
+    closed form.
 
     The steady state satisfies u - theta*(eps*u'' - speed*u') = f in the
     discrete sense, with Dirichlet values prob.boundary at the outer ends
@@ -222,4 +224,4 @@ def march_to_steady(
     step(x, op)
     if not np.isfinite(x).all():
         raise LinearSolveFailure(NON_FINITE_STEP)
-    return adopt_state(grid, to_grid_order(x), prob.theta)
+    return adopt_state(grid, to_grid_order(x))

@@ -215,10 +215,8 @@ class ResolventSolution:
             self.c[rows], self.d[rows], x,
         )
 
-    def evaluate(
-        self, arc_id: int, x: np.ndarray | float, order: int = 0
-    ) -> np.ndarray | float:
-        """Row ``order`` of (v, v', v'') on one arc at x.
+    def evaluate(self, arc_id: int, x: np.ndarray | float) -> np.ndarray | float:
+        """The solution v on one arc at x.
 
         Raises DimensionMismatch for x outside [0, length], NaN included.
         """
@@ -226,7 +224,7 @@ class ResolventSolution:
         xs = np.asarray(x, dtype=float)
         if not np.all((xs >= 0.0) & (xs <= length)):
             raise DimensionMismatch(f"x outside [0, {length}]")
-        out = self._rows([arc_id], xs.reshape(1, -1))[order][0].reshape(xs.shape)
+        out = self._rows([arc_id], xs.reshape(1, -1))[0][0].reshape(xs.shape)
         if np.isscalar(x):
             return float(out)
         return out
@@ -362,12 +360,13 @@ def solve_resolvent(
 
 
 def resolvent_forcing_field(
-    net: StarNetwork, rng: np.random.Generator, pieces: int = 3
+    net: StarNetwork, rng: np.random.Generator
 ) -> PiecewiseConstantField:
-    """Random piecewise-constant forcing, handy for consistency checks."""
+    """Random piecewise-constant forcing of one to three pieces per arc,
+    handy for consistency checks."""
     profiles = []
     for arc in net.arcs:
-        n_b = int(rng.integers(0, pieces))
+        n_b = int(rng.integers(0, 3))
         breaks = np.sort(rng.uniform(0.1 * arc.length, 0.9 * arc.length, n_b))
         vals = rng.uniform(-1.0, 1.0, n_b + 1)
         profiles.append(ArcProfile.from_lists(arc.length, breaks, vals))

@@ -8,6 +8,7 @@ import json
 import pytest
 
 from conftest import EXPERIMENTS
+from starflux import cli, harness
 from starflux.cli import main
 from starflux.parabolic import evolve
 from starflux.parabolic.evolve import COMPATIBILITY_WARN_TOL
@@ -177,6 +178,70 @@ def test_simulate_parabolic_too_large_to_march_exits_2(tmp_path, capsys, monkeyp
         "--epsilon", "1e-320", "--T", "0.5", "--out", str(tmp_path / "run"),
     ]) == 2
     assert "MAX_MARCH_WORK" in capsys.readouterr().err
+
+
+def test_simulate_hyperbolic_lattice_too_large_exits_2(tmp_path, capsys, monkeypatch):
+    """More than MAX_LATTICE_ROWS times x points x arcs is refused before
+    the exact solution is computed."""
+
+    def unreachable(*args):
+        raise AssertionError("solved for a lattice beyond the row bound")
+
+    monkeypatch.setattr(harness, "compute_gamma", unreachable)
+    net = write_json(tmp_path, "net.json", PAIR_NET)
+    data = write_json(tmp_path, "u0.json", PAIR_DATA)
+    out_dir = tmp_path / "run"
+    assert main([
+        "simulate", "--config", net, "--data", data, "--mode", "hyperbolic",
+        "--T", "0.5", "--times", "100000", "--points", "100000", "--out", str(out_dir),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert "100000 times x 100000 points x 2 arcs is 20000000000 rows" in err
+    assert "MAX_LATTICE_ROWS = 1e+07" in err
+    assert not out_dir.exists()
+
+
+def test_simulate_hyperbolic_lattice_at_the_bound_runs(tmp_path, capsys, monkeypatch):
+    """A lattice of exactly MAX_LATTICE_ROWS rows is sampled."""
+    monkeypatch.setattr(harness, "MAX_LATTICE_ROWS", 2 * 2 * 3)
+    net = write_json(tmp_path, "net.json", PAIR_NET)
+    data = write_json(tmp_path, "u0.json", PAIR_DATA)
+    argv = ["simulate", "--config", net, "--data", data, "--mode", "hyperbolic", "--T", "0.5"]
+    assert main([*argv, "--times", "2", "--points", "3"]) == 0
+    capsys.readouterr()
+    assert main([*argv, "--times", "2", "--points", "4"]) == 2
+    assert "MAX_LATTICE_ROWS" in capsys.readouterr().err
+
+
+def test_out_naming_a_file_exits_2_before_the_command_runs(tmp_path, capsys, monkeypatch):
+    """--out that names an existing file is a ConfigError naming --out,
+    raised before gamma or a sweep runs; the file is left as it was."""
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("ran the command although --out cannot be a directory")
+
+    monkeypatch.setattr(cli, "compute_gamma", unreachable)
+    monkeypatch.setattr(cli, "run_convergence", unreachable)
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+    net = write_json(tmp_path, "net.json", PAIR_NET)
+    exp = write_experiment(tmp_path, [0.08])
+    for command, config in (("gamma", net), ("converge", exp)):
+        assert main([command, "--config", config, "--out", str(taken)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --out: cannot create directory {str(taken)!r}")
+        assert taken.read_text() == "keep"
+
+
+def test_failed_command_removes_only_the_directories_it_made(tmp_path, capsys):
+    """A failing command leaves no new --out directory behind, however
+    deep, and never removes one that was there before."""
+    exp = write_experiment(tmp_path, [0.08])
+    for out_dir in (tmp_path / "a" / "b" / "c", tmp_path):
+        assert main(["converge", "--config", exp, "--out", str(out_dir), "--workers", "0"]) == 2
+        capsys.readouterr()
+        assert not (tmp_path / "a").exists()
+        assert tmp_path.is_dir()
 
 
 def test_simulate_parabolic_writes_snapshot_and_diagnostics(tmp_path, capsys):

@@ -163,7 +163,7 @@ def test_reserved_intervals_must_fit_the_arc():
     net, K = pair_net()
     v = PiecewiseConstantField.constant(net, [0.0, 0.0])
     with pytest.raises(WidthOverflow):
-        build_compatible(v, [0.0, 0.0], net, K, epsilon_n=0.6)
+        build_compatible(v, [0.0, 0.0], net, K, epsilon_n=0.6, theta=1.5)
 
 
 def test_boundary_quadratic_frozen_coefficients():
@@ -205,7 +205,7 @@ def test_node_cubic_slope_for_constant_data():
 def test_zero_data_builds_zero():
     net, K = pair_net()
     v = PiecewiseConstantField.constant(net, [0.0, 0.0])
-    cd = build_compatible(v, [0.0, 0.0], net, K, epsilon_n=0.125)
+    cd = build_compatible(v, [0.0, 0.0], net, K, epsilon_n=0.125, theta=1.5)
     assert cd.membership_residual == 0.0
     assert cd.l1_error == 0.0
     assert cd.scaled_w21 == 0.0
@@ -217,7 +217,7 @@ def test_zero_data_builds_zero():
 def test_build_compatible_membership_and_joints():
     net, K = pair_net()
     v = one_jump_field(net)
-    cd = build_compatible(v, [0.0, 0.0], net, K, epsilon_n=0.125)
+    cd = build_compatible(v, [0.0, 0.0], net, K, epsilon_n=0.125, theta=1.5)
     assert cd.membership_residual <= 1e-9
     assert_joints_and_inflow(cd, [0.0, 0.0], net)
     # the node cubic carries the imposed slope on each side
@@ -240,7 +240,7 @@ def test_sweep_converges_with_bounded_regularity():
     excesses = []
     scaled = []
     for n in range(3, 9):
-        cd = build_compatible(v, [0.7, 0.0], net, K, epsilon_n=2.0**-n)
+        cd = build_compatible(v, [0.7, 0.0], net, K, epsilon_n=2.0**-n, theta=1.5)
         assert cd.membership_residual <= 1e-9
         assert_joints_and_inflow(cd, [0.7, 0.0], net)
         errors.append(cd.l1_error)
@@ -266,7 +266,7 @@ def test_compatible_arcs_are_c1_and_take_the_inflow_value(seed, m, n):
         breaks = np.sort(rng.uniform(0.3 * arc.length, 0.7 * arc.length, pieces - 1))
         arcs.append(ArcProfile.from_lists(arc.length, breaks, rng.uniform(-2.0, 2.0, pieces)))
     B = rng.uniform(-2.0, 2.0, m)
-    cd = build_compatible(PiecewiseConstantField(tuple(arcs)), B, net, K, 2.0**-n)
+    cd = build_compatible(PiecewiseConstantField(tuple(arcs)), B, net, K, 2.0**-n, 1.5)
     assert_joints_and_inflow(cd, B, net)
 
 
@@ -276,7 +276,7 @@ def test_compatible_data_feeds_the_grid_sampler():
 
     net, K = pair_net()
     v = one_jump_field(net)
-    cd = build_compatible(v, [0.0, 0.0], net, K, epsilon_n=0.125)
+    cd = build_compatible(v, [0.0, 0.0], net, K, epsilon_n=0.125, theta=1.5)
     grid = make_grid(net, epsilon=0.125)
     state = sample_on_grid(cd.arcs, grid)
     assert np.isfinite(state.flat).all()

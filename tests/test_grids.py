@@ -41,12 +41,11 @@ def test_a_target_finer_than_max_cells_gets_max_cells(target):
 def test_new_state_copies_the_callers_arrays():
     grid = small_grid()
     arrays = [np.arange(n + 1, dtype=float) for n in grid.cells]
-    state = new_state(grid, arrays, 0.5)
+    state = new_state(grid, arrays)
     arrays[0][:] = -7.0
     arrays[2][3] = np.nan
     np.testing.assert_array_equal(state.values[0], np.arange(5.0))
     np.testing.assert_array_equal(state.values[2], np.arange(7.0))
-    assert state.t == 0.5
     assert state.grid is grid
 
 
@@ -163,7 +162,7 @@ def test_march_l1_is_one_trapezoid_rule(cells, values, weight, nonnegative):
 
     l1, lowest = march_l1_and_min(x, grid)
     assert bits(lowest) == bits(np.min(x))
-    assert bits(discrete_l1_norm(adopt_state(grid, flat.copy(), 0.0))) == bits(l1)
+    assert bits(discrete_l1_norm(adopt_state(grid, flat.copy()))) == bits(l1)
     assert bits(march_l1_and_min(np.abs(x), grid)[0]) == bits(l1)
 
     terms = []

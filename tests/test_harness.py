@@ -252,7 +252,7 @@ class TestRunners:
         net, K = pair_net()
         u0 = PiecewiseConstantField.constant(net, [0.0, 0.0])
         snapshot, diagnostics = run_parabolic_simulation(
-            net, K, u0, np.zeros(2), epsilon=0.1, T=0.1
+            net, K, u0, np.zeros(2), epsilon=0.1, T=0.1, h_rule=8.0
         )
         cells = [round(net.arc(i).length / h) for i, h in enumerate([0.0125, 0.0125])]
         assert len(snapshot) == sum(c + 1 for c in cells)
@@ -264,7 +264,7 @@ class TestRunners:
     def test_approx_sweep_rows(self):
         net, K = pair_net()
         rows = run_approx(
-            net, K, one_jump_field(net), np.array([1.0, 0.0]), (3, 6)
+            net, K, one_jump_field(net), np.array([1.0, 0.0]), (3, 6), theta=1.5
         )
         assert [r.n for r in rows] == [3, 4, 5, 6]
         assert [r.epsilon_n for r in rows] == [2.0**-n for n in range(3, 7)]
@@ -281,4 +281,4 @@ class TestRunners:
     def test_approx_range_validation(self):
         net, K = pair_net()
         with pytest.raises(ConfigError, match="n range"):
-            run_approx(net, K, one_jump_field(net), np.zeros(2), (5, 3))
+            run_approx(net, K, one_jump_field(net), np.zeros(2), (5, 3), theta=1.5)

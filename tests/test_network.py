@@ -121,9 +121,9 @@ def test_coupling_matrix_shape_validation():
     with pytest.raises(DimensionMismatch):
         CouplingMatrix.from_array(np.zeros((3, 3)), net)
     with pytest.raises(DimensionMismatch):
-        CouplingMatrix.from_array(np.zeros((2, 3)))
+        CouplingMatrix.from_array(np.zeros((2, 3)), net)
     with pytest.raises(DimensionMismatch):
-        CouplingMatrix.from_array([[0.0, np.nan], [np.nan, 0.0]])
+        CouplingMatrix.from_array([[0.0, np.nan], [np.nan, 0.0]], net)
 
 
 def _zero_data(net):
@@ -139,7 +139,7 @@ ENTRY_POINTS = {
         net, K, 0.5, ResolventProblem.build(0.8, *_zero_data(net))
     ),
     "build_compatible": lambda net, K: build_compatible(
-        *_zero_data(net), net, K, epsilon_n=0.125
+        *_zero_data(net), net, K, epsilon_n=0.125, theta=1.5
     ),
 }
 
@@ -147,7 +147,7 @@ ENTRY_POINTS = {
 @pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
 def test_entry_points_reject_a_coupling_sized_for_another_network(entry):
     net = simple_star([1.0], [1.0, 1.0])
-    K = CouplingMatrix.from_array([[0.0, 1.0], [1.0, 0.0]])
+    K = CouplingMatrix.from_array([[0.0, 1.0], [1.0, 0.0]], simple_star([1.0], [1.0]))
     with pytest.raises(
         DimensionMismatch, match="^matrix is 2x2 but the network has 3 arcs$"
     ):

@@ -98,7 +98,7 @@ def advance(state, op):
     march order, stepped in place and scattered back."""
     x = to_march_order(state.flat)
     step(x, op)
-    return adopt_state(state.grid, to_grid_order(x), state.t + op.dt)
+    return adopt_state(state.grid, to_grid_order(x))
 
 
 def test_step_matrix_frozen_ten_by_ten():
@@ -291,9 +291,7 @@ def test_projection_enforces_node_conditions():
     net, K = small_pair()
     grid = make_grid(net, h=0.1)
     op = assemble_step_operator(net, K, grid, 0.8, 0.05)
-    state = new_state(
-        grid, [np.linspace(1.0, 2.0, n + 1) for n in grid.cells], 0.0
-    )
+    state = new_state(grid, [np.linspace(1.0, 2.0, n + 1) for n in grid.cells])
     stencil = op.lu.stencil
     before = to_march_order(state.flat)
     x = before.copy()
@@ -370,7 +368,7 @@ def test_solve_parabolic_diagnostics_align_with_norm():
     assert traj.diagnostics[0, 1] == pytest.approx(
         discrete_l1_norm(traj.initial)
     )
-    assert traj.final.t == pytest.approx(0.1)
+    assert traj.diagnostics[-1, 0] == pytest.approx(0.1)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
@@ -429,9 +427,7 @@ def test_node_conditions_hold_after_projection_and_step(seed, m):
     top = 2.0
     tol = 1e-12 * row_scale * top
 
-    state = new_state(
-        grid, [rng.uniform(0.0, top, n + 1) for n in grid.cells], 0.0
-    )
+    state = new_state(grid, [rng.uniform(0.0, top, n + 1) for n in grid.cells])
     x = to_march_order(state.flat)
     assert flux_residual(x, op) == ReferenceStep(net, K, grid, eps, 0.01).flux_residual(state.flat)
     stencil.project(x)
@@ -542,11 +538,12 @@ def test_march_diagnostics_match_per_arc_formulas(seed, m):
     roundings += (max(pairwise_depth(n - 1) for n in grid.cells) + 9) // 2
 
     # re-march the recorded start on the recorded operator, one state at a time
-    state = traj.initial
+    state, march_t = traj.initial, 0.0
     for k, (t, l1, low, flux) in enumerate(traj.diagnostics):
         if k:
             state = advance(state, traj.operator)
-        assert t == state.t
+            march_t += traj.operator.dt
+        assert t == march_t
         assert low == min(float(np.min(v)) for v in state.values)
         assert flux == ref.flux_residual(state.flat)
         assert traj.node_history[k].tolist() == state.flat[ref.node].tolist()
@@ -555,7 +552,7 @@ def test_march_diagnostics_match_per_arc_formulas(seed, m):
             a = np.abs(vals)
             per_arc += h * (0.5 * a[0] + np.sum(a[1:-1]) + 0.5 * a[-1])
         assert abs(l1 - per_arc) <= roundings * np.finfo(float).eps * per_arc
-    assert state.t == traj.final.t
+    assert march_t == traj.diagnostics[-1, 0]
     assert state.flat.tobytes() == traj.final.flat.tobytes()
 
 
@@ -920,7 +917,7 @@ def test_march_equals_a_plain_step_loop(seed, m, coarse, odd_total, depth):
     # the first row reads the start state in grid order, every later one the vector
     start = traj.initial.flat
     x = to_march_order(start)
-    t = traj.initial.t
+    t = 0.0
     rows = [(t, trapezoid_l1(start, grid), float(np.min(start)), ref.flux_residual(start))]
     nodes = [start[ref.node]]
     for _ in range(traj.diagnostics.shape[0] - 1):

@@ -6,7 +6,9 @@ every other name is reached through its module. Every file's top-level
 imports are used, so an import is never the only thing that keeps a name
 alive, and every top-level definition in src/ is named by the package,
 a demo, the README or the benchmark, so none is kept only for tests; nor
-is any class's field, property or method.
+is any class's field, property or method, nor any parameter's default:
+every defaulted parameter and dataclass field is both passed and left
+out by the package, a demo or the benchmark.
 """
 
 from __future__ import annotations
@@ -175,3 +177,102 @@ def test_every_class_member_is_read_outside_tests():
         if cls not in whole and name not in read
     ]
     assert not unread, unread
+
+
+def _called_name(func: ast.expr) -> str | None:
+    """The name a call spells: f in f(...) and in obj.f(...)."""
+    if isinstance(func, ast.Name):
+        return func.id
+    return func.attr if isinstance(func, ast.Attribute) else None
+
+
+def _defaulted(path: Path):
+    """(label, called as, position, parameter, is a field) of each
+    defaulted parameter of a function or method and each defaulted field
+    of a dataclass in the file; position counts the arguments a call
+    passes before it, and is None for a keyword-only parameter."""
+
+    def of_function(fn: ast.FunctionDef, owner: ast.ClassDef | None):
+        positional = fn.args.posonlyargs + fn.args.args
+        static = any(getattr(d, "id", "") == "staticmethod" for d in fn.decorator_list)
+        if owner is not None and not static:
+            positional = positional[1:]
+        called = owner.name if fn.name == "__init__" else fn.name
+        prefix = fn.name if owner is None else f"{owner.name}.{fn.name}"
+        first = len(positional) - len(fn.args.defaults)
+        for index, arg in enumerate(positional[first:], first):
+            yield f"{prefix}.{arg.arg}", called, index, arg.arg, False
+        for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+            if default is not None:
+                yield f"{prefix}.{arg.arg}", called, None, arg.arg, False
+
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.FunctionDef):
+            yield from of_function(node, None)
+        if not isinstance(node, ast.ClassDef):
+            continue
+        if any(_called_name(getattr(d, "func", d)) == "dataclass" for d in node.decorator_list):
+            fields = [
+                item
+                for item in node.body
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+            ]
+            for index, item in enumerate(fields):
+                if item.value is not None:
+                    name = item.target.id
+                    yield f"{node.name}.{name}", node.name, index, name, True
+        for item in node.body:
+            if isinstance(item, ast.FunctionDef):
+                yield from of_function(item, node)
+
+
+def _calls(paths: list[Path]) -> tuple[dict[str, list], set[str]]:
+    """Per name, the (positional count, keywords) of each call that spells
+    it, None for a call that spreads *args or **kwargs; and the names
+    also read as values, which may be called with anything."""
+    calls: dict[str, list] = {}
+    values = set()
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        callees = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _called_name(node.func):
+                callees.add(node.func)
+                spread = any(isinstance(a, ast.Starred) for a in node.args)
+                spread |= any(k.arg is None for k in node.keywords)
+                calls.setdefault(_called_name(node.func), []).append(
+                    None if spread else (len(node.args), {k.arg for k in node.keywords})
+                )
+        values |= {
+            _called_name(node)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and isinstance(node.ctx, ast.Load)
+            and node not in callees
+        }
+    return calls, values
+
+
+def test_every_optional_parameter_is_set_and_left_by_callers():
+    """A defaulted parameter or dataclass field in src/ that no call in
+    src/, a demo or perfbench/*.py passes is an option only tests use;
+    one that every such call passes is a default only tests rely on.
+    Calls match by name, so same-named functions pool their calls, and a
+    call that spreads *args or **kwargs, or a function also read as a
+    value, both passes and leaves every parameter."""
+    src = sorted((ROOT / "src").rglob("*.py"))
+    callers = src + sorted((ROOT / "demos").glob("*.py"))
+    callers += sorted((ROOT / "perfbench").glob("*.py"))
+    calls, values = _calls(callers)
+    wrong = []
+    for path in src:
+        for label, called, position, name, field in _defaulted(path):
+            sites = calls.get(called, [])
+            if None in sites or (called in values and not field):
+                continue
+            passed = [name in kw or (position is not None and position < n) for n, kw in sites]
+            if not any(passed):
+                wrong.append(f"{label} is never passed")
+            elif all(passed):
+                wrong.append(f"{label} is always passed")
+    assert not wrong, wrong

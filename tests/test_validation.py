@@ -254,7 +254,7 @@ def test_profiles_must_match_their_arcs(count, length):
     with pytest.raises(DimensionMismatch, match=f"^profiles: {hint}"):
         solve_exact(net, gamma, off, [1.0, 0.0], 0.5)
     with pytest.raises(DimensionMismatch, match=f"^profiles: {hint}"):
-        build_compatible(off, [1.0, 0.0], net, K, 0.125)
+        build_compatible(off, [1.0, 0.0], net, K, 0.125, 1.5)
     prob = ResolventProblem.build(1.0, off, [0.0, 0.0])
     with pytest.raises(DimensionMismatch, match=f"^forcing profiles: {hint}"):
         solve_resolvent(net, K, 0.1, prob)
