@@ -13,7 +13,9 @@ Five subcommands cover the package's capabilities:
 ``simulate``
     Either the exact inviscid solution sampled on a space-time lattice
     (``--mode hyperbolic``) or the viscous march (``--mode parabolic
-    --epsilon E``) with its final snapshot and per-step diagnostics.
+    --epsilon E``) with its final snapshot and per-step diagnostics; the
+    manifest records the march's node defect, positivity certificate and
+    step count.
 ``converge``
     The vanishing-viscosity sweep described by an experiment document;
     emits the convergence table. The manifest lists each level's
@@ -301,11 +303,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
     if args.epsilon is None:
         raise ConfigError("--epsilon is required with --mode parabolic")
-    snapshot, diagnostics = run_parabolic_simulation(
+    snapshot, trajectory = run_parabolic_simulation(
         net, K, u0, B, args.epsilon, args.T, h_rule=args.h_rule
     )
+    diagnostics = trajectory.diagnostics
     manifest["epsilon"] = args.epsilon
     manifest["h_rule"] = args.h_rule
+    # the march's record, as converge keeps one per level
+    manifest["node_defect"] = trajectory.node_defect
+    manifest["schur_inv_min"] = trajectory.operator.schur_inv_min
+    manifest["steps"] = diagnostics.shape[0] - 1
     _emit(
         args,
         {

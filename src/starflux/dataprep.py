@@ -24,7 +24,7 @@ import numpy.polynomial.polynomial as npoly
 
 from .errors import DimensionMismatch, WidthOverflow, finite_above, finite_values
 from .hyperbolic import ArcProfile, PiecewiseConstantField, check_profile_lengths
-from .network import CouplingMatrix, StarNetwork, _as_square, alpha_from_k, junction_residual
+from .network import CouplingMatrix, StarNetwork, alpha_from_k, junction_residual
 
 #: node-interval exponent of the CLI and of an experiment document that
 #: names none; any theta > 1 works
@@ -359,7 +359,7 @@ def build_compatible(
     finite_above(epsilon_n, "epsilon_n")
     finite_above(theta, "theta", 1.0)
     bvals = finite_values(B, net.m)
-    _as_square(K.k, net.m)
+    K.check_fits(net)
     alpha = alpha_from_k(K)
     delta_n = epsilon_n**theta
 

@@ -44,23 +44,27 @@ from .parabolic import ParabolicTrajectory, SolverConfig, solve_parabolic
 from .transmission import TransmissionSystem, compute_gamma
 
 
-#: most rows sample_hyperbolic builds, times x points x arcs: each is one
-#: Python tuple and a CSV line of some 71 bytes, 0.7 GB at the bound; a
-#: larger lattice is refused before anything is solved
+#: most rows sample_hyperbolic builds, times x points x arcs. A row is 8
+#: bytes of samples and a CSV line of some 71 bytes, which field_csv holds
+#: twice while it joins them: about 150 bytes a row, some 1.5 GB at the
+#: bound. A larger lattice is refused before anything is solved
 MAX_LATTICE_ROWS = 10**7
+
+#: one arc's samples at one time: (arc_id, xs, t, us), a row per point
+FieldBlock = tuple[int, np.ndarray, float, np.ndarray]
 
 
 def _fmt(x: float) -> str:
     return f"{x:.16e}"
 
 
-def _csv(header: Sequence[str], rows: Iterable[Iterable]) -> str:
+def _line(row: Iterable) -> str:
     """The one CSV row layout: ints via str, every other cell via _fmt."""
-    lines = [",".join(header)]
-    lines.extend(
-        ",".join(str(v) if isinstance(v, int) else _fmt(v) for v in row) for row in rows
-    )
-    return "\n".join(lines) + "\n"
+    return ",".join(str(v) if isinstance(v, int) else _fmt(v) for v in row) + "\n"
+
+
+def _csv(header: Sequence[str], rows: Iterable[Iterable]) -> str:
+    return ",".join(header) + "\n" + "".join(map(_line, rows))
 
 
 def _rows_csv(row_type: type, rows: Iterable) -> str:
@@ -305,9 +309,14 @@ def coupling_csv(K: CouplingMatrix) -> str:
     return _csv(header, ([i, *K.k[i]] for i in range(m)))
 
 
-def field_csv(samples: Iterable[tuple[int, float, float, float]]) -> str:
-    """Long-format space-time samples: (arc_id, x, t, u) per row."""
-    return _csv(["arc_id", "x", "t", "u"], samples)
+def field_csv(blocks: Iterable[FieldBlock]) -> str:
+    """Long-format space-time samples: an (arc_id, x, t, u) row per point
+    of each block. Each block becomes its lines at once, so no object
+    per row outlives its block."""
+    return _csv(["arc_id", "x", "t", "u"], ()) + "".join(
+        "".join(_line((arc_id, x, t, u)) for x, u in zip(xs.tolist(), us.tolist()))
+        for arc_id, xs, t, us in blocks
+    )
 
 
 def diagnostics_csv(diagnostics: np.ndarray) -> str:
@@ -323,8 +332,9 @@ def sample_hyperbolic(
     T: float,
     times: int,
     points: int,
-) -> list[tuple[int, float, float, float]]:
-    """Exact transport solution sampled on a uniform space-time lattice.
+) -> list[FieldBlock]:
+    """Exact transport solution sampled on a uniform space-time lattice,
+    one block per time and arc, in that order.
 
     Raises ConfigError for fewer than 1 time or 2 points, or for a
     lattice of more than MAX_LATTICE_ROWS rows.
@@ -339,16 +349,13 @@ def sample_hyperbolic(
         )
     system = compute_gamma(net, K)
     sol = solve_exact(net, system.gamma, u0, B, T)
-    t_grid = np.linspace(0.0, T, times) if times > 1 else np.array([T])
-    samples = []
-    for t in t_grid:
-        for arc in net.arcs:
-            xs = np.linspace(0.0, arc.length, points)
-            us = np.asarray(sol.evaluate(arc.id, xs, float(t)), dtype=float)
-            samples.extend(
-                (arc.id, float(x), float(t), float(u)) for x, u in zip(xs, us)
-            )
-    return samples
+    t_grid = np.linspace(0.0, T, times) if times > 1 else np.array([T], dtype=float)
+    xs = [np.linspace(0.0, arc.length, points) for arc in net.arcs]
+    return [
+        (arc.id, x, t, np.asarray(sol.evaluate(arc.id, x, t), dtype=float))
+        for t in t_grid.tolist()
+        for arc, x in zip(net.arcs, xs)
+    ]
 
 
 def run_parabolic_simulation(
@@ -359,8 +366,9 @@ def run_parabolic_simulation(
     epsilon: float,
     T: float,
     h_rule: float,
-) -> tuple[list[tuple[int, float, float, float]], np.ndarray]:
-    """March the viscous scheme; final snapshot plus per-step diagnostics.
+) -> tuple[list[FieldBlock], ParabolicTrajectory]:
+    """March the viscous scheme: the final snapshot, one block per arc at
+    time T, and the trajectory with its per-step diagnostics.
 
     The raw data is sampled directly onto the grid (junction values are
     projected onto the discrete node conditions, with a warning when the
@@ -368,14 +376,12 @@ def run_parabolic_simulation(
     """
     cfg = SolverConfig(epsilon=epsilon, T=T, h_rule=h_rule)
     trajectory = solve_parabolic(net, K, u0, B, cfg)
-    snapshot = []
-    for arc in net.arcs:
-        xs = trajectory.final.grid.nodes(arc.id)
-        vals = trajectory.final.values[arc.id]
-        snapshot.extend(
-            (arc.id, float(x), float(T), float(u)) for x, u in zip(xs, vals)
-        )
-    return snapshot, trajectory.diagnostics
+    final = trajectory.final
+    snapshot = [
+        (arc.id, final.grid.nodes(arc.id), float(T), final.values[arc.id])
+        for arc in net.arcs
+    ]
+    return snapshot, trajectory
 
 
 @dataclass(frozen=True)

@@ -300,13 +300,17 @@ def solve_exact(
     piece_values = np.column_stack([tr.evaluate(mids) for tr in traces])
 
     speeds = net.speeds()
-    in_speeds = speeds[list(net.incoming_ids)]
-    out_speeds = speeds[list(net.outgoing_ids)]
-    flux = piece_values * in_speeds
-    node_vals = (flux @ g.T) / out_speeds
+    flux = piece_values * speeds[net.incoming]
+    node_vals = (flux @ g.T) / speeds[~net.incoming]
+    # the traces passed from_lists, so breaks (np.unique's, inside (0, T))
+    # are valid as they stand; only the node values can overflow
+    if not np.isfinite(node_vals).all():
+        raise DimensionMismatch("profile entries must be finite")
+    breaks.flags.writeable = False
+    node_vals.flags.writeable = False
     junction = dict(zip(net.incoming_ids, traces))
     for pos, arc_id in enumerate(net.outgoing_ids):
-        junction[arc_id] = ArcProfile.from_lists(T, breaks, node_vals[:, pos])
+        junction[arc_id] = ArcProfile(length=T, breakpoints=breaks, values=node_vals[:, pos])
 
     bvals = bvals.copy()
     bvals.flags.writeable = False

@@ -10,7 +10,7 @@ the traces of arcs i and j.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -51,9 +51,35 @@ class Arc:
         return 0.0 if self.incoming else self.length
 
 
+def _read_only(values: Sequence) -> np.ndarray:
+    arr = np.array(values)
+    arr.flags.writeable = False
+    return arr
+
+
+class _DerivesOnce:
+    """Base of a frozen dataclass that derives data from its fields once,
+    as cached_property entries. A pickled copy (a run_convergence worker's)
+    carries the fields only, so it derives its own read-only data afresh,
+    and its array fields are made read-only again on load."""
+
+    def __getstate__(self) -> dict:
+        return {field.name: getattr(self, field.name) for field in fields(self)}
+
+    def __setstate__(self, state: dict) -> None:
+        for value in state.values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+        self.__dict__.update(state)
+
+
 @dataclass(frozen=True)
-class StarNetwork:
-    """Immutable collection of arcs meeting at one junction."""
+class StarNetwork(_DerivesOnce):
+    """Immutable collection of arcs meeting at one junction.
+
+    The per-arc arrays speeds() and incoming are built from the arcs once
+    per network, in arc-id order, and handed out read-only.
+    """
 
     arcs: tuple[Arc, ...]
 
@@ -70,11 +96,20 @@ class StarNetwork:
     def outgoing_ids(self) -> tuple[int, ...]:
         return tuple(a.id for a in self.arcs if not a.incoming)
 
+    @cached_property
+    def incoming(self) -> np.ndarray:
+        """True on incoming arcs."""
+        return _read_only([a.incoming for a in self.arcs])
+
+    @cached_property
+    def _speeds(self) -> np.ndarray:
+        return _read_only([a.speed for a in self.arcs])
+
     def arc(self, arc_id: int) -> Arc:
         return self.arcs[arc_id]
 
     def speeds(self) -> np.ndarray:
-        return np.array([a.speed for a in self.arcs])
+        return self._speeds
 
 
 def build_network(arc_specs: Iterable[Sequence[object]]) -> StarNetwork:
@@ -108,27 +143,15 @@ def build_network(arc_specs: Iterable[Sequence[object]]) -> StarNetwork:
     return net
 
 
-def _as_square(matrix: np.ndarray | Sequence[Sequence[float]], m: int) -> np.ndarray:
-    arr = np.asarray(matrix, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {arr.shape}")
-    if arr.shape[0] != m:
-        raise DimensionMismatch(
-            f"matrix is {arr.shape[0]}x{arr.shape[0]} but the network has {m} arcs"
-        )
-    if not np.all(np.isfinite(arr)):
-        raise DimensionMismatch("matrix entries must be finite")
-    return arr
-
-
 @dataclass(frozen=True)
-class CouplingMatrix:
+class CouplingMatrix(_DerivesOnce):
     """Junction exchange coefficients K.
 
     from_array enforces only shape (one row and column per arc of the
     network) and finiteness; sign, symmetry, and connectivity are the
     business of validate_assumptions, so a matrix that breaks them can
-    still be built and checked.
+    still be built and checked. K's sign-rule verdict (defects) and its
+    exchange matrix are derived once per matrix, when first asked for.
     """
 
     k: np.ndarray
@@ -137,13 +160,38 @@ class CouplingMatrix:
     def from_array(
         cls, matrix: np.ndarray | Sequence[Sequence[float]], net: StarNetwork
     ) -> "CouplingMatrix":
-        arr = _as_square(matrix, net.m).copy()
+        arr = np.array(matrix, dtype=float)
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+            raise DimensionMismatch(f"expected a square matrix, got shape {arr.shape}")
+        K = cls(arr)
+        K.check_fits(net)
+        if not np.all(np.isfinite(arr)):
+            raise DimensionMismatch("matrix entries must be finite")
         arr.flags.writeable = False
-        return cls(arr)
+        return K
 
     @property
     def m(self) -> int:
         return self.k.shape[0]
+
+    def check_fits(self, net: StarNetwork) -> None:
+        """Raise DimensionMismatch unless K has one row per arc of net."""
+        if self.m != net.m:
+            raise DimensionMismatch(
+                f"matrix is {self.m}x{self.m} but the network has {net.m} arcs"
+            )
+
+    @cached_property
+    def defects(self) -> tuple[str, ...]:
+        """How K breaks the sign rules (_coupling_defects); empty when it keeps them."""
+        return tuple(_coupling_defects(self.k))
+
+    @cached_property
+    def _exchange(self) -> np.ndarray:
+        alpha = -self.k
+        np.fill_diagonal(alpha, self.k.sum(axis=1))
+        alpha.flags.writeable = False
+        return alpha
 
 
 #: symmetry tolerance for K, relative to its largest entry
@@ -173,14 +221,9 @@ def alpha_from_k(K: CouplingMatrix) -> np.ndarray:
     AssumptionViolated if K breaks the sign rules, since the exchange
     matrix's sign structure depends on them.
     """
-    k = K.k
-    defects = _coupling_defects(k)
-    if defects:
-        raise AssumptionViolated("; ".join(defects))
-    alpha = -k.astype(float)
-    np.fill_diagonal(alpha, k.sum(axis=1))
-    alpha.flags.writeable = False
-    return alpha
+    if K.defects:
+        raise AssumptionViolated("; ".join(K.defects))
+    return K._exchange
 
 
 def junction_residual(
@@ -195,7 +238,7 @@ def junction_residual(
     # whole would round differently
     u = np.ascontiguousarray(u, dtype=float)
     coupled = np.array([row @ u for row in alpha])
-    beta = np.array([1.0 if arc.incoming else -1.0 for arc in net.arcs])
+    beta = np.where(net.incoming, 1.0, -1.0)
     return float(np.max(np.abs(beta * (net.speeds() * u - epsilon * du) - coupled)))
 
 
@@ -206,11 +249,12 @@ def validate_assumptions(net: StarNetwork, K: CouplingMatrix) -> None:
     and couple every incoming arc to an outgoing one. Every breach found
     is named in one AssumptionViolated message, joined by "; ".
     """
-    k = _as_square(K.k, net.m)
-    messages = _coupling_defects(k)
-    inc = np.array(net.incoming_ids)
-    linked = (k[inc][:, np.array(net.outgoing_ids)] > 0.0).any(axis=1)
+    K.check_fits(net)
+    messages = list(K.defects)
+    incoming = net.incoming
+    linked = (K.k[incoming][:, ~incoming] > 0.0).any(axis=1)
     if not linked.all():
-        messages.append(f"incoming arcs {inc[~linked].tolist()} have no outgoing coupling")
+        unlinked = np.array(net.incoming_ids)[~linked].tolist()
+        messages.append(f"incoming arcs {unlinked} have no outgoing coupling")
     if messages:
         raise AssumptionViolated("; ".join(messages))

@@ -15,6 +15,7 @@ mode fluxes themselves.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -27,19 +28,30 @@ from ..errors import (
     finite_values,
 )
 from ..hyperbolic import ArcProfile, PiecewiseConstantField, check_profile_lengths
-from ..network import CouplingMatrix, StarNetwork, _as_square, alpha_from_k, junction_residual
+from ..network import (
+    CouplingMatrix,
+    StarNetwork,
+    _DerivesOnce,
+    alpha_from_k,
+    junction_residual,
+)
 
 #: midpoint samples per arc at which residual_report checks the equation
 RESIDUAL_SAMPLES = 400
 
 
 @dataclass(frozen=True)
-class ResolventProblem:
+class ResolventProblem(_DerivesOnce):
     """Relaxation weight, forcing field, and outer Dirichlet values.
 
     Constructing one checks theta and the boundary values once: theta
     becomes a finite positive float, boundary a read-only copy of finite
-    values.
+    values. padded, built once per problem, is (edges, values): arrays of
+    shape (arcs, pieces + 1) and (arcs, pieces), read-only, that stack
+    every arc's forcing piece edges (0, its breakpoints, its length) and
+    values, pieces being the most any arc has; an arc with fewer is
+    padded at its right end with pieces of zero width, at its length,
+    and value +0.0.
     """
 
     theta: float
@@ -66,6 +78,21 @@ class ResolventProblem:
         profiles as check_profile_lengths wants, one boundary value per arc."""
         check_profile_lengths(self.f.arcs, net, "forcing profiles")
         finite_values(self.boundary, net.m)
+
+    @cached_property
+    def padded(self) -> tuple[np.ndarray, np.ndarray]:
+        pieces = max(profile.values.size for profile in self.f.arcs)
+        edges = np.empty((len(self.f.arcs), pieces + 1))
+        values = np.zeros((len(self.f.arcs), pieces))
+        for e, v, profile in zip(edges, values, self.f.arcs):
+            k = profile.breakpoints.size
+            e[0] = 0.0
+            e[1 : k + 1] = profile.breakpoints
+            e[k + 1 :] = profile.length
+            v[: k + 1] = profile.values
+        edges.flags.writeable = False
+        values.flags.writeable = False
+        return edges, values
 
 
 def _convolutions(
@@ -110,39 +137,30 @@ def _particular(
     a1: np.ndarray, a2: np.ndarray, edges: np.ndarray, g: np.ndarray, x: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rows p, p', p'' of the bounded particular part, each (arcs, points);
-    p'' reads g on each point's piece, found one inner edge at a time."""
+    p'' reads g on each point's piece (_piece_index)."""
     i1, i2 = _convolutions(a1, a2, edges, g, x)
     a1 = a1[:, np.newaxis]
     a2 = a2[:, np.newaxis]
     gap = a2 - a1
-    idx = np.zeros(x.shape, dtype=np.intp)
-    for r in range(1, g.shape[1]):
-        idx += edges[:, r : r + 1] < x
-    idx += g.shape[1] * np.arange(g.shape[0])[:, np.newaxis]
     return (
         -(i1 + i2) / gap,
         -(a1 * i1 + a2 * i2) / gap,
-        g.ravel()[idx] - (a1 * a1 * i1 + a2 * a2 * i2) / gap,
+        g.ravel()[_piece_index(edges, x)] - (a1 * a1 * i1 + a2 * a2 * i2) / gap,
     )
 
 
-def _pad_pieces(
-    edges: Sequence[np.ndarray], g: Sequence[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stack per-arc piece edges and weights into (arcs, pieces) arrays.
-
-    Arcs with fewer pieces are padded with pieces of zero width at their
-    right end and zero weight, which add exactly +0.0 to every integral
-    and are never the piece holding a point of [0, L].
-    """
-    pieces = max(row.size for row in g)
-    edges_pad = np.empty((len(g), pieces + 1))
-    g_pad = np.zeros((len(g), pieces))
-    for i, (e, w) in enumerate(zip(edges, g)):
-        edges_pad[i, : e.size] = e
-        edges_pad[i, e.size :] = e[-1]
-        g_pad[i, : w.size] = w
-    return edges_pad, g_pad
+def _piece_index(edges: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Flat index into an (arcs, pieces) array of the piece of row i of
+    edges holding each point of row i of x, found one inner edge at a
+    time: the count of breakpoints below x, searchsorted's side="left".
+    Padding edges sit at the arc's length, so no point of [0, L] lands
+    on a padded piece."""
+    pieces = edges.shape[1] - 1
+    idx = np.zeros(x.shape, dtype=np.intp)
+    for r in range(1, pieces):
+        idx += edges[:, r : r + 1] < x
+    idx += pieces * np.arange(edges.shape[0])[:, np.newaxis]
+    return idx
 
 
 def _derivatives(
@@ -190,9 +208,9 @@ class ResolventSolution:
     """Evaluable resolvent solution with its coupling-system evidence.
 
     Row i of a1, a2 (mode exponents), c, d (mode weights), edges and g
-    belongs to arc i. edges holds the forcing piece edges from 0 to the
-    arc's length and g = -f/(theta*eps) per piece; arcs with fewer
-    pieces are padded as _pad_pieces describes.
+    belongs to arc i. edges is the problem's padded edges, from 0 to the
+    arc's length, and g = -f/(theta*eps) per piece; a padded piece has
+    zero width and g = +0.0, so it adds exactly +0.0 to every integral.
     """
 
     net: StarNetwork
@@ -237,27 +255,29 @@ class ResolventSolution:
         that one (v, v', v'') result.
         """
         n = RESIDUAL_SAMPLES
-        theta = self.problem.theta
-        speed = self.net.speeds()
+        net, prob = self.net, self.problem
+        theta = prob.theta
+        speed = net.speeds()
         lengths = self.edges[:, -1]
         xs = (np.arange(n) + 0.5) * (lengths / n)[:, np.newaxis]
-        ends = np.array([[e.node_position, e.outer_position] for e in self.net.arcs])
+        ends = np.array([[e.node_position, e.outer_position] for e in net.arcs])
         v, dv, ddv = self._rows(slice(None), np.concatenate([xs, ends], axis=1))
-        fvals = np.stack([p.evaluate(x) for p, x in zip(self.problem.f.arcs, xs)])
+        f = prob.padded[1]
+        fvals = f.ravel()[_piece_index(self.edges, xs)]
         resid = (
             v[:, :n]
             - theta * (self.epsilon * ddv[:, :n] - speed[:, np.newaxis] * dv[:, :n])
             - fvals
         )
         ode_max = float(np.max(np.abs(resid)))
-        dir_max = float(np.max(np.abs(v[:, n + 1] - self.problem.boundary)))
+        dir_max = float(np.max(np.abs(v[:, n + 1] - prob.boundary)))
 
-        node_max = junction_residual(self.net, self.alpha, self.epsilon, v[:, n], dv[:, n])
+        node_max = junction_residual(net, self.alpha, self.epsilon, v[:, n], dv[:, n])
 
         scale = max(
             1.0,
-            max(float(np.max(np.abs(p.values))) for p in self.problem.f.arcs),
-            float(np.max(np.abs(self.problem.boundary))),
+            float(np.max(np.abs(f))),
+            float(np.max(np.abs(prob.boundary))),
         )
         return ResidualReport(
             ode_max=ode_max,
@@ -285,14 +305,14 @@ def solve_resolvent(
     """
     finite_above(epsilon, "epsilon")
     theta = prob.theta
-    _as_square(K.k, net.m)
+    K.check_fits(net)
     alpha = alpha_from_k(K)
     m = net.m
     prob.check(net)
 
     lam = net.speeds()
     L = np.array([arc.length for arc in net.arcs])
-    incoming = np.array([arc.incoming for arc in net.arcs])
+    incoming = net.incoming
     disc = np.sqrt(lam * lam + 4.0 * epsilon / theta)
     a2 = (lam + disc) / (2.0 * epsilon)
     a1 = -2.0 / (theta * (lam + disc))
@@ -302,13 +322,11 @@ def solve_resolvent(
     G = np.exp(-a2 * L)
     E = F * G  # exp(-(a2 - a1) * L)
 
-    edges, g = _pad_pieces(
-        [
-            np.concatenate([[0.0], profile.breakpoints, [length]])
-            for profile, length in zip(prob.f.arcs, L)
-        ],
-        [-profile.values / (theta * epsilon) for profile in prob.f.arcs],
-    )
+    # g = -f/(theta*eps) on every piece, +0.0 on the padding
+    edges, f = prob.padded
+    g = np.zeros(f.shape)
+    real = edges[:, 1:] > edges[:, :-1]
+    np.divide(f, -(theta * epsilon), out=g, where=real)
     # particular part and its slope at both ends of every arc, read off
     # before the mode weights c and d are known
     ends = np.stack([np.zeros(m), L], axis=1)

@@ -549,7 +549,7 @@ def assemble_step_operator(
         )
 
     # each arc's ends in grid order: an incoming arc ends at the junction
-    incoming = np.array([arc.incoming for arc in net.arcs])
+    incoming = net.incoming
     first = np.asarray(grid.offsets[:-1])
     last = first + np.asarray(grid.cells)
     node = np.where(incoming, last, first)

@@ -207,7 +207,7 @@ def compute_gamma(net: StarNetwork, K: CouplingMatrix) -> TransmissionSystem:
     z = cert.inverse
 
     n_inc = len(net.incoming_ids)
-    out_speeds = net.speeds()[list(net.outgoing_ids)]
+    out_speeds = net.speeds()[~net.incoming]
     gamma = out_speeds[:, None] * z[n_inc:, :n_inc]
 
     min_gamma = float(gamma.min(initial=0.0))

@@ -264,6 +264,30 @@ def test_simulate_parabolic_writes_snapshot_and_diagnostics(tmp_path, capsys):
     assert sorted(manifest["outputs"]) == ["diagnostics.csv", "snapshot.csv"]
 
 
+def test_simulate_parabolic_manifest_records_the_march(tmp_path, capsys):
+    """The march's node defect, positivity certificate and step count reach
+    manifest.json, as each converge level's do; the node defect is the
+    number the warning prints."""
+    source = EXPERIMENTS / "junction_sweep"
+    out_dir = tmp_path / "run"
+    with pytest.warns(UserWarning, match="node conditions") as caught:
+        assert main([
+            "simulate", "--config", str(source / "network.json"),
+            "--data", str(source / "data.json"), "--mode", "parabolic",
+            "--epsilon", "0.05", "--T", "0.2", "--out", str(out_dir),
+        ]) == 0
+    capsys.readouterr()
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    diag = read_csv(out_dir / "diagnostics.csv")
+    assert manifest["steps"] == len(diag) - 1 > 0
+    assert manifest["schur_inv_min"] > 0.0
+    assert manifest["node_defect"] > COMPATIBILITY_WARN_TOL
+    (warning,) = caught
+    assert str(warning.message) == (
+        f"initial data violates the discrete node conditions by {manifest['node_defect']:.3e}"
+    )
+
+
 def test_converge_manifest_and_determinism(tmp_path, capsys):
     exp = write_experiment(tmp_path, [0.08, 0.04])
     outs = []

@@ -242,21 +242,27 @@ class TestRunners:
     def test_sample_hyperbolic_zero_data(self):
         net, K = pair_net()
         u0 = PiecewiseConstantField.constant(net, [0.0, 0.0])
-        samples = sample_hyperbolic(
+        blocks = sample_hyperbolic(
             net, K, u0, np.zeros(2), T=0.5, times=3, points=5
         )
-        assert len(samples) == 3 * 2 * 5
-        assert all(u == 0.0 for _, _, _, u in samples)
+        assert [(arc_id, t) for arc_id, _, t, _ in blocks] == [
+            (arc_id, t) for t in (0.0, 0.25, 0.5) for arc_id in (0, 1)
+        ]
+        assert all(xs.shape == us.shape == (5,) for _, xs, _, us in blocks)
+        assert all((us == 0.0).all() for *_, us in blocks)
 
     def test_parabolic_simulation_shapes(self):
         net, K = pair_net()
         u0 = PiecewiseConstantField.constant(net, [0.0, 0.0])
-        snapshot, diagnostics = run_parabolic_simulation(
+        snapshot, trajectory = run_parabolic_simulation(
             net, K, u0, np.zeros(2), epsilon=0.1, T=0.1, h_rule=8.0
         )
         cells = [round(net.arc(i).length / h) for i, h in enumerate([0.0125, 0.0125])]
-        assert len(snapshot) == sum(c + 1 for c in cells)
+        assert [(arc_id, xs.size, us.size) for arc_id, xs, _, us in snapshot] == [
+            (i, c + 1, c + 1) for i, c in enumerate(cells)
+        ]
         assert all(t == 0.1 for _, _, t, _ in snapshot)
+        diagnostics = trajectory.diagnostics
         assert diagnostics.shape[1] == 4
         assert diagnostics[0, 0] == 0.0
         assert diagnostics[-1, 0] == pytest.approx(0.1, abs=1e-14)
